@@ -264,7 +264,10 @@ def _entries() -> list[BoundSpec]:
         lambda nu, x: -1.0 / x, "-1/x",
         sharp_at=("x->0", "x->inf"), note="turan20_lower reversed for |nu| < 1/2")
     add("turan23_lower", Q.PHI_K, "lower", "proved",
-        lambda nu, x: abs(nu) <= 0.5 and x > math.sqrt(0.25 - nu * nu),
+        # x^2 + mu can round to 0 (or below) just above x = sqrt(-mu); the
+        # guard admits only points where the formula's radicand is positive
+        lambda nu, x: (abs(nu) <= 0.5 and x > math.sqrt(0.25 - nu * nu)
+                       and x * x + nu * nu - 0.25 > 0.0),
         "|nu| <= 1/2 and x > sqrt(-mu)",
         lambda nu, x: -(4.0 / math.pi) * (
             math.acos(math.sqrt(0.25 - nu * nu) / x) / (2.0 * math.sqrt(x * x + nu * nu - 0.25))

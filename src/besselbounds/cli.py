@@ -22,6 +22,7 @@ from .core import (
     AccuracyError,
     DomainError,
     EvalContext,
+    K_PATHS,
     QuantityKind,
     dual_path_checks,
     eval_I,
@@ -255,8 +256,8 @@ def cmd_selftest(cfg: CliConfig) -> int:
         failures.append(f"path overlap disagreement {worst_overlap:.3e}")
     print(f"besselbounds {__version__} selftest "
           f"({(time.perf_counter()-t0)*1e3:.0f} ms)")
-    print("evaluation paths: I: series, asymptotic; "
-          "K: reflection, quadrature, asymptotic; ratios: continued fraction + quotient")
+    print(f"evaluation paths: I: series, asymptotic; K: {', '.join(K_PATHS)}; "
+          "ratios: continued fraction + quotient")
     if failures:
         for msg in failures:
             print(f"FAIL {msg}")

@@ -16,17 +16,16 @@ Evaluation strategy by region
 -----------------------------
 * I: power series everywhere below the asymptotic threshold
   x >= 30 + nu^2; large-argument expansion above it.
-* K: large-argument expansion for x >= 30 + nu^2; the reflection formula
-  K = (pi/2)(I_{-nu} - I_nu)/sin(nu pi) for small x when nu is at least
-  0.05 away from an integer and cancellation is mild; otherwise
-  trapezoidal quadrature of the cosh integral (the integrand decays
-  doubly exponentially, so the trapezoid rule converges geometrically).
+* K: at mu = |nu| - round(|nu|) in [-1/2, 1/2], K_mu and K_{mu+1} by
+  Temme's series for x < 2 and by Steed's continued fraction CF2 for
+  x >= 2; then forward recurrence in the order up to |nu|, which is stable
+  because K is the dominant solution.
 
 Every evaluation returns a ``ValueWithError`` carrying a claimed bound on
-the relative error (truncation tail + rounding, with compensated
-summation throughout).  Ratios are computed by two independent routes and
-cross-checked; disagreement raises ``CrossCheckError`` since it signals
-an evaluator bug, not an unlucky input.
+the relative error (truncation tail + rounding).  Ratios are computed by
+two independent routes and cross-checked; disagreement raises
+``CrossCheckError`` since it signals an evaluator bug, not an unlucky
+input.
 
 Values are kept exponentially scaled (e^-x I, e^x K) internally once
 x > 50 so that no intermediate overflows inside the supported box
@@ -39,6 +38,7 @@ call concurrently from any number of threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -54,6 +54,7 @@ __all__ = [
     "ValueWithError",
     "QuantityKind",
     "QUANTITY_EXPRESSIONS",
+    "K_PATHS",
     "eval_I",
     "eval_K",
     "ratio_I",
@@ -131,13 +132,6 @@ def _kahan_add(s: float, c: float, term: float) -> tuple[float, float]:
     return u, c
 
 
-def _sinpi(nu: float) -> float:
-    # sin(pi*nu) with argument reduction, accurate near integer nu
-    r = nu - round(nu)
-    s = math.sin(math.pi * r)
-    return s if round(nu) % 2 == 0 else -s
-
-
 # ---------------------------------------------------------------------------
 # modified Bessel function of the first kind
 # ---------------------------------------------------------------------------
@@ -185,8 +179,8 @@ def _i_series(nu: float, x: float) -> tuple[float, float]:
     return s, rel
 
 
-def _asym_bracket(nu: float, x: float, sign: float) -> tuple[float, float]:
-    # sum of the large-argument expansion bracket; sign=-1 for I, +1 for K
+def _asym_bracket(nu: float, x: float) -> tuple[float, float]:
+    # sum of the bracket of I's large-argument expansion
     four_nu2 = 4.0 * nu * nu
     c = 1.0
     s, comp = 1.0, 0.0
@@ -194,7 +188,7 @@ def _asym_bracket(nu: float, x: float, sign: float) -> tuple[float, float]:
     prev = math.inf
     for k in range(1, 80):
         m = 2 * k - 1
-        c *= sign * (four_nu2 - m * m) / (8.0 * k * x)
+        c *= (m * m - four_nu2) / (8.0 * k * x)
         if abs(c) >= prev:
             err_term = prev  # divergence onset: bound by last decreasing term
             break
@@ -211,7 +205,7 @@ def _asym_bracket(nu: float, x: float, sign: float) -> tuple[float, float]:
 
 def _i_asym(nu: float, x: float) -> tuple[float, float]:
     """Large-argument expansion for I; scaled by e^-x when x > _SCALE_X."""
-    s, rel = _asym_bracket(nu, x, -1.0)
+    s, rel = _asym_bracket(nu, x)
     val = s / math.sqrt(2.0 * math.pi * x)
     # second exponential series contributes at relative size ~ e^(-2x)
     rel += 2.0 * math.exp(-2.0 * x)
@@ -234,127 +228,126 @@ def _besseli(nu: float, x: float) -> tuple[float, float, str]:
 # modified Bessel function of the second kind
 # ---------------------------------------------------------------------------
 
-def _k_asym(nu: float, x: float) -> tuple[float, float]:
-    """Large-argument expansion for K; scaled by e^x when x > _SCALE_X."""
-    s, rel = _asym_bracket(nu, x, +1.0)
-    val = s * math.sqrt(0.5 * math.pi / x)
-    if x <= _SCALE_X:
-        val *= math.exp(-x)
-    return val, rel
+K_PATHS = ("temme", "cf2")  # Temme's series for x < _TEMME_X, Steed's CF2 above
+_TEMME_X = 2.0
+
+# 1/Gamma(1+z) = sum_j g_j z^j (A&S 6.1.34 shifted by one) as pairs
+# (g_2i, g_2i+1), i = 10 down to 0; the omitted terms are < 1e-20 for |z| <= 1/2
+_RGAMMA1P = (
+    (-3.696805618642206e-12, 5.100370287454476e-13), (1.0434267116911005e-10, 7.782263439905071e-12),
+    (5.002007644469223e-09, -1.18127457048702e-09), (-2.056338416977607e-07, 6.116095104481416e-09),
+    (-1.2504934821426706e-06, 1.133027231981696e-06), (0.0001280502823881162, -2.013485478078824e-05),
+    (-0.0011651675918590652, -0.00021524167411495098), (-0.009621971527876973, 0.0072189432466631),
+    (0.16653861138229148, -0.04219773455554433), (-0.6558780715202539, -0.04200263503409524),
+    (1.0, 0.5772156649015329),
+)
 
 
-def _k_reflect(nu: float, x: float) -> tuple[float, float] | None:
-    """K via (pi/2)(I_{-nu} - I_nu)/sin(pi nu); None if cancellation too hot."""
-    a, ea = _i_series(-nu, x)
-    b, eb = _i_series(nu, x)
-    d = a - b
-    if d == 0.0:
-        return None
-    amp = (abs(a) + abs(b)) / abs(d)
-    if amp > 16.0:
-        return None
-    val = 0.5 * math.pi * d / _sinpi(nu)
-    if val <= 0.0 or not math.isfinite(val):
-        return None
-    rel = amp * (ea + eb + 2.0 * _EPS) + 4.0 * _EPS
-    return val, rel
+def _k_temme(mu: float, x: float) -> tuple[float, float, float, float]:
+    """Temme's series: (K_mu, K_{mu+1}, rel0, rel1) for |mu| <= 1/2, x < 2.
 
-
-def _lncosh(u: float) -> float:
-    # log(cosh(u)) for u >= 0, stable for large u
-    return u + math.log1p(math.exp(-2.0 * u)) - _LN2 if u > 0.0 else 0.0
-
-
-def _k_quad(nu: float, x: float) -> tuple[float, float]:
-    """Trapezoidal quadrature of the cosh integral for K_nu(x).
-
-    The integrand exp(-x cosh t) cosh(nu t) decays doubly exponentially, so
-    the trapezoid rule converges geometrically in 1/h; the step is halved
-    (reusing samples) until two successive sums agree, with one extra
-    halving as a safety margin.  The peak is factored out so nothing
-    overflows even when K itself is astronomically large.
+    K_mu = sum c_k f_k, K_{mu+1} = (2/x) sum c_k (p_k - k f_k), c_k = (x^2/4)^k/k!
+    (Temme 1975; Numerical Recipes ``bessik``); gam1, gam2 come from the Taylor
+    series of 1/Gamma(1+mu), which cannot cancel as mu -> 0.  Error budget in
+    eps = 2u: r0 bounds the start (Horner sums within 2 eps, 1/Gamma(1 +- mu)
+    >= 0.56 within 7, e = mu ln(2/x) off by 2|e| + 1/2) for p0, q0, and f0
+    against F0; past k = 0 every c_k, f_k, p_k, q_k is positive, f_1's
+    cancellation scales r0 to rr, a term gains <= 6 eps per step (weights w), a
+    partial sum costs u, and the tail is under twice the last term.
     """
-    an = abs(nu)
-
-    def g(t: float) -> float:
-        return _lncosh(an * t) - x * math.cosh(t)
-
-    # locate peak and truncation point by coarse scan (peak is flat at the
-    # 0.5 scale, so the sampled max is within a few units of the true max)
-    m = g(0.0)
-    t = 0.0
-    t_peak = math.asinh(an / x) if an * an > x else 0.0
-    while True:
-        t += 0.5
-        gt = g(t)
-        if gt > m:
-            m = gt
-        if t > t_peak and gt < m - 55.0:
+    d = _LN2 - math.log(x)  # ln(2/x)
+    e, m2 = mu * d, mu * mu
+    ev = od = 0.0  # gam2, -gam1
+    for g_even, g_odd in _RGAMMA1P:
+        ev, od = g_even + m2 * ev, g_odd + m2 * od
+    fact = math.pi * mu / math.sin(math.pi * mu) if mu else 1.0
+    a = od * math.cosh(e)
+    b = ev * (math.sinh(e) / e if e else 1.0) * d
+    ee = math.exp(e)
+    f0 = ff = fact * (b - a)
+    p0 = p = 0.5 * ee / (ev + mu * od)
+    q = 0.5 / (ee * (ev - mu * od))
+    big_f = fact * (a + abs(b))
+    r0 = (2.0 * abs(e) + 13.0) * _EPS
+    rr = (r0 + 1.5 * _EPS) * (big_f + p + q) / (ff + p + q)
+    s0, s1, v, w, c, y = ff, p, 0.0, 0.0, 1.0, 0.25 * x * x
+    for k in range(1, 200):
+        ff = (k * ff + p + q) / (k * k - m2)
+        c *= y / k
+        p /= k - mu
+        q /= k + mu
+        kf = k * ff
+        t0, t1, m = c * ff, c * (p - kf), c * (p + kf)
+        s0 += t0
+        s1 += t1
+        v += m
+        w += k * m
+        if t0 < 1e-17 * s0 and abs(t1) < 1e-17 * abs(s1):
             break
-        if t > 80.0:
-            # the integrand has not decayed (x astronomically small): a
-            # truncated sum would be silently wrong, so refuse instead
-            raise AccuracyError(f"K_{nu}({x}): cosh-integral support exceeds the "
-                                "quadrature window; argument too extreme")
-    big_t = t
+    err0 = r0 * big_f + rr * (s0 - f0) + 6.0 * _EPS * w + 0.5 * k * _EPS * (s0 - f0 + abs(f0)) + 2.0 * t0
+    err1 = r0 * p0 + rr * v + 6.0 * _EPS * w + 0.5 * k * _EPS * (p0 + v) + 2.0 * abs(t1)
+    return s0, s1 * 2.0 / x, err0 / s0, err1 / abs(s1) + _EPS
 
-    def trap_sum(h: float, prev: float | None) -> float:
-        if prev is None:
-            s, comp = 0.5 * math.exp(g(0.0) - m), 0.0
-            k = 1
-            while True:
-                tk = k * h
-                if tk > big_t:
-                    break
-                s, comp = _kahan_add(s, comp, math.exp(g(tk) - m))
-                k += 1
-            return h * s
-        # refine: previous sum at 2h contributes the even nodes
-        s, comp = prev / (2.0 * h), 0.0
-        k = 1
-        while True:
-            tk = k * h
-            if tk > big_t:
-                break
-            s, comp = _kahan_add(s, comp, math.exp(g(tk) - m))
-            k += 2
-        return h * s
 
-    h = 1.0
-    s_prev = trap_sum(h, None)
-    diffs: list[float] = []
-    s_cur = s_prev
-    for _ in range(7):
-        h *= 0.5
-        s_cur = trap_sum(h, s_prev)
-        diffs.append(abs(s_cur - s_prev) / abs(s_cur))
-        s_prev = s_cur
-        if len(diffs) >= 2 and diffs[-2] < 1e-13 and diffs[-1] < 1e-14:
+def _k_cf2(mu: float, x: float) -> tuple[float, float, float, float]:
+    """Steed's CF2: (K_mu, K_{mu+1}, rel0, rel1), e^x-scaled when x > _SCALE_X.
+
+    K_mu = sqrt(pi/2x) e^-x / s, s = 1 + sum q_i dh_i summed alongside the
+    continued fraction h = sum dh_i (Thompson-Barnett; Numerical Recipes
+    ``bessik``); all terms are positive.  Error budget in eps = 2u: an iteration
+    adds <= 34 eps to a term of s, 27 to one of h (c 1.6; q 5, a dominant
+    recurrence cancelling < 3x; dh 26, d contracting by dh_i/dh_{i-1} < 0.7 at
+    x >= 2); a partial sum costs u.  Terms fall like exp(-2 sqrt(2 x i)): the
+    tail is within twice the geometric tail at the last ratio.
+    """
+    a1 = 0.25 - mu * mu
+    b = 2.0 * (1.0 + x)
+    d = h = dh = 1.0 / b
+    q1, q2, q, c = 0.0, 1.0, a1, a1
+    s, prev = 1.0 + a1 * dh, a1 * dh
+    for i in range(2, 1000):
+        na = i * (i - 1) + a1  # (i - 1/2)^2 - mu^2
+        c *= na / i
+        q1, q2 = q2, (b * q2 - q1) / na
+        q += c * q2
+        b += 2.0
+        dn = 1.0 / (b - na * d)
+        dh *= na * d * dn  # = b dn - 1 without its cancellation
+        d = dn
+        h += dh
+        dels = q * dh
+        s += dels
+        if dels < 1e-17 * s:
             break
-    rel = diffs[-1] + 1e-18 + 30.0 * _EPS
-    shift = m + x if x > _SCALE_X else m
-    val = s_cur * math.exp(shift)
-    if not math.isfinite(val) or val <= 0.0:
-        raise AccuracyError(f"K_{nu}({x}): quadrature value not representable")
-    return val, rel
+        prev = dels
+    tail = 2.0 * dels / (1.0 - dels / prev) if dels else 0.0
+    k0 = math.sqrt(0.5 * math.pi / x) / s * (math.exp(-x) if x <= _SCALE_X else 1.0)
+    g = mu + x + 0.5 - a1 * h
+    rel0 = i * _EPS * (0.5 + 34.0 * (s - 1.0) / s) + tail / s + 4.0 * _EPS
+    return k0, k0 * g / x, rel0, rel0 + 27.0 * i * _EPS * a1 * h / g + 3.0 * _EPS
 
 
 @lru_cache(maxsize=200_000)
 def _besselk(nu: float, x: float) -> tuple[float, float, str]:
     """(value, rel error, path) for K_nu(x), e^x-scaled when x > _SCALE_X.
 
-    Evaluated at |nu| throughout, which realises K_{-nu} = K_nu exactly.
+    From K_mu and K_{mu+1}, mu = |nu| - round(|nu|), forward recurrence
+    climbs to |nu|: K is its dominant solution and every term is positive
+    past mu + 1, so a step adds at most its five roundings, 2.5 eps.
+    Evaluating at |nu| realises K_{-nu} = K_nu exactly.
     """
     an = abs(nu)
-    if x >= _ASYM_BASE + an * an:
-        val, rel = _k_asym(an, x)
-        return val, rel, "asymptotic"
-    if x <= 2.0 and abs(an - round(an)) > 0.05:
-        out = _k_reflect(an, x)
-        if out is not None:
-            return out[0], out[1], "reflection"
-    val, rel = _k_quad(an, x)
-    return val, rel, "quadrature"
+    nl = round(an)
+    mu = an - nl
+    use_cf2 = x >= _TEMME_X
+    k0, k1, rel0, rel1 = (_k_cf2 if use_cf2 else _k_temme)(mu, x)
+    xi2 = 2.0 / x
+    for i in range(1, nl):
+        k0, k1 = k1, (mu + i) * xi2 * k1 + k0
+    val, rel = (k1, max(rel0, rel1) + 2.5 * (nl - 1) * _EPS) if nl else (k0, rel0)
+    if not math.isfinite(val):
+        raise AccuracyError(f"K_{nu}({x}) overflows double precision")
+    return val, rel, K_PATHS[use_cf2]
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +652,15 @@ def quantity(kind: QuantityKind, ctx: EvalContext) -> ValueWithError:
         vk, ek, _ = _besselk(nu, x)
         kv = _unscale_k(vk, x)
         val = kv * kv * fk.value
-        if val == 0.0 or not math.isfinite(val):
+        # below the normal range the product has lost bits to underflow
+        if abs(val) < sys.float_info.min or not math.isfinite(val):
             raise AccuracyError(f"deltaK not representable at nu={nu}, x={x}")
         return ValueWithError(val, 2.0 * ek + fk.rel_error_bound + 2.0 * _EPS)
     if kind is QuantityKind.W:
         return _shifted(_y(ctx), math.hypot(x, nu), -1.0)
     if kind is QuantityKind.U:
+        if x * x + ctx.mu < 0.0:
+            raise DomainError(f"quantity 'u' needs x^2 + nu^2 - 1/4 >= 0; got nu={nu}, x={x}")
         return _shifted(_y(ctx), math.sqrt(x * x + ctx.mu), -1.0)
     if kind is QuantityKind.LAMBDA:
         return _shifted(_y(ctx), -math.hypot(x, nu + 1.0), +1.0)
@@ -741,8 +737,10 @@ OVERLAP_AGREEMENT_REL = 1e-11
 def dual_path_checks() -> list[tuple[str, float]]:
     """Compare independent evaluation paths where their regions overlap.
 
-    Returns (label, relative difference) pairs; any entry exceeding
-    OVERLAP_AGREEMENT_REL indicates an evaluator bug.
+    I: power series against the large-argument expansion just above the
+    switch; K: Temme's series against CF2 for K_mu and K_{mu+1} on both
+    sides of x = _TEMME_X.  Returns (label, relative difference) pairs; any
+    entry exceeding OVERLAP_AGREEMENT_REL indicates an evaluator bug.
     """
     out: list[tuple[str, float]] = []
     for nu in (0.0, 0.3, 1.0, 2.5, 4.0):
@@ -750,14 +748,10 @@ def dual_path_checks() -> list[tuple[str, float]]:
         vs, _ = _i_series(nu, x)
         va, _ = _i_asym(nu, x)
         out.append((f"I series/asymptotic nu={nu} x={x:g}", abs(vs - va) / abs(va)))
-        vq, _ = _k_quad(nu, x)
-        vk, _ = _k_asym(nu, x)
-        out.append((f"K quadrature/asymptotic nu={nu} x={x:g}", abs(vq - vk) / vk))
-    for nu in (0.3, 1.4, 2.5, 7.3):
-        for x in (0.2, 1.0):
-            ref = _k_reflect(nu, x)
-            if ref is None:
-                continue
-            vq, _ = _k_quad(nu, x)
-            out.append((f"K reflection/quadrature nu={nu} x={x:g}", abs(ref[0] - vq) / vq))
+    for mu in (-0.4, -0.2, 0.0, 0.3, 0.5):
+        for x in (1.5, 2.0, 2.5):
+            t = _k_temme(mu, x)
+            c = _k_cf2(mu, x)
+            for j in (0, 1):
+                out.append((f"K temme/cf2 order={mu + j:g} x={x:g}", abs(t[j] - c[j]) / c[j]))
     return out

@@ -38,6 +38,9 @@ def test_eval_exit_codes(capsys):
     assert run(capsys, "eval", "--fn", "y", "--nu", "-5", "--x", "1")[0] == 1  # domain
     assert run(capsys, "eval", "--fn", "I", "--nu", "1", "--x", "1e-320")[0] == 1
     assert run(capsys, "nosuchcommand")[0] == 2
+    rc, _, err = run(capsys, "eval", "--fn", "u", "--nu", "0.2", "--x", "0.1")
+    assert rc == 1
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_bounds_at(capsys):
@@ -49,6 +52,9 @@ def test_bounds_at(capsys):
     assert rc == 0
     assert "turan21_lower" in out and "turan21_upper" in out
     assert "turan20_lower" not in out
+    # x^2 + nu^2 - 1/4 rounds to 0 at (0.4, 0.3): turan23_lower must not apply
+    rc, out, err = run(capsys, "bounds", "at", "--quantity", "phiK", "--nu", "0.4", "--x", "0.3")
+    assert rc == 0 and "turan23_lower" not in out and err == ""
 
 
 def test_bounds_list_round_trip(capsys):

@@ -3,10 +3,11 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from besselbounds.core import (
+    _RGAMMA1P,
     AccuracyError,
     DomainError,
     EvalContext,
@@ -84,12 +85,15 @@ def test_unreachable_accuracy_raises():
         eval_I(EvalContext(19.5, 400.0), target_rel_err=1.01e-14)
 
 
-def test_quadrature_refuses_untruncatable_argument():
-    # at absurdly small x the cosh integrand has not decayed by the scan cap;
-    # a silent truncation would certify a wrong value, so evaluation refuses
-    with pytest.raises(AccuracyError):
-        eval_K(EvalContext(1.0, 1e-35))  # integer order: no reflection fallback
-    # non-integer orders still work there through the reflection path
+def test_K_at_tiny_argument_matches_mpmath():
+    # Temme's series has no truncation window, so absurdly small x works at
+    # integer and non-integer orders alike
+    from mpmath import besselk, mp, mpf
+
+    mp.dps = 40
+    v = eval_K(EvalContext(1.0, 1e-35))
+    want = float(besselk(1, mpf(1e-35)))
+    assert abs(v.value - want) <= v.rel_error_bound * want
     v = eval_K(EvalContext(0.5, 1e-30))
     want = math.sqrt(0.5 * math.pi / 1e-30) * math.exp(-1e-30)
     assert v.value == pytest.approx(want, rel=1e-13)
@@ -107,10 +111,10 @@ def test_no_overflow_leak_at_box_edges():
 def test_scaled_region_paths():
     assert evaluation_path("I", 0.0, 400.0) == "asymptotic"
     assert evaluation_path("I", 0.0, 20.0) == "series"
-    assert evaluation_path("K", 0.0, 400.0) == "asymptotic"
-    assert evaluation_path("K", 0.3, 0.5) == "reflection"
-    assert evaluation_path("K", 1.0, 0.5) == "quadrature"  # integer order
-    assert evaluation_path("K", 2.0, 10.0) == "quadrature"
+    assert evaluation_path("K", 0.0, 400.0) == "cf2"
+    assert evaluation_path("K", 0.3, 0.5) == "temme"
+    assert evaluation_path("K", 1.0, 0.5) == "temme"  # integer order
+    assert evaluation_path("K", 2.0, 10.0) == "cf2"
 
 
 def test_ratio_I_examples():
@@ -205,3 +209,65 @@ def test_eval_matches_mpmath(nu, x):
         return  # extreme corner (e.g. leading term underflow); allowed to refuse
     refi = float(besseli(mpf(nu), mpf(x)))
     assert abs(vi.value - refi) <= max(vi.rel_error_bound, 1e-14) * abs(refi)
+
+
+def test_rgamma_taylor_coefficients():
+    # the committed table is 1/Gamma(1+z) = sum g_j z^j, pairs (g_2i, g_2i+1)
+    # highest first, each the double nearest its exact value; g_j = c_{j+1}
+    # of A&S 6.1.34, from (k-1) c_k = gamma c_{k-1} + sum_{j=2}^{k-1}
+    # (-1)^(j+1) zeta(j) c_{k-j}
+    from mpmath import euler, mp, mpf, rgamma, zeta
+
+    mp.dps = 50
+    c = [None, mpf(1), +euler]
+    for k in range(3, 2 * len(_RGAMMA1P) + 1):
+        acc = euler * c[k - 1]
+        for j in range(2, k):
+            acc += (-1) ** (j + 1) * zeta(j) * c[k - j]
+        c.append(acc / (k - 1))
+    table = [g for pair in reversed(_RGAMMA1P) for g in pair]
+    assert table == [float(v) for v in c[1:]]
+    # and the truncated series is 1/Gamma(1+z) on |z| <= 1/2, up to the
+    # omitted terms (< 1e-20) and the rounding of the coefficients
+    for z in (-0.5, -0.2, 0.3, 0.5):
+        got = sum(mpf(g) * mpf(z) ** j for j, g in enumerate(table))
+        rounding = sum(abs(g) * 2.0 ** -53 * abs(z) ** j for j, g in enumerate(table))
+        assert abs(got - rgamma(1 + mpf(z))) < 1e-20 + rounding
+
+
+def _k_over_max(nu, x):
+    from mpmath import besselk, mpf
+
+    v = besselk(abs(nu), mpf(x))
+    return v if v < 1.7976931348623157e308 else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(nu=st.floats(-10.0, 20.0), x=st.floats(0.0, 500.0, exclude_min=True))
+@example(nu=17.435071950116672, x=279.4318877889326)
+@example(nu=15.9, x=143.9)
+@example(nu=18.8, x=340.1)
+@example(nu=19.97, x=0.002)
+@example(nu=1.3068721410391255, x=1.0173456470485944)
+def test_K_claims_cover_actual_error(nu, x):
+    # |error| <= rel_error_bound against 40-digit mpmath, for eval_K and
+    # ratio_K; refusal only where a needed K overflows double precision
+    from mpmath import mp
+
+    mp.dps = 40
+    ctx = EvalContext(nu, x)
+    k0 = _k_over_max(nu, x)
+    try:
+        v = eval_K(ctx)
+    except AccuracyError:
+        assert k0 is None
+    else:
+        assert abs(v.value - k0) <= v.rel_error_bound * k0
+    k1 = _k_over_max(nu + 1.0, x)
+    try:
+        r = ratio_K(ctx)
+    except AccuracyError:
+        assert None in (k0, k1, _k_over_max(nu - 1.0, x))
+    else:
+        want = k1 / k0
+        assert abs(r.value - want) <= r.rel_error_bound * want

@@ -139,6 +139,21 @@ def test_application_checks_pass():
     assert [c.check_id for c in recs if c.status == "fail"] == []
 
 
+def test_concavity_checks_timed_apart():
+    # one loop serves both checks: each record carries only its own share,
+    # so summed check times do not count the loop twice
+    import time
+
+    t0 = time.perf_counter()
+    recs = application_checks(FAST)
+    total_ms = (time.perf_counter() - t0) * 1e3
+    by_id = {c.check_id: c for c in recs}
+    geo = by_id["applications:P_geometric_concavity"].runtime_ms
+    mid = by_id["applications:omega_midpoint_concavity"].runtime_ms
+    assert 0.0 < mid < geo
+    assert sum(c.runtime_ms for c in recs) <= total_ms
+
+
 def test_application_spot_values():
     import math
     from besselbounds.core import EvalContext, QuantityKind as QK, quantity

@@ -79,6 +79,20 @@ def test_deltaI_overflow_is_reported():
         q(QK.DELTA_I, 0.0, 400.0)
 
 
+def test_u_domain_guard():
+    # u takes sqrt(x^2 + nu^2 - 1/4), negative for |nu| < 1/2 near x = 0
+    with pytest.raises(DomainError):
+        q(QK.U, 0.2, 0.1)
+    assert math.isfinite(q(QK.U, 0.2, 0.5).value)
+
+
+@pytest.mark.parametrize("nu,x", [(4.69, 360.59), (1.0, 360.0)])
+def test_deltaK_below_normal_range_is_reported(nu, x):
+    # K^2 phiK is subnormal there: its lost bits void a double-precision claim
+    with pytest.raises(AccuracyError):
+        q(QK.DELTA_K, nu, x)
+
+
 def test_product_quantities():
     p = q(QK.P, 1.0, 1.0).value
     assert p == pytest.approx(0.56515910399248503 * 0.60190723019723457, rel=1e-12)
