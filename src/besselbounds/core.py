@@ -20,12 +20,21 @@ Evaluation strategy by region
   Temme's series for x < 2 and by Steed's continued fraction CF2 for
   x >= 2; then forward recurrence in the order up to |nu|, which is stable
   because K is the dominant solution.
+* ratio_I = I_{nu+1}/I_nu: the value is the continued fraction; the check
+  route is the quotient I_{nu+1}/I_nu with each order on I's own path
+  (series below 30 + order^2, large-argument expansion above).
+* K_{nu-1}, K_nu, K_{nu+1} (ratio_K, z, phiK, kratio, deltaK and the rest of
+  the K side): one ladder, i.e. one base evaluation and one climb for all
+  orders whose mu has the same bits; an order whose mu differs (a sign
+  change near nu = 0, a round() tie at .5) gets its own.  The ladder gives
+  each order the bits it gets alone.
 
 Every evaluation returns a ``ValueWithError`` carrying a claimed bound on
 the relative error (truncation tail + rounding).  Ratios are computed by
 two independent routes and cross-checked; disagreement raises
 ``CrossCheckError`` since it signals an evaluator bug, not an unlucky
-input.
+input.  The ratio_I claim is derived through its check route: the
+distance between the routes plus the check route's own claims.
 
 Values are kept exponentially scaled (e^-x I, e^x K) internally once
 x > 50 so that no intermediate overflows inside the supported box
@@ -75,6 +84,7 @@ _SCALE_X = 50.0
 # large-argument expansions are used for x >= _ASYM_BASE + nu^2
 _ASYM_BASE = 30.0
 _LN2 = math.log(2.0)
+_MIN_NORMAL = sys.float_info.min
 
 
 class DomainError(ValueError):
@@ -149,7 +159,10 @@ def _i_series(nu: float, x: float) -> tuple[float, float]:
         nu = -nu  # integer-order symmetry; also dodges Gamma poles
     q = 0.25 * x * x
     try:
-        t = math.pow(0.5 * x, nu) / math.gamma(nu + 1.0)
+        if x >= 2.0 * _MIN_NORMAL:
+            t = math.pow(0.5 * x, nu) / math.gamma(nu + 1.0)
+        else:  # halving a subnormal x may round: scale the power instead
+            t = math.pow(x, nu) * math.pow(0.5, nu) / math.gamma(nu + 1.0)
     except (OverflowError, ValueError) as exc:
         raise AccuracyError(f"I_{nu}({x}): leading series term not representable") from exc
     if t == 0.0 or not math.isfinite(t):
@@ -164,13 +177,14 @@ def _i_series(nu: float, x: float) -> tuple[float, float]:
         s, comp = _kahan_add(s, comp, t)
         s_abs += abs(t)
         ratio = q / ((n + 1) * (n + 1 + nu))
-        if 0.0 < ratio < 0.5 and abs(t) < 1e-18 * abs(s):
+        # q and 1e-18 s may underflow to 0 at tiny x, where the tail is nil
+        if 0.0 <= ratio < 0.5 and abs(t) <= 1e-18 * abs(s):
             tail = abs(t) * ratio / (1.0 - ratio)
             break
     if not math.isfinite(tail):
         raise AccuracyError(f"I_{nu}({x}): series did not converge within 2000 terms")
-    if s == 0.0 or not math.isfinite(s):
-        raise AccuracyError(f"I_{nu}({x}): series sum not representable")
+    if not _MIN_NORMAL <= abs(s) < math.inf:
+        raise AccuracyError(f"I_{nu}({x}): series sum not a normal double")
     cancel = s_abs / abs(s)
     rel = tail / abs(s) + (3.0 * n + 4.0) * _EPS * cancel
     if x > _SCALE_X:
@@ -327,27 +341,36 @@ def _k_cf2(mu: float, x: float) -> tuple[float, float, float, float]:
     return k0, k0 * g / x, rel0, rel0 + 27.0 * i * _EPS * a1 * h / g + 3.0 * _EPS
 
 
+def _k_climb(mu: float, x: float, top: int) -> tuple[float, float, float, float, float]:
+    """(K_{mu+top-2}, K_{mu+top-1}, K_{mu+top}, rel0, rel1) for top >= 1, e^x-scaled when x > _SCALE_X.
+
+    K_mu and K_{mu+1}, with claims rel0 and rel1, then forward recurrence in
+    the order: K is its dominant solution and every term is positive past
+    mu + 1, so a step adds at most its five roundings, 2.5 eps, and K at
+    level n >= 1 claims max(rel0, rel1) + 2.5 (n - 1) eps.
+    """
+    k0, k1, rel0, rel1 = (_k_cf2 if x >= _TEMME_X else _k_temme)(mu, x)
+    xi2 = 2.0 / x
+    kp = 0.0
+    for i in range(1, top):
+        kp, k0, k1 = k0, k1, (mu + i) * xi2 * k1 + k0
+    return kp, k0, k1, rel0, rel1
+
+
 @lru_cache(maxsize=200_000)
 def _besselk(nu: float, x: float) -> tuple[float, float, str]:
     """(value, rel error, path) for K_nu(x), e^x-scaled when x > _SCALE_X.
 
-    From K_mu and K_{mu+1}, mu = |nu| - round(|nu|), forward recurrence
-    climbs to |nu|: K is its dominant solution and every term is positive
-    past mu + 1, so a step adds at most its five roundings, 2.5 eps.
-    Evaluating at |nu| realises K_{-nu} = K_nu exactly.
+    mu = |nu| - round(|nu|) lies in [-1/2, 1/2]; evaluating at |nu|
+    realises K_{-nu} = K_nu exactly.
     """
     an = abs(nu)
     nl = round(an)
-    mu = an - nl
-    use_cf2 = x >= _TEMME_X
-    k0, k1, rel0, rel1 = (_k_cf2 if use_cf2 else _k_temme)(mu, x)
-    xi2 = 2.0 / x
-    for i in range(1, nl):
-        k0, k1 = k1, (mu + i) * xi2 * k1 + k0
+    _, k0, k1, rel0, rel1 = _k_climb(an - nl, x, nl or 1)
     val, rel = (k1, max(rel0, rel1) + 2.5 * (nl - 1) * _EPS) if nl else (k0, rel0)
     if not math.isfinite(val):
         raise AccuracyError(f"K_{nu}({x}) overflows double precision")
-    return val, rel, K_PATHS[use_cf2]
+    return val, rel, K_PATHS[x >= _TEMME_X]
 
 
 # ---------------------------------------------------------------------------
@@ -431,17 +454,25 @@ RATIO_AGREEMENT_REL = 1e-10
 
 @lru_cache(maxsize=200_000)
 def _ratio_i(nu: float, x: float) -> tuple[float, float]:
-    num, e1 = _i_series(nu + 1.0, x)
-    den, e0 = _i_series(nu, x)
-    r_series = num / den
+    """(I_{nu+1}/I_nu, rel error): the continued fraction, checked by a quotient.
+
+    The check route divides I_{nu+1} by I_nu, each by the path _besseli takes
+    at its order (uncached), with claims e1, e0.  By the triangle inequality
+    the continued fraction's error is at most its distance to the quotient
+    plus the quotient's error, e0 + e1 and one rounding; 4 eps also covers
+    the second-order terms and taking both relative to r_cf.
+    """
+    num, e1, _ = _besseli.__wrapped__(nu + 1.0, x)
+    den, e0, _ = _besseli.__wrapped__(nu, x)
+    r_check = num / den
     r_cf = _ratio_i_cf(nu, x)
-    diff = abs(r_cf - r_series)
+    diff = abs(r_cf - r_check)
     if diff > RATIO_AGREEMENT_REL * abs(r_cf):
         raise CrossCheckError(
             f"ratio_I paths disagree at nu={nu}, x={x}: "
-            f"series {r_series!r} vs continued fraction {r_cf!r}"
+            f"quotient {r_check!r} vs continued fraction {r_cf!r}"
         )
-    rel = max(4.0 * _EPS, diff / abs(r_cf))
+    rel = diff / abs(r_cf) + e0 + e1 + 4.0 * _EPS
     if nu >= -0.5 and r_cf > 1.0:
         r_cf = 1.0  # provably < 1 there; rounding may land a few ulp above
     return r_cf, rel
@@ -459,11 +490,33 @@ RATIO_K_CROSSCHECK_REL = 1e-9
 
 
 @lru_cache(maxsize=200_000)
-def _ratio_k(nu: float, x: float) -> tuple[float, float]:
-    k0, e0, _ = _besselk(nu, x)
-    k1, e1, _ = _besselk(nu + 1.0, x)
-    km, em, _ = _besselk(nu - 1.0, x)
-    r = k1 / k0
+def _k_ladder(nu: float, x: float) -> tuple[float, float, float, float, float, float]:
+    """(K_{nu-1}, em, K_nu, e0, K_{nu+1}/K_nu, er), cross-checked.
+
+    Orders whose mu has the same bits share one base evaluation and one
+    climb, which gives each the bits _besselk gives it alone; their levels
+    round(|order|) lie within 2 of each other.  An order whose mu differs
+    (a sign change near nu = 0, a round() tie at .5) climbs its own.
+    """
+    levels = []
+    tops: dict[float, int] = {}
+    for order in (nu - 1.0, nu, nu + 1.0):
+        an = abs(order)
+        nl = round(an)
+        mu = an - nl
+        levels.append((order, mu, nl))
+        tops[mu] = max(tops.get(mu, 1), nl)
+    climbs = {}
+    ks = []
+    for order, mu, nl in levels:
+        if mu not in climbs:
+            climbs[mu] = _k_climb(mu, x, tops[mu])
+        climb = climbs[mu]
+        val = climb[nl - tops[mu] + 2]  # the climb holds levels top - 2 .. top
+        if not math.isfinite(val):
+            raise AccuracyError(f"K_{order}({x}) overflows double precision")
+        ks.append((val, max(climb[3], climb[4]) + 2.5 * (nl - 1) * _EPS if nl else climb[3]))
+    (km, em), (k0, e0), (k1, e1) = ks
     # upward recurrence K_{nu+1} = K_{nu-1} + (2nu/x) K_nu; the residual is
     # compared against the dominant term since the recurrence may produce a
     # small K_{nu+1} from the difference of two huge terms (nu << 0, x small)
@@ -475,12 +528,12 @@ def _ratio_k(nu: float, x: float) -> tuple[float, float]:
             f"ratio_K recurrence cross-check failed at nu={nu}, x={x}: "
             f"quotient {k1!r} vs recurrence {km + rec!r}"
         )
-    return r, e0 + e1 + 2.0 * _EPS
+    return km, em, k0, e0, k1 / k0, e0 + e1 + 2.0 * _EPS
 
 
 def ratio_K(ctx: EvalContext) -> ValueWithError:
-    """K_{nu+1}(x)/K_nu(x) from two evaluations, recurrence cross-checked."""
-    r, rel = _ratio_k(ctx.nu, ctx.x)
+    """K_{nu+1}(x)/K_nu(x) from the order ladder, recurrence cross-checked."""
+    r, rel = _k_ladder(ctx.nu, ctx.x)[4:]
     return ValueWithError(r, rel)
 
 
@@ -573,11 +626,9 @@ def _phi_i(ctx: EvalContext) -> ValueWithError:
 
 def _phi_k(ctx: EvalContext) -> ValueWithError:
     # phiK = 1 - (K_{nu-1}/K_nu)(K_{nu+1}/K_nu); the first factor equals
-    # ratio_K - 2 nu/x by the recurrence (which _ratio_k cross-checks) but is
+    # ratio_K - 2 nu/x by the recurrence (which _k_ladder cross-checks) but is
     # computed as a direct quotient to dodge the small-x cancellation
-    r, er = _ratio_k(ctx.nu, ctx.x)
-    k0, e0, _ = _besselk(ctx.nu, ctx.x)
-    km, em, _ = _besselk(ctx.nu - 1.0, ctx.x)
+    km, em, k0, e0, r, er = _k_ladder(ctx.nu, ctx.x)
     a = km / k0
     val = 1.0 - a * r
     abs_err = a * r * (er + em + e0) + 4.0 * _EPS * (1.0 + a * r)
@@ -592,7 +643,7 @@ def _y(ctx: EvalContext) -> ValueWithError:
 
 
 def _z(ctx: EvalContext) -> ValueWithError:
-    r, er = _ratio_k(ctx.nu, ctx.x)
+    r, er = _k_ladder(ctx.nu, ctx.x)[4:]
     val = ctx.nu - ctx.x * r
     abs_err = ctx.x * r * er + 2.0 * _EPS * (abs(ctx.nu) + ctx.x * r)
     return ValueWithError(val, abs_err / abs(val) if val != 0.0 else math.inf)
@@ -615,6 +666,17 @@ def _shifted(base: ValueWithError, shift: float, sign: float) -> ValueWithError:
 def quantity(kind: QuantityKind, ctx: EvalContext) -> ValueWithError:
     """Evaluate one derived quantity at (nu, x) with a propagated error bound."""
     kind = QuantityKind(kind)
+    v = _quantity(kind, ctx)
+    # products and quotients of representable factors may still overflow, or
+    # underflow below the normal range where they lose bits their claim keeps;
+    # an exact 0 stands only with an infinite claim
+    val, rel = v.value, v.rel_error_bound
+    if not (_MIN_NORMAL <= abs(val) < math.inf or (val == 0.0 and rel == math.inf)) or math.isnan(rel):
+        raise AccuracyError(f"quantity {kind.value!r} not representable at nu={ctx.nu}, x={ctx.x}")
+    return v
+
+
+def _quantity(kind: QuantityKind, ctx: EvalContext) -> ValueWithError:
     min_nu = _MIN_NU[kind]
     if min_nu is not None and ctx.nu < min_nu:
         raise DomainError(f"quantity {kind.value!r} needs nu >= {min_nu}; got nu={ctx.nu}")
@@ -644,17 +706,12 @@ def quantity(kind: QuantityKind, ctx: EvalContext) -> ValueWithError:
         vi, ei, _ = _besseli(nu, x)
         iv = _unscale_i(vi, x)
         val = iv * iv * fi.value  # inf (not OverflowError) when I^2 overflows
-        if not math.isfinite(val):
-            raise AccuracyError(f"deltaI overflows double precision at nu={nu}, x={x}")
         return ValueWithError(val, 2.0 * ei + fi.rel_error_bound + 2.0 * _EPS)
     if kind is QuantityKind.DELTA_K:
         fk = _phi_k(ctx)
-        vk, ek, _ = _besselk(nu, x)
+        _, _, vk, ek, _, _ = _k_ladder(nu, x)
         kv = _unscale_k(vk, x)
         val = kv * kv * fk.value
-        # below the normal range the product has lost bits to underflow
-        if abs(val) < sys.float_info.min or not math.isfinite(val):
-            raise AccuracyError(f"deltaK not representable at nu={nu}, x={x}")
         return ValueWithError(val, 2.0 * ek + fk.rel_error_bound + 2.0 * _EPS)
     if kind is QuantityKind.W:
         return _shifted(_y(ctx), math.hypot(x, nu), -1.0)
@@ -691,9 +748,7 @@ def quantity(kind: QuantityKind, ctx: EvalContext) -> ValueWithError:
         val = 1.0 / a
         return ValueWithError(val, er * r / abs(a) + 4.0 * _EPS)
     if kind is QuantityKind.K_RATIO:
-        _ratio_k(nu, x)  # runs the recurrence cross-check
-        k0, e0, _ = _besselk(nu, x)
-        km, em, _ = _besselk(nu - 1.0, x)
+        km, em, k0, e0, _, _ = _k_ladder(nu, x)
         return ValueWithError(k0 / km, e0 + em + 2.0 * _EPS)
     raise DomainError(f"unknown quantity kind {kind!r}")
 

@@ -558,31 +558,31 @@ def consistency_checks() -> list[CheckRecord]:
             devs.append(abs(y - z - 1.0 / p) * p)
     records.append(_record_max("consistency:wronskian", devs, 1e-10, t0))
 
-    t0 = time.perf_counter()
-    devs_i, devs_k = [], []
-    for nu in CONSISTENCY_NU:
-        for x in xs:
-            ctx = EvalContext(nu, x)
-            s = x * x + nu * nu
-            y = quantity(QuantityKind.Y, ctx).value
-            devs_i.append(abs(x * numeric_derivative(QuantityKind.Y, ctx) - (s - y * y)) / s)
-            z = quantity(QuantityKind.Z, ctx).value
-            devs_k.append(abs(x * numeric_derivative(QuantityKind.Z, ctx) - (s - z * z)) / s)
-    records.append(_record_max("consistency:riccati_I", devs_i, 1e-6, t0))
-    records.append(_record_max("consistency:riccati_K", devs_k, 1e-6, time.perf_counter()))
+    # Riccati equation x v' = x^2 + nu^2 - v^2 for v = y and v = z, and
+    # y' = x phiI, z' = x phiK; each side in its own timed loop
+    for side, kind in (("I", QuantityKind.Y), ("K", QuantityKind.Z)):
+        t0 = time.perf_counter()
+        devs = []
+        for nu in CONSISTENCY_NU:
+            for x in xs:
+                ctx = EvalContext(nu, x)
+                s = x * x + nu * nu
+                v = quantity(kind, ctx).value
+                devs.append(abs(x * numeric_derivative(kind, ctx) - (s - v * v)) / s)
+        records.append(_record_max(f"consistency:riccati_{side}", devs, 1e-6, t0))
 
-    t0 = time.perf_counter()
-    devs_i, devs_k = [], []
-    for nu in CONSISTENCY_NU:
-        for x in xs:
-            ctx = EvalContext(nu, x)
-            if nu >= 0.0:
-                fi = quantity(QuantityKind.PHI_I, ctx).value
-                devs_i.append(abs(numeric_derivative(QuantityKind.Y, ctx) - x * fi) / abs(x * fi))
-            fk = quantity(QuantityKind.PHI_K, ctx).value
-            devs_k.append(abs(numeric_derivative(QuantityKind.Z, ctx) - x * fk) / abs(x * fk))
-    records.append(_record_max("consistency:deltaI_identity", devs_i, 1e-6, t0))
-    records.append(_record_max("consistency:deltaK_identity", devs_k, 1e-6, time.perf_counter()))
+    for side, kind, phi, min_nu in (("I", QuantityKind.Y, QuantityKind.PHI_I, 0.0),
+                                    ("K", QuantityKind.Z, QuantityKind.PHI_K, -math.inf)):
+        t0 = time.perf_counter()
+        devs = []
+        for nu in CONSISTENCY_NU:
+            if nu < min_nu:
+                continue
+            for x in xs:
+                ctx = EvalContext(nu, x)
+                f = quantity(phi, ctx).value
+                devs.append(abs(numeric_derivative(kind, ctx) - x * f) / abs(x * f))
+        records.append(_record_max(f"consistency:delta{side}_identity", devs, 1e-6, t0))
 
     # second derivative: x y'' = 2x - (2y+1) y', relative to the term scale
     t0 = time.perf_counter()

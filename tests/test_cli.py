@@ -43,6 +43,22 @@ def test_eval_exit_codes(capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_eval_fuzz_box_edges_and_switches(capsys):
+    # every tag at the box edges, at the region switches (x = 2 for K,
+    # x = 30 + nu^2 for I, x = 50 for the scaling) and at one small interior
+    # argument ends in an exit code, never in an exception or a traceback
+    from besselbounds.cli import _FN_TAGS
+
+    for nu in (-10.0, -1.0, -0.3, 0.5, 2.5, 20.0):
+        xs = (5e-324, 0.1, math.nextafter(2.0, 0.0), 2.0, math.nextafter(30.0 + nu * nu, 0.0),
+              30.0 + nu * nu, 50.0, 500.0, 500.5)
+        for tag in _FN_TAGS + ("lam",):
+            for x in xs:
+                rc, _, err = run(capsys, "eval", "--fn", tag, "--nu", repr(nu), "--x", repr(x))
+                assert rc in (0, 1, 2), (tag, nu, x)
+                assert "Traceback" not in err, (tag, nu, x)
+
+
 def test_bounds_at(capsys):
     rc, out, _ = run(capsys, "bounds", "at", "--quantity", "phiI", "--nu", "1", "--x", "1")
     assert rc == 0

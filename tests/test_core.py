@@ -7,7 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from besselbounds.core import (
+    _EPS,
     _RGAMMA1P,
+    _besselk,
+    _k_ladder,
     AccuracyError,
     DomainError,
     EvalContext,
@@ -97,6 +100,34 @@ def test_K_at_tiny_argument_matches_mpmath():
     v = eval_K(EvalContext(0.5, 1e-30))
     want = math.sqrt(0.5 * math.pi / 1e-30) * math.exp(-1e-30)
     assert v.value == pytest.approx(want, rel=1e-13)
+
+
+def test_I_at_tiny_argument_matches_mpmath():
+    # x^2/4 underflows to 0 below x ~ 3e-162 and x/2 rounds below 2^-1021;
+    # I is evaluated wherever it is a normal double and refused below that
+    from mpmath import besseli, mp, mpf
+
+    mp.dps = 40
+    for nu, x in ((0.0, 5e-324), (0.5, 1.5e-323), (-0.5, 1e-310), (0.3, 1e-200),
+                  (19.0, 1.1e-15)):  # I_19 ~ 1e-307: 1e-18 I underflows
+        v = eval_I(EvalContext(nu, x))
+        want = besseli(mpf(nu), mpf(x))
+        assert abs(v.value - want) <= v.rel_error_bound * want, (nu, x)
+    for nu, x in ((1.0, 1e-320), (2.0, 1e-155), (20.0, 1e-15)):
+        with pytest.raises(AccuracyError):
+            eval_I(EvalContext(nu, x))
+
+
+def test_K_ladder_matches_single_orders():
+    # one ladder for K_{nu-1}, K_nu, K_{nu+1} gives each order the bits it
+    # gets alone, also where the orders' mu differ (sign change, round tie)
+    for nu in (-2.5, 2.5, -0.3, 0.3, 0.5, 1.0, 15.3, -9.7, 7.3, 19.0):
+        for x in (1e-3, math.nextafter(2.0, 0.0), 2.0, 60.0, 400.0):
+            km, em, k0, e0, r, er = _k_ladder(nu, x)
+            kp = _besselk(nu + 1.0, x)
+            assert (km, em) == _besselk(nu - 1.0, x)[:2]
+            assert (k0, e0) == _besselk(nu, x)[:2]
+            assert (r, er) == (kp[0] / k0, e0 + kp[1] + 2.0 * _EPS)
 
 
 def test_no_overflow_leak_at_box_edges():
@@ -271,3 +302,76 @@ def test_K_claims_cover_actual_error(nu, x):
     else:
         want = k1 / k0
         assert abs(r.value - want) <= r.rel_error_bound * want
+
+
+def _normal(v):
+    # whether double precision holds v as a normal number
+    return 2.2250738585072014e-308 <= abs(v) <= 1.7976931348623157e308
+
+
+_LADDER_EDGES = (-2.5, 2.5, -0.3, 0.3, 0.5, 1.0, 15.3)
+
+
+def _with_examples(points):
+    def deco(fn):
+        for nu, x in points:
+            fn = example(nu=nu, x=x)(fn)
+        return fn
+    return deco
+
+
+@settings(max_examples=80, deadline=None)
+@given(nu=st.floats(-10.0, 20.0), x=st.floats(0.0, 500.0, exclude_min=True))
+@_with_examples([
+    (1.4942871284895034, 499.248154944117),
+    (-0.708, 222.6),
+    (2.5, 36.25), (2.5, math.nextafter(36.25, 0.0)),  # I's switch, 30 + nu^2
+    (15.3, 30.0 + 15.3 * 15.3), (15.3, math.nextafter(30.0 + 15.3 * 15.3, 0.0)),
+    *[(nu, x) for nu in _LADDER_EDGES for x in (2.0, math.nextafter(2.0, 0.0))],
+])
+def test_I_and_ratio_claims_cover_actual_error(nu, x):
+    # |error| <= rel_error_bound against 40-digit mpmath for eval_I, ratio_I
+    # and the quantities built on the ratios.  DomainError only below the I
+    # side's order floor nu = -1.  AccuracyError only where the value or a
+    # needed I or K is not a normal double; for eval_I at nu < -1, where the
+    # power series cancels below the target accuracy; and for the ratio_I
+    # side at x < 1e-18, where the continued fraction's start value 1e-30 is
+    # no longer negligible against I_{nu+1}/I_nu ~ x/(2nu+2) and the routes
+    # part (CrossCheckError)
+    from mpmath import besseli, besselk, mp, mpf
+
+    from besselbounds.core import QuantityKind as QK, quantity
+
+    mp.dps = 40
+    ctx = EvalContext(nu, x)
+    # the I side works at the exact orders nu -+ 1 (the continued fraction and
+    # the recurrence for I_{nu-1}/I_nu take nu itself), the K side at the
+    # orders as rounded to doubles, as in the K test; I_{-n} = I_n at integer
+    # orders and K_{-v} = K_v, where mpmath's own sums would cancel
+    m, xm = mpf(nu), mpf(x)
+    im, i0, i1 = (besseli(abs(o) if o == int(o) else o, xm) for o in (m - 1, m, m + 1))
+    km, k0, k1 = (besselk(abs(mpf(o)), xm) for o in (nu - 1.0, nu, nu + 1.0))
+    cases = {  # tag: (evaluation, 40-digit value, the I or K it needs)
+        "I": (lambda: eval_I(ctx), lambda: i0, (i0,)),
+        "ratio_I": (lambda: ratio_I(ctx), lambda: i1 / i0, (i0, i1)),
+        "y": (lambda: quantity(QK.Y, ctx), lambda: m + xm * i1 / i0, (i0, i1)),
+        "phiI": (lambda: quantity(QK.PHI_I, ctx), lambda: 1 - im * i1 / i0**2, (i0, i1)),
+        "phiK": (lambda: quantity(QK.PHI_K, ctx), lambda: 1 - km * k1 / k0**2, (km, k0, k1)),
+        "kratio": (lambda: quantity(QK.K_RATIO, ctx), lambda: k0 / km, (km, k0, k1)),
+    }
+    for tag, (evaluate, reference, needs) in cases.items():
+        try:
+            v = evaluate()
+        except DomainError:
+            assert tag in ("ratio_I", "y", "phiI") and nu < -1.0, tag
+            continue
+        except AccuracyError:
+            assert (not all(map(_normal, (*needs, reference()))) or (tag == "I" and nu < -1.0)
+                    or (tag in ("ratio_I", "y", "phiI") and x < 1e-18)), tag
+            continue
+        # relative to the true value, or to the returned one as abs_error_bound
+        # reads it: the two differ at second order unless the claim nears 1
+        # (phiI at nu = -1 and tiny x cancels to a claim above 1)
+        want = reference()
+        scale = max(abs(want), abs(v.value))
+        assert abs(v.value - want) <= v.rel_error_bound * scale, (tag, v, float(want))

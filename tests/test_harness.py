@@ -154,6 +154,20 @@ def test_concavity_checks_timed_apart():
     assert sum(c.runtime_ms for c in recs) <= total_ms
 
 
+def test_consistency_sides_timed_apart():
+    # the K halves of the Riccati and Turanian identity checks carry their
+    # own work, not a near-zero time with the work charged to the I half
+    import time
+
+    t0 = time.perf_counter()
+    recs = consistency_checks()
+    total_ms = (time.perf_counter() - t0) * 1e3
+    by_id = {c.check_id: c.runtime_ms for c in recs}
+    assert by_id["consistency:riccati_K"] > 0.1 * by_id["consistency:riccati_I"] > 0.0
+    assert by_id["consistency:deltaK_identity"] > 0.1 * by_id["consistency:deltaI_identity"] > 0.0
+    assert sum(by_id.values()) <= total_ms
+
+
 def test_application_spot_values():
     import math
     from besselbounds.core import EvalContext, QuantityKind as QK, quantity

@@ -93,6 +93,19 @@ def test_deltaK_below_normal_range_is_reported(nu, x):
         q(QK.DELTA_K, nu, x)
 
 
+@pytest.mark.parametrize("kind,nu,x", [
+    (QK.PHI_K, 0.0, 1e-200),    # K_{-1} K_1 / K_0^2 overflows
+    (QK.V_EFF, 0.0, 1e-200),
+    (QK.OMEGA, 0.0, 5e-324),    # x P is subnormal
+    (QK.N_C, 20.0, 1e-200),     # x^2/4 underflows to 0
+    (QK.DELTA_I, 15.3, 1e-10),  # I^2 underflows to 0
+])
+def test_unrepresentable_quantities_are_refused(kind, nu, x):
+    # an overflowed, subnormal or underflowed result cannot keep its claim
+    with pytest.raises(AccuracyError):
+        q(kind, nu, x)
+
+
 def test_product_quantities():
     p = q(QK.P, 1.0, 1.0).value
     assert p == pytest.approx(0.56515910399248503 * 0.60190723019723457, rel=1e-12)
