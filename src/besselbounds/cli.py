@@ -22,6 +22,7 @@ from .core import (
     AccuracyError,
     DomainError,
     EvalContext,
+    I_PATHS,
     K_PATHS,
     QuantityKind,
     dual_path_checks,
@@ -256,7 +257,7 @@ def cmd_selftest(cfg: CliConfig) -> int:
         failures.append(f"path overlap disagreement {worst_overlap:.3e}")
     print(f"besselbounds {__version__} selftest "
           f"({(time.perf_counter()-t0)*1e3:.0f} ms)")
-    print(f"evaluation paths: I: series, asymptotic; K: {', '.join(K_PATHS)}; "
+    print(f"evaluation paths: I: {', '.join(I_PATHS)}; K: {', '.join(K_PATHS)}; "
           "ratios: continued fraction + quotient")
     if failures:
         for msg in failures:
@@ -287,6 +288,17 @@ def _parse_x_grid(text: str) -> tuple[float, float, int, str]:
     if not (0.0 < lo < hi):
         raise argparse.ArgumentTypeError("need 0 < START < END")
     return lo, hi, n, ("linear" if scale.startswith("lin") else "log")
+
+
+def _parse_pairs(text: str) -> int:
+    """A count of random pairs, >= 1 (zero pairs would check nothing)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError("pair count must be >= 1")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -325,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", default="all", choices=SUITE_NAMES)
     pv.add_argument("--out", default=None)
     pv.add_argument("--seed", type=int, default=VerifyConfig.seed)
-    pv.add_argument("--pairs", type=int, default=VerifyConfig.random_pairs,
+    pv.add_argument("--pairs", type=_parse_pairs, default=VerifyConfig.random_pairs,
                     help="random pairs per order for the concavity checks")
     pv.add_argument("--x-grid", type=_parse_x_grid, default=(1e-3, 100.0, 200, "log"),
                     dest="x_grid", metavar="START:END:COUNT[:log|lin]",

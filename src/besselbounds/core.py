@@ -63,6 +63,7 @@ __all__ = [
     "ValueWithError",
     "QuantityKind",
     "QUANTITY_EXPRESSIONS",
+    "I_PATHS",
     "K_PATHS",
     "eval_I",
     "eval_K",
@@ -134,14 +135,6 @@ class ValueWithError:
         return self.rel_error_bound * abs(self.value)
 
 
-def _kahan_add(s: float, c: float, term: float) -> tuple[float, float]:
-    # one compensated-summation step
-    t = term - c
-    u = s + t
-    c = (u - s) - t
-    return u, c
-
-
 # ---------------------------------------------------------------------------
 # modified Bessel function of the first kind
 # ---------------------------------------------------------------------------
@@ -154,6 +147,11 @@ def _i_series(nu: float, x: float) -> tuple[float, float]:
     summation; the error bound tracks the truncation tail (geometric once
     the term ratio drops below 1) plus rounding inflated by the observed
     cancellation sum|t|/|sum t| (cancellation only occurs for nu < -1).
+
+    Kernel rule: one division per term (the stop test's ratio is reused as
+    the next term's factor) and the compensated step written inline, in
+    Kahan's operation order.  Both repeat the plain loop's operations in the
+    same order, so every value and claim keeps its bits; keep it that way.
     """
     if nu < 0 and nu == round(nu):
         nu = -nu  # integer-order symmetry; also dodges Gamma poles
@@ -169,20 +167,23 @@ def _i_series(nu: float, x: float) -> tuple[float, float]:
         raise AccuracyError(f"I_{nu}({x}): leading series term over/underflows")
     s, comp = t, 0.0
     s_abs = abs(t)
-    n = 0
     tail = math.inf
-    while n < 2000:
-        n += 1
-        t *= q / (n * (n + nu))
-        s, comp = _kahan_add(s, comp, t)
+    ratio = q / (1.0 + nu)  # term n is term n-1 times q / (n (n + nu))
+    for m in range(2, 2002):  # m = n + 1 while term n is added
+        t *= ratio
+        y = t - comp
+        u = s + y
+        comp = (u - s) - y
+        s = u
         s_abs += abs(t)
-        ratio = q / ((n + 1) * (n + 1 + nu))
+        ratio = q / (m * (m + nu))
         # q and 1e-18 s may underflow to 0 at tiny x, where the tail is nil
-        if 0.0 <= ratio < 0.5 and abs(t) <= 1e-18 * abs(s):
+        if ratio < 0.5 and 0.0 <= ratio and abs(t) <= 1e-18 * abs(s):
             tail = abs(t) * ratio / (1.0 - ratio)
             break
     if not math.isfinite(tail):
         raise AccuracyError(f"I_{nu}({x}): series did not converge within 2000 terms")
+    n = m - 1
     if not _MIN_NORMAL <= abs(s) < math.inf:
         raise AccuracyError(f"I_{nu}({x}): series sum not a normal double")
     cancel = s_abs / abs(s)
@@ -194,7 +195,11 @@ def _i_series(nu: float, x: float) -> tuple[float, float]:
 
 
 def _asym_bracket(nu: float, x: float) -> tuple[float, float]:
-    # sum of the bracket of I's large-argument expansion
+    """Sum of the bracket of I's large-argument expansion, with its rel error.
+
+    Same kernel rule as _i_series: the compensated step is written inline,
+    in Kahan's operation order, and every value and claim keeps its bits.
+    """
     four_nu2 = 4.0 * nu * nu
     c = 1.0
     s, comp = 1.0, 0.0
@@ -203,13 +208,17 @@ def _asym_bracket(nu: float, x: float) -> tuple[float, float]:
     for k in range(1, 80):
         m = 2 * k - 1
         c *= (m * m - four_nu2) / (8.0 * k * x)
-        if abs(c) >= prev:
+        ac = abs(c)
+        if ac >= prev:
             err_term = prev  # divergence onset: bound by last decreasing term
             break
-        s, comp = _kahan_add(s, comp, c)
-        prev = abs(c)
-        if abs(c) < 1e-18:
-            err_term = abs(c)
+        y = c - comp
+        u = s + y
+        comp = (u - s) - y
+        s = u
+        prev = ac
+        if ac < 1e-18:
+            err_term = ac
             break
     if not math.isfinite(err_term):
         err_term = prev
@@ -228,14 +237,15 @@ def _i_asym(nu: float, x: float) -> tuple[float, float]:
     return val, rel
 
 
+I_PATHS = ("series", "asymptotic")  # power series below _ASYM_BASE + nu^2, expansion above
+
+
 @lru_cache(maxsize=200_000)
 def _besseli(nu: float, x: float) -> tuple[float, float, str]:
     """(value, rel error, path) for I_nu(x), e^-x-scaled when x > _SCALE_X."""
-    if x >= _ASYM_BASE + nu * nu:
-        val, rel = _i_asym(nu, x)
-        return val, rel, "asymptotic"
-    val, rel = _i_series(nu, x)
-    return val, rel, "series"
+    asym = x >= _ASYM_BASE + nu * nu
+    val, rel = (_i_asym if asym else _i_series)(nu, x)
+    return val, rel, I_PATHS[asym]
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +463,16 @@ RATIO_AGREEMENT_REL = 1e-10
 
 
 @lru_cache(maxsize=200_000)
-def _ratio_i(nu: float, x: float) -> tuple[float, float]:
-    """(I_{nu+1}/I_nu, rel error): the continued fraction, checked by a quotient.
+def _ratio_i(nu: float, x: float) -> tuple[float, float, float, float]:
+    """(I_{nu+1}/I_nu, rel error, I_nu, e0): the continued fraction, checked by a quotient.
 
     The check route divides I_{nu+1} by I_nu, each by the path _besseli takes
     at its order (uncached), with claims e1, e0.  By the triangle inequality
     the continued fraction's error is at most its distance to the quotient
     plus the quotient's error, e0 + e1 and one rounding; 4 eps also covers
-    the second-order terms and taking both relative to r_cf.
+    the second-order terms and taking both relative to r_cf.  I_nu and e0 are
+    returned as well (the bits of _besseli, e^-x-scaled when x > _SCALE_X), so
+    that deltaI sums no series twice.
     """
     num, e1, _ = _besseli.__wrapped__(nu + 1.0, x)
     den, e0, _ = _besseli.__wrapped__(nu, x)
@@ -475,14 +487,14 @@ def _ratio_i(nu: float, x: float) -> tuple[float, float]:
     rel = diff / abs(r_cf) + e0 + e1 + 4.0 * _EPS
     if nu >= -0.5 and r_cf > 1.0:
         r_cf = 1.0  # provably < 1 there; rounding may land a few ulp above
-    return r_cf, rel
+    return r_cf, rel, den, e0
 
 
 def ratio_I(ctx: EvalContext) -> ValueWithError:
     """I_{nu+1}(x)/I_nu(x), computed by series quotient and continued fraction."""
     if ctx.nu < -1.0:
         raise DomainError(f"ratio_I needs nu >= -1 (I_nu > 0); got nu={ctx.nu}")
-    r, rel = _ratio_i(ctx.nu, ctx.x)
+    r, rel, _, _ = _ratio_i(ctx.nu, ctx.x)
     return ValueWithError(r, rel)
 
 
@@ -617,7 +629,7 @@ def _phi_i(ctx: EvalContext) -> ValueWithError:
     # phiI = 1 - (I_{nu-1}/I_nu)(I_{nu+1}/I_nu) with
     # I_{nu-1}/I_nu = 2 nu/x + r via the three-term recurrence; never forms
     # the Turanian by direct subtraction of function values
-    r, er = _ratio_i(ctx.nu, ctx.x)
+    r, er, _, _ = _ratio_i(ctx.nu, ctx.x)
     a = 2.0 * ctx.nu / ctx.x + r
     val = 1.0 - a * r
     abs_err = (abs(a) + r) * r * er + 4.0 * _EPS * (1.0 + abs(a) * r)
@@ -636,7 +648,7 @@ def _phi_k(ctx: EvalContext) -> ValueWithError:
 
 
 def _y(ctx: EvalContext) -> ValueWithError:
-    r, er = _ratio_i(ctx.nu, ctx.x)
+    r, er, _, _ = _ratio_i(ctx.nu, ctx.x)
     val = ctx.nu + ctx.x * r
     abs_err = ctx.x * r * er + 2.0 * _EPS * (abs(ctx.nu) + ctx.x * r)
     return ValueWithError(val, abs_err / abs(val) if val != 0.0 else math.inf)
@@ -703,7 +715,7 @@ def _quantity(kind: QuantityKind, ctx: EvalContext) -> ValueWithError:
         return ValueWithError(x * p.value, p.rel_error_bound + _EPS)
     if kind is QuantityKind.DELTA_I:
         fi = _phi_i(ctx)
-        vi, ei, _ = _besseli(nu, x)
+        _, _, vi, ei = _ratio_i(nu, x)  # I_nu as the check route summed it
         iv = _unscale_i(vi, x)
         val = iv * iv * fi.value  # inf (not OverflowError) when I^2 overflows
         return ValueWithError(val, 2.0 * ei + fi.rel_error_bound + 2.0 * _EPS)
@@ -739,11 +751,11 @@ def _quantity(kind: QuantityKind, ctx: EvalContext) -> ValueWithError:
         val = 0.25 * x * x / (b + math.hypot(x, b))
         return ValueWithError(val, 6.0 * _EPS)
     if kind is QuantityKind.N_S:
-        r, er = _ratio_i(nu, x)
+        r, er, _, _ = _ratio_i(nu, x)
         return ValueWithError(0.25 * x * r, er + 2.0 * _EPS)
     if kind is QuantityKind.I_RATIO:
         # I_nu/I_{nu-1} = 1/(2 nu/x + r) with r = I_{nu+1}/I_nu
-        r, er = _ratio_i(nu, x)
+        r, er, _, _ = _ratio_i(nu, x)
         a = 2.0 * nu / x + r
         val = 1.0 / a
         return ValueWithError(val, er * r / abs(a) + 4.0 * _EPS)

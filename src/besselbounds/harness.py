@@ -29,7 +29,7 @@ from .core import (
     numeric_derivative,
     quantity,
 )
-from .core import _ratio_i_cf, _i_series  # noqa: F401  (dual-path measurement)
+from .core import _ratio_i_cf, _i_series  # dual-path measurement
 
 __all__ = [
     "DEFAULT_SEED",
@@ -166,6 +166,8 @@ class VerifyConfig:
     witness_cap: int = 10
 
     def __post_init__(self):
+        if self.random_pairs < 1:
+            raise ValueError("random_pairs must be >= 1: the concavity checks need a pair to draw")
         if self.x_points < 2:
             raise ValueError("grid counts must be >= 2")
         if not (0.0 < self.x_lo < self.x_hi):

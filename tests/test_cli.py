@@ -120,6 +120,13 @@ def test_verify_grid_usage_errors(capsys):
     assert run(capsys, "verify", "--x-grid", "junk")[0] == 2
 
 
+def test_verify_pairs_usage_errors(capsys):
+    # zero pairs would let both concavity checks pass having drawn nothing
+    for pairs in ("-3", "0", "junk"):
+        rc, _, err = run(capsys, "verify", "--suite", "applications", "--pairs", pairs)
+        assert rc == 2 and "--pairs" in err, pairs
+
+
 def test_bounds_list_id_filter(capsys):
     rc, out, _ = run(capsys, "bounds", "list", "--id", "turan24_upper", "--id", "turan11_upper")
     assert rc == 0
@@ -198,6 +205,7 @@ def test_selftest(capsys):
     rc, out, _ = run(capsys, "selftest")
     assert rc == 0
     assert "selftest" in out and "evaluation paths" in out
+    assert "evaluation paths: I: series, asymptotic; K: temme, cf2; " in out
     rc, out, _ = run(capsys, "selftest", "--inject-error")
     assert rc == 1
     assert "FAIL" in out

@@ -320,6 +320,53 @@ def _with_examples(points):
     return deco
 
 
+def _mp_bessel(nu, x):
+    # 40-digit (nu, x, I_{nu-1}, I_nu, I_{nu+1}, K_{nu-1}, K_nu, K_{nu+1}).
+    # The I side works at the exact orders nu -+ 1 (the continued fraction and
+    # the recurrence for I_{nu-1}/I_nu take nu itself), the K side at the
+    # orders as rounded to doubles, as in the K test; I_{-n} = I_n at integer
+    # orders and K_{-v} = K_v, where mpmath's own sums would cancel
+    from mpmath import besseli, besselk, mp, mpf
+
+    mp.dps = 40
+    m, xm = mpf(nu), mpf(x)
+    im, i0, i1 = (besseli(abs(o) if o == int(o) else o, xm) for o in (m - 1, m, m + 1))
+    km, k0, k1 = (besselk(abs(mpf(o)), xm) for o in (nu - 1.0, nu, nu + 1.0))
+    return m, xm, im, i0, i1, km, k0, k1
+
+
+# the tags whose value or claim goes through ratio_I
+_ON_RATIO_I = {"ratio_I", "y", "phiI", "phiP", "deltaI", "w", "u", "lambda", "b2hat", "ns", "iratio"}
+
+
+def _assert_claims_cover(cases, nu, x, domain_ok):
+    # cases: tag -> (evaluation, 40-digit value, the I or K it needs).
+    # DomainError only where domain_ok(tag) says so.  AccuracyError only where
+    # the value or a needed I or K is not a normal double; for I at nu < -1,
+    # where the power series cancels below the target accuracy; and for the
+    # tags built on ratio_I at x < 1e-18, where the continued fraction's start
+    # value 1e-30 is no longer negligible against I_{nu+1}/I_nu ~ x/(2nu+2)
+    # and the routes part (CrossCheckError)
+    for tag, (evaluate, reference, needs) in cases.items():
+        try:
+            v = evaluate()
+        except DomainError:
+            assert domain_ok(tag), tag
+            continue
+        except AccuracyError:
+            assert (not all(map(_normal, (*needs, reference()))) or (tag == "I" and nu < -1.0)
+                    or (tag in _ON_RATIO_I and x < 1e-18)), tag
+            continue
+        if v.value == 0.0 and v.rel_error_bound == math.inf:
+            continue  # an exact 0 from cancellation claims nothing (0 * inf is nan)
+        # relative to the true value, or to the returned one as abs_error_bound
+        # reads it: the two differ at second order unless the claim nears 1
+        # (phiI at nu = -1 and tiny x cancels to a claim above 1)
+        want = reference()
+        scale = max(abs(want), abs(v.value))
+        assert abs(v.value - want) <= v.rel_error_bound * scale, (tag, v, float(want))
+
+
 @settings(max_examples=80, deadline=None)
 @given(nu=st.floats(-10.0, 20.0), x=st.floats(0.0, 500.0, exclude_min=True))
 @_with_examples([
@@ -331,27 +378,13 @@ def _with_examples(points):
 ])
 def test_I_and_ratio_claims_cover_actual_error(nu, x):
     # |error| <= rel_error_bound against 40-digit mpmath for eval_I, ratio_I
-    # and the quantities built on the ratios.  DomainError only below the I
-    # side's order floor nu = -1.  AccuracyError only where the value or a
-    # needed I or K is not a normal double; for eval_I at nu < -1, where the
-    # power series cancels below the target accuracy; and for the ratio_I
-    # side at x < 1e-18, where the continued fraction's start value 1e-30 is
-    # no longer negligible against I_{nu+1}/I_nu ~ x/(2nu+2) and the routes
-    # part (CrossCheckError)
-    from mpmath import besseli, besselk, mp, mpf
-
+    # and the quantities built on the ratios; DomainError only below the I
+    # side's order floor nu = -1
     from besselbounds.core import QuantityKind as QK, quantity
 
-    mp.dps = 40
     ctx = EvalContext(nu, x)
-    # the I side works at the exact orders nu -+ 1 (the continued fraction and
-    # the recurrence for I_{nu-1}/I_nu take nu itself), the K side at the
-    # orders as rounded to doubles, as in the K test; I_{-n} = I_n at integer
-    # orders and K_{-v} = K_v, where mpmath's own sums would cancel
-    m, xm = mpf(nu), mpf(x)
-    im, i0, i1 = (besseli(abs(o) if o == int(o) else o, xm) for o in (m - 1, m, m + 1))
-    km, k0, k1 = (besselk(abs(mpf(o)), xm) for o in (nu - 1.0, nu, nu + 1.0))
-    cases = {  # tag: (evaluation, 40-digit value, the I or K it needs)
+    m, xm, im, i0, i1, km, k0, k1 = _mp_bessel(nu, x)
+    cases = {
         "I": (lambda: eval_I(ctx), lambda: i0, (i0,)),
         "ratio_I": (lambda: ratio_I(ctx), lambda: i1 / i0, (i0, i1)),
         "y": (lambda: quantity(QK.Y, ctx), lambda: m + xm * i1 / i0, (i0, i1)),
@@ -359,19 +392,81 @@ def test_I_and_ratio_claims_cover_actual_error(nu, x):
         "phiK": (lambda: quantity(QK.PHI_K, ctx), lambda: 1 - km * k1 / k0**2, (km, k0, k1)),
         "kratio": (lambda: quantity(QK.K_RATIO, ctx), lambda: k0 / km, (km, k0, k1)),
     }
-    for tag, (evaluate, reference, needs) in cases.items():
-        try:
-            v = evaluate()
-        except DomainError:
-            assert tag in ("ratio_I", "y", "phiI") and nu < -1.0, tag
-            continue
-        except AccuracyError:
-            assert (not all(map(_normal, (*needs, reference()))) or (tag == "I" and nu < -1.0)
-                    or (tag in ("ratio_I", "y", "phiI") and x < 1e-18)), tag
-            continue
-        # relative to the true value, or to the returned one as abs_error_bound
-        # reads it: the two differ at second order unless the claim nears 1
-        # (phiI at nu = -1 and tiny x cancels to a claim above 1)
-        want = reference()
-        scale = max(abs(want), abs(v.value))
-        assert abs(v.value - want) <= v.rel_error_bound * scale, (tag, v, float(want))
+    _assert_claims_cover(cases, nu, x, lambda tag: tag in ("ratio_I", "y", "phiI") and nu < -1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(nu=st.floats(-10.0, 20.0), x=st.floats(0.0, 500.0, exclude_min=True))
+@_with_examples([
+    (20.0, 400.0),
+    (15.3, math.nextafter(30.0 + 15.3 * 15.3, 0.0)),  # I's longest series in the box
+    (15.3, 200.0),
+    (1.4942871284895034, 499.248154944117),
+    (0.0, 360.0),  # I^2 overflows: deltaI refuses
+    (4.69, 360.59),  # K^2 phiK subnormal: deltaK refuses
+    (0.2, 0.1),  # x^2 + mu < 0: u out of its domain
+])
+def test_remaining_quantity_claims_cover_actual_error(nu, x):
+    # |error| <= rel_error_bound against 40-digit mpmath for the QuantityKinds
+    # the test above leaves out; refusals as there, DomainError only outside a
+    # quantity's domain, and deltaI / deltaK / omega also refused where I^2 /
+    # K^2 / P, the factor they scale phiI / phiK / x by, is not a normal double
+    from mpmath import sqrt
+
+    from besselbounds.core import _MIN_NU, QuantityKind as QK, quantity
+
+    ctx = EvalContext(nu, x)
+    m, xm, im, i0, i1, km, k0, k1 = _mp_bessel(nu, x)
+    mu, b = m * m - 0.25, m + 1
+    y = lambda: m + xm * i1 / i0
+    z = lambda: m - xm * k1 / k0
+    phi_i = lambda: 1 - im * i1 / i0**2
+    phi_k = lambda: 1 - km * k1 / k0**2
+    i_side, k_side = (i0, i1), (km, k0, k1)
+    refs = {  # kind: (40-digit value, the I or K it needs)
+        QK.P: (lambda: i0 * k0, (i0, k0)),
+        QK.OMEGA: (lambda: xm * i0 * k0, (i0, k0, i0 * k0)),
+        QK.DELTA_I: (lambda: i0**2 - im * i1, (*i_side, i0**2)),
+        QK.Z: (z, k_side),
+        QK.PHI_P: (lambda: phi_i() + phi_k() - phi_i() * phi_k(), i_side + k_side),
+        QK.DELTA_K: (lambda: k0**2 - km * k1, (*k_side, k0**2)),
+        QK.W: (lambda: sqrt(xm**2 + m**2) - y(), i_side),
+        QK.U: (lambda: sqrt(xm**2 + mu) - y(), i_side),
+        QK.LAMBDA: (lambda: y() - sqrt(xm**2 + b**2), i_side),
+        QK.Q: (lambda: z() + sqrt(xm**2 + mu), k_side),
+        QK.T: (lambda: z() + sqrt(xm**2 + m**2), k_side),
+        QK.B2HAT: (lambda: -1 / (xm * phi_i()), i_side),
+        QK.V_EFF: (lambda: -phi_k(), k_side),
+        QK.N_C: (lambda: xm**2 / 4 / (b + sqrt(xm**2 + b**2)), ()),
+        QK.N_S: (lambda: xm / 4 * i1 / i0, i_side),
+        QK.I_RATIO: (lambda: i0 / im, i_side),
+    }
+    cases = {k.value: ((lambda k=k: quantity(k, ctx)), ref, needs) for k, (ref, needs) in refs.items()}
+
+    def domain_ok(tag):
+        floor = _MIN_NU[QK(tag)]
+        return ((floor is not None and nu < floor) or (tag == "u" and xm**2 + mu < 0)
+                or (tag == "q" and mu < 0))
+
+    _assert_claims_cover(cases, nu, x, domain_ok)
+
+
+def test_deltaI_sums_each_series_once(monkeypatch):
+    # deltaI takes I_nu from ratio_I's check route: one power series per
+    # order (nu and nu + 1), none summed again for I_nu itself
+    from besselbounds import core
+
+    calls = []
+    series = core._i_series
+
+    def counted(nu, x):
+        calls.append(nu)
+        return series(nu, x)
+
+    monkeypatch.setattr(core, "_i_series", counted)
+    for cached in (core._besseli, core._ratio_i):
+        cached.cache_clear()
+    ctx = EvalContext(15.3, 200.0)  # below the switch 30 + nu^2 for both orders
+    v = core.quantity(core.QuantityKind.DELTA_I, ctx)
+    assert sorted(calls) == [15.3, 16.3]
+    assert v.value == eval_I(ctx).value ** 2 * core.quantity(core.QuantityKind.PHI_I, ctx).value

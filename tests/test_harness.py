@@ -40,6 +40,14 @@ def test_gridspec_validation():
     assert g.x_values[0] > 1e-3
 
 
+def test_verify_config_needs_a_pair():
+    # the concavity checks would pass having drawn nothing
+    for pairs in (0, -3):
+        with pytest.raises(ValueError):
+            VerifyConfig(random_pairs=pairs)
+    assert VerifyConfig(random_pairs=1).random_pairs == 1
+
+
 def test_sweep_proved_phiI_clean():
     grid = GridSpec((-0.5, 0.0, 0.5, 1.0, 2.0, 5.0),
                     tuple(10 ** (-3 + 5 * (k + 1) / 200) for k in range(200)))
