@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""SHA-256 digests of the reproducible outputs of a checkout.
+"""SHA-256 digests of the reproducible outputs of a checkout, and what moved.
 
 Runs ``besselbounds verify --suite all`` (with SOURCE_DATE_EPOCH=0) and
 ``besselbounds figure fig1|fig2|fig3`` from the checkout's own ``src/`` in a
@@ -11,11 +11,15 @@ temporary directory and prints one digest per output:
 Two checkouts whose digests match give byte-identical reports (apart from
 timings) and figures.  Usage, from the root of a checkout:
 
-    python3 scripts/report_digest.py [--root PATH]
+    python3 scripts/report_digest.py [--root PATH] [--against PATH]
 
 ``--root`` points at another checkout (default: the one holding this script),
-so one copy of the script serves both sides of a comparison.  Standard
-library only; takes about as long as a cold ``verify --suite all``.
+so one copy of the script serves both sides of a comparison.  ``--against``
+builds a second checkout as the old side and, after both sets of digests,
+prints each ``check_id`` whose fields other than ``runtime_ms`` differ, with
+its old -> new ``status``, ``max_violation`` and witness margins, and whether
+each figure is identical.  Standard library only; each checkout takes about
+as long as a cold ``verify --suite all``.
 """
 
 import argparse
@@ -44,30 +48,80 @@ def _cli(root: Path, workdir: str, *args: str) -> int:
                           env=env, stdout=subprocess.DEVNULL).returncode
 
 
-def digests(root: Path) -> list[tuple[str, str]]:
-    """(output name, SHA-256 hex digest) for the report and each figure."""
-    out = []
+def outputs(root: Path) -> tuple[dict, dict[str, bytes]]:
+    """The report of a checkout (every runtime_ms dropped) and its figure files."""
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp, "verify_all.json")
         if _cli(root, tmp, "verify", "--suite", "all", "--out", str(report)) not in (0, 1):
-            raise SystemExit("verify --suite all did not run")
-        text = json.dumps(_drop_runtimes(json.loads(report.read_text())), indent=2) + "\n"
-        out.append((report.name, hashlib.sha256(text.encode()).hexdigest()))
+            raise SystemExit(f"verify --suite all did not run in {root}")
+        figures = {}
         for fig in FIGURES:
             path = Path(tmp, f"{fig}.csv")
             if _cli(root, tmp, "figure", fig, "--out", str(path)) != 0:
-                raise SystemExit(f"figure {fig} did not run")
-            out.append((path.name, hashlib.sha256(path.read_bytes()).hexdigest()))
+                raise SystemExit(f"figure {fig} did not run in {root}")
+            figures[path.name] = path.read_bytes()
+        return _drop_runtimes(json.loads(report.read_text())), figures
+
+
+def digests(report: dict, figures: dict[str, bytes]) -> list[tuple[str, str]]:
+    """(output name, SHA-256 hex digest) for the report and each figure."""
+    text = json.dumps(report, indent=2) + "\n"
+    out = [("verify_all.json", hashlib.sha256(text.encode()).hexdigest())]
+    out += [(name, hashlib.sha256(data).hexdigest()) for name, data in figures.items()]
     return out
+
+
+def _witness_key(w: dict) -> tuple:
+    return w["bound_id"], w["nu"], w["x"]
+
+
+def report_diff(old: dict, new: dict) -> list[str]:
+    """One block of lines per check_id whose fields differ between two reports."""
+    old_checks = {c["check_id"]: c for c in old["checks"]}
+    new_checks = {c["check_id"]: c for c in new["checks"]}
+    lines = []
+    for cid in sorted(old_checks.keys() | new_checks.keys()):
+        a, b = old_checks.get(cid), new_checks.get(cid)
+        if a == b:
+            continue
+        if a is None or b is None:
+            lines.append(f"{cid}: only in the {'new' if a is None else 'old'} report")
+            continue
+        lines.append(f"{cid}:")
+        for field in ("status", "tolerance", "max_violation"):
+            if a[field] != b[field]:
+                lines.append(f"  {field} {a[field]!r} -> {b[field]!r}")
+        wa = {_witness_key(w): w["margin"] for w in a["witnesses"]}
+        wb = {_witness_key(w): w["margin"] for w in b["witnesses"]}
+        for key in sorted(wa.keys() | wb.keys(), key=repr):
+            if wa.get(key) != wb.get(key):
+                lines.append(f"  witness {key[0]} nu={key[1]!r} x={key[2]!r}: "
+                             f"margin {wa.get(key)!r} -> {wb.get(key)!r}")
+    return lines
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                     help="checkout to digest (default: this script's)")
+    ap.add_argument("--against", type=Path, default=None,
+                    help="older checkout to compare with: prints what moved")
     args = ap.parse_args()
-    for name, digest in digests(args.root.resolve()):
+    new = outputs(args.root.resolve())
+    for name, digest in digests(*new):
         print(f"{digest}  {name}")
+    if args.against is None:
+        return 0
+    old = outputs(args.against.resolve())
+    print(f"against {args.against}:")
+    for name, digest in digests(*old):
+        print(f"{digest}  {name}")
+    lines = report_diff(old[0], new[0])
+    print(f"verify_all.json: {sum(not line.startswith(' ') for line in lines)} check(s) moved")
+    for line in lines:
+        print(line)
+    for name in new[1]:
+        print(f"{name}: {'identical' if old[1].get(name) == new[1][name] else 'differs'}")
     return 0
 
 

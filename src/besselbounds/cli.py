@@ -24,6 +24,7 @@ from .core import (
     EvalContext,
     I_PATHS,
     K_PATHS,
+    RATIO_I_PATHS,
     QuantityKind,
     dual_path_checks,
     eval_I,
@@ -36,9 +37,10 @@ from .harness import SUITE_NAMES, VerifyConfig, run_suite
 __all__ = ["main", "CliConfig", "FigureSpec", "FIGURES"]
 
 _FN_TAGS = ("I", "K") + tuple(k.value for k in QuantityKind)
-# which base functions feed each quantity (for the path report)
-_NEEDS_I = {"y", "phiI", "phiP", "P", "omega", "deltaI", "w", "u", "lambda",
-            "b2hat", "ns", "iratio", "I"}
+# which base evaluations feed each quantity (for the path report)
+_NEEDS_RATIO_I = {"y", "phiI", "phiP", "deltaI", "w", "u", "lambda", "b2hat",
+                  "ns", "iratio"}
+_NEEDS_I = {"I", "P", "omega", "deltaI"}
 _NEEDS_K = {"z", "phiK", "phiP", "P", "omega", "deltaK", "q", "t", "veff",
             "kratio", "K"}
 
@@ -118,6 +120,8 @@ def cmd_eval(cfg: CliConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     paths = []
+    if fn in _NEEDS_RATIO_I:
+        paths.append(f"ratio_I={evaluation_path('ratio_I', cfg.nu, cfg.x)}")
     if fn in _NEEDS_I:
         paths.append(f"I={evaluation_path('I', cfg.nu, cfg.x)}")
     if fn in _NEEDS_K:
@@ -258,7 +262,7 @@ def cmd_selftest(cfg: CliConfig) -> int:
     print(f"besselbounds {__version__} selftest "
           f"({(time.perf_counter()-t0)*1e3:.0f} ms)")
     print(f"evaluation paths: I: {', '.join(I_PATHS)}; K: {', '.join(K_PATHS)}; "
-          "ratios: continued fraction + quotient")
+          f"ratio_I: {', '.join(RATIO_I_PATHS)}")
     if failures:
         for msg in failures:
             print(f"FAIL {msg}")

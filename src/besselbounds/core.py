@@ -20,9 +20,11 @@ Evaluation strategy by region
   Temme's series for x < 2 and by Steed's continued fraction CF2 for
   x >= 2; then forward recurrence in the order up to |nu|, which is stable
   because K is the dominant solution.
-* ratio_I = I_{nu+1}/I_nu: the value is the continued fraction; the check
-  route is the quotient I_{nu+1}/I_nu with each order on I's own path
-  (series below 30 + order^2, large-argument expansion above).
+* ratio_I = I_{nu+1}/I_nu: one route per region.  Below
+  x = 30 + max(nu^2, (nu+1)^2) the continued fraction CF1 (cut after its
+  first element, with a series tail, at tiny x where the Lentz start is not
+  negligible); at and above it, where I takes the large-argument expansion
+  at both orders, the quotient of the two expansions.
 * K_{nu-1}, K_nu, K_{nu+1} (ratio_K, z, phiK, kratio, deltaK and the rest of
   the K side): one ladder, i.e. one base evaluation and one climb for all
   orders whose mu has the same bits; an order whose mu differs (a sign
@@ -30,11 +32,16 @@ Evaluation strategy by region
   each order the bits it gets alone.
 
 Every evaluation returns a ``ValueWithError`` carrying a claimed bound on
-the relative error (truncation tail + rounding).  Ratios are computed by
-two independent routes and cross-checked; disagreement raises
-``CrossCheckError`` since it signals an evaluator bug, not an unlucky
-input.  The ratio_I claim is derived through its check route: the
-distance between the routes plus the check route's own claims.
+the relative error (truncation tail + rounding).  The ratio_I claim is
+derived from its route: for CF1 the Lentz start, the truncation that the
+stop test bounds (convergents of a fraction with positive elements
+alternate about the limit) and a running-error bound on the Lentz steps;
+for the quotient the two expansions' claims.  The power-series quotient is
+a check, not a route: the harness compares it with CF1
+(consistency:ratio_I_dual_path) and the claim tests compare every tag with
+40-digit mpmath.  ratio_K is cross-checked against the three-term
+recurrence at run time; disagreement raises ``CrossCheckError`` since it
+signals an evaluator bug, not an unlucky input.
 
 Values are kept exponentially scaled (e^-x I, e^x K) internally once
 x > 50 so that no intermediate overflows inside the supported box
@@ -65,6 +72,7 @@ __all__ = [
     "QUANTITY_EXPRESSIONS",
     "I_PATHS",
     "K_PATHS",
+    "RATIO_I_PATHS",
     "eval_I",
     "eval_K",
     "ratio_I",
@@ -86,6 +94,7 @@ _SCALE_X = 50.0
 _ASYM_BASE = 30.0
 _LN2 = math.log(2.0)
 _MIN_NORMAL = sys.float_info.min
+_MIN_SUBNORMAL = math.ulp(0.0)
 
 
 class DomainError(ValueError):
@@ -423,23 +432,75 @@ def eval_K(ctx: EvalContext, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> 
 
 
 def evaluation_path(fn: str, nu: float, x: float) -> str:
-    """Name of the evaluation path ('series', 'asymptotic', ...) used for I or K."""
+    """Name of the evaluation path ('series', 'cf1', ...) used for I, K or ratio_I."""
     if fn == "I":
         return _besseli(nu, x)[2]
     if fn == "K":
         return _besselk(nu, x)[2]
+    if fn == "ratio_I":
+        return RATIO_I_PATHS[_ratio_i_asym(nu, x)]
     raise DomainError(f"unknown function tag {fn!r}")
 
 
 # ---------------------------------------------------------------------------
-# ratios (dual-route, cross-checked)
+# ratios
 # ---------------------------------------------------------------------------
 
-def _ratio_i_cf(nu: float, x: float) -> float:
-    # I_{nu+1}/I_nu as the continued fraction 1/(b1 + 1/(b2 + ...)),
-    # b_k = 2(nu+k)/x, from the three-term recurrence (modified Lentz;
-    # tiny must satisfy 1/tiny^2 < inf since b1 = 0 at nu = -1)
-    tiny = 1e-30
+_LENTZ_TINY = 1e-30
+# below this x the Lentz start may stop being negligible, and the two-term
+# form below is within eps/400 of the ratio
+_SMALL_X = 1e-9
+
+
+def _ratio_i_cf(nu: float, x: float) -> tuple[float, float]:
+    """(I_{nu+1}/I_nu, rel error bound) by the continued fraction CF1, nu >= -1.
+
+    r = 1/(b_1 + 1/(b_2 + ...)), b_k = 2(nu+k)/x, from the three-term
+    recurrence, by the modified Lentz method started at f_0 = tiny = 1e-30.
+    The claim, in eps = 2u, after k steps with last step factor delta:
+
+    * start: Lentz computes the convergents of tiny + 1/(b_1 + 1/(b_2 + ...)),
+      whose limit is r + tiny.  At nu = -1, b_1 = 0 is replaced by tiny
+      (D_1 = 1/tiny), the limit is tiny + 1/(tiny + 1/r), and it lies within
+      tiny (r + 1/r) of r; tiny (f + 1/f) covers both.
+    * truncation: every element is positive, so successive convergents lie
+      on opposite sides of the limit and |f - f_k| <= |f_k - f_{k-1}|
+      = f_k |1 - 1/delta_k|, which the stop test |delta - 1| < 4 eps bounds.
+      The exact delta_k = C_k D_k differs from the computed one by the errors
+      of C_k and D_k, at most eps per step each (below), and the product's
+      rounding: |delta - 1| + (2k + 1/2) eps.
+    * rounding (running error analysis, Higham 3.3): the computed b_k are
+      within eps of 2(nu+k)/x, and a continued fraction with positive
+      elements moves by at most the largest relative change of an element
+      (each level 1/(b + t) is a weighted mean), so the data cost eps.  A
+      step makes two roundings in C_k = b_k + 1/C_{k-1}, two in
+      D_k = 1/(b_k + D_{k-1}) and two in f *= C_k D_k.  An error theta in C_j
+      reaches C_{j+1} as -theta w_{j+1}, C_{j+2} as +theta w_{j+1} w_{j+2}, ...
+      with every w in [0, 1], so it moves the product C_j C_{j+1} ... by
+      theta (1 - w + w w' - ...), at most theta; likewise for D.  Each step
+      therefore adds at most 6u = 3 eps to f: 3k eps.
+
+    Together tiny (f + 1/f) + |delta - 1| + (5k + 2) eps (first order; the
+    second-order terms stay below eps/2 for k < 10^5).
+
+    Where the start is not negligible, that is where tiny (r + 1/r) exceeds
+    eps/16 (only at x < _SMALL_X; about x < 1e-13 (nu + 1) for nu > -1), the
+    fraction is cut after b_1 with the tail 1/(b_2 + ...) = I_{nu+2}/I_{nu+1}
+    replaced by the leading term of its power series, s = x / (2 (nu + 2)):
+    r = x / (2 (nu + 1) + x s), or 1/s = 2/x at nu = -1.  s overestimates the
+    tail by a relative q (1 + q) at most, q = x^2/4, so the truncation is below
+    2q; the roundings cost at most 3 eps, and a subnormal r is off by up to
+    2^-1074 more.
+    """
+    if x < _SMALL_X:
+        e = nu + 1.0  # exact for nu <= -1/2, where it may be small
+        r = 2.0 / x if e == 0.0 else x / (2.0 * e + x * x / (2.0 * (e + 1.0)))
+        if r == 0.0:
+            raise AccuracyError(f"ratio_I underflows at nu={nu}, x={x}")
+        if _LENTZ_TINY * (r + 1.0 / r) > _EPS / 16.0:
+            rel = 0.5 * x * x + 3.0 * _EPS
+            return r, rel + _MIN_SUBNORMAL / r if r < _MIN_NORMAL else rel
+    tiny = _LENTZ_TINY
     f = tiny
     c = f
     d = 0.0
@@ -455,46 +516,47 @@ def _ratio_i_cf(nu: float, x: float) -> float:
         delta = c * d
         f *= delta
         if abs(delta - 1.0) < 4.0 * _EPS:
-            return f
+            return f, tiny * (f + 1.0 / f) + abs(delta - 1.0) + (5.0 * k + 2.0) * _EPS
     raise AccuracyError(f"ratio_I continued fraction failed to converge at nu={nu}, x={x}")
 
 
-RATIO_AGREEMENT_REL = 1e-10
+def _ratio_i_asym(nu: float, x: float) -> bool:
+    # whether _besseli takes the large-argument expansion at both nu and nu + 1
+    return x >= _ASYM_BASE + max(nu * nu, (nu + 1.0) * (nu + 1.0))
+
+
+RATIO_I_PATHS = ("cf1", "asymptotic")  # continued fraction below the switch, expansion quotient above
 
 
 @lru_cache(maxsize=200_000)
-def _ratio_i(nu: float, x: float) -> tuple[float, float, float, float]:
-    """(I_{nu+1}/I_nu, rel error, I_nu, e0): the continued fraction, checked by a quotient.
+def _ratio_i(nu: float, x: float) -> tuple[float, float]:
+    """(I_{nu+1}/I_nu, rel error bound) by one route per region.
 
-    The check route divides I_{nu+1} by I_nu, each by the path _besseli takes
-    at its order (uncached), with claims e1, e0.  By the triangle inequality
-    the continued fraction's error is at most its distance to the quotient
-    plus the quotient's error, e0 + e1 and one rounding; 4 eps also covers
-    the second-order terms and taking both relative to r_cf.  I_nu and e0 are
-    returned as well (the bits of _besseli, e^-x-scaled when x > _SCALE_X), so
-    that deltaI sums no series twice.
+    Below x = 30 + max(nu^2, (nu+1)^2) the continued fraction CF1
+    (_ratio_i_cf, claim derived there).  At and above it, where _besseli
+    takes the large-argument expansion at both orders, the quotient of the
+    two expansions: their claims e1 + e0 and one rounding, eps covering the
+    second-order terms.  The power-series quotient is no route; it is
+    the harness check consistency:ratio_I_dual_path and the claim tests.
     """
-    num, e1, _ = _besseli.__wrapped__(nu + 1.0, x)
-    den, e0, _ = _besseli.__wrapped__(nu, x)
-    r_check = num / den
-    r_cf = _ratio_i_cf(nu, x)
-    diff = abs(r_cf - r_check)
-    if diff > RATIO_AGREEMENT_REL * abs(r_cf):
-        raise CrossCheckError(
-            f"ratio_I paths disagree at nu={nu}, x={x}: "
-            f"quotient {r_check!r} vs continued fraction {r_cf!r}"
-        )
-    rel = diff / abs(r_cf) + e0 + e1 + 4.0 * _EPS
-    if nu >= -0.5 and r_cf > 1.0:
-        r_cf = 1.0  # provably < 1 there; rounding may land a few ulp above
-    return r_cf, rel, den, e0
+    if _ratio_i_asym(nu, x):
+        num, e1 = _i_asym(nu + 1.0, x)
+        den, e0 = _i_asym(nu, x)
+        r, rel = num / den, e0 + e1 + _EPS
+    else:
+        r, rel = _ratio_i_cf(nu, x)
+    if nu >= -0.5 and r > 1.0:
+        r = 1.0  # provably < 1 there; rounding may land a few ulp above
+    return r, rel
 
 
 def ratio_I(ctx: EvalContext) -> ValueWithError:
-    """I_{nu+1}(x)/I_nu(x), computed by series quotient and continued fraction."""
+    """I_{nu+1}(x)/I_nu(x): the continued fraction, or the expansions' quotient at large x."""
     if ctx.nu < -1.0:
         raise DomainError(f"ratio_I needs nu >= -1 (I_nu > 0); got nu={ctx.nu}")
-    r, rel, _, _ = _ratio_i(ctx.nu, ctx.x)
+    r, rel = _ratio_i(ctx.nu, ctx.x)
+    if not _MIN_NORMAL <= r < math.inf:
+        raise AccuracyError(f"ratio_I at nu={ctx.nu}, x={ctx.x} not a normal double")
     return ValueWithError(r, rel)
 
 
@@ -629,8 +691,14 @@ def _phi_i(ctx: EvalContext) -> ValueWithError:
     # phiI = 1 - (I_{nu-1}/I_nu)(I_{nu+1}/I_nu) with
     # I_{nu-1}/I_nu = 2 nu/x + r via the three-term recurrence; never forms
     # the Turanian by direct subtraction of function values
-    r, er, _, _ = _ratio_i(ctx.nu, ctx.x)
-    a = 2.0 * ctx.nu / ctx.x + r
+    nu, x = ctx.nu, ctx.x
+    r, er = _ratio_i(nu, x)
+    a = 2.0 * nu / x + r
+    if nu > -1.0 and not (r >= _MIN_NORMAL and math.isfinite(a)):
+        # x so small (below 1e-307 (nu + 1)) that r is not a normal double or
+        # 2 nu / x overflows: the series give phiI = (1 + O(x^2/(nu + 1)))/(nu + 1),
+        # and the O term is far below eps there
+        return ValueWithError(1.0 / (nu + 1.0), 2.0 * _EPS)
     val = 1.0 - a * r
     abs_err = (abs(a) + r) * r * er + 4.0 * _EPS * (1.0 + abs(a) * r)
     return ValueWithError(val, abs_err / abs(val) if val != 0.0 else math.inf)
@@ -647,10 +715,19 @@ def _phi_k(ctx: EvalContext) -> ValueWithError:
     return ValueWithError(val, abs_err / abs(val) if val != 0.0 else math.inf)
 
 
+def _y_abs(ctx: EvalContext) -> tuple[float, float]:
+    # y = nu + x r with its absolute error, which stays finite where y is 0
+    # (x r underflows at tiny x, or cancels against nu)
+    r, er = _ratio_i(ctx.nu, ctx.x)
+    xr = ctx.x * r
+    abs_err = xr * er + 2.0 * _EPS * (abs(ctx.nu) + xr)
+    if xr < _MIN_NORMAL:
+        abs_err += _MIN_SUBNORMAL
+    return ctx.nu + xr, abs_err
+
+
 def _y(ctx: EvalContext) -> ValueWithError:
-    r, er, _, _ = _ratio_i(ctx.nu, ctx.x)
-    val = ctx.nu + ctx.x * r
-    abs_err = ctx.x * r * er + 2.0 * _EPS * (abs(ctx.nu) + ctx.x * r)
+    val, abs_err = _y_abs(ctx)
     return ValueWithError(val, abs_err / abs(val) if val != 0.0 else math.inf)
 
 
@@ -668,11 +745,24 @@ def _p(ctx: EvalContext) -> ValueWithError:
     return ValueWithError(vi * vk, ei + ek + 2.0 * _EPS)
 
 
-def _shifted(base: ValueWithError, shift: float, sign: float) -> ValueWithError:
-    # sign * base.value + shift, propagating the absolute error
-    val = sign * base.value + shift
-    abs_err = base.abs_error_bound + 2.0 * _EPS * (abs(shift) + abs(base.value))
+def _shifted(base: float, base_err: float, sign: float, shift: float,
+             shift_err: float = 0.0) -> ValueWithError:
+    # sign * base + shift, propagating the absolute errors; shift_err is the
+    # shift's error beyond its last rounding
+    val = sign * base + shift
+    abs_err = base_err + 2.0 * _EPS * (abs(shift) + abs(base)) + shift_err
     return ValueWithError(val, abs_err / abs(val) if val != 0.0 else math.inf)
+
+
+def _mu_shift(ctx: EvalContext) -> tuple[float, float]:
+    # sqrt(x^2 + mu), mu = nu^2 - 1/4, with the error that the roundings of
+    # nu^2, mu, x^2 and their sum carry into it: t = x^2 + mu is off by at most
+    # d = 2 eps (x^2 + nu^2 + 1/4), so sqrt(t) by min(d / sqrt(t), sqrt(d)),
+    # amplified where t is small (nu near +-1/2 at small x)
+    t = ctx.x * ctx.x + ctx.mu
+    s = math.sqrt(t)
+    d = 2.0 * _EPS * (ctx.x * ctx.x + ctx.nu * ctx.nu + 0.25)
+    return s, d / s if d < t else math.sqrt(d)
 
 
 def quantity(kind: QuantityKind, ctx: EvalContext) -> ValueWithError:
@@ -705,17 +795,46 @@ def _quantity(kind: QuantityKind, ctx: EvalContext) -> ValueWithError:
     if kind is QuantityKind.PHI_P:
         fi = _phi_i(ctx)
         fk = _phi_k(ctx)
-        val = fi.value + fk.value - fi.value * fk.value
-        abs_err = fi.abs_error_bound * (1.0 + abs(fk.value)) + fk.abs_error_bound * (1.0 + abs(fi.value))
+        if math.isfinite(fk.value):
+            val = fi.value + fk.value - fi.value * fk.value
+            abs_err = fi.abs_error_bound * (1.0 + abs(fk.value)) + fk.abs_error_bound * (1.0 + abs(fi.value))
+            return ValueWithError(val, abs_err / abs(val) if val != 0.0 else math.inf)
+        # 1 - phiK = a_K r_K = (K_{nu-1}/K_nu)(K_{nu+1}/K_nu) overflows (x below
+        # about 1e-154), while 1 - phiI = a_I r_I may be as small as nu or x^2:
+        # phiP = 1 - T, T = a_I r_I a_K r_K, whose partial products may leave
+        # the double range where T does not, so the exponents are summed apart
+        r, er = _ratio_i(nu, x)
+        a = 2.0 * nu / x + r
+        km, em, k0, e0, rk, erk = _k_ladder(nu, x)
+        t, e = 1.0, 0
+        for f in (a, r, km / k0, rk):
+            fm, fe = math.frexp(f)
+            t, e = t * fm, e + fe
+        if e > sys.float_info.max_exp:
+            raise AccuracyError(f"quantity 'phiP' overflows at nu={nu}, x={x}")
+        t = math.ldexp(t, e)
+        rel_t = (r * er + 2.0 * _EPS * (abs(2.0 * nu / x) + r)) / abs(a) + er + em + e0 + erk + 4.0 * _EPS
+        val = 1.0 - t
+        abs_err = abs(t) * rel_t + _EPS * (1.0 + abs(t))
         return ValueWithError(val, abs_err / abs(val) if val != 0.0 else math.inf)
     if kind is QuantityKind.P:
         return _p(ctx)
     if kind is QuantityKind.OMEGA:
         p = _p(ctx)
-        return ValueWithError(x * p.value, p.rel_error_bound + _EPS)
+        if _MIN_NORMAL <= p.value < math.inf:
+            return ValueWithError(x * p.value, p.rel_error_bound + _EPS)
+        # P = I K over- or underflows (tiny x, -1 < nu < 0): the Wronskian
+        # I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x gives omega = 1/(r_I + r_K), a sum
+        # of two positive ratios; their absolute errors add, plus two roundings
+        ri, ei = _ratio_i(nu, x)
+        k0, e0, _ = _besselk(nu, x)
+        k1, e1, _ = _besselk(nu + 1.0, x)
+        rk = k1 / k0
+        den = ri + rk
+        return ValueWithError(1.0 / den, (ri * ei + rk * (e0 + e1 + 2.0 * _EPS)) / den + _EPS)
     if kind is QuantityKind.DELTA_I:
         fi = _phi_i(ctx)
-        _, _, vi, ei = _ratio_i(nu, x)  # I_nu as the check route summed it
+        vi, ei, _ = _besseli(nu, x)
         iv = _unscale_i(vi, x)
         val = iv * iv * fi.value  # inf (not OverflowError) when I^2 overflows
         return ValueWithError(val, 2.0 * ei + fi.rel_error_bound + 2.0 * _EPS)
@@ -726,19 +845,21 @@ def _quantity(kind: QuantityKind, ctx: EvalContext) -> ValueWithError:
         val = kv * kv * fk.value
         return ValueWithError(val, 2.0 * ek + fk.rel_error_bound + 2.0 * _EPS)
     if kind is QuantityKind.W:
-        return _shifted(_y(ctx), math.hypot(x, nu), -1.0)
+        return _shifted(*_y_abs(ctx), -1.0, math.hypot(x, nu))
     if kind is QuantityKind.U:
         if x * x + ctx.mu < 0.0:
             raise DomainError(f"quantity 'u' needs x^2 + nu^2 - 1/4 >= 0; got nu={nu}, x={x}")
-        return _shifted(_y(ctx), math.sqrt(x * x + ctx.mu), -1.0)
+        return _shifted(*_y_abs(ctx), -1.0, *_mu_shift(ctx))
     if kind is QuantityKind.LAMBDA:
-        return _shifted(_y(ctx), -math.hypot(x, nu + 1.0), +1.0)
+        return _shifted(*_y_abs(ctx), +1.0, -math.hypot(x, nu + 1.0))
     if kind is QuantityKind.Q:
         if ctx.mu < 0.0:
             raise DomainError(f"quantity 'q' needs mu = nu^2 - 1/4 >= 0; got nu={nu}")
-        return _shifted(_z(ctx), math.sqrt(x * x + ctx.mu), +1.0)
+        z = _z(ctx)
+        return _shifted(z.value, z.abs_error_bound, +1.0, *_mu_shift(ctx))
     if kind is QuantityKind.T:
-        return _shifted(_z(ctx), math.hypot(x, nu), +1.0)
+        z = _z(ctx)
+        return _shifted(z.value, z.abs_error_bound, +1.0, math.hypot(x, nu))
     if kind is QuantityKind.B2HAT:
         fi = _phi_i(ctx)
         val = -1.0 / (x * fi.value)
@@ -751,11 +872,11 @@ def _quantity(kind: QuantityKind, ctx: EvalContext) -> ValueWithError:
         val = 0.25 * x * x / (b + math.hypot(x, b))
         return ValueWithError(val, 6.0 * _EPS)
     if kind is QuantityKind.N_S:
-        r, er, _, _ = _ratio_i(nu, x)
+        r, er = _ratio_i(nu, x)
         return ValueWithError(0.25 * x * r, er + 2.0 * _EPS)
     if kind is QuantityKind.I_RATIO:
         # I_nu/I_{nu-1} = 1/(2 nu/x + r) with r = I_{nu+1}/I_nu
-        r, er, _, _ = _ratio_i(nu, x)
+        r, er = _ratio_i(nu, x)
         a = 2.0 * nu / x + r
         val = 1.0 / a
         return ValueWithError(val, er * r / abs(a) + 4.0 * _EPS)

@@ -606,7 +606,7 @@ def consistency_checks() -> list[CheckRecord]:
         for x in xs:
             num, _ = _i_series(nu + 1.0, x)
             den, _ = _i_series(nu, x)
-            devs.append(abs(_ratio_i_cf(nu, x) - num / den) / (num / den))
+            devs.append(abs(_ratio_i_cf(nu, x)[0] - num / den) / (num / den))
     records.append(_record_max("consistency:ratio_I_dual_path", devs, 1e-10, t0))
 
     t0 = time.perf_counter()

@@ -32,6 +32,17 @@ def test_eval_examples(capsys):
     assert float(out.splitlines()[0].split("=")[-1]) == pytest.approx(0.461926, abs=1e-5)
 
 
+def test_eval_reports_ratio_I_route(capsys):
+    # y is built on ratio_I: the continued fraction below
+    # 30 + max(nu^2, (nu+1)^2), the expansions' quotient above; no I is read
+    for x, route in (("32", "cf1"), ("200", "asymptotic")):
+        rc, out, _ = run(capsys, "eval", "--fn", "y", "--nu", "1", "--x", x)
+        assert rc == 0
+        assert out.splitlines()[-1] == f"paths: ratio_I={route}"
+    rc, out, _ = run(capsys, "eval", "--fn", "deltaI", "--nu", "1", "--x", "32")
+    assert out.splitlines()[-1] == "paths: ratio_I=cf1, I=asymptotic"
+
+
 def test_eval_exit_codes(capsys):
     assert run(capsys, "eval", "--fn", "nosuch", "--nu", "1", "--x", "1")[0] == 2
     assert run(capsys, "eval", "--fn", "I", "--nu", "1")[0] == 2  # missing --x

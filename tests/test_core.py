@@ -325,28 +325,39 @@ def _mp_bessel(nu, x):
     # The I side works at the exact orders nu -+ 1 (the continued fraction and
     # the recurrence for I_{nu-1}/I_nu take nu itself), the K side at the
     # orders as rounded to doubles, as in the K test; I_{-n} = I_n at integer
-    # orders and K_{-v} = K_v, where mpmath's own sums would cancel
+    # orders and K_{-v} = K_v, where mpmath's own sums would cancel.  Below
+    # |nu| ~ 1e-25, 40 digits round nu - 1 (to -1 at the end), while near the
+    # pole of 1/Gamma(nu) I_{nu-1} at tiny x turns on nu's last bits: there
+    # I_{nu-1} = I_{nu+1} + (2 nu/x) I_nu, exact in nu
     from mpmath import besseli, besselk, mp, mpf
 
     mp.dps = 40
     m, xm = mpf(nu), mpf(x)
-    im, i0, i1 = (besseli(abs(o) if o == int(o) else o, xm) for o in (m - 1, m, m + 1))
+    i0, i1 = (besseli(abs(o) if o == int(o) else o, xm) for o in (m, m + 1))
+    o = m - 1
+    if o + 1 == m:
+        im = besseli(abs(o) if o == int(o) else o, xm)
+    else:
+        im = i1 + 2 * m / xm * i0
     km, k0, k1 = (besselk(abs(mpf(o)), xm) for o in (nu - 1.0, nu, nu + 1.0))
     return m, xm, im, i0, i1, km, k0, k1
 
 
-# the tags whose value or claim goes through ratio_I
-_ON_RATIO_I = {"ratio_I", "y", "phiI", "phiP", "deltaI", "w", "u", "lambda", "b2hat", "ns", "iratio"}
+# where ratio_I changes route: tiny x, where the continued fraction's start
+# 1e-30 stops being negligible, and one ulp either side of the switch to the
+# expansions' quotient, 30 + max(nu^2, (nu+1)^2)
+_RATIO_I_EDGES = (
+    *[(nu, x) for nu in (0.0, 15.3) for x in (1e-25, 2.8e-67, 5e-324)],
+    *[(nu, math.nextafter(30.0 + max(nu * nu, (nu + 1.0) ** 2), to))
+      for nu in (-0.7, 2.5, 15.3) for to in (0.0, math.inf)],
+)
 
 
 def _assert_claims_cover(cases, nu, x, domain_ok):
     # cases: tag -> (evaluation, 40-digit value, the I or K it needs).
     # DomainError only where domain_ok(tag) says so.  AccuracyError only where
-    # the value or a needed I or K is not a normal double; for I at nu < -1,
-    # where the power series cancels below the target accuracy; and for the
-    # tags built on ratio_I at x < 1e-18, where the continued fraction's start
-    # value 1e-30 is no longer negligible against I_{nu+1}/I_nu ~ x/(2nu+2)
-    # and the routes part (CrossCheckError)
+    # the value or a needed I or K is not a normal double, and for I at
+    # nu < -1, where the power series cancels below the target accuracy
     for tag, (evaluate, reference, needs) in cases.items():
         try:
             v = evaluate()
@@ -354,8 +365,7 @@ def _assert_claims_cover(cases, nu, x, domain_ok):
             assert domain_ok(tag), tag
             continue
         except AccuracyError:
-            assert (not all(map(_normal, (*needs, reference()))) or (tag == "I" and nu < -1.0)
-                    or (tag in _ON_RATIO_I and x < 1e-18)), tag
+            assert not all(map(_normal, (*needs, reference()))) or (tag == "I" and nu < -1.0), tag
             continue
         if v.value == 0.0 and v.rel_error_bound == math.inf:
             continue  # an exact 0 from cancellation claims nothing (0 * inf is nan)
@@ -375,6 +385,7 @@ def _assert_claims_cover(cases, nu, x, domain_ok):
     (2.5, 36.25), (2.5, math.nextafter(36.25, 0.0)),  # I's switch, 30 + nu^2
     (15.3, 30.0 + 15.3 * 15.3), (15.3, math.nextafter(30.0 + 15.3 * 15.3, 0.0)),
     *[(nu, x) for nu in _LADDER_EDGES for x in (2.0, math.nextafter(2.0, 0.0))],
+    *_RATIO_I_EDGES,
 ])
 def test_I_and_ratio_claims_cover_actual_error(nu, x):
     # |error| <= rel_error_bound against 40-digit mpmath for eval_I, ratio_I
@@ -405,6 +416,9 @@ def test_I_and_ratio_claims_cover_actual_error(nu, x):
     (0.0, 360.0),  # I^2 overflows: deltaI refuses
     (4.69, 360.59),  # K^2 phiK subnormal: deltaK refuses
     (0.2, 0.1),  # x^2 + mu < 0: u out of its domain
+    (0.500001, 1e-5), (-0.500001, 1e-5),  # x^2 + mu small: the rounding of mu dominates u and q
+    (-0.5, 5e-324),  # P = I K overflows: omega from the Wronskian
+    *_RATIO_I_EDGES,
 ])
 def test_remaining_quantity_claims_cover_actual_error(nu, x):
     # |error| <= rel_error_bound against 40-digit mpmath for the QuantityKinds
@@ -428,7 +442,9 @@ def test_remaining_quantity_claims_cover_actual_error(nu, x):
         QK.OMEGA: (lambda: xm * i0 * k0, (i0, k0, i0 * k0)),
         QK.DELTA_I: (lambda: i0**2 - im * i1, (*i_side, i0**2)),
         QK.Z: (z, k_side),
-        QK.PHI_P: (lambda: phi_i() + phi_k() - phi_i() * phi_k(), i_side + k_side),
+        # 1 - (1 - phiI)(1 - phiK): phiI + phiK - phiI phiK loses the 40 digits
+        # where phiK overflows doubles and 1 - phiI is as small as nu
+        QK.PHI_P: (lambda: 1 - im * i1 / i0**2 * (km * k1 / k0**2), i_side + k_side),
         QK.DELTA_K: (lambda: k0**2 - km * k1, (*k_side, k0**2)),
         QK.W: (lambda: sqrt(xm**2 + m**2) - y(), i_side),
         QK.U: (lambda: sqrt(xm**2 + mu) - y(), i_side),
@@ -452,8 +468,8 @@ def test_remaining_quantity_claims_cover_actual_error(nu, x):
 
 
 def test_deltaI_sums_each_series_once(monkeypatch):
-    # deltaI takes I_nu from ratio_I's check route: one power series per
-    # order (nu and nu + 1), none summed again for I_nu itself
+    # ratio_I takes the continued fraction below the switch and sums no
+    # series; deltaI sums one, for I_nu
     from besselbounds import core
 
     calls = []
@@ -468,5 +484,5 @@ def test_deltaI_sums_each_series_once(monkeypatch):
         cached.cache_clear()
     ctx = EvalContext(15.3, 200.0)  # below the switch 30 + nu^2 for both orders
     v = core.quantity(core.QuantityKind.DELTA_I, ctx)
-    assert sorted(calls) == [15.3, 16.3]
+    assert calls == [15.3]
     assert v.value == eval_I(ctx).value ** 2 * core.quantity(core.QuantityKind.PHI_I, ctx).value
