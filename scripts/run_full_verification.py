@@ -1,53 +1,46 @@
 #!/usr/bin/env python3
 """Full reproduction run: every verification suite plus the figure data.
 
-Writes into --outdir (default ./out):
+Writes into --outdir (default ./out), each file by the besselbounds CLI:
     verify_all.json   complete verification report (all suites, full grids)
     fig1.csv fig2.csv fig3.csv   quantity-vs-bounds figure data
     catalog.json      the bounds catalog as machine-readable metadata
 
-Exit code 0 iff every non-informational check passes.
+--seed and --pairs are passed to ``besselbounds verify``, which checks them.
+Exit code 0 iff every non-informational check passes, 2 on a usage error.
 """
 
 import argparse
-import json
+import contextlib
+import io
 import sys
-import time
 from pathlib import Path
 
-from besselbounds.catalog import catalog_rows
-from besselbounds.cli import FIGURES, CliConfig, cmd_figure
-from besselbounds.harness import VerifyConfig, run_all
+from besselbounds import cli
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--outdir", default="out")
-    ap.add_argument("--seed", type=int, default=VerifyConfig.seed)
-    ap.add_argument("--pairs", type=int, default=VerifyConfig.random_pairs)
-    args = ap.parse_args()
+    ap.add_argument("--seed", help="verify --seed (default: the CLI's)")
+    ap.add_argument("--pairs", help="verify --pairs (default: the CLI's)")
+    args = ap.parse_args(argv)
 
     outdir = Path(args.outdir)
+    verify = ["verify", "--suite", "all", "--out", str(outdir / "verify_all.json")]
+    for flag, value in (("--seed", args.seed), ("--pairs", args.pairs)):
+        if value is not None:
+            verify += [flag, value]
     outdir.mkdir(parents=True, exist_ok=True)
-
-    t0 = time.perf_counter()
-    report = run_all(VerifyConfig(seed=args.seed, random_pairs=args.pairs))
-    (outdir / "verify_all.json").write_text(
-        json.dumps(report.to_json_dict(), indent=2) + "\n")
-    s = report.summary
-    print(f"verification: {s['pass']} pass, {s['fail']} fail, {s['info']} info "
-          f"({time.perf_counter() - t0:.1f}s)")
-    for c in report.checks:
-        if c.status == "fail":
-            print(f"  FAIL {c.check_id} (max violation {c.max_violation:.3e})")
-
-    for fig_id in sorted(FIGURES):
-        cmd_figure(CliConfig(command="figure", figure_id=fig_id,
-                             out=str(outdir / f"{fig_id}.csv")))
-
-    (outdir / "catalog.json").write_text(json.dumps(catalog_rows(), indent=2) + "\n")
+    rc = cli.main(verify)
+    if rc == 2:
+        return 2
+    for fig_id in sorted(cli.FIGURES):
+        rc = max(rc, cli.main(["figure", fig_id, "--out", str(outdir / f"{fig_id}.csv")]))
+    with contextlib.redirect_stdout(io.StringIO()):  # the listing itself is not wanted
+        rc = max(rc, cli.main(["bounds", "list", "--json", str(outdir / "catalog.json")]))
     print(f"artifacts in {outdir}/")
-    return 0 if report.passed else 1
+    return rc
 
 
 if __name__ == "__main__":

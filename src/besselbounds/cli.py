@@ -25,6 +25,7 @@ from .core import (
     I_PATHS,
     K_PATHS,
     RATIO_I_PATHS,
+    QUANTITIES,
     QuantityKind,
     dual_path_checks,
     eval_I,
@@ -34,37 +35,9 @@ from .core import (
 )
 from .harness import SUITE_NAMES, VerifyConfig, run_suite
 
-__all__ = ["main", "CliConfig", "FigureSpec", "FIGURES"]
+__all__ = ["main", "FigureSpec", "FIGURES"]
 
 _FN_TAGS = ("I", "K") + tuple(k.value for k in QuantityKind)
-# which base evaluations feed each quantity (for the path report)
-_NEEDS_RATIO_I = {"y", "phiI", "phiP", "deltaI", "w", "u", "lambda", "b2hat",
-                  "ns", "iratio"}
-_NEEDS_I = {"I", "P", "omega", "deltaI"}
-_NEEDS_K = {"z", "phiK", "phiP", "P", "omega", "deltaK", "q", "t", "veff",
-            "kratio", "K"}
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """One parsed invocation; grid counts >= 2 enforced at parse time."""
-
-    command: str
-    fn: str | None = None
-    nu: float = 0.0
-    x: float = 1.0
-    quantity: str | None = None
-    status: str | None = None
-    bound_ids: tuple[str, ...] = ()
-    suite: str = "all"
-    figure_id: str | None = None
-    out: str | None = None
-    json_path: str | None = None
-    target_rel_err: float = 1e-12
-    seed: int = VerifyConfig.seed
-    pairs: int = VerifyConfig.random_pairs
-    x_grid: tuple[float, float, int, str] = (1e-3, 100.0, 200, "log")
-    inject_error: bool = False
 
 
 @dataclass(frozen=True)
@@ -76,7 +49,9 @@ class FigureSpec:
     nu: float
     x_max: float
     bound_ids: tuple[str, ...]
-    points: int = 400
+
+
+FIGURE_POINTS = 400  # rows per figure, at x = x_max k / FIGURE_POINTS, k = 1 .. FIGURE_POINTS
 
 
 FIGURES = {
@@ -106,45 +81,38 @@ def _out_path(name: str, explicit: str | None) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_eval(cfg: CliConfig) -> int:
-    fn = "lambda" if cfg.fn == "lam" else cfg.fn
+def cmd_eval(args: argparse.Namespace) -> int:
+    fn = "lambda" if args.fn == "lam" else args.fn
     try:
-        ctx = EvalContext(cfg.nu, cfg.x)
+        ctx = EvalContext(args.nu, args.x)
         if fn == "I":
-            v = eval_I(ctx, cfg.target_rel_err)
+            v = eval_I(ctx, args.target_rel_err)
         elif fn == "K":
-            v = eval_K(ctx, cfg.target_rel_err)
+            v = eval_K(ctx, args.target_rel_err)
         else:
             v = quantity(QuantityKind(fn), ctx)
     except (DomainError, AccuracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    paths = []
-    if fn in _NEEDS_RATIO_I:
-        paths.append(f"ratio_I={evaluation_path('ratio_I', cfg.nu, cfg.x)}")
-    if fn in _NEEDS_I:
-        paths.append(f"I={evaluation_path('I', cfg.nu, cfg.x)}")
-    if fn in _NEEDS_K:
-        paths.append(f"K={evaluation_path('K', cfg.nu, cfg.x)}")
-    if not paths:
-        paths.append("arithmetic")
-    print(f"{fn}(nu={cfg.nu:g}, x={cfg.x:g}) = {_fmt(v.value)}")
+    reads = (fn,) if fn in ("I", "K") else QUANTITIES[QuantityKind(fn)].reads
+    paths = [f"{r}={evaluation_path(r, args.nu, args.x)}" for r in reads] or ["arithmetic"]
+    print(f"{fn}(nu={args.nu:g}, x={args.x:g}) = {_fmt(v.value)}")
     print(f"rel_error_bound = {v.rel_error_bound:.3e}")
     print(f"paths: {', '.join(paths)}")
     return 0
 
 
-def cmd_bounds_at(cfg: CliConfig) -> int:
-    q = QuantityKind(cfg.quantity)
-    statuses = (cfg.status,) if cfg.status else ("proved", "conjecture", "refuted")
-    evs = cat.applicable(q, cfg.nu, cfg.x, statuses=statuses)
+def cmd_bounds_at(args: argparse.Namespace) -> int:
+    q = QuantityKind(args.quantity)
+    statuses = (args.status,) if args.status else ("proved", "conjecture", "refuted")
+    evs = cat.applicable(q, args.nu, args.x, statuses=statuses)
     if not evs:
-        print(f"no cataloged bounds apply to {q.value} at nu={cfg.nu:g}, x={cfg.x:g}")
+        print(f"no cataloged bounds apply to {q.value} at nu={args.nu:g}, x={args.x:g}")
         return 0
-    lo, hi = cat.best_bounds(q, cfg.nu, cfg.x)
+    lo, hi = cat.best_bounds(q, args.nu, args.x)
     try:
-        true = quantity(q, EvalContext(cfg.nu, cfg.x))
-        print(f"{q.value}(nu={cfg.nu:g}, x={cfg.x:g}) = {_fmt(true.value)}")
+        true = quantity(q, EvalContext(args.nu, args.x))
+        print(f"{q.value}(nu={args.nu:g}, x={args.x:g}) = {_fmt(true.value)}")
     except (DomainError, AccuracyError) as exc:
         print(f"{q.value} not evaluable here ({exc})")
     print(f"{'id':24} {'side':5} {'status':10} {'value':>24}  best")
@@ -158,24 +126,24 @@ def cmd_bounds_at(cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_bounds_list(cfg: CliConfig) -> int:
+def cmd_bounds_list(args: argparse.Namespace) -> int:
     rows = cat.catalog_rows()
-    if cfg.status:
-        rows = [r for r in rows if r["status"] == cfg.status]
-    if cfg.quantity:
-        rows = [r for r in rows if r["quantity"] == cfg.quantity]
-    if cfg.bound_ids:
-        missing = set(cfg.bound_ids) - {r["id"] for r in cat.catalog_rows()}
+    if args.status:
+        rows = [r for r in rows if r["status"] == args.status]
+    if args.quantity:
+        rows = [r for r in rows if r["quantity"] == args.quantity]
+    if args.bound_ids:
+        missing = set(args.bound_ids) - {r["id"] for r in cat.catalog_rows()}
         if missing:
             print(f"error: unknown bound id(s): {', '.join(sorted(missing))}", file=sys.stderr)
             return 1
-        rows = [r for r in rows if r["id"] in cfg.bound_ids]
+        rows = [r for r in rows if r["id"] in args.bound_ids]
     for r in rows:
         guard = "  [guarded]" if r["guard_note"] else ""
         print(f"{r['id']:24} {r['quantity']:7} {r['side']:5} {r['status']:10} "
               f"domain: {r['domain']:42} {r['formula']}{guard}")
-    if cfg.json_path:
-        path = _out_path("catalog.json", cfg.json_path)
+    if args.json_path:
+        path = _out_path("catalog.json", args.json_path)
         with open(path, "w", newline="\n") as f:
             json.dump(rows, f, indent=2)
             f.write("\n")
@@ -183,14 +151,14 @@ def cmd_bounds_list(cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: CliConfig) -> int:
-    lo, hi, n, scale = cfg.x_grid
-    vcfg = VerifyConfig(seed=cfg.seed, random_pairs=cfg.pairs,
+def cmd_verify(args: argparse.Namespace) -> int:
+    lo, hi, n, scale = args.x_grid
+    vcfg = VerifyConfig(seed=args.seed, random_pairs=args.pairs,
                         x_points=n, x_lo=lo, x_hi=hi, scale=scale)
     t0 = time.perf_counter()
-    report = run_suite(cfg.suite, vcfg)
+    report = run_suite(args.suite, vcfg)
     dt = time.perf_counter() - t0
-    path = _out_path(f"verify_{cfg.suite}.json", cfg.out)
+    path = _out_path(f"verify_{args.suite}.json", args.out)
     try:
         with open(path, "w", newline="\n") as f:
             json.dump(report.to_json_dict(), f, indent=2)
@@ -199,7 +167,7 @@ def cmd_verify(cfg: CliConfig) -> int:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 1
     s = report.summary
-    print(f"suite={cfg.suite} checks={len(report.checks)} "
+    print(f"suite={args.suite} checks={len(report.checks)} "
           f"pass={s['pass']} fail={s['fail']} info={s['info']} ({dt:.1f}s)")
     for c in report.checks:
         if c.status == "fail":
@@ -212,15 +180,15 @@ def cmd_verify(cfg: CliConfig) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_figure(cfg: CliConfig) -> int:
-    spec = FIGURES[cfg.figure_id]
-    path = _out_path(f"{spec.figure_id}.csv", cfg.out)
+def cmd_figure(args: argparse.Namespace) -> int:
+    spec = FIGURES[args.figure_id]
+    path = _out_path(f"{spec.figure_id}.csv", args.out)
     header = ["x", spec.quantity.value] + list(spec.bound_ids)
     try:
         with open(path, "w", newline="\n") as f:
             f.write(",".join(header) + "\n")
-            for k in range(1, spec.points + 1):
-                x = k * spec.x_max / spec.points
+            for k in range(1, FIGURE_POINTS + 1):
+                x = k * spec.x_max / FIGURE_POINTS
                 row = [_fmt(x), _fmt(quantity(spec.quantity, EvalContext(spec.nu, x)).value)]
                 for bid in spec.bound_ids:
                     row.append(_fmt(cat.evaluate_bound(bid, spec.nu, x).value))
@@ -228,15 +196,15 @@ def cmd_figure(cfg: CliConfig) -> int:
     except OSError as exc:
         print(f"error: cannot write figure data: {exc}", file=sys.stderr)
         return 1
-    print(f"{spec.figure_id}: {spec.points} rows written to {path}")
+    print(f"{spec.figure_id}: {FIGURE_POINTS} rows written to {path}")
     return 0
 
 
-def cmd_selftest(cfg: CliConfig) -> int:
+def cmd_selftest(args: argparse.Namespace) -> int:
     """Closed-form checks; runs in well under a second."""
     t0 = time.perf_counter()
     failures = []
-    perturb = 1.0 + (1e-6 if cfg.inject_error else 0.0)
+    perturb = 1.0 + (1e-6 if args.inject_error else 0.0)
     xs = (0.3, 1.0, 2.5, 7.0, 20.0)
     for x in xs:
         got = eval_I(EvalContext(0.5, x)).value * perturb
@@ -360,31 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _to_config(args: argparse.Namespace) -> CliConfig:
-    get = lambda name, default: getattr(args, name, default)
-    command = args.command
-    if command == "bounds":
-        command = f"bounds {args.bounds_command}"
-    return CliConfig(
-        command=command,
-        fn=get("fn", None),
-        nu=get("nu", 0.0),
-        x=get("x", 1.0),
-        quantity=get("quantity", None),
-        status=get("status", None),
-        bound_ids=tuple(get("bound_ids", [])),
-        suite=get("suite", "all"),
-        figure_id=get("figure_id", None),
-        out=get("out", None),
-        json_path=get("json_path", None),
-        target_rel_err=get("target_rel_err", 1e-12),
-        seed=get("seed", VerifyConfig.seed),
-        pairs=get("pairs", VerifyConfig.random_pairs),
-        x_grid=get("x_grid", (1e-3, 100.0, 200, "log")),
-        inject_error=get("inject_error", False),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -392,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.run(_to_config(args))
+        return args.run(args)
     except (DomainError, AccuracyError, cat.UnknownBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

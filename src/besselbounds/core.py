@@ -58,6 +58,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Callable
 
 __all__ = [
     "SUPPORTED_NU",
@@ -69,6 +70,8 @@ __all__ = [
     "EvalContext",
     "ValueWithError",
     "QuantityKind",
+    "QuantitySpec",
+    "QUANTITIES",
     "QUANTITY_EXPRESSIONS",
     "I_PATHS",
     "K_PATHS",
@@ -638,55 +641,6 @@ class QuantityKind(str, Enum):
     K_RATIO = "kratio"
 
 
-QUANTITY_EXPRESSIONS: dict[QuantityKind, str] = {
-    QuantityKind.Y: "x*I'(nu,x)/I(nu,x)",
-    QuantityKind.Z: "x*K'(nu,x)/K(nu,x)",
-    QuantityKind.PHI_I: "1 - I(nu-1,x)*I(nu+1,x)/I(nu,x)^2",
-    QuantityKind.PHI_K: "1 - K(nu-1,x)*K(nu+1,x)/K(nu,x)^2",
-    QuantityKind.PHI_P: "1 - P(nu-1,x)*P(nu+1,x)/P(nu,x)^2 = phiI + phiK - phiI*phiK",
-    QuantityKind.P: "I(nu,x)*K(nu,x)",
-    QuantityKind.OMEGA: "x*I(nu,x)*K(nu,x)",
-    QuantityKind.DELTA_I: "I(nu,x)^2 - I(nu-1,x)*I(nu+1,x) = I(nu,x)^2*phiI",
-    QuantityKind.DELTA_K: "K(nu,x)^2 - K(nu-1,x)*K(nu+1,x) = K(nu,x)^2*phiK",
-    QuantityKind.W: "sqrt(x^2+nu^2) - y",
-    QuantityKind.U: "sqrt(x^2+mu) - y,  mu = nu^2 - 1/4",
-    QuantityKind.LAMBDA: "y - sqrt(x^2+(nu+1)^2)",
-    QuantityKind.Q: "z + sqrt(x^2+mu),  mu = nu^2 - 1/4",
-    QuantityKind.T: "z + sqrt(x^2+nu^2)",
-    QuantityKind.B2HAT: "-1/(x*phiI)",
-    QuantityKind.V_EFF: "K(nu-1,x)*K(nu+1,x)/K(nu,x)^2 - 1 = -phiK  (nu=mu_gig, x=1/w_gig)",
-    QuantityKind.N_C: "(x^2/4)/(nu+1+sqrt(x^2+(nu+1)^2))",
-    QuantityKind.N_S: "(x/4)*I(nu+1,x)/I(nu,x)",
-    QuantityKind.I_RATIO: "I(nu,x)/I(nu-1,x)",
-    QuantityKind.K_RATIO: "K(nu,x)/K(nu-1,x)",
-}
-
-# minimal order for each kind (None = whole supported range); the I-side
-# quantities need I_nu > 0, hence nu >= -1 via the integer-order symmetry
-_MIN_NU: dict[QuantityKind, float | None] = {
-    QuantityKind.Y: -1.0,
-    QuantityKind.Z: None,
-    QuantityKind.PHI_I: -1.0,
-    QuantityKind.PHI_K: None,
-    QuantityKind.PHI_P: -1.0,
-    QuantityKind.P: -1.0,
-    QuantityKind.OMEGA: -1.0,
-    QuantityKind.DELTA_I: -1.0,
-    QuantityKind.DELTA_K: None,
-    QuantityKind.W: -1.0,
-    QuantityKind.U: -1.0,
-    QuantityKind.LAMBDA: -1.0,
-    QuantityKind.Q: None,
-    QuantityKind.T: None,
-    QuantityKind.B2HAT: 0.0,
-    QuantityKind.V_EFF: None,
-    QuantityKind.N_C: -1.0,
-    QuantityKind.N_S: -1.0,
-    QuantityKind.I_RATIO: 0.0,
-    QuantityKind.K_RATIO: None,
-}
-
-
 def _phi_i(ctx: EvalContext) -> ValueWithError:
     # phiI = 1 - (I_{nu-1}/I_nu)(I_{nu+1}/I_nu) with
     # I_{nu-1}/I_nu = 2 nu/x + r via the three-term recurrence; never forms
@@ -765,10 +719,169 @@ def _mu_shift(ctx: EvalContext) -> tuple[float, float]:
     return s, d / s if d < t else math.sqrt(d)
 
 
+def _phi_p(ctx: EvalContext) -> ValueWithError:
+    fi = _phi_i(ctx)
+    fk = _phi_k(ctx)
+    if math.isfinite(fk.value):
+        val = fi.value + fk.value - fi.value * fk.value
+        abs_err = fi.abs_error_bound * (1.0 + abs(fk.value)) + fk.abs_error_bound * (1.0 + abs(fi.value))
+        return ValueWithError(val, abs_err / abs(val) if val != 0.0 else math.inf)
+    # 1 - phiK = a_K r_K = (K_{nu-1}/K_nu)(K_{nu+1}/K_nu) overflows (x below
+    # about 1e-154), while 1 - phiI = a_I r_I may be as small as nu or x^2:
+    # phiP = 1 - T, T = a_I r_I a_K r_K, whose partial products may leave
+    # the double range where T does not, so the exponents are summed apart
+    nu, x = ctx.nu, ctx.x
+    r, er = _ratio_i(nu, x)
+    a = 2.0 * nu / x + r
+    km, em, k0, e0, rk, erk = _k_ladder(nu, x)
+    t, e = 1.0, 0
+    for f in (a, r, km / k0, rk):
+        fm, fe = math.frexp(f)
+        t, e = t * fm, e + fe
+    if e > sys.float_info.max_exp:
+        raise AccuracyError(f"quantity 'phiP' overflows at nu={nu}, x={x}")
+    t = math.ldexp(t, e)
+    rel_t = (r * er + 2.0 * _EPS * (abs(2.0 * nu / x) + r)) / abs(a) + er + em + e0 + erk + 4.0 * _EPS
+    val = 1.0 - t
+    abs_err = abs(t) * rel_t + _EPS * (1.0 + abs(t))
+    return ValueWithError(val, abs_err / abs(val) if val != 0.0 else math.inf)
+
+
+def _omega(ctx: EvalContext) -> ValueWithError:
+    p = _p(ctx)
+    if _MIN_NORMAL <= p.value < math.inf:
+        return ValueWithError(ctx.x * p.value, p.rel_error_bound + _EPS)
+    # P = I K over- or underflows (tiny x, -1 < nu < 0): the Wronskian
+    # I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x gives omega = 1/(r_I + r_K), a sum
+    # of two positive ratios; their absolute errors add, plus two roundings
+    ri, ei = _ratio_i(ctx.nu, ctx.x)
+    k0, e0, _ = _besselk(ctx.nu, ctx.x)
+    k1, e1, _ = _besselk(ctx.nu + 1.0, ctx.x)
+    rk = k1 / k0
+    den = ri + rk
+    return ValueWithError(1.0 / den, (ri * ei + rk * (e0 + e1 + 2.0 * _EPS)) / den + _EPS)
+
+
+def _delta_i(ctx: EvalContext) -> ValueWithError:
+    fi = _phi_i(ctx)
+    vi, ei, _ = _besseli(ctx.nu, ctx.x)
+    iv = _unscale_i(vi, ctx.x)
+    val = iv * iv * fi.value  # inf (not OverflowError) when I^2 overflows
+    return ValueWithError(val, 2.0 * ei + fi.rel_error_bound + 2.0 * _EPS)
+
+
+def _delta_k(ctx: EvalContext) -> ValueWithError:
+    fk = _phi_k(ctx)
+    _, _, vk, ek, _, _ = _k_ladder(ctx.nu, ctx.x)
+    kv = _unscale_k(vk, ctx.x)
+    val = kv * kv * fk.value
+    return ValueWithError(val, 2.0 * ek + fk.rel_error_bound + 2.0 * _EPS)
+
+
+def _u(ctx: EvalContext) -> ValueWithError:
+    if ctx.x * ctx.x + ctx.mu < 0.0:
+        raise DomainError(f"quantity 'u' needs x^2 + nu^2 - 1/4 >= 0; got nu={ctx.nu}, x={ctx.x}")
+    return _shifted(*_y_abs(ctx), -1.0, *_mu_shift(ctx))
+
+
+def _q(ctx: EvalContext) -> ValueWithError:
+    if ctx.mu < 0.0:
+        raise DomainError(f"quantity 'q' needs mu = nu^2 - 1/4 >= 0; got nu={ctx.nu}")
+    z = _z(ctx)
+    return _shifted(z.value, z.abs_error_bound, +1.0, *_mu_shift(ctx))
+
+
+def _t(ctx: EvalContext) -> ValueWithError:
+    z = _z(ctx)
+    return _shifted(z.value, z.abs_error_bound, +1.0, math.hypot(ctx.x, ctx.nu))
+
+
+def _b2hat(ctx: EvalContext) -> ValueWithError:
+    fi = _phi_i(ctx)
+    return ValueWithError(-1.0 / (ctx.x * fi.value), fi.rel_error_bound + 2.0 * _EPS)
+
+
+def _veff(ctx: EvalContext) -> ValueWithError:
+    fk = _phi_k(ctx)
+    return ValueWithError(-fk.value, fk.rel_error_bound)
+
+
+def _nc(ctx: EvalContext) -> ValueWithError:
+    # x times x / (b + hypot) <= 1 is formed last: x^2 alone would leave the
+    # normal range below x ~ 1e-154 though nc = x/4 at nu = -1 does not
+    b = ctx.nu + 1.0
+    return ValueWithError(0.25 * ctx.x * (ctx.x / (b + math.hypot(ctx.x, b))), 6.0 * _EPS)
+
+
+def _ns(ctx: EvalContext) -> ValueWithError:
+    r, er = _ratio_i(ctx.nu, ctx.x)
+    return ValueWithError(0.25 * ctx.x * r, er + 2.0 * _EPS)
+
+
+def _iratio(ctx: EvalContext) -> ValueWithError:
+    # I_nu/I_{nu-1} = 1/(2 nu/x + r) with r = I_{nu+1}/I_nu
+    r, er = _ratio_i(ctx.nu, ctx.x)
+    a = 2.0 * ctx.nu / ctx.x + r
+    return ValueWithError(1.0 / a, er * r / abs(a) + 4.0 * _EPS)
+
+
+def _kratio(ctx: EvalContext) -> ValueWithError:
+    km, em, k0, e0, _, _ = _k_ladder(ctx.nu, ctx.x)
+    return ValueWithError(k0 / km, e0 + em + 2.0 * _EPS)
+
+
+@dataclass(frozen=True)
+class QuantitySpec:
+    """One derived quantity: its expression, the least order it takes, the base
+    results it reads ("ratio_I", "I", "K": the paths ``eval`` reports) and its
+    evaluator.  The I-side quantities need I_nu > 0, hence nu >= -1 via the
+    integer-order symmetry; the K side takes every supported order."""
+
+    expression: str
+    min_nu: float
+    reads: tuple[str, ...]
+    evaluate: Callable[[EvalContext], ValueWithError]
+
+
+_RI, _K = ("ratio_I",), ("K",)  # the rows' common reads
+QUANTITIES: dict[QuantityKind, QuantitySpec] = {
+    QuantityKind.Y: QuantitySpec("x*I'(nu,x)/I(nu,x)", -1.0, _RI, _y),
+    QuantityKind.Z: QuantitySpec("x*K'(nu,x)/K(nu,x)", -math.inf, _K, _z),
+    QuantityKind.PHI_I: QuantitySpec("1 - I(nu-1,x)*I(nu+1,x)/I(nu,x)^2", -1.0, _RI, _phi_i),
+    QuantityKind.PHI_K: QuantitySpec("1 - K(nu-1,x)*K(nu+1,x)/K(nu,x)^2", -math.inf, _K, _phi_k),
+    QuantityKind.PHI_P: QuantitySpec("1 - P(nu-1,x)*P(nu+1,x)/P(nu,x)^2 = phiI + phiK - phiI*phiK",
+                                     -1.0, ("ratio_I", "K"), _phi_p),
+    QuantityKind.P: QuantitySpec("I(nu,x)*K(nu,x)", -1.0, ("I", "K"), _p),
+    QuantityKind.OMEGA: QuantitySpec("x*I(nu,x)*K(nu,x)", -1.0, ("I", "K"), _omega),
+    QuantityKind.DELTA_I: QuantitySpec("I(nu,x)^2 - I(nu-1,x)*I(nu+1,x) = I(nu,x)^2*phiI",
+                                       -1.0, ("ratio_I", "I"), _delta_i),
+    QuantityKind.DELTA_K: QuantitySpec("K(nu,x)^2 - K(nu-1,x)*K(nu+1,x) = K(nu,x)^2*phiK",
+                                       -math.inf, _K, _delta_k),
+    QuantityKind.W: QuantitySpec("sqrt(x^2+nu^2) - y", -1.0, _RI,
+                                 lambda c: _shifted(*_y_abs(c), -1.0, math.hypot(c.x, c.nu))),
+    QuantityKind.U: QuantitySpec("sqrt(x^2+mu) - y,  mu = nu^2 - 1/4", -1.0, _RI, _u),
+    QuantityKind.LAMBDA: QuantitySpec("y - sqrt(x^2+(nu+1)^2)", -1.0, _RI,
+                                      lambda c: _shifted(*_y_abs(c), +1.0, -math.hypot(c.x, c.nu + 1.0))),
+    QuantityKind.Q: QuantitySpec("z + sqrt(x^2+mu),  mu = nu^2 - 1/4", -math.inf, _K, _q),
+    QuantityKind.T: QuantitySpec("z + sqrt(x^2+nu^2)", -math.inf, _K, _t),
+    QuantityKind.B2HAT: QuantitySpec("-1/(x*phiI)", 0.0, _RI, _b2hat),
+    QuantityKind.V_EFF: QuantitySpec("K(nu-1,x)*K(nu+1,x)/K(nu,x)^2 - 1 = -phiK  (nu=mu_gig, x=1/w_gig)",
+                                     -math.inf, _K, _veff),
+    QuantityKind.N_C: QuantitySpec("(x^2/4)/(nu+1+sqrt(x^2+(nu+1)^2))", -1.0, (), _nc),
+    QuantityKind.N_S: QuantitySpec("(x/4)*I(nu+1,x)/I(nu,x)", -1.0, _RI, _ns),
+    QuantityKind.I_RATIO: QuantitySpec("I(nu,x)/I(nu-1,x)", 0.0, _RI, _iratio),
+    QuantityKind.K_RATIO: QuantitySpec("K(nu,x)/K(nu-1,x)", -math.inf, _K, _kratio),
+}
+QUANTITY_EXPRESSIONS: dict[QuantityKind, str] = {k: q.expression for k, q in QUANTITIES.items()}
+
+
 def quantity(kind: QuantityKind, ctx: EvalContext) -> ValueWithError:
     """Evaluate one derived quantity at (nu, x) with a propagated error bound."""
     kind = QuantityKind(kind)
-    v = _quantity(kind, ctx)
+    spec = QUANTITIES[kind]
+    if ctx.nu < spec.min_nu:
+        raise DomainError(f"quantity {kind.value!r} needs nu >= {spec.min_nu}; got nu={ctx.nu}")
+    v = spec.evaluate(ctx)
     # products and quotients of representable factors may still overflow, or
     # underflow below the normal range where they lose bits their claim keeps;
     # an exact 0 stands only with an infinite claim
@@ -776,114 +889,6 @@ def quantity(kind: QuantityKind, ctx: EvalContext) -> ValueWithError:
     if not (_MIN_NORMAL <= abs(val) < math.inf or (val == 0.0 and rel == math.inf)) or math.isnan(rel):
         raise AccuracyError(f"quantity {kind.value!r} not representable at nu={ctx.nu}, x={ctx.x}")
     return v
-
-
-def _quantity(kind: QuantityKind, ctx: EvalContext) -> ValueWithError:
-    min_nu = _MIN_NU[kind]
-    if min_nu is not None and ctx.nu < min_nu:
-        raise DomainError(f"quantity {kind.value!r} needs nu >= {min_nu}; got nu={ctx.nu}")
-    nu, x = ctx.nu, ctx.x
-
-    if kind is QuantityKind.Y:
-        return _y(ctx)
-    if kind is QuantityKind.Z:
-        return _z(ctx)
-    if kind is QuantityKind.PHI_I:
-        return _phi_i(ctx)
-    if kind is QuantityKind.PHI_K:
-        return _phi_k(ctx)
-    if kind is QuantityKind.PHI_P:
-        fi = _phi_i(ctx)
-        fk = _phi_k(ctx)
-        if math.isfinite(fk.value):
-            val = fi.value + fk.value - fi.value * fk.value
-            abs_err = fi.abs_error_bound * (1.0 + abs(fk.value)) + fk.abs_error_bound * (1.0 + abs(fi.value))
-            return ValueWithError(val, abs_err / abs(val) if val != 0.0 else math.inf)
-        # 1 - phiK = a_K r_K = (K_{nu-1}/K_nu)(K_{nu+1}/K_nu) overflows (x below
-        # about 1e-154), while 1 - phiI = a_I r_I may be as small as nu or x^2:
-        # phiP = 1 - T, T = a_I r_I a_K r_K, whose partial products may leave
-        # the double range where T does not, so the exponents are summed apart
-        r, er = _ratio_i(nu, x)
-        a = 2.0 * nu / x + r
-        km, em, k0, e0, rk, erk = _k_ladder(nu, x)
-        t, e = 1.0, 0
-        for f in (a, r, km / k0, rk):
-            fm, fe = math.frexp(f)
-            t, e = t * fm, e + fe
-        if e > sys.float_info.max_exp:
-            raise AccuracyError(f"quantity 'phiP' overflows at nu={nu}, x={x}")
-        t = math.ldexp(t, e)
-        rel_t = (r * er + 2.0 * _EPS * (abs(2.0 * nu / x) + r)) / abs(a) + er + em + e0 + erk + 4.0 * _EPS
-        val = 1.0 - t
-        abs_err = abs(t) * rel_t + _EPS * (1.0 + abs(t))
-        return ValueWithError(val, abs_err / abs(val) if val != 0.0 else math.inf)
-    if kind is QuantityKind.P:
-        return _p(ctx)
-    if kind is QuantityKind.OMEGA:
-        p = _p(ctx)
-        if _MIN_NORMAL <= p.value < math.inf:
-            return ValueWithError(x * p.value, p.rel_error_bound + _EPS)
-        # P = I K over- or underflows (tiny x, -1 < nu < 0): the Wronskian
-        # I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x gives omega = 1/(r_I + r_K), a sum
-        # of two positive ratios; their absolute errors add, plus two roundings
-        ri, ei = _ratio_i(nu, x)
-        k0, e0, _ = _besselk(nu, x)
-        k1, e1, _ = _besselk(nu + 1.0, x)
-        rk = k1 / k0
-        den = ri + rk
-        return ValueWithError(1.0 / den, (ri * ei + rk * (e0 + e1 + 2.0 * _EPS)) / den + _EPS)
-    if kind is QuantityKind.DELTA_I:
-        fi = _phi_i(ctx)
-        vi, ei, _ = _besseli(nu, x)
-        iv = _unscale_i(vi, x)
-        val = iv * iv * fi.value  # inf (not OverflowError) when I^2 overflows
-        return ValueWithError(val, 2.0 * ei + fi.rel_error_bound + 2.0 * _EPS)
-    if kind is QuantityKind.DELTA_K:
-        fk = _phi_k(ctx)
-        _, _, vk, ek, _, _ = _k_ladder(nu, x)
-        kv = _unscale_k(vk, x)
-        val = kv * kv * fk.value
-        return ValueWithError(val, 2.0 * ek + fk.rel_error_bound + 2.0 * _EPS)
-    if kind is QuantityKind.W:
-        return _shifted(*_y_abs(ctx), -1.0, math.hypot(x, nu))
-    if kind is QuantityKind.U:
-        if x * x + ctx.mu < 0.0:
-            raise DomainError(f"quantity 'u' needs x^2 + nu^2 - 1/4 >= 0; got nu={nu}, x={x}")
-        return _shifted(*_y_abs(ctx), -1.0, *_mu_shift(ctx))
-    if kind is QuantityKind.LAMBDA:
-        return _shifted(*_y_abs(ctx), +1.0, -math.hypot(x, nu + 1.0))
-    if kind is QuantityKind.Q:
-        if ctx.mu < 0.0:
-            raise DomainError(f"quantity 'q' needs mu = nu^2 - 1/4 >= 0; got nu={nu}")
-        z = _z(ctx)
-        return _shifted(z.value, z.abs_error_bound, +1.0, *_mu_shift(ctx))
-    if kind is QuantityKind.T:
-        z = _z(ctx)
-        return _shifted(z.value, z.abs_error_bound, +1.0, math.hypot(x, nu))
-    if kind is QuantityKind.B2HAT:
-        fi = _phi_i(ctx)
-        val = -1.0 / (x * fi.value)
-        return ValueWithError(val, fi.rel_error_bound + 2.0 * _EPS)
-    if kind is QuantityKind.V_EFF:
-        fk = _phi_k(ctx)
-        return ValueWithError(-fk.value, fk.rel_error_bound)
-    if kind is QuantityKind.N_C:
-        b = nu + 1.0
-        val = 0.25 * x * x / (b + math.hypot(x, b))
-        return ValueWithError(val, 6.0 * _EPS)
-    if kind is QuantityKind.N_S:
-        r, er = _ratio_i(nu, x)
-        return ValueWithError(0.25 * x * r, er + 2.0 * _EPS)
-    if kind is QuantityKind.I_RATIO:
-        # I_nu/I_{nu-1} = 1/(2 nu/x + r) with r = I_{nu+1}/I_nu
-        r, er = _ratio_i(nu, x)
-        a = 2.0 * nu / x + r
-        val = 1.0 / a
-        return ValueWithError(val, er * r / abs(a) + 4.0 * _EPS)
-    if kind is QuantityKind.K_RATIO:
-        km, em, k0, e0, _, _ = _k_ladder(nu, x)
-        return ValueWithError(k0 / km, e0 + em + 2.0 * _EPS)
-    raise DomainError(f"unknown quantity kind {kind!r}")
 
 
 def numeric_derivative(kind: QuantityKind, ctx: EvalContext, order: int = 1) -> float:

@@ -17,6 +17,7 @@ import math
 import os
 import random
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import catalog as cat
@@ -64,7 +65,6 @@ class GridSpec:
 
     nu_values: tuple[float, ...]
     x_values: tuple[float, ...]
-    scale: str = "log"
 
     def __post_init__(self):
         if not self.nu_values or not self.x_values:
@@ -163,7 +163,6 @@ class VerifyConfig:
     x_lo: float = 1e-3
     x_hi: float = 100.0
     scale: str = "log"
-    witness_cap: int = 10
 
     def __post_init__(self):
         if self.random_pairs < 1:
@@ -180,10 +179,8 @@ def _now_iso() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
 
 
-def _log_grid(lo: float, hi: float, n: int, include_lo: bool = False) -> tuple[float, ...]:
+def _log_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
     a, b = math.log10(lo), math.log10(hi)
-    if include_lo:
-        return tuple(10.0 ** (a + (b - a) * k / (n - 1)) for k in range(n))
     return tuple(10.0 ** (a + (b - a) * (k + 1) / n) for k in range(n))
 
 
@@ -192,7 +189,7 @@ DEFAULT_NU_GRID = (-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 
 
 def default_grid(x_points: int = 200) -> GridSpec:
     """Default sweep grid: 12 orders x log-spaced points in (1e-3, 100]."""
-    return GridSpec(DEFAULT_NU_GRID, _log_grid(1e-3, 100.0, x_points), "log")
+    return GridSpec(DEFAULT_NU_GRID, _log_grid(1e-3, 100.0, x_points))
 
 
 def grid_from_config(cfg: VerifyConfig) -> GridSpec:
@@ -202,7 +199,7 @@ def grid_from_config(cfg: VerifyConfig) -> GridSpec:
         xs = tuple(cfg.x_lo + step * k for k in range(cfg.x_points))
     else:
         xs = _log_grid(cfg.x_lo, cfg.x_hi, cfg.x_points)
-    return GridSpec(DEFAULT_NU_GRID, xs, cfg.scale)
+    return GridSpec(DEFAULT_NU_GRID, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -241,25 +238,54 @@ def sweep_validity(ids: list[str], grid: GridSpec) -> list[Violation]:
     return out
 
 
-def _timed(check_id: str, status: str, tolerance: float, max_violation: float,
-           witnesses: list[Violation], t0: float, cap: int) -> CheckRecord:
-    witnesses = sorted(witnesses, key=lambda w: -w.margin)[:cap]
-    witnesses.sort(key=lambda w: (w.bound_id, w.nu, w.x))
-    return CheckRecord(check_id, status, tolerance, max_violation, witnesses,
-                       round((time.perf_counter() - t0) * 1e3, 3))
+WITNESS_CAP = 10  # witnesses a check keeps: those of largest margin
+
+
+class _Checks:
+    """The check records of one group function, timed back to back.
+
+    A record's ``runtime_ms`` runs from the end of the previous record (or the
+    recorder's creation) to its own ``add``, so it covers its own check's work
+    and no time is counted twice.  A check is ``info`` (reported, never
+    gated) or passes when ``ok``: by default when it has no witness and its
+    worst deviation is within its tolerance.
+    """
+
+    def __init__(self):
+        self.records: list[CheckRecord] = []
+        self._t = 0.0
+        self._lap()
+
+    def _lap(self) -> float:
+        t, self._t = self._t, time.perf_counter()
+        return self._t - t
+
+    def add(self, check_id: str, tolerance: float, worst: float | None = None,
+            witnesses: Sequence[Violation] = (), *, ok: bool | None = None,
+            info: bool = False, carry_s: float = 0.0) -> None:
+        """Record one check.  ``worst`` defaults to the largest witness margin
+        (0 without one); the WITNESS_CAP witnesses of largest margin are kept,
+        sorted by (bound_id, nu, x); ``carry_s`` seconds of this check's time
+        belong to the next record."""
+        seconds = self._lap() - carry_s
+        if worst is None:
+            worst = max((w.margin for w in witnesses), default=0.0)
+        if ok is None:
+            ok = not witnesses and worst <= tolerance
+        kept = sorted(witnesses, key=lambda w: -w.margin)[:WITNESS_CAP]
+        kept.sort(key=lambda w: (w.bound_id, w.nu, w.x))
+        self.records.append(CheckRecord(check_id, "info" if info else "pass" if ok else "fail",
+                                        tolerance, worst, kept, round(seconds * 1e3, 3)))
+        self._lap()
+        self._t -= carry_s
 
 
 def validity_records(cfg: VerifyConfig) -> list[CheckRecord]:
     grid = grid_from_config(cfg)
-    records = []
+    checks = _Checks()
     for bound_id in cat.ids(status="proved"):
-        t0 = time.perf_counter()
-        viols = sweep_validity([bound_id], grid)
-        worst = max((v.margin for v in viols), default=0.0)
-        records.append(_timed(f"validity:{bound_id}", "pass" if not viols else "fail",
-                              1e-9, worst, viols, t0, cfg.witness_cap))
-    records.extend(refutation_probe(cfg))
-    return records
+        checks.add(f"validity:{bound_id}", 1e-9, witnesses=sweep_validity([bound_id], grid))
+    return checks.records + refutation_probe(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -297,20 +323,16 @@ SHARPNESS_CASES = (
 
 
 def sharpness_records(cfg: VerifyConfig) -> list[CheckRecord]:
-    records = []
+    checks = _Checks()
     for bound_id, nu in SHARPNESS_CASES:
-        t0 = time.perf_counter()
         rep = sharpness_decay(bound_id, SHARPNESS_X, nu)
-        ok = rep.monotone_decreasing and rep.terminal < SHARPNESS_TERMINAL
-        records.append(_timed(f"sharpness:{bound_id}:nu={nu:g}", "pass" if ok else "fail",
-                              SHARPNESS_TERMINAL, rep.terminal, [], t0, cfg.witness_cap))
+        checks.add(f"sharpness:{bound_id}:nu={nu:g}", SHARPNESS_TERMINAL, rep.terminal,
+                   ok=rep.monotone_decreasing and rep.terminal < SHARPNESS_TERMINAL)
     # turan26_lower is sharp only in the absolute sense: its relative error
     # tends to nu+1/2 (the bound behaves like -(nu-1/2)/x^2 against
     # phiP ~ +1/x^2), so it is reported, not gated
-    t0 = time.perf_counter()
     rep = sharpness_decay("turan26_lower", SHARPNESS_X, 1.0)
-    records.append(_timed("sharpness:turan26_lower:nu=1:limit_rel_err_nu+1/2", "info",
-                          math.inf, rep.terminal, [], t0, cfg.witness_cap))
+    checks.add("sharpness:turan26_lower:nu=1:limit_rel_err_nu+1/2", math.inf, rep.terminal, info=True)
     # x->0 sharpness: bound value at x = 1e-4 reproduces the stated limit
     for bound_id, nu, limit in (
         ("turan8_upper", 1.0, 0.5),      # 1/(nu+1)
@@ -319,130 +341,98 @@ def sharpness_records(cfg: VerifyConfig) -> list[CheckRecord]:
         ("turan18_lower", 2.0, -1.0),    # 1/(1-|nu|)
         ("turan2_lower", 2.0, -1.0),
     ):
-        t0 = time.perf_counter()
-        bv = cat.evaluate_bound(bound_id, nu, 1e-4).value
-        dev = abs(bv - limit)
-        records.append(_timed(f"sharpness_x0:{bound_id}:nu={nu:g}", "pass" if dev < 1e-4 else "fail",
-                              1e-4, dev, [], t0, cfg.witness_cap))
-    return records
+        dev = abs(cat.evaluate_bound(bound_id, nu, 1e-4).value - limit)
+        checks.add(f"sharpness_x0:{bound_id}:nu={nu:g}", 1e-4, dev, ok=dev < 1e-4)
+    return checks.records
 
 
 # ---------------------------------------------------------------------------
 # equality cases, limits, Gronwall and conjecture probes
 # ---------------------------------------------------------------------------
 
-def _record_max(check_id: str, devs: list[float], tol: float, t0: float,
-                status_override: str | None = None) -> CheckRecord:
-    worst = max(devs) if devs else 0.0
-    status = status_override or ("pass" if worst <= tol else "fail")
-    return CheckRecord(check_id, status, tol, worst, [],
-                       round((time.perf_counter() - t0) * 1e3, 3))
-
-
-def equality_and_limit_checks(n_x: int = 50) -> list[CheckRecord]:
+def equality_and_limit_checks() -> list[CheckRecord]:
     """Closed-form equality cases at nu = 1/2 and the x->0 / x->inf limits."""
-    records: list[CheckRecord] = []
-    xs = _log_grid(0.02, 20.0, n_x)
+    xs = _log_grid(0.02, 20.0, 50)
+    checks = _Checks()
 
-    t0 = time.perf_counter()
     devs = []
     for x in xs:
         fk = quantity(QuantityKind.PHI_K, EvalContext(0.5, x)).value
         devs.append(abs(fk + 1.0 / x) * x)
-    records.append(_record_max("equality:phiK_half_is_-1/x", devs, 1e-12, t0))
+    checks.add("equality:phiK_half_is_-1/x", 1e-12, max(devs))
 
-    t0 = time.perf_counter()
     devs = []
     for x in xs:
         zz = quantity(QuantityKind.Z, EvalContext(0.5, x)).value
         devs.append(abs(zz + x + 0.5) / (x + 0.5))
-    records.append(_record_max("equality:z_half_is_-x-1/2", devs, 1e-12, t0))
+    checks.add("equality:z_half_is_-x-1/2", 1e-12, max(devs))
 
     for bound_id, kind in (("turan22_lower", QuantityKind.Z),
                            ("turan23_lower", QuantityKind.PHI_K),
                            ("turan24_upper", QuantityKind.PHI_K)):
-        t0 = time.perf_counter()
         devs = []
         for x in xs:
             bv = cat.evaluate_bound(bound_id, 0.5, x).value
             tv = quantity(kind, EvalContext(0.5, x)).value
             devs.append(abs(bv - tv) / abs(tv))
-        records.append(_record_max(f"equality:{bound_id}_at_half", devs, 1e-12, t0))
+        checks.add(f"equality:{bound_id}_at_half", 1e-12, max(devs))
 
-    t0 = time.perf_counter()
     devs = [abs(quantity(QuantityKind.PHI_I, EvalContext(nu, 1e-4)).value - 1.0 / (nu + 1.0))
             for nu in (0.0, 0.5, 1.0, 2.0, 5.0)]
-    records.append(_record_max("limit:phiI_x0_is_1/(nu+1)", devs, 1e-6, t0))
+    checks.add("limit:phiI_x0_is_1/(nu+1)", 1e-6, max(devs))
 
-    t0 = time.perf_counter()
     devs = [abs(quantity(QuantityKind.Y, EvalContext(nu, 1e-5)).value - nu)
             for nu in (-0.75, -0.5, 0.0, 0.5, 1.0, 2.0, 5.0, 8.0)]
-    records.append(_record_max("limit:y_x0_is_nu", devs, 1e-9, t0))
+    checks.add("limit:y_x0_is_nu", 1e-9, max(devs))
 
     # z -> -|nu| at rate O(x^min(2|nu|,2)): testable at 1e-9 only for |nu| >~ 1.2
-    t0 = time.perf_counter()
     devs = [abs(quantity(QuantityKind.Z, EvalContext(nu, 1e-5)).value + abs(nu))
             for nu in (-2.0, 1.5, 2.0, 3.0, 5.0, 8.0)]
-    records.append(_record_max("limit:z_x0_is_-abs(nu)", devs, 1e-9, t0))
-    t0 = time.perf_counter()
+    checks.add("limit:z_x0_is_-abs(nu)", 1e-9, max(devs))
     devs = [abs(quantity(QuantityKind.Z, EvalContext(nu, 1e-5)).value + abs(nu))
             for nu in (0.1, 0.25, 0.5, 1.0)]
-    records.append(_record_max("limit:z_x0_small_nu_slow_rate", devs, math.inf, t0,
-                               status_override="info"))
+    checks.add("limit:z_x0_small_nu_slow_rate", math.inf, max(devs), info=True)
 
-    t0 = time.perf_counter()
     devs = [abs(quantity(QuantityKind.PHI_K, EvalContext(nu, 1e-4)).value - 1.0 / (1.0 - nu))
             / abs(1.0 / (1.0 - nu)) for nu in (2.0, 3.0)]
-    records.append(_record_max("limit:phiK_x0_is_1/(1-nu)", devs, 1e-4, t0))
-    t0 = time.perf_counter()
-    devs = [abs(quantity(QuantityKind.PHI_K, EvalContext(1.5, 1e-4)).value + 2.0) / 2.0]
-    records.append(_record_max("limit:phiK_x0_nu1.5_rate_x", devs, math.inf, t0,
-                               status_override="info"))
+    checks.add("limit:phiK_x0_is_1/(1-nu)", 1e-4, max(devs))
+    dev = abs(quantity(QuantityKind.PHI_K, EvalContext(1.5, 1e-4)).value + 2.0) / 2.0
+    checks.add("limit:phiK_x0_nu1.5_rate_x", math.inf, dev, info=True)
 
-    t0 = time.perf_counter()
-    vals = [quantity(QuantityKind.PHI_K, EvalContext(nu, 1e-3)).value
-            for nu in (0.25, 0.5, 0.75, 1.0)]
-    worst = max(vals)
-    records.append(CheckRecord("limit:phiK_x0_divergence_nu_in_(0,1]",
-                               "pass" if worst < -10.0 else "fail", -10.0, worst, [],
-                               round((time.perf_counter() - t0) * 1e3, 3)))
+    worst = max(quantity(QuantityKind.PHI_K, EvalContext(nu, 1e-3)).value
+                for nu in (0.25, 0.5, 0.75, 1.0))
+    checks.add("limit:phiK_x0_divergence_nu_in_(0,1]", -10.0, worst, ok=worst < -10.0)
 
     # lambda maps (0, inf) into (-1, -1/2); the endpoints are approached as
     # limits, so excursions below evaluation noise count as inside
-    t0 = time.perf_counter()
     devs = []
     for nu in (-0.5, 0.0, 1.0, 2.0, 5.0):
         for x in _log_grid(1e-3, 100.0, 40):
             lam = quantity(QuantityKind.LAMBDA, EvalContext(nu, x))
             tol = max(1e-12, lam.abs_error_bound)
             devs.append(max(-1.0 - lam.value - tol, lam.value + 0.5 - tol))
-    records.append(_record_max("range:lambda_in_(-1,-1/2)", devs, 0.0, t0))
-    t0 = time.perf_counter()
-    devs = [abs(quantity(QuantityKind.LAMBDA, EvalContext(1.0, 1e-4)).value + 1.0)]
-    records.append(_record_max("limit:lambda_x0_is_-1", devs, 1e-6, t0))
-    t0 = time.perf_counter()
-    devs = [abs(quantity(QuantityKind.LAMBDA, EvalContext(1.0, 200.0)).value + 0.5)]
-    records.append(_record_max("limit:lambda_xinf_is_-1/2", devs, 1e-2, t0))
+    checks.add("range:lambda_in_(-1,-1/2)", 0.0, max(devs))
+    dev = abs(quantity(QuantityKind.LAMBDA, EvalContext(1.0, 1e-4)).value + 1.0)
+    checks.add("limit:lambda_x0_is_-1", 1e-6, dev)
+    dev = abs(quantity(QuantityKind.LAMBDA, EvalContext(1.0, 200.0)).value + 0.5)
+    checks.add("limit:lambda_xinf_is_-1/2", 1e-2, dev)
 
-    t0 = time.perf_counter()
     devs = [abs(quantity(QuantityKind.W, EvalContext(nu, 450.0)).value - 0.5)
             for nu in (0.75, 1.0, 2.0)]
-    records.append(_record_max("limit:w_xinf_is_1/2", devs, 1e-2, t0))
+    checks.add("limit:w_xinf_is_1/2", 1e-2, max(devs))
 
-    t0 = time.perf_counter()
     devs = [abs(quantity(QuantityKind.Q, EvalContext(nu, 200.0)).value + 0.5)
             for nu in (1.0, 2.0)]
-    records.append(_record_max("limit:q_xinf_is_-1/2", devs, 1e-2, t0))
+    checks.add("limit:q_xinf_is_-1/2", 1e-2, max(devs))
 
-    t0 = time.perf_counter()
     devs = []
     for nu in (0.0, 0.5, 1.0, 2.0, 5.0):
         for x in _log_grid(0.05, 100.0, 30):
             tv = quantity(QuantityKind.T, EvalContext(nu, x))
             tol = max(1e-12, tv.abs_error_bound)
             devs.append(max(-0.5 - tv.value - tol, tv.value - tol))
-    records.append(_record_max("range:t_in_(-1/2,0)", devs, 0.0, t0))
-    return records
+    checks.add("range:t_in_(-1/2,0)", 0.0, max(devs))
+    return checks.records
 
 
 def gronwall_probe() -> list[CheckRecord]:
@@ -453,18 +443,16 @@ def gronwall_probe() -> list[CheckRecord]:
     increasing on all of (0, inf) fails; the root of w' is located by
     bisection on [1, 10].
     """
-    t0 = time.perf_counter()
+    checks = _Checks()
 
     def wprime(x: float) -> float:
         return numeric_derivative(QuantityKind.W, EvalContext(0.5, x))
 
     a, b = 1.0, 10.0
     fa, fb = wprime(a), wprime(b)
-    records = []
     if not (fa > 0.0 > fb):
-        records.append(CheckRecord("gronwall:root_bracketed", "fail", 0.0, 1.0, [],
-                                   round((time.perf_counter() - t0) * 1e3, 3)))
-        return records
+        checks.add("gronwall:root_bracketed", 0.0, 1.0)
+        return checks.records
     for _ in range(60):
         m = 0.5 * (a + b)
         if wprime(m) > 0.0:
@@ -472,23 +460,16 @@ def gronwall_probe() -> list[CheckRecord]:
         else:
             b = m
     root = 0.5 * (a + b)
-    dev = abs(root - GRONWALL_ROOT)
-    records.append(CheckRecord("gronwall:wprime_root", "pass" if dev <= 1e-6 else "fail",
-                               1e-6, dev, [], round((time.perf_counter() - t0) * 1e3, 3)))
-    t0 = time.perf_counter()
+    checks.add("gronwall:wprime_root", 1e-6, abs(root - GRONWALL_ROOT))
     w = lambda x: quantity(QuantityKind.W, EvalContext(0.5, x)).value
     rises_falls = w(1.0) < w(root) and w(root) > w(10.0)
-    records.append(CheckRecord("gronwall:w_rises_then_falls",
-                               "pass" if rises_falls else "fail", 0.0,
-                               0.0 if rises_falls else 1.0, [],
-                               round((time.perf_counter() - t0) * 1e3, 3)))
-    return records
+    checks.add("gronwall:w_rises_then_falls", 0.0, 0.0 if rises_falls else 1.0)
+    return checks.records
 
 
 def conjecture_probe(cfg: VerifyConfig) -> list[CheckRecord]:
     """Probe the unproved bounds; informational only, never fails a run."""
-    records = []
-    t0 = time.perf_counter()
+    checks = _Checks()
     # below x ~ 0.1 the true slope ~ x^3 drops under the finite-difference
     # resolution (one ulp of lambda ~ -1 over the step), so the probe grid
     # starts where the signal is resolvable
@@ -496,45 +477,33 @@ def conjecture_probe(cfg: VerifyConfig) -> list[CheckRecord]:
     for nu in (0.0, 1.0, 2.0, 5.0):
         for x in _log_grid(0.1, 20.0, 100):
             min_slope = min(min_slope, numeric_derivative(QuantityKind.LAMBDA, EvalContext(nu, x)))
-    records.append(CheckRecord("conjecture:lambda_slope_min", "info", 0.0, min_slope, [],
-                               round((time.perf_counter() - t0) * 1e3, 3)))
+    checks.add("conjecture:lambda_slope_min", 0.0, min_slope, info=True)
     # the boundary order of the conjectured range is reported separately
-    t0 = time.perf_counter()
     edge = min(numeric_derivative(QuantityKind.LAMBDA, EvalContext(-0.5, x))
                for x in _log_grid(0.1, 20.0, 100))
-    records.append(CheckRecord("conjecture:lambda_slope_min_boundary_nu=-1/2", "info",
-                               0.0, edge, [], round((time.perf_counter() - t0) * 1e3, 3)))
+    checks.add("conjecture:lambda_slope_min_boundary_nu=-1/2", 0.0, edge, info=True)
 
-    t0 = time.perf_counter()
     viols = sweep_validity(["turanconj_lower", "turanconj2_upper"], grid_from_config(cfg))
-    worst = max((v.margin for v in viols), default=0.0)
-    rec = _timed("conjecture:turanconj_sweep", "info", 1e-9, worst, viols, t0, cfg.witness_cap)
-    records.append(rec)
-    return records
+    checks.add("conjecture:turanconj_sweep", 1e-9, witnesses=viols, info=True)
+    return checks.records
 
 
 def refutation_probe(cfg: VerifyConfig) -> list[CheckRecord]:
     """Collect witnesses against the refuted claims; informational status."""
-    records = []
-    t0 = time.perf_counter()
+    checks = _Checks()
     grid = GridSpec((0.5, 1.0, 2.0, 3.0, 5.0, 8.0), _log_grid(0.05, 50.0, 120))
-    viols = sweep_validity(["joshi_turan7"], grid)
-    worst = max((v.margin for v in viols), default=0.0)
-    records.append(_timed("refutation:joshi_turan7", "info", 1e-9, worst, viols,
-                          t0, cfg.witness_cap))
+    checks.add("refutation:joshi_turan7", 1e-9, witnesses=sweep_validity(["joshi_turan7"], grid),
+               info=True)
 
     # b2hat < -1 was claimed for every nu > 0; it fails on 0 < nu < 1/2
-    t0 = time.perf_counter()
     wits = []
     for nu in (0.1, 0.25, 0.4):
         for x in _log_grid(0.5, 100.0, 60):
             b2 = quantity(QuantityKind.B2HAT, EvalContext(nu, x)).value
             if b2 > -1.0:
                 wits.append(Violation("b2hat<-1 (claimed nu>0)", nu, x, -1.0, b2, b2 + 1.0))
-    worst = max((w.margin for w in wits), default=0.0)
-    records.append(_timed("refutation:hamsici_b2hat", "info", 0.0, worst, wits,
-                          t0, cfg.witness_cap))
-    return records
+    checks.add("refutation:hamsici_b2hat", 0.0, witnesses=wits, info=True)
+    return checks.records
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +515,9 @@ CONSISTENCY_NU = (-0.75, -0.25, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0)
 
 def consistency_checks() -> list[CheckRecord]:
     """Structural identities linking the evaluator's independent pieces."""
-    records = []
     xs = _log_grid(0.05, 80.0, 20)
+    checks = _Checks()
 
-    t0 = time.perf_counter()
     devs = []
     for nu in CONSISTENCY_NU:
         for x in xs:
@@ -558,12 +526,11 @@ def consistency_checks() -> list[CheckRecord]:
             z = quantity(QuantityKind.Z, ctx).value
             p = quantity(QuantityKind.P, ctx).value
             devs.append(abs(y - z - 1.0 / p) * p)
-    records.append(_record_max("consistency:wronskian", devs, 1e-10, t0))
+    checks.add("consistency:wronskian", 1e-10, max(devs))
 
     # Riccati equation x v' = x^2 + nu^2 - v^2 for v = y and v = z, and
     # y' = x phiI, z' = x phiK; each side in its own timed loop
     for side, kind in (("I", QuantityKind.Y), ("K", QuantityKind.Z)):
-        t0 = time.perf_counter()
         devs = []
         for nu in CONSISTENCY_NU:
             for x in xs:
@@ -571,11 +538,10 @@ def consistency_checks() -> list[CheckRecord]:
                 s = x * x + nu * nu
                 v = quantity(kind, ctx).value
                 devs.append(abs(x * numeric_derivative(kind, ctx) - (s - v * v)) / s)
-        records.append(_record_max(f"consistency:riccati_{side}", devs, 1e-6, t0))
+        checks.add(f"consistency:riccati_{side}", 1e-6, max(devs))
 
     for side, kind, phi, min_nu in (("I", QuantityKind.Y, QuantityKind.PHI_I, 0.0),
                                     ("K", QuantityKind.Z, QuantityKind.PHI_K, -math.inf)):
-        t0 = time.perf_counter()
         devs = []
         for nu in CONSISTENCY_NU:
             if nu < min_nu:
@@ -584,10 +550,9 @@ def consistency_checks() -> list[CheckRecord]:
                 ctx = EvalContext(nu, x)
                 f = quantity(phi, ctx).value
                 devs.append(abs(numeric_derivative(kind, ctx) - x * f) / abs(x * f))
-        records.append(_record_max(f"consistency:delta{side}_identity", devs, 1e-6, t0))
+        checks.add(f"consistency:delta{side}_identity", 1e-6, max(devs))
 
     # second derivative: x y'' = 2x - (2y+1) y', relative to the term scale
-    t0 = time.perf_counter()
     devs = []
     for nu in CONSISTENCY_NU:
         for x in (3.0, 5.0, 11.0, 20.0, 47.0):
@@ -598,30 +563,26 @@ def consistency_checks() -> list[CheckRecord]:
             rhs = 2.0 * x - (2.0 * y + 1.0) * yp
             scale = max(2.0 * x, abs((2.0 * y + 1.0) * yp))
             devs.append(abs(x * ypp - rhs) / scale)
-    records.append(_record_max("consistency:second_derivative", devs, 1e-4, t0))
+    checks.add("consistency:second_derivative", 1e-4, max(devs))
 
-    t0 = time.perf_counter()
     devs = []
     for nu in CONSISTENCY_NU:
         for x in xs:
             num, _ = _i_series(nu + 1.0, x)
             den, _ = _i_series(nu, x)
             devs.append(abs(_ratio_i_cf(nu, x)[0] - num / den) / (num / den))
-    records.append(_record_max("consistency:ratio_I_dual_path", devs, 1e-10, t0))
+    checks.add("consistency:ratio_I_dual_path", 1e-10, max(devs))
 
-    t0 = time.perf_counter()
     devs = []
     for nu in (0.3, 0.7, 1.2, 2.5, 9.5):
         for x in xs:
             kp = eval_K(EvalContext(nu, x)).value
             km = eval_K(EvalContext(-nu, x)).value
             devs.append(abs(kp - km) / abs(kp))
-    records.append(_record_max("consistency:K_symmetry", devs, 1e-12, t0))
+    checks.add("consistency:K_symmetry", 1e-12, max(devs))
 
-    t0 = time.perf_counter()
-    devs = [d for _, d in dual_path_checks()]
-    records.append(_record_max("consistency:path_overlap", devs, 1e-11, t0))
-    return records
+    checks.add("consistency:path_overlap", 1e-11, max(d for _, d in dual_path_checks()))
+    return checks.records
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +590,10 @@ def consistency_checks() -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 
 def application_checks(cfg: VerifyConfig) -> list[CheckRecord]:
-    records = []
+    rng = random.Random(cfg.seed)
+    checks = _Checks()
 
     # stochastic mean molecule count exceeds the classical one
-    t0 = time.perf_counter()
     wits = []
     nus = [(-1.0 + 0.5 * k) for k in range(13)]  # -1 .. 5 step 0.5
     for nu in nus:
@@ -641,12 +602,9 @@ def application_checks(cfg: VerifyConfig) -> list[CheckRecord]:
             nc = cat.evaluate_bound("ncns", nu, x).value
             if ns.value - nc <= ns.abs_error_bound:
                 wits.append(Violation("ncns", nu, x, nc, ns.value, nc - ns.value))
-    records.append(_timed("applications:ns_gt_nc", "pass" if not wits else "fail",
-                          0.0, max((w.margin for w in wits), default=0.0), wits, t0,
-                          cfg.witness_cap))
+    checks.add("applications:ns_gt_nc", 0.0, witnesses=wits)
 
     # effective variance of the generalised inverse Gaussian distribution
-    t0 = time.perf_counter()
     wits = []
     for mu_gig in (2.0, 5.0, 10.0):
         for inv_w in _log_grid(0.1, 50.0, 40):
@@ -654,12 +612,10 @@ def application_checks(cfg: VerifyConfig) -> list[CheckRecord]:
             hi = 1.0 / (mu_gig - 1.0)
             if not (v.abs_error_bound < v.value < hi - v.abs_error_bound):
                 wits.append(Violation("veff_bounds", mu_gig, inv_w, hi, v.value, 0.0))
-    records.append(_timed("applications:veff_in_(0,1/(mu-1))", "pass" if not wits else "fail",
-                          0.0, float(len(wits)), wits, t0, cfg.witness_cap))
+    checks.add("applications:veff_in_(0,1/(mu-1))", 0.0, float(len(wits)), wits)
 
     # hyperplane-bias bounds (margins below evaluation noise count as holds:
     # both bounds are asymptotically attained, e.g. b2hat -> -1 at nu = 1/2)
-    t0 = time.perf_counter()
     wits = []
     for nu in (0.25, 0.5, 1.0, 2.0):
         for x in _log_grid(0.05, 100.0, 40):
@@ -670,19 +626,15 @@ def application_checks(cfg: VerifyConfig) -> list[CheckRecord]:
                 wits.append(Violation("b2hat_upper", nu, x, cap, b2.value, b2.value - cap))
             if nu >= 0.5 and b2.value + 1.0 > tol:
                 wits.append(Violation("b2hat_upper_strong", nu, x, -1.0, b2.value, b2.value + 1.0))
-    records.append(_timed("applications:b2hat_bounds", "pass" if not wits else "fail",
-                          0.0, max((w.margin for w in wits), default=0.0), wits, t0,
-                          cfg.witness_cap))
+    checks.add("applications:b2hat_bounds", 0.0, witnesses=wits)
 
     # geometric-mean concavity of P and midpoint concavity of omega = x P:
     # a pair fails only when the concavity margin is negative beyond the
     # evaluation noise (both inequalities approach equality exponentially
     # fast for large arguments, where strictness is not resolvable in doubles)
-    rng = random.Random(cfg.seed)
     lo, hi = math.log(0.05), math.log(40.0)
     # (the shared draws and pa, pb, pg are charged to the geometric check,
     # the midpoint value pm and its comparison to the midpoint check)
-    t0 = time.perf_counter()
     mid_s = 0.0
     geo_fail = mid_fail = 0
     worst_geo = worst_mid = -math.inf
@@ -709,16 +661,10 @@ def application_checks(cfg: VerifyConfig) -> list[CheckRecord]:
             if om < -tol * scale:
                 mid_fail += 1
             mid_s += time.perf_counter() - t1
-    total_s = time.perf_counter() - t0
-    records.append(CheckRecord("applications:P_geometric_concavity",
-                               "pass" if geo_fail == 0 else "fail", 0.0,
-                               float(geo_fail), [], round((total_s - mid_s) * 1e3, 3)))
-    records.append(CheckRecord("applications:omega_midpoint_concavity",
-                               "pass" if mid_fail == 0 else "fail", 0.0,
-                               float(mid_fail), [], round(mid_s * 1e3, 3)))
+    checks.add("applications:P_geometric_concavity", 0.0, float(geo_fail), carry_s=mid_s)
+    checks.add("applications:omega_midpoint_concavity", 0.0, float(mid_fail))
 
     # P strictly decreasing, with P < 1/(2 nu) < 1/2 for nu > 1
-    t0 = time.perf_counter()
     ok = True
     for nu in (-0.5, 0.0, 1.0, 3.0):
         vals = [quantity(QuantityKind.P, EvalContext(nu, x)).value
@@ -728,10 +674,8 @@ def application_checks(cfg: VerifyConfig) -> list[CheckRecord]:
         for x in _log_grid(1e-3, 100.0, 60):
             p = quantity(QuantityKind.P, EvalContext(nu, x)).value
             ok = ok and p < 1.0 / (2.0 * nu) < 0.5
-    records.append(CheckRecord("applications:P_decreasing_and_capped",
-                               "pass" if ok else "fail", 0.0, 0.0 if ok else 1.0, [],
-                               round((time.perf_counter() - t0) * 1e3, 3)))
-    return records
+    checks.add("applications:P_decreasing_and_capped", 0.0, 0.0 if ok else 1.0)
+    return checks.records
 
 
 # ---------------------------------------------------------------------------
@@ -740,11 +684,10 @@ def application_checks(cfg: VerifyConfig) -> list[CheckRecord]:
 
 def enclosure_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     """best_bounds lower <= true <= upper wherever a proved side exists."""
-    records = []
     grid = default_grid(max(40, cfg.x_points // 5))
+    checks = _Checks()
     for q in (QuantityKind.PHI_I, QuantityKind.PHI_K, QuantityKind.Y,
               QuantityKind.Z, QuantityKind.PHI_P):
-        t0 = time.perf_counter()
         wits = []
         for nu in grid.nu_values:
             if q in (QuantityKind.PHI_I, QuantityKind.Y, QuantityKind.PHI_P) and nu < -1.0:
@@ -759,11 +702,8 @@ def enclosure_checks(cfg: VerifyConfig) -> list[CheckRecord]:
                     wits.append(Violation(lo.id, nu, x, lo.value, tv.value, lo.value - tv.value))
                 if hi is not None and tv.value - hi.value > tol:
                     wits.append(Violation(hi.id, nu, x, hi.value, tv.value, tv.value - hi.value))
-        records.append(_timed(f"enclosure:{q.value}", "pass" if not wits else "fail",
-                              1e-9, max((w.margin for w in wits), default=0.0), wits,
-                              t0, cfg.witness_cap))
+        checks.add(f"enclosure:{q.value}", 1e-9, witnesses=wits)
     # dominance claims between named bounds
-    t0 = time.perf_counter()
     ok = True
     for nu in (0.75, 1.0, 2.0, 5.0):
         for x in _log_grid(1e-2, 100.0, 40):
@@ -778,17 +718,25 @@ def enclosure_checks(cfg: VerifyConfig) -> list[CheckRecord]:
             t22 = cat.evaluate_bound("turan22_lower", nu, x).value
             pal = cat.evaluate_bound("paltsev_lower", nu, x).value
             ok = ok and t22 >= pal
-    records.append(CheckRecord("enclosure:dominance_claims", "pass" if ok else "fail",
-                               0.0, 0.0 if ok else 1.0, [],
-                               round((time.perf_counter() - t0) * 1e3, 3)))
-    return records
+    checks.add("enclosure:dominance_claims", 0.0, 0.0 if ok else 1.0)
+    return checks.records
 
 
 # ---------------------------------------------------------------------------
 # suite drivers
 # ---------------------------------------------------------------------------
 
-SUITE_NAMES = ("all", "validity", "sharpness", "consistency", "applications", "conjectures")
+# the group functions of each suite, in report order.  Each runs through a
+# lambda that looks its name up in this module when the suite runs, so a
+# wrapper set on the module attribute (perfbench's tracer) sees the call
+_SUITES = {
+    "validity": lambda cfg: validity_records(cfg) + enclosure_checks(cfg),
+    "sharpness": lambda cfg: sharpness_records(cfg),
+    "consistency": lambda cfg: consistency_checks() + equality_and_limit_checks() + gronwall_probe(),
+    "applications": lambda cfg: application_checks(cfg),
+    "conjectures": lambda cfg: conjecture_probe(cfg),
+}
+SUITE_NAMES = ("all", *_SUITES)
 
 
 def run_suite(name: str, cfg: VerifyConfig | None = None) -> VerificationReport:
@@ -796,20 +744,7 @@ def run_suite(name: str, cfg: VerifyConfig | None = None) -> VerificationReport:
     cfg = cfg or VerifyConfig()
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    checks: list[CheckRecord] = []
-    if name in ("all", "validity"):
-        checks += validity_records(cfg)
-        checks += enclosure_checks(cfg)
-    if name in ("all", "sharpness"):
-        checks += sharpness_records(cfg)
-    if name in ("all", "consistency"):
-        checks += consistency_checks()
-        checks += equality_and_limit_checks()
-        checks += gronwall_probe()
-    if name in ("all", "applications"):
-        checks += application_checks(cfg)
-    if name in ("all", "conjectures"):
-        checks += conjecture_probe(cfg)
+    checks = [c for suite, run in _SUITES.items() if name in ("all", suite) for c in run(cfg)]
     checks.sort(key=lambda c: c.check_id)
     return VerificationReport(name, cfg.seed, checks, _now_iso())
 

@@ -1,10 +1,12 @@
 """Acceptance gate: every exit criterion at its stated tolerance.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see one PASS/FAIL line
-per criterion.  Three sub-cases are marked strict-xfail because the stated
+per criterion.  Seven sub-cases are marked strict-xfail because the stated
 constant or tolerance is contradicted by closed-form mathematics (details
-in each xfail reason); the companion assertions that gate real quality
-(agreement with the independent oracles) all pass.
+in each xfail reason): the z limit at four orders, the phiK limit at
+nu = 3/2, the turan26_lower sharpness case and the stated phiP constant.
+The companion assertions that gate real quality (agreement with the
+independent oracles) all pass.
 """
 
 import math

@@ -7,7 +7,7 @@ import math
 import pytest
 
 import besselbounds.catalog as cat
-from besselbounds.cli import FIGURES, main
+from besselbounds.cli import _FN_TAGS, FIGURES, main
 from besselbounds.core import QuantityKind as QK
 
 
@@ -43,6 +43,64 @@ def test_eval_reports_ratio_I_route(capsys):
     assert out.splitlines()[-1] == "paths: ratio_I=cf1, I=asymptotic"
 
 
+# `eval` output, "value claim paths", at (nu, x) = (1, 1), below every path
+# switch (I series, K Temme, ratio_I CF1), and at (1, 100), above them all
+_EVAL_PINS = {
+    "I": ("0.56515910399248503 7.550e-15 I=series",
+          "1.0683693903381625e+42 6.661e-15 I=asymptotic"),
+    "K": ("0.60190723019723458 2.106e-14 K=temme",
+          "4.6798537356369101e-45 2.761e-15 K=cf2"),
+    "y": ("1.2401937238700897 2.465e-15 ratio_I=cf1",
+          "99.503788000815689 1.385e-14 ratio_I=asymptotic"),
+    "z": ("-1.6994839355937721 6.945e-14 K=temme",
+          "-100.50371298393055 7.038e-15 K=cf2"),
+    "phiI": ("0.46191952727323959 1.642e-14 ratio_I=cf1",
+             "0.0099996173488726692 2.832e-12 ratio_I=asymptotic"),
+    "phiK": ("-0.88824564734129718 1.738e-13 K=temme",
+             "-0.0099996323556290623 1.327e-12 K=cf2"),
+    "phiP": ("-0.016028110545652896 1.498e-11 ratio_I=cf1, K=temme",
+             "9.9977490429303744e-05 4.202e-10 ratio_I=asymptotic, K=cf2"),
+    "P": ("0.3401733509048675 2.905e-14 I=series, K=temme",
+          "0.0049998124824141765 9.866e-15 I=asymptotic, K=cf2"),
+    "omega": ("0.3401733509048675 2.927e-14 I=series, K=temme",
+              "0.49998124824141765 1.009e-14 I=asymptotic, K=cf2"),
+    "deltaI": ("0.14753932014919344 3.196e-14 ratio_I=cf1, I=series",
+               "1.1413694779085161e+82 2.846e-12 ratio_I=asymptotic, I=asymptotic"),
+    "deltaK": ("-0.32180457076582003 2.164e-13 K=temme",
+               "-2.1900225807878733e-91 1.333e-12 K=cf2"),
+    "w": ("0.1740198385030054 2.434e-14 ratio_I=cf1",
+          "0.50121187419055957 2.927e-12 ratio_I=asymptotic"),
+    "u": ("0.08268193166220561 5.988e-14 ratio_I=cf1",
+          "0.49996192887444124 3.023e-12 ratio_I=asymptotic"),
+    "lambda": ("-0.99587425362970006 4.620e-15 ratio_I=cf1",
+               "-0.51620999958420555 2.842e-12 ratio_I=asymptotic"),
+    "q": ("-0.37660828006147673 3.190e-13 K=temme",
+          "-0.49996305424042475 1.682e-12 K=cf2"),
+    "t": ("-0.28527037322067694 4.186e-13 K=temme",
+          "-0.49871310892430643 1.597e-12 K=cf2"),
+    "b2hat": ("-2.164879250511679 1.686e-14 ratio_I=cf1",
+              "-1.000038266577008 2.832e-12 ratio_I=asymptotic"),
+    "veff": ("0.88824564734129718 1.738e-13 K=temme",
+             "0.0099996323556290623 1.327e-12 K=cf2"),
+    "nc": ("0.059016994374947424 1.332e-15 arithmetic",
+           "24.504999500099977 1.332e-15 arithmetic"),
+    "ns": ("0.06004843096752243 1.088e-14 ratio_I=cf1",
+           "24.625947000203922 1.399e-14 ratio_I=asymptotic"),
+    "iratio": ("0.44638996589653451 2.007e-15 ratio_I=cf1",
+               "0.9949873730051686 1.416e-14 ratio_I=asymptotic"),
+    "kratio": ("1.4296253982604017 3.774e-14 K=temme",
+               "1.0049876230864832 5.298e-15 K=cf2"),
+}
+
+
+@pytest.mark.parametrize("tag", _FN_TAGS)
+def test_eval_output_pinned(tag, capsys):
+    for x, pin in zip(("1", "100"), _EVAL_PINS[tag]):
+        value, claim, paths = pin.split(" ", 2)
+        assert run(capsys, "eval", "--fn", tag, "--nu", "1", "--x", x) == (
+            0, f"{tag}(nu=1, x={x}) = {value}\nrel_error_bound = {claim}\npaths: {paths}\n", "")
+
+
 def test_eval_exit_codes(capsys):
     assert run(capsys, "eval", "--fn", "nosuch", "--nu", "1", "--x", "1")[0] == 2
     assert run(capsys, "eval", "--fn", "I", "--nu", "1")[0] == 2  # missing --x
@@ -58,8 +116,6 @@ def test_eval_fuzz_box_edges_and_switches(capsys):
     # every tag at the box edges, at the region switches (x = 2 for K,
     # x = 30 + nu^2 for I, x = 50 for the scaling) and at one small interior
     # argument ends in an exit code, never in an exception or a traceback
-    from besselbounds.cli import _FN_TAGS
-
     for nu in (-10.0, -1.0, -0.3, 0.5, 2.5, 20.0):
         xs = (5e-324, 0.1, math.nextafter(2.0, 0.0), 2.0, math.nextafter(30.0 + nu * nu, 0.0),
               30.0 + nu * nu, 50.0, 500.0, 500.5)
@@ -225,3 +281,20 @@ def test_selftest(capsys):
 def test_version(capsys):
     rc = main(["--version"])
     assert rc == 0
+
+
+def test_full_verification_script_usage_error(tmp_path):
+    # a bad --pairs reaches `besselbounds verify`, which refuses it as a usage
+    # error (exit 2), not as a traceback
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "run_full_verification.py"),
+                           "--pairs", "0", "--outdir", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "--pairs" in proc.stderr and "Traceback" not in proc.stderr

@@ -418,6 +418,7 @@ def test_I_and_ratio_claims_cover_actual_error(nu, x):
     (0.2, 0.1),  # x^2 + mu < 0: u out of its domain
     (0.500001, 1e-5), (-0.500001, 1e-5),  # x^2 + mu small: the rounding of mu dominates u and q
     (-0.5, 5e-324),  # P = I K overflows: omega from the Wronskian
+    (-1.0, 5.0057e-155), (-1.0, 1.1e-212),  # x^2 subnormal or 0 where nc = x/4 is normal
     *_RATIO_I_EDGES,
 ])
 def test_remaining_quantity_claims_cover_actual_error(nu, x):
@@ -427,7 +428,7 @@ def test_remaining_quantity_claims_cover_actual_error(nu, x):
     # K^2 / P, the factor they scale phiI / phiK / x by, is not a normal double
     from mpmath import sqrt
 
-    from besselbounds.core import _MIN_NU, QuantityKind as QK, quantity
+    from besselbounds.core import QUANTITIES, QuantityKind as QK, quantity
 
     ctx = EvalContext(nu, x)
     m, xm, im, i0, i1, km, k0, k1 = _mp_bessel(nu, x)
@@ -460,8 +461,7 @@ def test_remaining_quantity_claims_cover_actual_error(nu, x):
     cases = {k.value: ((lambda k=k: quantity(k, ctx)), ref, needs) for k, (ref, needs) in refs.items()}
 
     def domain_ok(tag):
-        floor = _MIN_NU[QK(tag)]
-        return ((floor is not None and nu < floor) or (tag == "u" and xm**2 + mu < 0)
+        return (nu < QUANTITIES[QK(tag)].min_nu or (tag == "u" and xm**2 + mu < 0)
                 or (tag == "q" and mu < 0))
 
     _assert_claims_cover(cases, nu, x, domain_ok)

@@ -221,6 +221,47 @@ def test_run_suite_names():
     assert all(c.status == "info" for c in rep.checks)
 
 
+# the group functions each suite runs
+_SUITE_GROUPS = {
+    "validity": {"validity_records", "enclosure_checks"},
+    "sharpness": {"sharpness_records"},
+    "consistency": {"consistency_checks", "equality_and_limit_checks", "gronwall_probe"},
+    "applications": {"application_checks"},
+    "conjectures": {"conjecture_probe"},
+}
+
+
+def test_run_suite_looks_groups_up_on_the_module(monkeypatch):
+    # perfbench's tracer times the harness by replacing these module
+    # attributes (tracer.HARNESS_FUNCTIONS): run_suite must reach each through
+    # the attribute, once per suite that owns it, and sweep_validity through
+    # the group that calls it
+    import importlib.util
+    from collections import Counter
+    from pathlib import Path
+
+    from besselbounds import harness
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    calls = Counter()
+    for name in tracer.HARNESS_FUNCTIONS:
+        monkeypatch.setattr(harness, name, lambda *args, name=name: calls.update([name]) or [])
+    assert set(tracer.HARNESS_FUNCTIONS) == set().union(*_SUITE_GROUPS.values()) | {"sweep_validity"}
+    for suite in harness.SUITE_NAMES:
+        calls.clear()
+        assert harness.run_suite(suite, FAST).checks == []
+        owned = _SUITE_GROUPS.get(suite) or set().union(*_SUITE_GROUPS.values())
+        assert calls == Counter(owned), suite
+
+    monkeypatch.setattr(harness, "conjecture_probe", conjecture_probe)
+    calls.clear()
+    harness.run_suite("conjectures", FAST)
+    assert calls == Counter(["sweep_validity"])
+
+
 def test_report_schema():
     rep = run_suite("sharpness", FAST)
     d = rep.to_json_dict()

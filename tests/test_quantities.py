@@ -97,7 +97,7 @@ def test_deltaK_below_normal_range_is_reported(nu, x):
     (QK.PHI_K, 0.0, 1e-200),    # K_{-1} K_1 / K_0^2 overflows
     (QK.V_EFF, 0.0, 1e-200),
     (QK.OMEGA, 0.0, 5e-324),    # x P is subnormal
-    (QK.N_C, 20.0, 1e-200),     # x^2/4 underflows to 0
+    (QK.N_C, 20.0, 1e-200),     # nc ~ x^2/168 underflows to 0
     (QK.DELTA_I, 15.3, 1e-10),  # I^2 underflows to 0
 ])
 def test_unrepresentable_quantities_are_refused(kind, nu, x):
