@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """SHA-256 digests of the reproducible outputs of a checkout, and what moved.
 
-Runs ``besselbounds verify --suite all`` (with SOURCE_DATE_EPOCH=0) and
-``besselbounds figure fig1|fig2|fig3`` from the checkout's own ``src/`` in a
-temporary directory and prints one digest per output:
+Runs ``besselbounds verify --suite all`` (with SOURCE_DATE_EPOCH=0),
+``besselbounds figure fig1|fig2|fig3``, ``besselbounds bounds list --json`` and
+``besselbounds bounds at`` at a few fixed points from the checkout's own
+``src/`` in a temporary directory and prints one digest per output:
 
     verify_all.json   the report with every ``runtime_ms`` field dropped
     fig1.csv ...      the figure data as written
+    catalog.json      the catalog metadata as written
+    bounds_at.txt     the printed tables of ``bounds at`` (BOUNDS_AT points)
 
 Two checkouts whose digests match give byte-identical reports (apart from
-timings) and figures.  Usage, from the root of a checkout:
+timings), figures and catalog queries.  Usage, from the root of a checkout:
 
     python3 scripts/report_digest.py [--root PATH] [--against PATH]
 
@@ -18,7 +21,7 @@ so one copy of the script serves both sides of a comparison.  ``--against``
 builds a second checkout as the old side and, after both sets of digests,
 prints each ``check_id`` whose fields other than ``runtime_ms`` differ, with
 its old -> new ``status``, ``max_violation`` and witness margins, and whether
-each figure is identical.  Standard library only; each checkout takes about
+each other output is identical.  Standard library only; each checkout takes about
 as long as a cold ``verify --suite all``.
 """
 
@@ -32,6 +35,18 @@ import tempfile
 from pathlib import Path
 
 FIGURES = ("fig1", "fig2", "fig3")
+# (quantity, nu, x, extra arguments) of each `bounds at` query: each quantity
+# with entries, every status, ties in the nu = 1/2 collapse, points where no
+# entry applies, and one (the last) where the quantity is not evaluable
+BOUNDS_AT = (
+    ("phiI", "1", "1", ()), ("phiI", "1", "1", ("--status", "conjecture")),
+    ("phiI", "2", "3", ("--status", "refuted")), ("phiI", "0.25", "1e-3", ("--status", "proved")),
+    ("phiK", "0.5", "2", ()), ("phiK", "0.3", "0.3", ()), ("phiK", "-3", "0.01", ()),
+    ("y", "1", "100", ()), ("y", "-0.5", "0.5", ()), ("z", "0.5", "7", ()), ("phiP", "1", "6", ()),
+    ("iratio", "2", "3", ()), ("kratio", "1", "1", ()), ("b2hat", "0.25", "50", ()),
+    ("veff", "2", "0.5", ()), ("ns", "0", "10", ()), ("w", "1", "1", ()), ("b2hat", "-0.5", "1", ()),
+    ("y", "-1", "5e-324", ()),
+)
 
 
 def _drop_runtimes(obj):
@@ -42,32 +57,43 @@ def _drop_runtimes(obj):
     return obj
 
 
-def _cli(root: Path, workdir: str, *args: str) -> int:
+def _cli(root: Path, workdir: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(root / "src"), SOURCE_DATE_EPOCH="0")
     return subprocess.run([sys.executable, "-m", "besselbounds.cli", *args], cwd=workdir,
-                          env=env, stdout=subprocess.DEVNULL).returncode
+                          env=env, stdout=subprocess.PIPE)
 
 
 def outputs(root: Path) -> tuple[dict, dict[str, bytes]]:
-    """The report of a checkout (every runtime_ms dropped) and its figure files."""
+    """The report of a checkout (every runtime_ms dropped) and its other outputs."""
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp, "verify_all.json")
-        if _cli(root, tmp, "verify", "--suite", "all", "--out", str(report)) not in (0, 1):
+        if _cli(root, tmp, "verify", "--suite", "all", "--out", str(report)).returncode not in (0, 1):
             raise SystemExit(f"verify --suite all did not run in {root}")
-        figures = {}
+        files = {}
         for fig in FIGURES:
             path = Path(tmp, f"{fig}.csv")
-            if _cli(root, tmp, "figure", fig, "--out", str(path)) != 0:
+            if _cli(root, tmp, "figure", fig, "--out", str(path)).returncode != 0:
                 raise SystemExit(f"figure {fig} did not run in {root}")
-            figures[path.name] = path.read_bytes()
-        return _drop_runtimes(json.loads(report.read_text())), figures
+            files[path.name] = path.read_bytes()
+        path = Path(tmp, "catalog.json")
+        if _cli(root, tmp, "bounds", "list", "--json", str(path)).returncode != 0:
+            raise SystemExit(f"bounds list did not run in {root}")
+        files[path.name] = path.read_bytes()
+        tables = []
+        for quantity, nu, x, extra in BOUNDS_AT:
+            run = _cli(root, tmp, "bounds", "at", "--quantity", quantity, "--nu", nu, "--x", x, *extra)
+            if run.returncode != 0:
+                raise SystemExit(f"bounds at {quantity} {nu} {x} did not run in {root}")
+            tables.append(run.stdout)
+        files["bounds_at.txt"] = b"".join(tables)
+        return _drop_runtimes(json.loads(report.read_text())), files
 
 
-def digests(report: dict, figures: dict[str, bytes]) -> list[tuple[str, str]]:
-    """(output name, SHA-256 hex digest) for the report and each figure."""
+def digests(report: dict, files: dict[str, bytes]) -> list[tuple[str, str]]:
+    """(output name, SHA-256 hex digest) for the report and each other output."""
     text = json.dumps(report, indent=2) + "\n"
     out = [("verify_all.json", hashlib.sha256(text.encode()).hexdigest())]
-    out += [(name, hashlib.sha256(data).hexdigest()) for name, data in figures.items()]
+    out += [(name, hashlib.sha256(data).hexdigest()) for name, data in files.items()]
     return out
 
 

@@ -17,6 +17,9 @@ Domains tightened relative to their classical statements are flagged via
 whose stated extension to -1 <= nu < 0 is numerically false near x = 0
 (the x->0 limit of phiI is 1/(nu+1), which the bound formulas overshoot
 for nu < 0), so those entries are guarded to nu >= 0.
+
+``CATALOG`` is the one source of entries.  Point queries scan a view of it
+built at import, each quantity's entries in declaration order (_BY_QUANTITY).
 """
 
 from __future__ import annotations
@@ -373,18 +376,19 @@ def _entries() -> list[BoundSpec]:
 
 
 CATALOG: MappingProxyType[str, BoundSpec] = MappingProxyType({b.id: b for b in _entries()})
+_BY_QUANTITY: dict[QuantityKind, tuple[BoundSpec, ...]] = {
+    q: tuple(b for b in CATALOG.values() if b.quantity is q) for q in QuantityKind}
+
+
+def _entries_of(quantity: QuantityKind) -> tuple[BoundSpec, ...]:
+    entries = _BY_QUANTITY.get(quantity)  # a member hits; a str value is converted
+    return _BY_QUANTITY[QuantityKind(quantity)] if entries is None else entries
 
 
 def ids(status: Status | None = None, quantity: QuantityKind | None = None) -> list[str]:
     """Catalog ids in declaration order, optionally filtered."""
-    out = []
-    for b in CATALOG.values():
-        if status is not None and b.status != status:
-            continue
-        if quantity is not None and b.quantity is not QuantityKind(quantity):
-            continue
-        out.append(b.id)
-    return out
+    entries = CATALOG.values() if quantity is None else _entries_of(quantity)
+    return [b.id for b in entries if status is None or b.status == status]
 
 
 def get(bound_id: str) -> BoundSpec:
@@ -394,54 +398,50 @@ def get(bound_id: str) -> BoundSpec:
         raise UnknownBoundError(bound_id) from None
 
 
+def _evaluation(b: BoundSpec, value: float, applies: bool = True) -> BoundEvaluation:
+    return BoundEvaluation(b.id, value, applies, b.status, b.side, b.quantity)
+
+
 def evaluate_bound(bound_id: str, nu: float, x: float) -> BoundEvaluation:
     """Evaluate one entry's formula at (nu, x); inapplicable points never raise."""
     b = get(bound_id)
     if not b.domain(nu, x):
-        return BoundEvaluation(b.id, math.nan, False, b.status, b.side, b.quantity)
-    return BoundEvaluation(b.id, b.formula(nu, x), True, b.status, b.side, b.quantity)
+        return _evaluation(b, math.nan, False)
+    return _evaluation(b, b.formula(nu, x))
 
 
 def applicable(quantity: QuantityKind, nu: float, x: float,
                statuses: tuple[Status, ...] = ("proved",)) -> list[BoundEvaluation]:
     """All evaluated entries for a quantity whose domain holds at (nu, x)."""
-    quantity = QuantityKind(quantity)
-    out = []
-    for b in CATALOG.values():
-        if b.quantity is not quantity or b.status not in statuses:
-            continue
-        ev = evaluate_bound(b.id, nu, x)
-        if ev.applicable:
-            out.append(ev)
-    return out
+    return [_evaluation(b, b.formula(nu, x))
+            for b in _entries_of(quantity) if b.status in statuses and b.domain(nu, x)]
 
 
 def best_bounds(quantity: QuantityKind, nu: float, x: float
                 ) -> tuple[BoundEvaluation | None, BoundEvaluation | None]:
     """Tightest applicable proved bounds: (max lower, min upper).
 
-    Ties are broken by lexicographic id; an absent side returns None.
+    Ties are broken by lexicographic id; an absent side returns None.  One
+    pass keeps the least sort key per side, (-value, id) for lower and
+    (value, id) for upper, and builds evaluations only for the two winners.
     """
-    evs = applicable(quantity, nu, x)
-    lowers = sorted((ev for ev in evs if ev.side == "lower"), key=lambda e: (-e.value, e.id))
-    uppers = sorted((ev for ev in evs if ev.side == "upper"), key=lambda e: (e.value, e.id))
-    return (lowers[0] if lowers else None, uppers[0] if uppers else None)
+    lo = hi = None  # (key, entry, value) of each side's winner so far
+    for b in _entries_of(quantity):
+        if b.status != "proved" or not b.domain(nu, x):
+            continue
+        v = b.formula(nu, x)
+        if b.side == "lower":
+            if lo is None or (-v, b.id) < lo[0]:
+                lo = (-v, b.id), b, v
+        elif hi is None or (v, b.id) < hi[0]:
+            hi = (v, b.id), b, v
+    return (None if lo is None else _evaluation(*lo[1:]),
+            None if hi is None else _evaluation(*hi[1:]))
 
 
 def catalog_rows() -> list[dict]:
     """JSON-ready catalog metadata (one row per entry, declaration order)."""
-    rows = []
-    for b in CATALOG.values():
-        rows.append({
-            "id": b.id,
-            "quantity": b.quantity.value,
-            "side": b.side,
-            "status": b.status,
-            "domain": b.domain_str,
-            "formula": b.formula_str,
-            "strictness": b.strictness,
-            "sharp_at": list(b.sharp_at),
-            "note": b.note,
-            "guard_note": b.guard_note,
-        })
-    return rows
+    return [{"id": b.id, "quantity": b.quantity.value, "side": b.side, "status": b.status,
+             "domain": b.domain_str, "formula": b.formula_str, "strictness": b.strictness,
+             "sharp_at": list(b.sharp_at), "note": b.note, "guard_note": b.guard_note}
+            for b in CATALOG.values()]

@@ -98,6 +98,8 @@ _ASYM_BASE = 30.0
 _LN2 = math.log(2.0)
 _MIN_NORMAL = sys.float_info.min
 _MIN_SUBNORMAL = math.ulp(0.0)
+# EvalContext and ValueWithError, built per evaluation, set each frozen field once in __init__
+_setattr = object.__setattr__
 
 
 class DomainError(ValueError):
@@ -112,32 +114,35 @@ class CrossCheckError(AccuracyError):
     """Two independent evaluation paths disagree: evaluator bug."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EvalContext:
-    """Point (nu, x) at which quantities are evaluated; mu = nu^2 - 1/4."""
+    """Point (nu, x) at which quantities are evaluated; mu = nu^2 - 1/4 (a mu passed in is ignored)."""
 
     nu: float
     x: float
     mu: float = 0.0
 
-    def __post_init__(self):
-        nu = float(self.nu)
-        x = float(self.x)
+    def __init__(self, nu: float, x: float, mu: float = 0.0):
+        nu, x = float(nu), float(x)
         if not (SUPPORTED_NU[0] <= nu <= SUPPORTED_NU[1]):
             raise DomainError(f"order nu={nu!r} outside supported [{SUPPORTED_NU[0]}, {SUPPORTED_NU[1]}]")
         if not (SUPPORTED_X[0] < x <= SUPPORTED_X[1]):
             raise DomainError(f"argument x={x!r} outside supported ({SUPPORTED_X[0]}, {SUPPORTED_X[1]}]")
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "mu", nu * nu - 0.25)
+        _setattr(self, "nu", nu)
+        _setattr(self, "x", x)
+        _setattr(self, "mu", nu * nu - 0.25)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ValueWithError:
     """A computed value together with a claimed relative-error bound."""
 
     value: float
     rel_error_bound: float
+
+    def __init__(self, value: float, rel_error_bound: float):
+        _setattr(self, "value", value)
+        _setattr(self, "rel_error_bound", rel_error_bound)
 
     def __float__(self) -> float:
         return self.value
@@ -441,7 +446,7 @@ def evaluation_path(fn: str, nu: float, x: float) -> str:
     if fn == "K":
         return _besselk(nu, x)[2]
     if fn == "ratio_I":
-        return RATIO_I_PATHS[_ratio_i_asym(nu, x)]
+        return RATIO_I_PATHS[1 if _ratio_i_asym(nu, x) else 0 if _ratio_i_two_term(nu, x) is None else 2]
     raise DomainError(f"unknown function tag {fn!r}")
 
 
@@ -495,14 +500,12 @@ def _ratio_i_cf(nu: float, x: float) -> tuple[float, float]:
     2q; the roundings cost at most 3 eps, and a subnormal r is off by up to
     2^-1074 more.
     """
-    if x < _SMALL_X:
-        e = nu + 1.0  # exact for nu <= -1/2, where it may be small
-        r = 2.0 / x if e == 0.0 else x / (2.0 * e + x * x / (2.0 * (e + 1.0)))
+    r = _ratio_i_two_term(nu, x)
+    if r is not None:
         if r == 0.0:
             raise AccuracyError(f"ratio_I underflows at nu={nu}, x={x}")
-        if _LENTZ_TINY * (r + 1.0 / r) > _EPS / 16.0:
-            rel = 0.5 * x * x + 3.0 * _EPS
-            return r, rel + _MIN_SUBNORMAL / r if r < _MIN_NORMAL else rel
+        rel = 0.5 * x * x + 3.0 * _EPS
+        return r, rel + _MIN_SUBNORMAL / r if r < _MIN_NORMAL else rel
     tiny = _LENTZ_TINY
     f = tiny
     c = f
@@ -523,12 +526,24 @@ def _ratio_i_cf(nu: float, x: float) -> tuple[float, float]:
     raise AccuracyError(f"ratio_I continued fraction failed to converge at nu={nu}, x={x}")
 
 
+def _ratio_i_two_term(nu: float, x: float) -> float | None:
+    # the route test that _ratio_i_cf and evaluation_path share: r by the
+    # two-term form where x < _SMALL_X and the Lentz start is not negligible
+    # (or where the form underflows to 0), else None
+    if x < _SMALL_X:
+        e = nu + 1.0  # exact for nu <= -1/2, where it may be small
+        r = 2.0 / x if e == 0.0 else x / (2.0 * e + x * x / (2.0 * (e + 1.0)))
+        if r == 0.0 or _LENTZ_TINY * (r + 1.0 / r) > _EPS / 16.0:
+            return r
+    return None
+
+
 def _ratio_i_asym(nu: float, x: float) -> bool:
     # whether _besseli takes the large-argument expansion at both nu and nu + 1
     return x >= _ASYM_BASE + max(nu * nu, (nu + 1.0) * (nu + 1.0))
 
 
-RATIO_I_PATHS = ("cf1", "asymptotic")  # continued fraction below the switch, expansion quotient above
+RATIO_I_PATHS = ("cf1", "asymptotic", "two_term")  # CF1, expansion quotient, CF1 cut at tiny x
 
 
 @lru_cache(maxsize=200_000)
@@ -877,8 +892,10 @@ QUANTITY_EXPRESSIONS: dict[QuantityKind, str] = {k: q.expression for k, q in QUA
 
 def quantity(kind: QuantityKind, ctx: EvalContext) -> ValueWithError:
     """Evaluate one derived quantity at (nu, x) with a propagated error bound."""
-    kind = QuantityKind(kind)
-    spec = QUANTITIES[kind]
+    spec = QUANTITIES.get(kind)
+    if spec is None:  # a str value; an unknown kind raises ValueError here
+        kind = QuantityKind(kind)
+        spec = QUANTITIES[kind]
     if ctx.nu < spec.min_nu:
         raise DomainError(f"quantity {kind.value!r} needs nu >= {spec.min_nu}; got nu={ctx.nu}")
     v = spec.evaluate(ctx)

@@ -19,6 +19,7 @@ import random
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from . import catalog as cat
 from .core import (
@@ -210,25 +211,24 @@ def _tolerance(true: float, abs_eval_err: float) -> float:
     return max(1e-9, 1e-9 * abs(true)) + abs_eval_err
 
 
-def sweep_validity(ids: list[str], grid: GridSpec) -> list[Violation]:
+def sweep_validity(ids: list[str], grid: GridSpec, cache: dict | None = None) -> list[Violation]:
     """Check each bound against the reference evaluator on its in-domain grid.
 
     Returns all violations (points beyond tolerance), sorted by
     (bound_id, nu, x).  Evaluation failures are re-raised, not swallowed.
+    Reference values go in ``cache`` by (quantity, nu, x); share one to evaluate each once.
     """
     out: list[Violation] = []
-    cache: dict[tuple[QuantityKind, float, float], object] = {}
+    cache = {} if cache is None else cache
     for bound_id in ids:
         spec = cat.get(bound_id)
         for nu in grid.nu_values:
             for x in grid.x_values:
                 if not spec.domain(nu, x):
                     continue
-                key = (spec.quantity, nu, x)
-                tv = cache.get(key)
+                tv = cache.get((spec.quantity, nu, x))
                 if tv is None:
-                    tv = quantity(spec.quantity, EvalContext(nu, x))
-                    cache[key] = tv
+                    tv = cache[spec.quantity, nu, x] = quantity(spec.quantity, EvalContext(nu, x))
                 bv = spec.formula(nu, x)
                 tol = _tolerance(tv.value, tv.abs_error_bound)
                 margin = (bv - tv.value - tol) if spec.side == "lower" else (tv.value - bv - tol)
@@ -283,8 +283,10 @@ class _Checks:
 def validity_records(cfg: VerifyConfig) -> list[CheckRecord]:
     grid = grid_from_config(cfg)
     checks = _Checks()
-    for bound_id in cat.ids(status="proved"):
-        checks.add(f"validity:{bound_id}", 1e-9, witnesses=sweep_validity([bound_id], grid))
+    for _, same_quantity in groupby(cat.ids(status="proved"), key=lambda bid: cat.get(bid).quantity):
+        cache: dict = {}  # this quantity's reference values, shared by its bounds
+        for bound_id in same_quantity:
+            checks.add(f"validity:{bound_id}", 1e-9, witnesses=sweep_validity([bound_id], grid, cache))
     return checks.records + refutation_probe(cfg)
 
 

@@ -1,13 +1,18 @@
 """Catalog integrity: coverage, guards, selection, and the master sweep."""
 
+import itertools
 import math
+import random
+import re
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from besselbounds.catalog import (
     CATALOG,
+    BoundEvaluation,
     UnknownBoundError,
     applicable,
     best_bounds,
@@ -228,3 +233,125 @@ def test_master_sweep_60x60_zero_violations():
                     assert bv <= tv.value + tol, (b.id, nu, x, bv, tv.value)
                 else:
                     assert bv >= tv.value - tol, (b.id, nu, x, bv, tv.value)
+
+
+# ---------------------------------------------------------------------------
+# queries against a brute-force reference
+# ---------------------------------------------------------------------------
+
+STATUS_SETS = [c for n in range(4) for c in itertools.combinations(("proved", "conjecture", "refuted"), n)]
+
+
+def _reference_evaluations(nu, x):
+    # every CATALOG entry whose domain holds, in declaration order, with its
+    # value, or ZeroDivisionError (some formulas at x below about 1e-150)
+    out = []
+    for b in CATALOG.values():
+        if b.domain(nu, x):
+            try:
+                out.append(BoundEvaluation(b.id, b.formula(nu, x), True, b.status, b.side, b.quantity))
+            except ZeroDivisionError:
+                out.append(BoundEvaluation(b.id, ZeroDivisionError, True, b.status, b.side, b.quantity))
+    return out
+
+
+def _outcome(query, *args):
+    try:
+        return query(*args)
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+def _reference_query(evs, statuses=("proved",), best=False):
+    # filter, then sort by the documented keys: (-value, id) lower, (value, id) upper
+    evs = [e for e in evs if e.status in statuses]
+    if any(e.value is ZeroDivisionError for e in evs):
+        return ZeroDivisionError
+    if not best:
+        return evs
+    lowers = sorted((e for e in evs if e.side == "lower"), key=lambda e: (-e.value, e.id))
+    uppers = sorted((e for e in evs if e.side == "upper"), key=lambda e: (e.value, e.id))
+    return (lowers[0] if lowers else None, uppers[0] if uppers else None)
+
+
+def _query_points():
+    # the bounds-table grid, the equality orders +-1/2, then 5 000 seeded
+    # points over the whole box (x log-uniform down to the subnormals)
+    nus = (-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0)
+    pts = [(nu, 10.0 ** (-3.0 + 5.0 * k / 59)) for nu in nus for k in range(60)]
+    pts += [(nu, x) for nu in (-0.5, 0.5) for x in (1e-300, 1e-3, 0.5, 2.0, 100.0, 500.0)]
+    rng = random.Random(20261018)
+    pts += [(rng.uniform(-10.0, 20.0), 10.0 ** rng.uniform(-323.0, math.log10(500.0)))
+            for _ in range(5000)]
+    return pts
+
+
+def test_best_bounds_and_applicable_match_brute_force():
+    # every quantity with entries, and one without (w)
+    quants = sorted({b.quantity for b in CATALOG.values()}) + [QK.W]
+    ties = inapplicable = raised = 0
+    for i, (nu, x) in enumerate(_query_points()):
+        by_quantity = {}
+        for e in _reference_evaluations(nu, x):
+            by_quantity.setdefault(e.quantity, []).append(e)
+        for quant in quants:
+            evs = by_quantity.get(quant, [])
+            statuses = STATUS_SETS[i % len(STATUS_SETS)]  # () to all three; ("proved",) by default
+            args = (quant, nu, x) if statuses == ("proved",) else (quant, nu, x, statuses)
+            assert _outcome(applicable, *args) == _reference_query(evs, statuses)
+            want = _reference_query(evs, best=True)
+            assert _outcome(best_bounds, quant, nu, x) == want, (quant, nu, x)
+            if i % 10 == 0:
+                assert _outcome(best_bounds, quant.value, nu, x) == want
+            if want is ZeroDivisionError:
+                raised += 1
+                continue
+            inapplicable += want == (None, None)
+            ties += any(e.id != w.id and e.side == w.side and e.value == w.value
+                        for w in want if w is not None for e in evs if e.status == "proved")
+    # the nu = 1/2 collapse ties several sides; at some points no entry applies
+    assert ties > 0 and inapplicable > 0 and raised > 0
+
+
+def test_queries_reject_unknown_quantities():
+    for query in (best_bounds, applicable):
+        with pytest.raises(ValueError):
+            query("nope", 1.0, 1.0)
+    assert ids(quantity="phiP") == ids(quantity=QK.PHI_P) == ["turan26_lower", "turan26_upper"]
+
+
+# ---------------------------------------------------------------------------
+# catalog drift: every printed formula against its lambda
+# ---------------------------------------------------------------------------
+
+def _formula_to_python(b):
+    """The entry's formula_str as a Python expression in nu and x."""
+    s = b.formula_str
+    if b.id == "ncns":
+        s = s.removeprefix("n_c = ")  # names the classical count it states
+    if b.id == "veff_upper":
+        s = s.replace("mu_gig", "nu")  # nu plays mu_gig (see its domain)
+    s = re.sub(r"\|([^|]+)\|", r"abs(\1)", s)
+    s = s.replace("[", "(").replace("]", ")").replace("^", "**").replace("arccos", "acos")
+    s = re.sub(r"\bmu\b", "(nu**2-1/4)", s)
+    return re.sub(r"(\d)(?=[a-z(])", r"\1*", s)  # implicit products: 2nu, 2x, 2(, 2abs(
+
+
+def test_formula_strings_match_lambdas():
+    # each string, evaluated with 40-digit mpmath at seeded in-domain points,
+    # agrees with the lambda; the lambdas' own rounding (cancellation in
+    # turan5_lower, turan5p_upper and turan18_lower at small x) stays below
+    # 1e-10, and a drifted coefficient moves the value by far more
+    rng = random.Random(5)
+    with mpmath.workdps(40):
+        names = {"sqrt": mpmath.sqrt, "log": mpmath.log, "acos": mpmath.acos, "pi": mpmath.pi}
+        for b in CATALOG.values():
+            code = compile(_formula_to_python(b), b.id, "eval")
+            checked = 0
+            while checked < 200:
+                nu, x = rng.uniform(-10.0, 20.0), 10.0 ** rng.uniform(-3.0, math.log10(500.0))
+                if not b.domain(nu, x):
+                    continue
+                exact = eval(code, dict(names, nu=mpmath.mpf(nu), x=mpmath.mpf(x)))
+                assert abs(b.formula(nu, x) - exact) <= 1e-9 * max(1.0, abs(exact)), (b.id, nu, x)
+                checked += 1

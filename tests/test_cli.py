@@ -41,6 +41,11 @@ def test_eval_reports_ratio_I_route(capsys):
         assert out.splitlines()[-1] == f"paths: ratio_I={route}"
     rc, out, _ = run(capsys, "eval", "--fn", "deltaI", "--nu", "1", "--x", "32")
     assert out.splitlines()[-1] == "paths: ratio_I=cf1, I=asymptotic"
+    # at x < 1e-9, where the Lentz start is not negligible, the fraction is
+    # cut after its first element with a series tail: its own route
+    rc, out, _ = run(capsys, "eval", "--fn", "y", "--nu", "0", "--x", "1e-25")
+    assert rc == 0
+    assert out.splitlines()[-1] == "paths: ratio_I=two_term"
 
 
 # `eval` output, "value claim paths", at (nu, x) = (1, 1), below every path

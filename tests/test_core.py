@@ -1,6 +1,8 @@
 """Point evaluation: frozen oracle values, closed forms, error-bound honesty."""
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,7 @@ from besselbounds.core import (
     AccuracyError,
     DomainError,
     EvalContext,
+    QuantityKind,
     ValueWithError,
     dual_path_checks,
     eval_I,
@@ -21,6 +24,7 @@ from besselbounds.core import (
     evaluation_path,
     ratio_I,
     ratio_K,
+    quantity,
 )
 
 from frozen import FROZEN_I, FROZEN_K, FROZEN_MISC
@@ -197,6 +201,42 @@ def test_value_with_error_interface():
     v = ValueWithError(2.0, 1e-13)
     assert float(v) == 2.0
     assert v.abs_error_bound == pytest.approx(2e-13)
+
+
+def test_context_and_value_contract():
+    # both stay frozen dataclasses: fields, eq, hash, repr, pickling and the
+    # errors are those of the generated methods
+    ctx = EvalContext(1, 2)
+    assert [f.name for f in dataclasses.fields(ctx)] == ["nu", "x", "mu"]
+    assert type(ctx.nu) is float and type(ctx.x) is float
+    assert repr(ctx) == "EvalContext(nu=1.0, x=2.0, mu=0.75)"
+    assert ctx == EvalContext(1.0, 2.0) == EvalContext(1.0, 2.0, mu=9.0)  # mu is derived
+    assert ctx != EvalContext(1.0, 2.5) and hash(ctx) == hash((1.0, 2.0, 0.75))
+    assert dataclasses.replace(ctx, nu=0.5).mu == 0.0
+    assert pickle.loads(pickle.dumps(ctx)) == ctx
+    for field in ("nu", "x", "mu"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ctx, field, 3.0)
+    for nu in (0.5000001, -7.3, 19.999, 1e-9, -0.4999999):
+        assert EvalContext(nu, 1.0).mu.hex() == (nu * nu - 0.25).hex()
+    for nu, x in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+                  (-10.5, 1.0), (20.5, 1.0), (1.0, 0.0), (1.0, -0.0), (1.0, 500.5)):
+        with pytest.raises(DomainError):
+            EvalContext(nu, x)
+
+    v = ValueWithError(2.0, 1e-13)
+    assert repr(v) == "ValueWithError(value=2.0, rel_error_bound=1e-13)"
+    assert v == ValueWithError(2.0, 1e-13) != ValueWithError(2.0, 2e-13)
+    assert hash(v) == hash((2.0, 1e-13))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.value = 3.0
+
+    # quantity() takes a member or its str value; anything else is a ValueError
+    assert quantity("P", ctx) == quantity(QuantityKind.P, ctx)
+    assert quantity("phiI", ctx) == quantity(QuantityKind.PHI_I, ctx)
+    for kind in ("nope", "T", "PHI_I"):
+        with pytest.raises(ValueError):
+            quantity(kind, ctx)
 
 
 @settings(max_examples=60, deadline=None)

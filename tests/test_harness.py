@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -67,6 +68,35 @@ def test_sweep_refuted_finds_witnesses():
     assert viols, "reversal region should be detected"
     near = [v for v in viols if abs(v.x - 3.0) < 0.3]
     assert near and all(v.margin > 0 for v in viols)
+
+
+def test_validity_evaluates_each_point_once(monkeypatch):
+    # the proved bounds of one quantity share its evaluations; with a negative
+    # tolerance every point is a witness, so the records must keep exactly
+    # the witnesses that a sweep of each bound on its own finds
+    from besselbounds import harness
+
+    cfg = VerifyConfig(x_points=12)
+    grid = harness.grid_from_config(cfg)
+    monkeypatch.setattr(harness, "_tolerance", lambda true, err: -1e6 * (1.0 + abs(true)))
+    monkeypatch.setattr(harness, "refutation_probe", lambda cfg: [])
+    alone = {bid: sweep_validity([bid], grid) for bid in ids(status="proved")}
+    calls = Counter()
+    quantity = harness.quantity
+
+    def counted(kind, ctx):
+        calls[kind, ctx.nu, ctx.x] += 1
+        return quantity(kind, ctx)
+
+    monkeypatch.setattr(harness, "quantity", counted)
+    records = harness.validity_records(cfg)
+    assert calls and set(calls.values()) == {1}
+    assert [r.check_id for r in records] == [f"validity:{bid}" for bid in alone]
+    for r, (bid, ws) in zip(records, alone.items()):
+        kept = sorted(sorted(ws, key=lambda w: -w.margin)[:harness.WITNESS_CAP],
+                      key=lambda w: (w.bound_id, w.nu, w.x))
+        assert ws and r.witnesses == kept, bid
+        assert r.max_violation == max(w.margin for w in ws) and r.status == "fail"
 
 
 def test_sharpness_decay_examples():
