@@ -6,7 +6,8 @@ and the application quantities b2hat, veff, ns).  Entries carry:
 
 * a closed-form formula in (nu, x, mu) with its printable string,
 * a domain predicate (total on the supported box: singular denominators,
-  logs and square roots are pre-rejected by the guard),
+  logs and square roots are pre-rejected by the guard, and so is tiny x where
+  a bound with a pole at x = 0 overflows),
 * a status flag: ``proved`` entries must never be violated by the
   reference evaluator anywhere in their domain (the master test),
   ``conjecture`` and ``refuted`` entries are probed but never trusted,
@@ -88,6 +89,30 @@ def _hyp(x: float, a: float) -> float:
     return math.hypot(x, a)
 
 
+# A bound with a pole at x = 0 overflows double precision at tiny x: one of
+# order 1/x (coefficients up to 2 nu + 1 <= 41 on the box) below about 1e-307,
+# of order 1/x^2 below about 1e-154, of order 1/x^3 below about 1e-102.  Guards
+# admit such a bound only at or above the floor of its order: x >= 1e-300,
+# 1e-150 or 1e-100, or, where only some orders have the pole, only at those
+# orders (at |nu| = 1/2, say) or where its denominator is >= 1e-300.
+_POLE_NOTE = "x floor added: the bound has a pole at x = 0 and overflows double precision below it"
+
+
+def _hyp_plus_over_x(s: float, x: float) -> float:
+    # (s + sqrt(x^2 + s^2))/x; for s < 0 the sum cancels at small x and is
+    # formed as x^2/(sqrt(x^2 + s^2) - s)
+    h = math.hypot(x, s)
+    return (s + h) / x if s >= 0.0 else x / (h - s)
+
+
+def _turan18_lower(nu: float, x: float) -> float:
+    # -2/(a + sqrt(x^2 + a^2)), a = |nu| - 1, the sum formed as in
+    # _hyp_plus_over_x for a < 0, x divided out one factor at a time
+    a = abs(nu) - 1.0
+    h = math.hypot(x, a)
+    return -2.0 / (a + h) if a >= 0.0 else -2.0 * ((h - a) / x) / x
+
+
 def _entries() -> list[BoundSpec]:
     Q = QuantityKind
     e: list[BoundSpec] = []
@@ -131,20 +156,22 @@ def _entries() -> list[BoundSpec]:
         sharp_at=("x->inf",),
         guard_note="stated range nu >= -1 fails at e.g. nu = -3/4, x = 1/2; guarded to nu >= 0")
     add("turan10_upper", Q.PHI_I, "upper", "proved",
-        lambda nu, x: nu >= 0.0, "nu >= 0",
+        lambda nu, x: nu >= 0.0 and x + nu >= 1e-300, "nu >= 0 and x+nu >= 1e-300",
         lambda nu, x: 2.0 / (x + nu), "2/(x+nu)",
-        note="corrected form of the refuted joshi_turan7 (factor 2)")
+        note="corrected form of the refuted joshi_turan7 (factor 2)", guard_note=_POLE_NOTE)
     add("turan11_upper", Q.PHI_I, "upper", "proved",
-        lambda nu, x: nu >= 0.5, "nu >= 1/2",
+        lambda nu, x: nu >= 0.5 and x >= 1e-300, "nu >= 1/2 and x >= 1e-300",
         lambda nu, x: 1.0 / x, "1/x",
-        sharp_at=("x->inf",), note="equivalent to b2hat < -1 for nu >= 1/2")
+        sharp_at=("x->inf",), note="equivalent to b2hat < -1 for nu >= 1/2", guard_note=_POLE_NOTE)
     add("turan16_lower", Q.PHI_I, "lower", "proved",
         lambda nu, x: nu >= -0.5, "nu >= -1/2",
         lambda nu, x: ((nu + 0.5) / (nu + 1.0)) / _hyp(x, nu + 0.5),
         "((nu+1/2)/(nu+1))/sqrt(x^2+(nu+1/2)^2)",
         sharp_at=("x->0", "x->inf"))
     add("turan16_upper", Q.PHI_I, "upper", "proved",
-        lambda nu, x: nu >= 0.5, "nu >= 1/2",
+        # x^2 + nu^2 - 1/4 rounds to 0 at nu = 1/2 below x ~ 1e-8: the guard
+        # admits only points where the formula's radicand is positive
+        lambda nu, x: nu >= 0.5 and x * x + nu * nu - 0.25 > 0.0, "nu >= 1/2",
         lambda nu, x: 1.0 / math.sqrt(x * x + nu * nu - 0.25),
         "1/sqrt(x^2+nu^2-1/4)",
         sharp_at=("x->inf",), note="tighter than 1/x for nu > 1/2")
@@ -154,9 +181,9 @@ def _entries() -> list[BoundSpec]:
         sharp_at=("x->0", "x->inf"),
         note="equivalent to lambda = y - sqrt(x^2+(nu+1)^2) being increasing")
     add("joshi_turan7", Q.PHI_I, "upper", "refuted",
-        lambda nu, x: nu >= 0.0, "nu >= 0",
+        lambda nu, x: nu >= 0.0 and x + nu >= 1e-300, "nu >= 0 and x+nu >= 1e-300",
         lambda nu, x: 1.0 / (x + nu), "1/(x+nu)",
-        note="reversed on roughly 1/2 <= x <= nu(nu+1); witness at nu=2, x=3")
+        note="reversed on roughly 1/2 <= x <= nu(nu+1); witness at nu=2, x=3", guard_note=_POLE_NOTE)
 
     # ---- log-derivative of I: y --------------------------------------------
     add("turan3_upper", Q.Y, "upper", "proved",
@@ -213,12 +240,12 @@ def _entries() -> list[BoundSpec]:
     # ---- consecutive-order ratios ------------------------------------------
     add("turan5_lower", Q.I_RATIO, "lower", "proved",
         lambda nu, x: nu >= 0.0, "nu >= 0",
-        lambda nu, x: (-nu + _hyp(x, nu)) / x, "(-nu+sqrt(x^2+nu^2))/x",
+        lambda nu, x: _hyp_plus_over_x(-nu, x), "(-nu+sqrt(x^2+nu^2))/x",
         note="equivalent to turan3_upper")
     add("turan5p_upper", Q.K_RATIO, "upper", "proved",
-        lambda nu, x: True, "all nu",
-        lambda nu, x: (nu + _hyp(x, nu)) / x, "(nu+sqrt(x^2+nu^2))/x",
-        note="equivalent to turan4_upper")
+        lambda nu, x: nu <= 0.0 or x >= 1e-300, "nu <= 0 or x >= 1e-300",
+        _hyp_plus_over_x, "(nu+sqrt(x^2+nu^2))/x",
+        note="equivalent to turan4_upper", guard_note=_POLE_NOTE)
 
     # ---- normalised Turanian of K: phiK ------------------------------------
     add("turan2_lower", Q.PHI_K, "lower", "proved",
@@ -229,15 +256,17 @@ def _entries() -> list[BoundSpec]:
         lambda nu, x: abs(nu) > 1.0, "|nu| > 1",
         lambda nu, x: 0.0, "0")
     add("turan18_lower", Q.PHI_K, "lower", "proved",
-        lambda nu, x: abs(nu) >= 0.5, "|nu| >= 1/2",
-        lambda nu, x: -2.0 / (abs(nu) - 1.0 + _hyp(x, abs(nu) - 1.0)),
+        lambda nu, x: abs(nu) > 1.0 or abs(nu) >= 0.5 and x >= 1e-150,
+        "|nu| > 1 or (|nu| >= 1/2 and x >= 1e-150)",
+        _turan18_lower,
         "-2/(|nu|-1+sqrt(x^2+(|nu|-1)^2))",
-        sharp_at=("x->inf",), note="also sharp as x->0 when |nu| > 1")
+        sharp_at=("x->inf",), note="also sharp as x->0 when |nu| > 1", guard_note=_POLE_NOTE)
     add("turan18_upper", Q.PHI_K, "upper", "proved",
-        lambda nu, x: abs(nu) >= 0.5, "|nu| >= 1/2",
+        lambda nu, x: abs(nu) > 0.5 or abs(nu) == 0.5 and x >= 1e-300,
+        "|nu| > 1/2 or (|nu| = 1/2 and x >= 1e-300)",
         lambda nu, x: -1.0 / (abs(nu) - 0.5 + _hyp(x, abs(nu) - 0.5)),
         "-1/(|nu|-1/2+sqrt(x^2+(|nu|-1/2)^2))",
-        sharp_at=("x->inf",))
+        sharp_at=("x->inf",), guard_note=_POLE_NOTE)
     add("turan19_lower", Q.PHI_K, "lower", "proved",
         lambda nu, x: abs(nu) >= 0.5 and x + abs(nu) - 1.0 > 0.0,
         "|nu| >= 1/2 and x+|nu|-1 > 0",
@@ -245,27 +274,31 @@ def _entries() -> list[BoundSpec]:
         guard_note="x+|nu|-1 > 0 added: the formula is singular/sign-flipped "
                    "at x <= 1-|nu| for 1/2 <= |nu| < 1")
     add("turan19_upper", Q.PHI_K, "upper", "proved",
-        lambda nu, x: abs(nu) >= 0.5, "|nu| >= 1/2",
-        lambda nu, x: -1.0 / (x + 2.0 * abs(nu) - 1.0), "-1/(x+2|nu|-1)",
-        sharp_at=("x->inf",))
+        # x + (2|nu| - 1): the sum has no cancellation at |nu| = 1/2
+        lambda nu, x: abs(nu) > 0.5 or abs(nu) == 0.5 and x >= 1e-300,
+        "|nu| > 1/2 or (|nu| = 1/2 and x >= 1e-300)",
+        lambda nu, x: -1.0 / (x + (2.0 * abs(nu) - 1.0)), "-1/(x+2|nu|-1)",
+        sharp_at=("x->inf",), guard_note=_POLE_NOTE)
     add("turan20_lower", Q.PHI_K, "lower", "proved",
-        lambda nu, x: abs(nu) >= 0.5, "|nu| >= 1/2",
+        lambda nu, x: abs(nu) >= 0.5 and x >= 1e-300, "|nu| >= 1/2 and x >= 1e-300",
         lambda nu, x: -1.0 / x, "-1/x",
         strictness="non-strict", sharp_at=("x->inf", "nu=1/2"),
-        note="equality at |nu| = 1/2; sharp as x->0 for 1/2 <= |nu| <= 1")
+        note="equality at |nu| = 1/2; sharp as x->0 for 1/2 <= |nu| <= 1", guard_note=_POLE_NOTE)
     add("turan20_upper", Q.PHI_K, "upper", "proved",
-        lambda nu, x: abs(nu) >= 0.5, "|nu| >= 1/2",
+        lambda nu, x: abs(nu) >= 0.5 and x >= 1e-100, "|nu| >= 1/2 and x >= 1e-100",
         lambda nu, x: -(1.0 - (nu * nu - 0.25) / (x * x)) / x, "-(1-mu/x^2)/x",
         strictness="non-strict", sharp_at=("x->inf", "nu=1/2"),
-        note="equality at |nu| = 1/2")
+        note="equality at |nu| = 1/2", guard_note=_POLE_NOTE)
     add("turan21_lower", Q.PHI_K, "lower", "proved",
-        lambda nu, x: abs(nu) < 0.5, "|nu| < 1/2",
+        lambda nu, x: abs(nu) < 0.5 and x >= 1e-100, "|nu| < 1/2 and x >= 1e-100",
         lambda nu, x: -(1.0 - (nu * nu - 0.25) / (x * x)) / x, "-(1-mu/x^2)/x",
-        sharp_at=("x->0", "x->inf"), note="turan20_upper reversed for |nu| < 1/2")
+        sharp_at=("x->0", "x->inf"), note="turan20_upper reversed for |nu| < 1/2",
+        guard_note=_POLE_NOTE)
     add("turan21_upper", Q.PHI_K, "upper", "proved",
-        lambda nu, x: abs(nu) < 0.5, "|nu| < 1/2",
+        lambda nu, x: abs(nu) < 0.5 and x >= 1e-300, "|nu| < 1/2 and x >= 1e-300",
         lambda nu, x: -1.0 / x, "-1/x",
-        sharp_at=("x->0", "x->inf"), note="turan20_lower reversed for |nu| < 1/2")
+        sharp_at=("x->0", "x->inf"), note="turan20_lower reversed for |nu| < 1/2",
+        guard_note=_POLE_NOTE)
     add("turan23_lower", Q.PHI_K, "lower", "proved",
         # x^2 + mu can round to 0 (or below) just above x = sqrt(-mu); the
         # guard admits only points where the formula's radicand is positive
@@ -279,15 +312,17 @@ def _entries() -> list[BoundSpec]:
         strictness="non-strict", sharp_at=("x->inf", "nu=1/2"),
         note="tightens turan21_lower; equality at |nu| = 1/2")
     add("turan24_upper", Q.PHI_K, "upper", "proved",
-        lambda nu, x: abs(nu) >= 0.5, "|nu| >= 1/2",
+        # the radicand rounds to 0 at |nu| = 1/2 below x ~ 1e-8 (as in turan16_upper)
+        lambda nu, x: abs(nu) >= 0.5 and x * x + nu * nu - 0.25 > 0.0, "|nu| >= 1/2",
         lambda nu, x: -1.0 / math.sqrt(x * x + nu * nu - 0.25), "-1/sqrt(x^2+mu)",
         strictness="non-strict", sharp_at=("x->inf", "nu=1/2"),
         note="tightens turan20_upper for |nu| > 1/2 and turan18_upper for |nu| >= 3/2")
     add("turan25_upper", Q.PHI_K, "upper", "proved",
-        lambda nu, x: True, "all nu",
+        lambda nu, x: x + abs(nu) >= 1e-300, "x+|nu| >= 1e-300",
         lambda nu, x: -1.0 / _hyp(x, nu), "-1/sqrt(x^2+nu^2)",
         strictness="non-strict", sharp_at=("x->inf",),
-        note="weaker than turan24_upper for |nu| >= 1/2 but valid for every order")
+        note="weaker than turan24_upper for |nu| >= 1/2 but valid for every order",
+        guard_note=_POLE_NOTE)
 
     # ---- log-derivative of K: z --------------------------------------------
     add("turan4_upper", Q.Z, "upper", "proved",
@@ -336,23 +371,27 @@ def _entries() -> list[BoundSpec]:
 
     # ---- normalised Turanian of the product: phiP ---------------------------
     add("turan26_lower", Q.PHI_P, "lower", "proved",
-        lambda nu, x: nu >= 0.5, "nu >= 1/2",
+        # the radicand rounds to 0 at nu = 1/2 below x ~ 1e-8 (as in turan16_upper)
+        lambda nu, x: nu >= 0.5 and x >= 1e-300 and x * x + nu * nu - 0.25 > 0.0,
+        "nu >= 1/2 and x >= 1e-300",
         lambda nu, x: (
             ((x - (nu + 0.5) - _hyp(x, nu + 0.5)) * math.sqrt(x * x + nu * nu - 0.25) + x)
             / (x * math.sqrt(x * x + nu * nu - 0.25) * (nu + 0.5 + _hyp(x, nu + 0.5)))),
         "([x-(nu+1/2)-sqrt(x^2+(nu+1/2)^2)]*sqrt(x^2+mu)+x)"
         "/(x*sqrt(x^2+mu)*[nu+1/2+sqrt(x^2+(nu+1/2)^2)])",
-        sharp_at=("x->inf",))
+        sharp_at=("x->inf",), guard_note=_POLE_NOTE)
     add("turan26_upper", Q.PHI_P, "upper", "proved",
-        lambda nu, x: nu >= 0.5, "nu >= 1/2",
+        lambda nu, x: nu >= 0.5 and x >= 1e-300 and x * x + nu * nu - 0.25 > 0.0,
+        "nu >= 1/2 and x >= 1e-300",
         lambda nu, x: 1.0 / (x * math.sqrt(x * x + nu * nu - 0.25)), "1/(x*sqrt(x^2+mu))",
-        sharp_at=("x->inf",))
+        sharp_at=("x->inf",), guard_note=_POLE_NOTE)
 
     # ---- application-level bounds -------------------------------------------
     add("b2hat_upper", Q.B2HAT, "upper", "proved",
-        lambda nu, x: nu > 0.0, "nu > 0",
+        lambda nu, x: nu > 0.0 and x >= 1e-300, "nu > 0 and x >= 1e-300",
         lambda nu, x: -(x + nu) / (2.0 * x), "-(x+nu)/(2x)",
-        note="corrected hyperplane-bias bound (from turan10_upper); implies b2hat < -1/2")
+        note="corrected hyperplane-bias bound (from turan10_upper); implies b2hat < -1/2",
+        guard_note=_POLE_NOTE)
     add("b2hat_upper_strong", Q.B2HAT, "upper", "proved",
         lambda nu, x: nu >= 0.5, "nu >= 1/2",
         lambda nu, x: -1.0, "-1",

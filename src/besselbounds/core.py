@@ -47,6 +47,16 @@ Values are kept exponentially scaled (e^-x I, e^x K) internally once
 x > 50 so that no intermediate overflows inside the supported box
 nu in [-10, 20], x in (0, 500].
 
+Caching
+-------
+Results are cached where points repeat, and nowhere else.  _ratio_i and
+_k_ladder serve the several tags computed at one point (y, phiI, u, ... all
+read ratio_I; z, phiK, kratio, ... all read the K ladder).  _p_pair caches
+P = I K with its claim, which P and omega share: the applications suite
+draws 160 000 distinct P points, and a warm verify replays exactly those.
+I and K themselves are not cached: nothing else asks for them twice at a
+point, and caching each would hold every P point twice, once per function.
+
 All functions are pure and cache only immutable results; they are safe to
 call concurrently from any number of threads.
 """
@@ -257,12 +267,9 @@ def _i_asym(nu: float, x: float) -> tuple[float, float]:
 I_PATHS = ("series", "asymptotic")  # power series below _ASYM_BASE + nu^2, expansion above
 
 
-@lru_cache(maxsize=200_000)
-def _besseli(nu: float, x: float) -> tuple[float, float, str]:
-    """(value, rel error, path) for I_nu(x), e^-x-scaled when x > _SCALE_X."""
-    asym = x >= _ASYM_BASE + nu * nu
-    val, rel = (_i_asym if asym else _i_series)(nu, x)
-    return val, rel, I_PATHS[asym]
+def _besseli(nu: float, x: float) -> tuple[float, float]:
+    """(value, rel error) for I_nu(x), e^-x-scaled when x > _SCALE_X."""
+    return (_i_asym if x >= _ASYM_BASE + nu * nu else _i_series)(nu, x)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +391,8 @@ def _k_climb(mu: float, x: float, top: int) -> tuple[float, float, float, float,
     return kp, k0, k1, rel0, rel1
 
 
-@lru_cache(maxsize=200_000)
-def _besselk(nu: float, x: float) -> tuple[float, float, str]:
-    """(value, rel error, path) for K_nu(x), e^x-scaled when x > _SCALE_X.
+def _besselk(nu: float, x: float) -> tuple[float, float]:
+    """(value, rel error) for K_nu(x), e^x-scaled when x > _SCALE_X.
 
     mu = |nu| - round(|nu|) lies in [-1/2, 1/2]; evaluating at |nu|
     realises K_{-nu} = K_nu exactly.
@@ -397,7 +403,7 @@ def _besselk(nu: float, x: float) -> tuple[float, float, str]:
     val, rel = (k1, max(rel0, rel1) + 2.5 * (nl - 1) * _EPS) if nl else (k0, rel0)
     if not math.isfinite(val):
         raise AccuracyError(f"K_{nu}({x}) overflows double precision")
-    return val, rel, K_PATHS[x >= _TEMME_X]
+    return val, rel
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +427,7 @@ def _check_target(rel: float, target: float, what: str) -> None:
 
 def eval_I(ctx: EvalContext, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> ValueWithError:
     """I_nu(x) with a certified relative-error bound."""
-    val, rel, _ = _besseli(ctx.nu, ctx.x)
+    val, rel = _besseli(ctx.nu, ctx.x)
     _check_target(rel, target_rel_err, f"I_{ctx.nu}({ctx.x})")
     out = _unscale_i(val, ctx.x)
     if not math.isfinite(out):
@@ -431,7 +437,7 @@ def eval_I(ctx: EvalContext, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> 
 
 def eval_K(ctx: EvalContext, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> ValueWithError:
     """K_nu(x) with a certified relative-error bound; K_{-nu} = K_nu."""
-    val, rel, _ = _besselk(ctx.nu, ctx.x)
+    val, rel = _besselk(ctx.nu, ctx.x)
     _check_target(rel, target_rel_err, f"K_{ctx.nu}({ctx.x})")
     out = _unscale_k(val, ctx.x)
     if not math.isfinite(out) or out <= 0.0:
@@ -440,11 +446,15 @@ def eval_K(ctx: EvalContext, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> 
 
 
 def evaluation_path(fn: str, nu: float, x: float) -> str:
-    """Name of the evaluation path ('series', 'cf1', ...) used for I, K or ratio_I."""
+    """Name of the evaluation path ('series', 'cf1', ...) used for I, K or ratio_I.
+
+    Answered from the region tests that _besseli, _k_climb and _ratio_i
+    take, without evaluating anything.
+    """
     if fn == "I":
-        return _besseli(nu, x)[2]
+        return I_PATHS[x >= _ASYM_BASE + nu * nu]
     if fn == "K":
-        return _besselk(nu, x)[2]
+        return K_PATHS[x >= _TEMME_X]
     if fn == "ratio_I":
         return RATIO_I_PATHS[1 if _ratio_i_asym(nu, x) else 0 if _ratio_i_two_term(nu, x) is None else 2]
     raise DomainError(f"unknown function tag {fn!r}")
@@ -707,11 +717,19 @@ def _z(ctx: EvalContext) -> ValueWithError:
     return ValueWithError(val, abs_err / abs(val) if val != 0.0 else math.inf)
 
 
+@lru_cache(maxsize=200_000)
+def _p_pair(nu: float, x: float) -> tuple[float, float]:
+    # (P, claim): scaling factors e^-x and e^x cancel, so the product never
+    # overflows.  Cached as a pair, not as an object: one key, one link and
+    # one 2-tuple per point
+    vi, ei = _besseli(nu, x)
+    vk, ek = _besselk(nu, x)
+    return vi * vk, ei + ek + 2.0 * _EPS
+
+
 def _p(ctx: EvalContext) -> ValueWithError:
-    # scaling factors e^-x and e^x cancel, so the product never overflows
-    vi, ei, _ = _besseli(ctx.nu, ctx.x)
-    vk, ek, _ = _besselk(ctx.nu, ctx.x)
-    return ValueWithError(vi * vk, ei + ek + 2.0 * _EPS)
+    val, rel = _p_pair(ctx.nu, ctx.x)
+    return ValueWithError(val, rel)
 
 
 def _shifted(base: float, base_err: float, sign: float, shift: float,
@@ -770,8 +788,8 @@ def _omega(ctx: EvalContext) -> ValueWithError:
     # I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x gives omega = 1/(r_I + r_K), a sum
     # of two positive ratios; their absolute errors add, plus two roundings
     ri, ei = _ratio_i(ctx.nu, ctx.x)
-    k0, e0, _ = _besselk(ctx.nu, ctx.x)
-    k1, e1, _ = _besselk(ctx.nu + 1.0, ctx.x)
+    k0, e0 = _besselk(ctx.nu, ctx.x)
+    k1, e1 = _besselk(ctx.nu + 1.0, ctx.x)
     rk = k1 / k0
     den = ri + rk
     return ValueWithError(1.0 / den, (ri * ei + rk * (e0 + e1 + 2.0 * _EPS)) / den + _EPS)
@@ -779,7 +797,7 @@ def _omega(ctx: EvalContext) -> ValueWithError:
 
 def _delta_i(ctx: EvalContext) -> ValueWithError:
     fi = _phi_i(ctx)
-    vi, ei, _ = _besseli(ctx.nu, ctx.x)
+    vi, ei = _besseli(ctx.nu, ctx.x)
     iv = _unscale_i(vi, ctx.x)
     val = iv * iv * fi.value  # inf (not OverflowError) when I^2 overflows
     return ValueWithError(val, 2.0 * ei + fi.rel_error_bound + 2.0 * _EPS)

@@ -143,6 +143,12 @@ def test_bounds_at(capsys):
     # x^2 + nu^2 - 1/4 rounds to 0 at (0.4, 0.3): turan23_lower must not apply
     rc, out, err = run(capsys, "bounds", "at", "--quantity", "phiK", "--nu", "0.4", "--x", "0.3")
     assert rc == 0 and "turan23_lower" not in out and err == ""
+    # turan18_lower's denominator |nu|-1+sqrt(x^2+(|nu|-1)^2) cancels to 0 at
+    # (-0.9, 1e-10) when formed as written; the bound is
+    # -2 (sqrt(x^2 + a^2) - a)/x^2, a = 0.9 - 1, about -4e19
+    rc, out, err = run(capsys, "bounds", "at", "--quantity", "phiK", "--nu", "-0.9", "--x", "1e-10")
+    assert rc == 0 and err == ""
+    assert float(out.split("turan18_lower")[1].split()[2]) == pytest.approx(-4e19, rel=1e-15)
 
 
 def test_bounds_list_round_trip(capsys):

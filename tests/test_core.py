@@ -520,9 +520,77 @@ def test_deltaI_sums_each_series_once(monkeypatch):
         return series(nu, x)
 
     monkeypatch.setattr(core, "_i_series", counted)
-    for cached in (core._besseli, core._ratio_i):
-        cached.cache_clear()
+    core._ratio_i.cache_clear()
     ctx = EvalContext(15.3, 200.0)  # below the switch 30 + nu^2 for both orders
     v = core.quantity(core.QuantityKind.DELTA_I, ctx)
     assert calls == [15.3]
     assert v.value == eval_I(ctx).value ** 2 * core.quantity(core.QuantityKind.PHI_I, ctx).value
+
+
+
+def _counted(monkeypatch, module, names):
+    # replace each named kernel by one that logs its name, in call order
+    calls = []
+    for name in names:
+        kernel = getattr(module, name)
+
+        def counted(*args, name=name, kernel=kernel):
+            calls.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+_BASE_KERNELS = ("_i_series", "_i_asym", "_k_climb")  # the evaluations under I and K
+
+
+def test_evaluation_path_is_the_region_that_runs(monkeypatch):
+    # at each switch -+ 1 ulp the reported path is the kernel that _besseli
+    # or _besselk runs, and asking for it runs no kernel at all
+    from besselbounds import core
+
+    calls = _counted(monkeypatch, core, _BASE_KERNELS + ("_k_temme", "_k_cf2"))
+    for nu in (-1.0, -0.3, 0.0, 0.5, 2.5, 7.0, 20.0):
+        switch = 30.0 + nu * nu
+        for x in (math.nextafter(switch, 0.0), switch, math.nextafter(switch, math.inf)):
+            path = evaluation_path("I", nu, x)
+            assert calls == []
+            assert path == ("series" if x < switch else "asymptotic")
+            core._besseli(nu, x)
+            assert calls == [{"series": "_i_series", "asymptotic": "_i_asym"}[path]], (nu, x)
+            calls.clear()
+    for nu in (-9.7, -0.5, 0.0, 0.3, 1.0, 19.5):
+        for x in (math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, math.inf)):
+            path = evaluation_path("K", nu, x)
+            assert calls == []
+            assert path == ("temme" if x < 2.0 else "cf2")
+            core._besselk(nu, x)
+            assert calls == ["_k_climb", f"_k_{path}"], (nu, x)
+            calls.clear()
+
+
+def test_P_is_cached_and_I_and_K_are_not(monkeypatch):
+    # the one cache of a base product is P's: a P point is evaluated once,
+    # I and K every time they are asked for, and a second applications run
+    # (which replays its P points) evaluates no I or K at all
+    from besselbounds import core, harness
+
+    calls = _counted(monkeypatch, core, _BASE_KERNELS)
+    ctx = EvalContext(1.3, 0.7)
+    core._p_pair.cache_clear()
+    for _ in range(2):
+        core.quantity(QuantityKind.P, ctx)
+    assert sorted(calls) == ["_i_series", "_k_climb"]
+    calls.clear()
+    for _ in range(2):
+        eval_I(ctx)
+        eval_K(ctx)
+    assert sorted(calls) == ["_i_series"] * 2 + ["_k_climb"] * 2
+    cfg = harness.VerifyConfig(random_pairs=20)
+    first = harness.application_checks(cfg)
+    calls.clear()
+    second = harness.application_checks(cfg)
+    assert calls == []
+    assert ([(r.check_id, r.status, r.max_violation) for r in first]
+            == [(r.check_id, r.status, r.max_violation) for r in second])
