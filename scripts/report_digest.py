@@ -4,15 +4,20 @@
 Runs ``besselbounds verify --suite all`` (with SOURCE_DATE_EPOCH=0),
 ``besselbounds figure fig1|fig2|fig3``, ``besselbounds bounds list --json`` and
 ``besselbounds bounds at`` at a few fixed points from the checkout's own
-``src/`` in a temporary directory and prints one digest per output:
+``src/`` in a temporary directory, evaluates every tag at a fixed seeded set
+of points, and prints one digest per output:
 
     verify_all.json   the report with every ``runtime_ms`` field dropped
     fig1.csv ...      the figure data as written
     catalog.json      the catalog metadata as written
     bounds_at.txt     the printed tables of ``bounds at`` (BOUNDS_AT points)
+    tags              value, claim or exception type of each of the 24 tags
+                      (I, K, ratio_I, ratio_K and the 20 quantities) at each
+                      of tag_points(): TAG_POINTS seeded points and the edges
 
 Two checkouts whose digests match give byte-identical reports (apart from
-timings), figures and catalog queries.  Usage, from the root of a checkout:
+timings), figures, catalog queries and point evaluations.  Usage, from the
+root of a checkout:
 
     python3 scripts/report_digest.py [--root PATH] [--against PATH]
 
@@ -20,15 +25,18 @@ timings), figures and catalog queries.  Usage, from the root of a checkout:
 so one copy of the script serves both sides of a comparison.  ``--against``
 builds a second checkout as the old side and, after both sets of digests,
 prints each ``check_id`` whose fields other than ``runtime_ms`` differ, with
-its old -> new ``status``, ``max_violation`` and witness margins, and whether
-each other output is identical.  Standard library only; each checkout takes about
-as long as a cold ``verify --suite all``.
+its old -> new ``status``, ``max_violation`` and witness margins, whether
+each other output is identical, and for ``tags`` the first points whose
+outcomes differ, tag by tag.  Standard library only; each checkout takes
+about as long as a cold ``verify --suite all`` plus 10 s for the tags.
 """
 
 import argparse
 import hashlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -47,6 +55,90 @@ BOUNDS_AT = (
     ("veff", "2", "0.5", ()), ("ns", "0", "10", ()), ("w", "1", "1", ()), ("b2hat", "-0.5", "1", ()),
     ("y", "-1", "5e-324", ()),
 )
+
+
+# the tag evaluations: TAG_POINTS points drawn from TAG_SEED, then the edges
+TAG_POINTS = 20_000
+TAG_SEED = 20_240_101
+TAG_DIFFS_SHOWN = 10
+_EDGE_NU = (math.nan, math.inf, -math.inf, -10.5, -10.0, -2.0, -1.0, -0.5, 0.0, 5e-324,
+            0.5, 1.0, 2.5, 15.3, 20.0, 20.5, 500.5)
+_EDGE_X = (math.nan, math.inf, 0.0, -1.0, 5e-324, 1e-300, 1e-9, math.nextafter(2.0, 0.0), 2.0,
+           math.nextafter(2.0, math.inf), 50.0, 500.0, 500.5)
+
+
+def _near(v: float) -> tuple[float, float, float]:
+    return math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)
+
+
+def tag_points() -> list[tuple[float, float]]:
+    """The fixed (nu, x) set of the tags output, the same on every checkout.
+
+    nu uniform in [-10, 20], or an integer or half-integer in that range
+    moved by 0, +-1e-6 or +-1e-12; x log-uniform in [1e-3, 500] or in
+    [5e-324, 1e-3], or at a region switch (2, 30 + nu^2, 1e-9) or a box edge
+    (50, 500, 5e-324), give or take one ulp.  Then every pair of the edges:
+    NaN, inf, 0, -1, 500.5, 5e-324, 2 -+ ulp, 30 + nu^2 -+ ulp and more.
+    """
+    rng = random.Random(TAG_SEED)
+    points = []
+    for _ in range(TAG_POINTS):
+        if rng.random() < 0.6:
+            nu = rng.uniform(-10.0, 20.0)
+        else:
+            nu = rng.randint(-20, 40) / 2.0 + rng.choice((0.0, 1e-6, -1e-6, 1e-12, -1e-12))
+        pick = rng.random()
+        if pick < 0.4:
+            x = math.exp(rng.uniform(math.log(1e-3), math.log(500.0)))
+        elif pick < 0.7:
+            x = math.exp(rng.uniform(math.log(5e-324), math.log(1e-3)))
+        else:
+            x = rng.choice(_near(rng.choice((2.0, 30.0 + nu * nu, 1e-9, 50.0, 500.0, 5e-324))))
+        points.append((nu, x))
+    for nu in _EDGE_NU:
+        switch = _near(30.0 + nu * nu) if math.isfinite(nu) else ()
+        points += [(nu, x) for x in _EDGE_X + switch]
+    return points
+
+
+def _tag_outcomes() -> None:
+    # one line per point of tag_points(): nu, x and the outcome of each tag,
+    # "value/claim" in hex or the exception's type; run in a child process
+    # with PYTHONPATH at the checkout's src/
+    from besselbounds import core
+
+    tags = {"I": core.eval_I, "K": core.eval_K, "ratio_I": core.ratio_I, "ratio_K": core.ratio_K}
+    tags.update({kind.value: (lambda ctx, kind=kind: core.quantity(kind, ctx)) for kind in core.QuantityKind})
+    out = sys.stdout
+    out.write(" ".join(tags) + "\n")
+    for nu, x in tag_points():
+        fields = [repr(nu), repr(x)]
+        for evaluate in tags.values():
+            try:
+                v = evaluate(core.EvalContext(nu, x))
+                fields.append(f"{v.value.hex()}/{v.rel_error_bound.hex()}")
+            except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+                fields.append(type(exc).__name__)
+        out.write(" ".join(fields) + "\n")
+
+
+def tags_diff(old: bytes, new: bytes) -> list[str]:
+    """The points whose tag outcomes differ (the first TAG_DIFFS_SHOWN, tag by tag) and their count."""
+    old_lines, new_lines = old.decode().splitlines(), new.decode().splitlines()
+    names = new_lines[0].split()
+    if old_lines[0] != new_lines[0] or len(old_lines) != len(new_lines):
+        return ["tags: the tag list or the point set differs"]
+    lines, moved = [], 0
+    for a, b in zip(old_lines[1:], new_lines[1:]):
+        if a == b:
+            continue
+        moved += 1
+        if moved > TAG_DIFFS_SHOWN:
+            continue
+        fa, fb = a.split(), b.split()
+        lines.append(f"  nu={fa[0]} x={fa[1]}: " + ", ".join(
+            f"{tag} {va} -> {vb}" for tag, va, vb in zip(names, fa[2:], fb[2:]) if va != vb))
+    return [f"tags: {moved} of {len(new_lines) - 1} points differ"] + lines
 
 
 def _drop_runtimes(obj):
@@ -86,6 +178,12 @@ def outputs(root: Path) -> tuple[dict, dict[str, bytes]]:
                 raise SystemExit(f"bounds at {quantity} {nu} {x} did not run in {root}")
             tables.append(run.stdout)
         files["bounds_at.txt"] = b"".join(tables)
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        run = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--tag-outcomes"],
+                             cwd=tmp, env=env, stdout=subprocess.PIPE)
+        if run.returncode != 0:
+            raise SystemExit(f"the tag evaluations did not run in {root}")
+        files["tags"] = run.stdout
         return _drop_runtimes(json.loads(report.read_text())), files
 
 
@@ -132,7 +230,11 @@ def main() -> int:
                     help="checkout to digest (default: this script's)")
     ap.add_argument("--against", type=Path, default=None,
                     help="older checkout to compare with: prints what moved")
+    ap.add_argument("--tag-outcomes", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
+    if args.tag_outcomes:
+        _tag_outcomes()
+        return 0
     new = outputs(args.root.resolve())
     for name, digest in digests(*new):
         print(f"{digest}  {name}")
@@ -147,7 +249,10 @@ def main() -> int:
     for line in lines:
         print(line)
     for name in new[1]:
-        print(f"{name}: {'identical' if old[1].get(name) == new[1][name] else 'differs'}")
+        same = old[1].get(name) == new[1][name]
+        print(f"{name}: {'identical' if same else 'differs'}")
+        if name == "tags" and not same:
+            print("\n".join(tags_diff(old[1][name], new[1][name])))
     return 0
 
 

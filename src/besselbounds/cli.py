@@ -25,13 +25,13 @@ from .core import (
     I_PATHS,
     K_PATHS,
     RATIO_I_PATHS,
-    QUANTITIES,
     QuantityKind,
     dual_path_checks,
     eval_I,
     eval_K,
     evaluation_path,
     quantity,
+    quantity_reads,
 )
 from .harness import SUITE_NAMES, VerifyConfig, run_suite
 
@@ -94,8 +94,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except (DomainError, AccuracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    reads = (fn,) if fn in ("I", "K") else QUANTITIES[QuantityKind(fn)].reads
-    paths = [f"{r}={evaluation_path(r, args.nu, args.x)}" for r in reads] or ["arithmetic"]
+    reads = (fn,) if fn in ("I", "K") else quantity_reads(QuantityKind(fn), ctx.nu, ctx.x)
+    paths = [f"{r}={evaluation_path(r, ctx.nu, ctx.x)}" for r in reads] or ["arithmetic"]
     print(f"{fn}(nu={args.nu:g}, x={args.x:g}) = {_fmt(v.value)}")
     print(f"rel_error_bound = {v.rel_error_bound:.3e}")
     print(f"paths: {', '.join(paths)}")

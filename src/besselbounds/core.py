@@ -57,6 +57,30 @@ draws 160 000 distinct P points, and a warm verify replays exactly those.
 I and K themselves are not cached: nothing else asks for them twice at a
 point, and caching each would hold every P point twice, once per function.
 
+Kernel rules
+------------
+The hot loops (_i_series, _asym_bracket, _k_temme, _k_cf2, _k_climb,
+_ratio_i_cf) follow these rules, and each rewrite under them does the same
+floating-point operations in the same order, so every value and claim keeps
+its bits; keep it that way.
+
+* Float loop counters.  Where the loop index meets a float (m (m + nu),
+  nu + k, k k - mu^2, y / k, ...) a float counter stepped by 1.0 stands in
+  for it: small integers are exact in double, and Python converts an int
+  operand exactly before the IEEE operation, but mixed int/float arithmetic
+  is not specialised by the interpreter and pays that conversion each time.
+  An index that is only counted stays an int.
+* No abs() where the sign is known.  The I series has a loop of its own
+  for nu > -1, where every term is positive, and tests t <= 1e-18 s.
+* No test that cannot fire inside a loop.  CF1's first Lentz step, the
+  only one where C or D can be 0 (b_1 = 0 at nu = -1), is done before the
+  loop; the loop's stop test is a chained comparison against a local
+  tolerance.
+* One division per term where a ratio is reused (the I series' stop test
+  feeds the next term), and a product formed once where it is used twice
+  (na d in CF2; left-associative, so the same rounding).
+* Compensated sums written inline, in Kahan's operation order.
+
 All functions are pure and cache only immutable results; they are safe to
 call concurrently from any number of threads.
 """
@@ -93,6 +117,7 @@ __all__ = [
     "quantity",
     "numeric_derivative",
     "evaluation_path",
+    "quantity_reads",
     "dual_path_checks",
 ]
 
@@ -174,11 +199,8 @@ def _i_series(nu: float, x: float) -> tuple[float, float]:
     summation; the error bound tracks the truncation tail (geometric once
     the term ratio drops below 1) plus rounding inflated by the observed
     cancellation sum|t|/|sum t| (cancellation only occurs for nu < -1).
-
-    Kernel rule: one division per term (the stop test's ratio is reused as
-    the next term's factor) and the compensated step written inline, in
-    Kahan's operation order.  Both repeat the plain loop's operations in the
-    same order, so every value and claim keeps its bits; keep it that way.
+    The loop follows the module's kernel rules: nu > -1, where every term is
+    positive, has its own loop without abs().
     """
     if nu < 0 and nu == round(nu):
         nu = -nu  # integer-order symmetry; also dodges Gamma poles
@@ -187,7 +209,13 @@ def _i_series(nu: float, x: float) -> tuple[float, float]:
         if x >= 2.0 * _MIN_NORMAL:
             t = math.pow(0.5 * x, nu) / math.gamma(nu + 1.0)
         else:  # halving a subnormal x may round: scale the power instead
-            t = math.pow(x, nu) * math.pow(0.5, nu) / math.gamma(nu + 1.0)
+            try:
+                t = math.pow(x, nu) * math.pow(0.5, nu) / math.gamma(nu + 1.0)
+            except OverflowError:
+                t = math.inf
+            if t == math.inf:  # x^nu overflows near nu = -1, where I need not: halve the power
+                p = math.pow(x, 0.5 * nu)
+                t = p * (math.pow(0.5, nu) / math.gamma(nu + 1.0)) * p
     except (OverflowError, ValueError) as exc:
         raise AccuracyError(f"I_{nu}({x}): leading series term not representable") from exc
     if t == 0.0 or not math.isfinite(t):
@@ -196,21 +224,36 @@ def _i_series(nu: float, x: float) -> tuple[float, float]:
     s_abs = abs(t)
     tail = math.inf
     ratio = q / (1.0 + nu)  # term n is term n-1 times q / (n (n + nu))
-    for m in range(2, 2002):  # m = n + 1 while term n is added
-        t *= ratio
-        y = t - comp
-        u = s + y
-        comp = (u - s) - y
-        s = u
-        s_abs += abs(t)
-        ratio = q / (m * (m + nu))
-        # q and 1e-18 s may underflow to 0 at tiny x, where the tail is nil
-        if ratio < 0.5 and 0.0 <= ratio and abs(t) <= 1e-18 * abs(s):
-            tail = abs(t) * ratio / (1.0 - ratio)
-            break
+    m = 1.0  # n + 1 while term n is added
+    # q and 1e-18 s may underflow to 0 at tiny x, where the tail is nil
+    if nu > -1.0:  # every term positive
+        for n in range(1, 2001):
+            t *= ratio
+            y = t - comp
+            u = s + y
+            comp = (u - s) - y
+            s = u
+            s_abs += t
+            m += 1.0
+            ratio = q / (m * (m + nu))
+            if ratio < 0.5 and t <= 1e-18 * s:
+                tail = t * ratio / (1.0 - ratio)
+                break
+    else:  # non-integer nu < -1: the terms change sign
+        for n in range(1, 2001):
+            t *= ratio
+            y = t - comp
+            u = s + y
+            comp = (u - s) - y
+            s = u
+            s_abs += abs(t)
+            m += 1.0
+            ratio = q / (m * (m + nu))
+            if ratio < 0.5 and 0.0 <= ratio and abs(t) <= 1e-18 * abs(s):
+                tail = abs(t) * ratio / (1.0 - ratio)
+                break
     if not math.isfinite(tail):
         raise AccuracyError(f"I_{nu}({x}): series did not converge within 2000 terms")
-    n = m - 1
     if not _MIN_NORMAL <= abs(s) < math.inf:
         raise AccuracyError(f"I_{nu}({x}): series sum not a normal double")
     cancel = s_abs / abs(s)
@@ -224,16 +267,17 @@ def _i_series(nu: float, x: float) -> tuple[float, float]:
 def _asym_bracket(nu: float, x: float) -> tuple[float, float]:
     """Sum of the bracket of I's large-argument expansion, with its rel error.
 
-    Same kernel rule as _i_series: the compensated step is written inline,
-    in Kahan's operation order, and every value and claim keeps its bits.
+    The loop follows the module's kernel rules.
     """
     four_nu2 = 4.0 * nu * nu
     c = 1.0
     s, comp = 1.0, 0.0
     err_term = math.inf
     prev = math.inf
-    for k in range(1, 80):
-        m = 2 * k - 1
+    k, m = 0.0, -1.0  # m = 2k - 1
+    for _ in range(79):
+        k += 1.0
+        m += 2.0
         c *= (m * m - four_nu2) / (8.0 * k * x)
         ac = abs(c)
         if ac >= prev:
@@ -301,7 +345,8 @@ def _k_temme(mu: float, x: float) -> tuple[float, float, float, float]:
     >= 0.56 within 7, e = mu ln(2/x) off by 2|e| + 1/2) for p0, q0, and f0
     against F0; past k = 0 every c_k, f_k, p_k, q_k is positive, f_1's
     cancellation scales r0 to rr, a term gains <= 6 eps per step (weights w), a
-    partial sum costs u, and the tail is under twice the last term.
+    partial sum costs u, and the tail is under twice the last term.  The loop
+    follows the module's kernel rules.
     """
     d = _LN2 - math.log(x)  # ln(2/x)
     e, m2 = mu * d, mu * mu
@@ -319,7 +364,9 @@ def _k_temme(mu: float, x: float) -> tuple[float, float, float, float]:
     r0 = (2.0 * abs(e) + 13.0) * _EPS
     rr = (r0 + 1.5 * _EPS) * (big_f + p + q) / (ff + p + q)
     s0, s1, v, w, c, y = ff, p, 0.0, 0.0, 1.0, 0.25 * x * x
-    for k in range(1, 200):
+    k = 0.0
+    for _ in range(199):
+        k += 1.0
         ff = (k * ff + p + q) / (k * k - m2)
         c *= y / k
         p /= k - mu
@@ -346,21 +393,25 @@ def _k_cf2(mu: float, x: float) -> tuple[float, float, float, float]:
     adds <= 34 eps to a term of s, 27 to one of h (c 1.6; q 5, a dominant
     recurrence cancelling < 3x; dh 26, d contracting by dh_i/dh_{i-1} < 0.7 at
     x >= 2); a partial sum costs u.  Terms fall like exp(-2 sqrt(2 x i)): the
-    tail is within twice the geometric tail at the last ratio.
+    tail is within twice the geometric tail at the last ratio.  The loop
+    follows the module's kernel rules.
     """
     a1 = 0.25 - mu * mu
     b = 2.0 * (1.0 + x)
     d = h = dh = 1.0 / b
     q1, q2, q, c = 0.0, 1.0, a1, a1
     s, prev = 1.0 + a1 * dh, a1 * dh
-    for i in range(2, 1000):
-        na = i * (i - 1) + a1  # (i - 1/2)^2 - mu^2
+    i = 1.0
+    for _ in range(998):
+        i += 1.0
+        na = i * (i - 1.0) + a1  # (i - 1/2)^2 - mu^2
         c *= na / i
         q1, q2 = q2, (b * q2 - q1) / na
         q += c * q2
         b += 2.0
-        dn = 1.0 / (b - na * d)
-        dh *= na * d * dn  # = b dn - 1 without its cancellation
+        nad = na * d
+        dn = 1.0 / (b - nad)
+        dh *= nad * dn  # = b dn - 1 without its cancellation
         d = dn
         h += dh
         dels = q * dh
@@ -381,12 +432,14 @@ def _k_climb(mu: float, x: float, top: int) -> tuple[float, float, float, float,
     K_mu and K_{mu+1}, with claims rel0 and rel1, then forward recurrence in
     the order: K is its dominant solution and every term is positive past
     mu + 1, so a step adds at most its five roundings, 2.5 eps, and K at
-    level n >= 1 claims max(rel0, rel1) + 2.5 (n - 1) eps.
+    level n >= 1 claims max(rel0, rel1) + 2.5 (n - 1) eps.  The loop follows
+    the module's kernel rules.
     """
     k0, k1, rel0, rel1 = (_k_cf2 if x >= _TEMME_X else _k_temme)(mu, x)
     xi2 = 2.0 / x
-    kp = 0.0
-    for i in range(1, top):
+    kp = i = 0.0
+    for _ in range(top - 1):
+        i += 1.0
         kp, k0, k1 = k0, k1, (mu + i) * xi2 * k1 + k0
     return kp, k0, k1, rel0, rel1
 
@@ -509,6 +562,12 @@ def _ratio_i_cf(nu: float, x: float) -> tuple[float, float]:
     tail by a relative q (1 + q) at most, q = x^2/4, so the truncation is below
     2q; the roundings cost at most 3 eps, and a subnormal r is off by up to
     2^-1074 more.
+
+    The Lentz loop follows the module's kernel rules.  Its first step is
+    done apart: for nu >= -1 every b_k with k >= 2 is positive, so C_k and
+    D_k are too, and b_1 = 0 (nu = -1, D_1 = 1/tiny) is the only zero.  That
+    step cannot meet the stop test: delta_1 = (b_1 + 1/tiny)/b_1 would need
+    b_1 above 1e45, and the two-term form takes every x that small.
     """
     r = _ratio_i_two_term(nu, x)
     if r is not None:
@@ -517,21 +576,20 @@ def _ratio_i_cf(nu: float, x: float) -> tuple[float, float]:
         rel = 0.5 * x * x + 3.0 * _EPS
         return r, rel + _MIN_SUBNORMAL / r if r < _MIN_NORMAL else rel
     tiny = _LENTZ_TINY
-    f = tiny
-    c = f
-    d = 0.0
-    for k in range(1, 100_000):
+    b = 2.0 * (nu + 1.0) / x
+    d = 1.0 / (b if b else tiny)
+    c = b + 1.0 / tiny
+    f = tiny * (c * d)
+    tol = 4.0 * _EPS
+    k = 1.0
+    for _ in range(99_998):
+        k += 1.0
         b = 2.0 * (nu + k) / x
-        d = b + d
-        if d == 0.0:
-            d = tiny
+        d = 1.0 / (b + d)
         c = b + 1.0 / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
         delta = c * d
         f *= delta
-        if abs(delta - 1.0) < 4.0 * _EPS:
+        if -tol < delta - 1.0 < tol:
             return f, tiny * (f + 1.0 / f) + abs(delta - 1.0) + (5.0 * k + 2.0) * _EPS
     raise AccuracyError(f"ratio_I continued fraction failed to converge at nu={nu}, x={x}")
 
@@ -780,9 +838,14 @@ def _phi_p(ctx: EvalContext) -> ValueWithError:
     return ValueWithError(val, abs_err / abs(val) if val != 0.0 else math.inf)
 
 
+def _omega_by_wronskian(p: float) -> bool:
+    # whether omega leaves x P for the Wronskian form: P not a normal double
+    return not _MIN_NORMAL <= p < math.inf
+
+
 def _omega(ctx: EvalContext) -> ValueWithError:
     p = _p(ctx)
-    if _MIN_NORMAL <= p.value < math.inf:
+    if not _omega_by_wronskian(p.value):
         return ValueWithError(ctx.x * p.value, p.rel_error_bound + _EPS)
     # P = I K over- or underflows (tiny x, -1 < nu < 0): the Wronskian
     # I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x gives omega = 1/(r_I + r_K), a sum
@@ -924,6 +987,20 @@ def quantity(kind: QuantityKind, ctx: EvalContext) -> ValueWithError:
     if not (_MIN_NORMAL <= abs(val) < math.inf or (val == 0.0 and rel == math.inf)) or math.isnan(rel):
         raise AccuracyError(f"quantity {kind.value!r} not representable at nu={ctx.nu}, x={ctx.x}")
     return v
+
+
+def quantity_reads(kind: QuantityKind, nu: float, x: float) -> tuple[str, ...]:
+    """The base results ("ratio_I", "I", "K") that quantity(kind) read at (nu, x).
+
+    The row's reads, except for omega where P = I K is not a normal double and
+    the Wronskian form reads ratio_I and K.  Meant for after quantity() has
+    evaluated the point: omega's answer comes from the cached P, so nothing is
+    evaluated a second time.
+    """
+    kind = QuantityKind(kind)
+    if kind is QuantityKind.OMEGA and _omega_by_wronskian(_p_pair(nu, x)[0]):
+        return ("ratio_I", "K")
+    return QUANTITIES[kind].reads
 
 
 def numeric_derivative(kind: QuantityKind, ctx: EvalContext, order: int = 1) -> float:

@@ -48,6 +48,22 @@ def test_eval_reports_ratio_I_route(capsys):
     assert out.splitlines()[-1] == "paths: ratio_I=two_term"
 
 
+def test_eval_reports_omega_wronskian_paths(capsys, monkeypatch):
+    # where P = I K is not a normal double omega is 1/(r_I + r_K), so the
+    # paths are ratio_I's and K's; the report reads the cached P and sums
+    # no series a second time
+    from besselbounds import core
+
+    calls = []
+    series = core._i_series
+    monkeypatch.setattr(core, "_i_series", lambda nu, x: calls.append(nu) or series(nu, x))
+    core._p_pair.cache_clear()
+    rc, out, _ = run(capsys, "eval", "--fn", "omega", "--nu", "-0.5", "--x", "5e-324")
+    assert rc == 0
+    assert out.splitlines()[-1] == "paths: ratio_I=two_term, K=temme"
+    assert calls == [-0.5]
+
+
 # `eval` output, "value claim paths", at (nu, x) = (1, 1), below every path
 # switch (I series, K Temme, ratio_I CF1), and at (1, 100), above them all
 _EVAL_PINS = {

@@ -306,6 +306,36 @@ def test_rgamma_taylor_coefficients():
         assert abs(got - rgamma(1 + mpf(z))) < 1e-20 + rounding
 
 
+def _near(v):
+    # v and the doubles one ulp either side of it
+    return st.sampled_from((math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)))
+
+
+def _offset(centres):
+    # within 1e-6 of one of the centres, inside the box
+    return st.builds(lambda c, d: max(c + d, -10.0),
+                     st.sampled_from(centres), st.floats(-1e-6, 1e-6))
+
+
+# the box, and the strata where the kernels' loops branch: nu = -1 and near
+# it (CF1's first step, the I series' positive / mixed-sign split), near the
+# negative integers and half-integers (the integer-order flip, round() ties
+# of mu, which K takes at |nu|); x = 2 -+ ulp (Temme / CF2) and 30 + nu^2 -+
+# ulp (series / expansion).  nu is shared so that x can take its switch.
+# Positive half-integers add no branch and find the open leading-term claim
+# hole pinned below in 3 of 124 runs, so they wait for its fix
+_NU_STRATA = st.shared(st.one_of(
+    st.floats(-10.0, 20.0),
+    st.floats(-1.0 - 1e-6, -1.0 + 1e-6),
+    _offset(tuple(n / 2.0 for n in range(-20, 0))),
+), key="nu")
+_X_STRATA = st.one_of(
+    st.floats(0.0, 500.0, exclude_min=True),
+    _near(2.0),
+    _NU_STRATA.flatmap(lambda nu: _near(30.0 + nu * nu)),
+)
+
+
 def _k_over_max(nu, x):
     from mpmath import besselk, mpf
 
@@ -313,8 +343,8 @@ def _k_over_max(nu, x):
     return v if v < 1.7976931348623157e308 else None
 
 
-@settings(max_examples=150, deadline=None)
-@given(nu=st.floats(-10.0, 20.0), x=st.floats(0.0, 500.0, exclude_min=True))
+@settings(max_examples=200, deadline=None)
+@given(nu=_NU_STRATA, x=_X_STRATA)
 @example(nu=17.435071950116672, x=279.4318877889326)
 @example(nu=15.9, x=143.9)
 @example(nu=18.8, x=340.1)
@@ -417,8 +447,8 @@ def _assert_claims_cover(cases, nu, x, domain_ok):
         assert abs(v.value - want) <= v.rel_error_bound * scale, (tag, v, float(want))
 
 
-@settings(max_examples=80, deadline=None)
-@given(nu=st.floats(-10.0, 20.0), x=st.floats(0.0, 500.0, exclude_min=True))
+@settings(max_examples=160, deadline=None)
+@given(nu=_NU_STRATA, x=_X_STRATA)
 @_with_examples([
     (1.4942871284895034, 499.248154944117),
     (-0.708, 222.6),
@@ -426,7 +456,16 @@ def _assert_claims_cover(cases, nu, x, domain_ok):
     (15.3, 30.0 + 15.3 * 15.3), (15.3, math.nextafter(30.0 + 15.3 * 15.3, 0.0)),
     *[(nu, x) for nu in _LADDER_EDGES for x in (2.0, math.nextafter(2.0, 0.0))],
     *_RATIO_I_EDGES,
+    (-1.0, 2.0), (math.nextafter(-1.0, 0.0), 1e-3),  # CF1's first step, b_1 = 0 and near it
+    (-0.9999990984435865, 2.225073858507203e-309),  # x^nu overflows where I is a normal double
 ])
+# drawn from the half-integer stratum, and open as the FOUND line on eval_I's
+# leading-term claim in CHANGES.md (ROADMAP item 4): math.gamma is off by up
+# to about 57 eps near half-integers, and the claim grants the term 4
+@example(nu=15.499999999999998, x=2.8331883496863664e-15).xfail(
+    raises=AssertionError, reason="FOUND: eval_I's leading series term exceeds its claim")
+@example(nu=15.499999665904289, x=0.25).xfail(
+    raises=AssertionError, reason="FOUND: eval_I's leading series term exceeds its claim")
 def test_I_and_ratio_claims_cover_actual_error(nu, x):
     # |error| <= rel_error_bound against 40-digit mpmath for eval_I, ratio_I
     # and the quantities built on the ratios; DomainError only below the I
