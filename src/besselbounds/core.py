@@ -26,10 +26,10 @@ Evaluation strategy by region
   negligible); at and above it, where I takes the large-argument expansion
   at both orders, the quotient of the two expansions.
 * K_{nu-1}, K_nu, K_{nu+1} (ratio_K, z, phiK, kratio, deltaK and the rest of
-  the K side): one ladder, i.e. one base evaluation and one climb for all
-  orders whose mu has the same bits; an order whose mu differs (a sign
-  change near nu = 0, a round() tie at .5) gets its own.  The ladder gives
-  each order the bits it gets alone.
+  the K side): one ladder, i.e. one base evaluation and one climb for each
+  distinct mu among the three orders: one climb, except at a sign change
+  near nu = 0 or a round() tie at .5.  The ladder gives each order the bits
+  it gets alone.
 
 Every evaluation returns a ``ValueWithError`` carrying a claimed bound on
 the relative error (truncation tail + rounding).  The ratio_I claim is
@@ -51,9 +51,9 @@ Caching
 -------
 Results are cached where points repeat, and nowhere else.  _ratio_i and
 _k_ladder serve the several tags computed at one point (y, phiI, u, ... all
-read ratio_I; z, phiK, kratio, ... all read the K ladder).  _p_pair caches
-P = I K with its claim, which P and omega share: the applications suite
-draws 160 000 distinct P points, and a warm verify replays exactly those.
+read ratio_I; z, phiK, kratio, ... all read the K ladder).  _p_at caches
+P's result object, which P and omega share: the applications suite draws
+160 000 distinct P points, and a warm verify replays exactly those.
 I and K themselves are not cached: nothing else asks for them twice at a
 point, and caching each would hold every P point twice, once per function.
 
@@ -80,6 +80,11 @@ its bits; keep it that way.
   feeds the next term), and a product formed once where it is used twice
   (na d in CF2; left-associative, so the same rounding).
 * Compensated sums written inline, in Kahan's operation order.
+
+Around the kernels, the fixed cost of an evaluation: build nothing on a
+cache hit (a cache holds the finished result, P's ValueWithError), and no
+container bookkeeping around a kernel call (_k_ladder picks its climbs in
+straight-line code); the per-point objects are slotted.
 
 All functions are pure and cache only immutable results; they are safe to
 call concurrently from any number of threads.
@@ -126,6 +131,7 @@ SUPPORTED_X = (0.0, 500.0)
 DEFAULT_TARGET_REL_ERR = 1e-12
 
 _EPS = 2.220446049250313e-16
+_INF = math.inf
 # exponential scaling (e^-x I, e^x K) kicks in beyond this argument
 _SCALE_X = 50.0
 # large-argument expansions are used for x >= _ASYM_BASE + nu^2
@@ -133,8 +139,7 @@ _ASYM_BASE = 30.0
 _LN2 = math.log(2.0)
 _MIN_NORMAL = sys.float_info.min
 _MIN_SUBNORMAL = math.ulp(0.0)
-# EvalContext and ValueWithError, built per evaluation, set each frozen field once in __init__
-_setattr = object.__setattr__
+(_NU_LO, _NU_HI), (_X_LO, _X_HI) = SUPPORTED_NU, SUPPORTED_X
 
 
 class DomainError(ValueError):
@@ -149,7 +154,7 @@ class CrossCheckError(AccuracyError):
     """Two independent evaluation paths disagree: evaluator bug."""
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class EvalContext:
     """Point (nu, x) at which quantities are evaluated; mu = nu^2 - 1/4 (a mu passed in is ignored)."""
 
@@ -159,16 +164,16 @@ class EvalContext:
 
     def __init__(self, nu: float, x: float, mu: float = 0.0):
         nu, x = float(nu), float(x)
-        if not (SUPPORTED_NU[0] <= nu <= SUPPORTED_NU[1]):
-            raise DomainError(f"order nu={nu!r} outside supported [{SUPPORTED_NU[0]}, {SUPPORTED_NU[1]}]")
-        if not (SUPPORTED_X[0] < x <= SUPPORTED_X[1]):
-            raise DomainError(f"argument x={x!r} outside supported ({SUPPORTED_X[0]}, {SUPPORTED_X[1]}]")
-        _setattr(self, "nu", nu)
-        _setattr(self, "x", x)
-        _setattr(self, "mu", nu * nu - 0.25)
+        if not _NU_LO <= nu <= _NU_HI:
+            raise DomainError(f"order nu={nu!r} outside supported [{_NU_LO}, {_NU_HI}]")
+        if not _X_LO < x <= _X_HI:
+            raise DomainError(f"argument x={x!r} outside supported ({_X_LO}, {_X_HI}]")
+        _set_nu(self, nu)
+        _set_x(self, x)
+        _set_mu(self, nu * nu - 0.25)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class ValueWithError:
     """A computed value together with a claimed relative-error bound."""
 
@@ -176,8 +181,8 @@ class ValueWithError:
     rel_error_bound: float
 
     def __init__(self, value: float, rel_error_bound: float):
-        _setattr(self, "value", value)
-        _setattr(self, "rel_error_bound", rel_error_bound)
+        _set_value(self, value)
+        _set_rel(self, rel_error_bound)
 
     def __float__(self) -> float:
         return self.value
@@ -185,6 +190,11 @@ class ValueWithError:
     @property
     def abs_error_bound(self) -> float:
         return self.rel_error_bound * abs(self.value)
+
+
+# EvalContext and ValueWithError, built per evaluation, write each frozen field once through its slot
+_set_nu, _set_x, _set_mu = EvalContext.nu.__set__, EvalContext.x.__set__, EvalContext.mu.__set__
+_set_value, _set_rel = ValueWithError.value.__set__, ValueWithError.rel_error_bound.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +437,13 @@ def _k_cf2(mu: float, x: float) -> tuple[float, float, float, float]:
 
 
 def _k_climb(mu: float, x: float, top: int) -> tuple[float, float, float, float, float]:
-    """(K_{mu+top-2}, K_{mu+top-1}, K_{mu+top}, rel0, rel1) for top >= 1, e^x-scaled when x > _SCALE_X.
+    """(K_{mu+top-2}, K_{mu+top-1}, K_{mu+top}, rel0, rel) for top >= 1, e^x-scaled when x > _SCALE_X.
 
     K_mu and K_{mu+1}, with claims rel0 and rel1, then forward recurrence in
     the order: K is its dominant solution and every term is positive past
     mu + 1, so a step adds at most its five roundings, 2.5 eps, and K at
-    level n >= 1 claims max(rel0, rel1) + 2.5 (n - 1) eps.  The loop follows
-    the module's kernel rules.
+    level n >= 1 claims rel + 2.5 (n - 1) eps, rel = max(rel0, rel1).  The
+    loop follows the module's kernel rules.
     """
     k0, k1, rel0, rel1 = (_k_cf2 if x >= _TEMME_X else _k_temme)(mu, x)
     xi2 = 2.0 / x
@@ -441,7 +451,7 @@ def _k_climb(mu: float, x: float, top: int) -> tuple[float, float, float, float,
     for _ in range(top - 1):
         i += 1.0
         kp, k0, k1 = k0, k1, (mu + i) * xi2 * k1 + k0
-    return kp, k0, k1, rel0, rel1
+    return kp, k0, k1, rel0, max(rel0, rel1)
 
 
 def _besselk(nu: float, x: float) -> tuple[float, float]:
@@ -452,8 +462,8 @@ def _besselk(nu: float, x: float) -> tuple[float, float]:
     """
     an = abs(nu)
     nl = round(an)
-    _, k0, k1, rel0, rel1 = _k_climb(an - nl, x, nl or 1)
-    val, rel = (k1, max(rel0, rel1) + 2.5 * (nl - 1) * _EPS) if nl else (k0, rel0)
+    _, k0, k1, rel0, rel = _k_climb(an - nl, x, nl or 1)
+    val, rel = (k1, rel + 2.5 * (nl - 1) * _EPS) if nl else (k0, rel0)
     if not math.isfinite(val):
         raise AccuracyError(f"K_{nu}({x}) overflows double precision")
     return val, rel
@@ -471,17 +481,17 @@ def _unscale_k(val: float, x: float) -> float:
     return val * math.exp(-x) if x > _SCALE_X else val
 
 
-def _check_target(rel: float, target: float, what: str) -> None:
+def _check_target(rel: float, target: float, fn: str, ctx: EvalContext) -> None:
     if target < 1e-14:
         raise DomainError(f"target_rel_err={target} below the 1e-14 floor")
     if rel > target:
-        raise AccuracyError(f"{what}: certified error {rel:.3e} exceeds target {target:.3e}")
+        raise AccuracyError(f"{fn}_{ctx.nu}({ctx.x}): certified error {rel:.3e} exceeds target {target:.3e}")
 
 
 def eval_I(ctx: EvalContext, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> ValueWithError:
     """I_nu(x) with a certified relative-error bound."""
     val, rel = _besseli(ctx.nu, ctx.x)
-    _check_target(rel, target_rel_err, f"I_{ctx.nu}({ctx.x})")
+    _check_target(rel, target_rel_err, "I", ctx)
     out = _unscale_i(val, ctx.x)
     if not math.isfinite(out):
         raise AccuracyError(f"I_{ctx.nu}({ctx.x}) overflows double precision")
@@ -491,7 +501,7 @@ def eval_I(ctx: EvalContext, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> 
 def eval_K(ctx: EvalContext, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> ValueWithError:
     """K_nu(x) with a certified relative-error bound; K_{-nu} = K_nu."""
     val, rel = _besselk(ctx.nu, ctx.x)
-    _check_target(rel, target_rel_err, f"K_{ctx.nu}({ctx.x})")
+    _check_target(rel, target_rel_err, "K", ctx)
     out = _unscale_k(val, ctx.x)
     if not math.isfinite(out) or out <= 0.0:
         raise AccuracyError(f"K_{ctx.nu}({ctx.x}) not representable in double precision")
@@ -653,30 +663,31 @@ RATIO_K_CROSSCHECK_REL = 1e-9
 def _k_ladder(nu: float, x: float) -> tuple[float, float, float, float, float, float]:
     """(K_{nu-1}, em, K_nu, e0, K_{nu+1}/K_nu, er), cross-checked.
 
-    Orders whose mu has the same bits share one base evaluation and one
-    climb, which gives each the bits _besselk gives it alone; their levels
-    round(|order|) lie within 2 of each other.  An order whose mu differs
-    (a sign change near nu = 0, a round() tie at .5) climbs its own.
+    Order v is level round(|v|) of the climb from mu = |v| - round(|v|); one
+    climb per distinct mu, taken to the highest level read (the levels lie
+    within 2 of each other), gives each order the bits _besselk gives it.
     """
-    levels = []
-    tops: dict[float, int] = {}
-    for order in (nu - 1.0, nu, nu + 1.0):
-        an = abs(order)
-        nl = round(an)
-        mu = an - nl
-        levels.append((order, mu, nl))
-        tops[mu] = max(tops.get(mu, 1), nl)
-    climbs = {}
-    ks = []
-    for order, mu, nl in levels:
-        if mu not in climbs:
-            climbs[mu] = _k_climb(mu, x, tops[mu])
-        climb = climbs[mu]
-        val = climb[nl - tops[mu] + 2]  # the climb holds levels top - 2 .. top
-        if not math.isfinite(val):
-            raise AccuracyError(f"K_{order}({x}) overflows double precision")
-        ks.append((val, max(climb[3], climb[4]) + 2.5 * (nl - 1) * _EPS if nl else climb[3]))
-    (km, em), (k0, e0), (k1, e1) = ks
+    am, a0, ap = abs(nu - 1.0), abs(nu), abs(nu + 1.0)
+    lm, l0, lp = round(am), round(a0), round(ap)
+    mm, m0, mp = am - lm, a0 - l0, ap - lp
+    tm = tp = t0 = max(1, l0, lm if mm == m0 else 0, lp if mp == m0 else 0)
+    cm = cp = c0 = _k_climb(m0, x, t0)
+    if mm != m0:
+        tm = max(1, lm, lp if mp == mm else 0)
+        cm = _k_climb(mm, x, tm)
+    if mp == mm != m0:
+        cp, tp = cm, tm
+    elif mp != m0:
+        tp = lp or 1
+        cp = _k_climb(mp, x, tp)
+    # a climb holds levels top - 2 .. top; K > 0, so < inf is isfinite
+    km, k0, k1 = cm[lm - tm + 2], c0[l0 - t0 + 2], cp[lp - tp + 2]
+    if not (km < _INF and k0 < _INF and k1 < _INF):
+        order = nu - 1.0 if not km < _INF else nu if not k0 < _INF else nu + 1.0
+        raise AccuracyError(f"K_{order}({x}) overflows double precision")
+    em = cm[4] + 2.5 * (lm - 1) * _EPS if lm else cm[3]
+    e0 = c0[4] + 2.5 * (l0 - 1) * _EPS if l0 else c0[3]
+    e1 = cp[4] + 2.5 * (lp - 1) * _EPS if lp else cp[3]
     # upward recurrence K_{nu+1} = K_{nu-1} + (2nu/x) K_nu; the residual is
     # compared against the dominant term since the recurrence may produce a
     # small K_{nu+1} from the difference of two huge terms (nu << 0, x small)
@@ -693,8 +704,7 @@ def _k_ladder(nu: float, x: float) -> tuple[float, float, float, float, float, f
 
 def ratio_K(ctx: EvalContext) -> ValueWithError:
     """K_{nu+1}(x)/K_nu(x) from the order ladder, recurrence cross-checked."""
-    r, rel = _k_ladder(ctx.nu, ctx.x)[4:]
-    return ValueWithError(r, rel)
+    return ValueWithError(*_k_ladder(ctx.nu, ctx.x)[4:])
 
 
 # ---------------------------------------------------------------------------
@@ -776,18 +786,12 @@ def _z(ctx: EvalContext) -> ValueWithError:
 
 
 @lru_cache(maxsize=200_000)
-def _p_pair(nu: float, x: float) -> tuple[float, float]:
-    # (P, claim): scaling factors e^-x and e^x cancel, so the product never
-    # overflows.  Cached as a pair, not as an object: one key, one link and
-    # one 2-tuple per point
+def _p_at(nu: float, x: float) -> ValueWithError:
+    # P with its claim, cached as the result object: a hit builds nothing.
+    # The scaling factors e^-x and e^x cancel, so the product never overflows
     vi, ei = _besseli(nu, x)
     vk, ek = _besselk(nu, x)
-    return vi * vk, ei + ek + 2.0 * _EPS
-
-
-def _p(ctx: EvalContext) -> ValueWithError:
-    val, rel = _p_pair(ctx.nu, ctx.x)
-    return ValueWithError(val, rel)
+    return ValueWithError(vi * vk, ei + ek + 2.0 * _EPS)
 
 
 def _shifted(base: float, base_err: float, sign: float, shift: float,
@@ -844,7 +848,7 @@ def _omega_by_wronskian(p: float) -> bool:
 
 
 def _omega(ctx: EvalContext) -> ValueWithError:
-    p = _p(ctx)
+    p = _p_at(ctx.nu, ctx.x)
     if not _omega_by_wronskian(p.value):
         return ValueWithError(ctx.x * p.value, p.rel_error_bound + _EPS)
     # P = I K over- or underflows (tiny x, -1 < nu < 0): the Wronskian
@@ -947,7 +951,7 @@ QUANTITIES: dict[QuantityKind, QuantitySpec] = {
     QuantityKind.PHI_K: QuantitySpec("1 - K(nu-1,x)*K(nu+1,x)/K(nu,x)^2", -math.inf, _K, _phi_k),
     QuantityKind.PHI_P: QuantitySpec("1 - P(nu-1,x)*P(nu+1,x)/P(nu,x)^2 = phiI + phiK - phiI*phiK",
                                      -1.0, ("ratio_I", "K"), _phi_p),
-    QuantityKind.P: QuantitySpec("I(nu,x)*K(nu,x)", -1.0, ("I", "K"), _p),
+    QuantityKind.P: QuantitySpec("I(nu,x)*K(nu,x)", -1.0, ("I", "K"), lambda c: _p_at(c.nu, c.x)),
     QuantityKind.OMEGA: QuantitySpec("x*I(nu,x)*K(nu,x)", -1.0, ("I", "K"), _omega),
     QuantityKind.DELTA_I: QuantitySpec("I(nu,x)^2 - I(nu-1,x)*I(nu+1,x) = I(nu,x)^2*phiI",
                                        -1.0, ("ratio_I", "I"), _delta_i),
@@ -973,19 +977,17 @@ QUANTITY_EXPRESSIONS: dict[QuantityKind, str] = {k: q.expression for k, q in QUA
 
 def quantity(kind: QuantityKind, ctx: EvalContext) -> ValueWithError:
     """Evaluate one derived quantity at (nu, x) with a propagated error bound."""
-    spec = QUANTITIES.get(kind)
-    if spec is None:  # a str value; an unknown kind raises ValueError here
-        kind = QuantityKind(kind)
-        spec = QUANTITIES[kind]
+    # a member or its str value (equal, same hash); an unknown kind raises ValueError
+    spec = QUANTITIES.get(kind) or QUANTITIES[QuantityKind(kind)]
     if ctx.nu < spec.min_nu:
-        raise DomainError(f"quantity {kind.value!r} needs nu >= {spec.min_nu}; got nu={ctx.nu}")
+        raise DomainError(f"quantity {QuantityKind(kind).value!r} needs nu >= {spec.min_nu}; got nu={ctx.nu}")
     v = spec.evaluate(ctx)
     # products and quotients of representable factors may still overflow, or
     # underflow below the normal range where they lose bits their claim keeps;
     # an exact 0 stands only with an infinite claim
     val, rel = v.value, v.rel_error_bound
-    if not (_MIN_NORMAL <= abs(val) < math.inf or (val == 0.0 and rel == math.inf)) or math.isnan(rel):
-        raise AccuracyError(f"quantity {kind.value!r} not representable at nu={ctx.nu}, x={ctx.x}")
+    if not (_MIN_NORMAL <= abs(val) < _INF or (val == 0.0 and rel == _INF)) or rel != rel:
+        raise AccuracyError(f"quantity {QuantityKind(kind).value!r} not representable at nu={ctx.nu}, x={ctx.x}")
     return v
 
 
@@ -998,7 +1000,7 @@ def quantity_reads(kind: QuantityKind, nu: float, x: float) -> tuple[str, ...]:
     evaluated a second time.
     """
     kind = QuantityKind(kind)
-    if kind is QuantityKind.OMEGA and _omega_by_wronskian(_p_pair(nu, x)[0]):
+    if kind is QuantityKind.OMEGA and _omega_by_wronskian(_p_at(nu, x).value):
         return ("ratio_I", "K")
     return QUANTITIES[kind].reads
 
@@ -1018,18 +1020,14 @@ def numeric_derivative(kind: QuantityKind, ctx: EvalContext, order: int = 1) -> 
     def f(t: float) -> float:
         return quantity(kind, EvalContext(ctx.nu, t)).value
 
-    if order == 1:
-        def d1(step: float) -> float:
+    f0 = f(ctx.x) if order == 2 else 0.0
+
+    def d(step: float) -> float:  # the central difference of the order asked for
+        if order == 1:
             return (f(ctx.x + step) - f(ctx.x - step)) / (2.0 * step)
-
-        return (4.0 * d1(0.5 * h) - d1(h)) / 3.0
-
-    f0 = f(ctx.x)
-
-    def d2(step: float) -> float:
         return (f(ctx.x + step) - 2.0 * f0 + f(ctx.x - step)) / (step * step)
 
-    return (4.0 * d2(0.5 * h) - d2(h)) / 3.0
+    return (4.0 * d(0.5 * h) - d(h)) / 3.0
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def test_eval_reports_omega_wronskian_paths(capsys, monkeypatch):
     calls = []
     series = core._i_series
     monkeypatch.setattr(core, "_i_series", lambda nu, x: calls.append(nu) or series(nu, x))
-    core._p_pair.cache_clear()
+    core._p_at.cache_clear()
     rc, out, _ = run(capsys, "eval", "--fn", "omega", "--nu", "-0.5", "--x", "5e-324")
     assert rc == 0
     assert out.splitlines()[-1] == "paths: ratio_I=two_term, K=temme"

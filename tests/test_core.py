@@ -14,6 +14,7 @@ from besselbounds.core import (
     _besselk,
     _k_ladder,
     AccuracyError,
+    CrossCheckError,
     DomainError,
     EvalContext,
     QuantityKind,
@@ -125,7 +126,9 @@ def test_I_at_tiny_argument_matches_mpmath():
 def test_K_ladder_matches_single_orders():
     # one ladder for K_{nu-1}, K_nu, K_{nu+1} gives each order the bits it
     # gets alone, also where the orders' mu differ (sign change, round tie)
-    for nu in (-2.5, 2.5, -0.3, 0.3, 0.5, 1.0, 15.3, -9.7, 7.3, 19.0):
+    # at nu = +-1e-20, +-1e-12 the orders nu -+ 1 round, at 0.5 -+ ulp round() ties
+    for nu in (-2.5, 2.5, -0.3, 0.3, 0.5, 1.0, 15.3, -9.7, 7.3, 19.0, 1e-20, -1e-20, 1e-12, -1e-12,
+               math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)):
         for x in (1e-3, math.nextafter(2.0, 0.0), 2.0, 60.0, 400.0):
             km, em, k0, e0, r, er = _k_ladder(nu, x)
             kp = _besselk(nu + 1.0, x)
@@ -237,6 +240,13 @@ def test_context_and_value_contract():
     for kind in ("nope", "T", "PHI_I"):
         with pytest.raises(ValueError):
             quantity(kind, ctx)
+    # a str value refuses a point as its member does
+    for kind, nu, x, error in (("b2hat", -0.5, 1.0, DomainError), ("y", -2.0, 1.0, DomainError),
+                               ("deltaI", 0.0, 500.0, AccuracyError), ("P", -0.5, 5e-324, AccuracyError)):
+        for k in (kind, QuantityKind(kind)):
+            with pytest.raises(error, match=f"quantity '{kind}'"):
+                quantity(k, EvalContext(nu, x))
+    assert pickle.loads(pickle.dumps(v)) == v
 
 
 @settings(max_examples=60, deadline=None)
@@ -617,9 +627,9 @@ def test_P_is_cached_and_I_and_K_are_not(monkeypatch):
 
     calls = _counted(monkeypatch, core, _BASE_KERNELS)
     ctx = EvalContext(1.3, 0.7)
-    core._p_pair.cache_clear()
-    for _ in range(2):
-        core.quantity(QuantityKind.P, ctx)
+    core._p_at.cache_clear()
+    first = core.quantity(QuantityKind.P, ctx)
+    assert core.quantity(QuantityKind.P, EvalContext(1.3, 0.7)) is first  # a hit builds nothing
     assert sorted(calls) == ["_i_series", "_k_climb"]
     calls.clear()
     for _ in range(2):
@@ -633,3 +643,41 @@ def test_P_is_cached_and_I_and_K_are_not(monkeypatch):
     assert calls == []
     assert ([(r.check_id, r.status, r.max_violation) for r in first]
             == [(r.check_id, r.status, r.max_violation) for r in second])
+
+
+def test_K_ladder_climbs_once_per_mu(monkeypatch):
+    # a ladder miss takes one climb for each distinct mu = |v| - round(|v|)
+    # among v = nu - 1, nu, nu + 1: one where all three share nu's mu, more
+    # where a sign change, a rounded nu -+ 1 or a round() tie splits them
+    from besselbounds import core
+
+    calls = _counted(monkeypatch, core, ("_k_climb",))
+    for nu, climbs in ((2.5, 2), (-9.7, 1), (19.0, 1), (0.3, 3), (0.5, 2), (7.3, 2), (1e-20, 2),
+                       (1e-12, 3), (math.nextafter(0.5, 1.0), 3)):
+        mus = {abs(v) - round(abs(v)) for v in (nu - 1.0, nu, nu + 1.0)}
+        assert len(mus) == climbs, nu
+        for x in (0.7, 30.0):
+            core._k_ladder.cache_clear()
+            core._k_ladder(nu, x)
+            assert len(calls) == climbs, (nu, x)
+            core._k_ladder(nu, x)  # a hit climbs nothing
+            assert len(calls) == climbs, (nu, x)
+            calls.clear()
+
+
+def test_K_ladder_cross_check_fires_on_a_corrupted_climb(monkeypatch):
+    # the ladder's recurrence check catches a climb whose top level is off
+    from besselbounds import core
+
+    climb = core._k_climb
+
+    def corrupted(mu, x, top):
+        kp, k0, k1, rel0, rel = climb(mu, x, top)
+        return kp, k0, k1 * (1.0 + 1e-6), rel0, rel
+
+    monkeypatch.setattr(core, "_k_climb", corrupted)
+    core._k_ladder.cache_clear()
+    for nu in (3.3, -4.2, 0.3):
+        with pytest.raises(CrossCheckError):
+            core._k_ladder(nu, 1.5)
+    core._k_ladder.cache_clear()
