@@ -311,8 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=VerifyConfig.seed)
     pv.add_argument("--pairs", type=_parse_pairs, default=VerifyConfig.random_pairs,
                     help="random pairs per order for the concavity checks")
-    pv.add_argument("--x-grid", type=_parse_x_grid, default=(1e-3, 100.0, 200, "log"),
-                    dest="x_grid", metavar="START:END:COUNT[:log|lin]",
+    pv.add_argument("--x-grid", type=_parse_x_grid, dest="x_grid", metavar="START:END:COUNT[:log|lin]",
+                    default=(VerifyConfig.x_lo, VerifyConfig.x_hi, VerifyConfig.x_points, VerifyConfig.scale),
                     help="sweep grid for the validity/conjecture suites")
     pv.set_defaults(run=cmd_verify)
 

@@ -172,6 +172,8 @@ class VerifyConfig:
             raise ValueError("grid counts must be >= 2")
         if not (0.0 < self.x_lo < self.x_hi):
             raise ValueError("grid range must satisfy 0 < start < end")
+        if self.scale not in ("log", "linear"):
+            raise ValueError(f"scale must be 'log' or 'linear'; got {self.scale!r}")
 
 
 def _now_iso() -> str:
@@ -216,24 +218,26 @@ def sweep_validity(ids: list[str], grid: GridSpec, cache: dict | None = None) ->
 
     Returns all violations (points beyond tolerance), sorted by
     (bound_id, nu, x).  Evaluation failures are re-raised, not swallowed.
-    Reference values go in ``cache`` by (quantity, nu, x); share one to evaluate each once.
+    ``cache`` maps (quantity, nu, x) to the reference (value, tolerance); share one to evaluate each once.
     """
     out: list[Violation] = []
     cache = {} if cache is None else cache
     for bound_id in ids:
         spec = cat.get(bound_id)
+        q, domain, formula, lower = spec.quantity, spec.domain, spec.formula, spec.side == "lower"
         for nu in grid.nu_values:
             for x in grid.x_values:
-                if not spec.domain(nu, x):
+                if not domain(nu, x):
                     continue
-                tv = cache.get((spec.quantity, nu, x))
-                if tv is None:
-                    tv = cache[spec.quantity, nu, x] = quantity(spec.quantity, EvalContext(nu, x))
-                bv = spec.formula(nu, x)
-                tol = _tolerance(tv.value, tv.abs_error_bound)
-                margin = (bv - tv.value - tol) if spec.side == "lower" else (tv.value - bv - tol)
+                ref = cache.get((q, nu, x))
+                if ref is None:
+                    tv = quantity(q, EvalContext(nu, x))
+                    ref = cache[q, nu, x] = (tv.value, _tolerance(tv.value, tv.abs_error_bound))
+                true, tol = ref
+                bv = formula(nu, x)
+                margin = (bv - true - tol) if lower else (true - bv - tol)
                 if margin > 0.0:
-                    out.append(Violation(bound_id, nu, x, bv, tv.value, margin))
+                    out.append(Violation(bound_id, nu, x, bv, true, margin))
     out.sort(key=lambda v: (v.bound_id, v.nu, v.x))
     return out
 
@@ -636,31 +640,26 @@ def application_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     # fast for large arguments, where strictness is not resolvable in doubles)
     lo, hi = math.log(0.05), math.log(40.0)
     # (the shared draws and pa, pb, pg are charged to the geometric check,
-    # the midpoint value pm and its comparison to the midpoint check)
+    # the midpoint value and its comparison to the midpoint check)
     mid_s = 0.0
     geo_fail = mid_fail = 0
-    worst_geo = worst_mid = -math.inf
+    P = QuantityKind.P  # an enum member lookup takes about 0.1 us: once, not four times a pair
     for nu in (0.5, 1.0, 2.0, 5.0):
-        p_of = lambda x: quantity(QuantityKind.P, EvalContext(nu, x))
         for _ in range(cfg.random_pairs):
             while True:
                 a = math.exp(rng.uniform(lo, hi))
                 b = math.exp(rng.uniform(lo, hi))
                 if abs(math.log(a) - math.log(b)) > 1e-4:
                     break
-            pa, pb = p_of(a), p_of(b)
-            pg = p_of(math.sqrt(a * b))
+            pa, pb = quantity(P, EvalContext(nu, a)), quantity(P, EvalContext(nu, b))
+            pg = quantity(P, EvalContext(nu, math.sqrt(a * b)))
             tol = 3.0 * (pa.rel_error_bound + pb.rel_error_bound + pg.rel_error_bound)
-            lhs = math.log(pg.value) - 0.5 * (math.log(pa.value) + math.log(pb.value))
-            worst_geo = max(worst_geo, -lhs)
-            if lhs < -tol:
+            if math.log(pg.value) - 0.5 * (math.log(pa.value) + math.log(pb.value)) < -tol:
                 geo_fail += 1
             t1 = time.perf_counter()
-            pm = p_of(0.5 * (a + b))
-            om = 0.5 * (a + b) * pm.value - 0.5 * (a * pa.value + b * pb.value)
-            scale = 0.5 * (a + b) * pm.value
-            worst_mid = max(worst_mid, -om / scale)
-            if om < -tol * scale:
+            m = 0.5 * (a + b)
+            scale = m * quantity(P, EvalContext(nu, m)).value
+            if scale - 0.5 * (a * pa.value + b * pb.value) < -tol * scale:
                 mid_fail += 1
             mid_s += time.perf_counter() - t1
     checks.add("applications:P_geometric_concavity", 0.0, float(geo_fail), carry_s=mid_s)

@@ -49,6 +49,15 @@ def test_verify_config_needs_a_pair():
     assert VerifyConfig(random_pairs=1).random_pairs == 1
 
 
+def test_verify_config_checks_scale():
+    # "lin" is the CLI's spelling, which the CLI turns into "linear"; here it
+    # would silently build a log grid
+    for scale in ("lin", "bogus", "Log", ""):
+        with pytest.raises(ValueError):
+            VerifyConfig(scale=scale)
+    assert VerifyConfig(scale="linear").scale == "linear"
+
+
 def test_sweep_proved_phiI_clean():
     grid = GridSpec((-0.5, 0.0, 0.5, 1.0, 2.0, 5.0),
                     tuple(10 ** (-3 + 5 * (k + 1) / 200) for k in range(200)))
@@ -81,16 +90,25 @@ def test_validity_evaluates_each_point_once(monkeypatch):
     monkeypatch.setattr(harness, "_tolerance", lambda true, err: -1e6 * (1.0 + abs(true)))
     monkeypatch.setattr(harness, "refutation_probe", lambda cfg: [])
     alone = {bid: sweep_validity([bid], grid) for bid in ids(status="proved")}
-    calls = Counter()
-    quantity = harness.quantity
+    calls, tolerances = Counter(), Counter()
+    quantity, tolerance = harness.quantity, harness._tolerance
+    point = None
 
     def counted(kind, ctx):
-        calls[kind, ctx.nu, ctx.x] += 1
+        nonlocal point
+        point = kind, ctx.nu, ctx.x
+        calls[point] += 1
         return quantity(kind, ctx)
 
+    def counted_tolerance(true, err):  # charged to the point evaluated last
+        tolerances[point] += 1
+        return tolerance(true, err)
+
     monkeypatch.setattr(harness, "quantity", counted)
+    monkeypatch.setattr(harness, "_tolerance", counted_tolerance)
     records = harness.validity_records(cfg)
     assert calls and set(calls.values()) == {1}
+    assert tolerances == calls
     assert [r.check_id for r in records] == [f"validity:{bid}" for bid in alone]
     for r, (bid, ws) in zip(records, alone.items()):
         kept = sorted(sorted(ws, key=lambda w: -w.margin)[:harness.WITNESS_CAP],
@@ -177,9 +195,53 @@ def test_application_checks_pass():
     assert [c.check_id for c in recs if c.status == "fail"] == []
 
 
+@pytest.mark.parametrize("wobble", [1e-3, 1e-12])
+def test_concavity_fail_counts_match_a_plain_loop(monkeypatch, wobble):
+    # on the true P both counts are 0, which a loop that miscounts also gives;
+    # a deterministic relative wobble on P makes some pairs fail each check,
+    # and the records must count what a plain loop over the same draws counts
+    # (the small wobble fails only pairs whose margin is near the tolerance)
+    import random
+
+    from besselbounds import harness
+    from besselbounds.core import EvalContext, QuantityKind as QK, ValueWithError
+
+    quantity = harness.quantity
+
+    def wobbly(kind, ctx):
+        v = quantity(kind, ctx)
+        if kind is not QK.P:
+            return v
+        return ValueWithError(v.value * (1.0 + wobble * math.sin(1e3 * ctx.x)), v.rel_error_bound)
+
+    monkeypatch.setattr(harness, "quantity", wobbly)
+    by_id = {c.check_id: c for c in application_checks(FAST)}
+
+    rng = random.Random(FAST.seed)
+    lo, hi = math.log(0.05), math.log(40.0)
+    geo = mid = 0
+    for nu in (0.5, 1.0, 2.0, 5.0):
+        p = lambda x: wobbly(QK.P, EvalContext(nu, x))
+        for _ in range(FAST.random_pairs):
+            while True:
+                a = math.exp(rng.uniform(lo, hi))
+                b = math.exp(rng.uniform(lo, hi))
+                if abs(math.log(a) - math.log(b)) > 1e-4:
+                    break
+            pa, pb, pg, pm = p(a), p(b), p(math.sqrt(a * b)), p(0.5 * (a + b))
+            tol = 3.0 * (pa.rel_error_bound + pb.rel_error_bound + pg.rel_error_bound)
+            lhs = math.log(pg.value) - 0.5 * (math.log(pa.value) + math.log(pb.value))
+            geo += lhs < -tol
+            scale = 0.5 * (a + b) * pm.value
+            mid += scale - 0.5 * (a * pa.value + b * pb.value) < -tol * scale
+    assert 0 < geo < 4 * FAST.random_pairs and 0 < mid < 4 * FAST.random_pairs
+    assert by_id["applications:P_geometric_concavity"].max_violation == geo
+    assert by_id["applications:omega_midpoint_concavity"].max_violation == mid
+
+
 def test_concavity_checks_timed_apart():
-    # one loop serves both checks: each record carries only its own share,
-    # so summed check times do not count the loop twice
+    # one loop serves both checks, each pair timed apart: each record carries
+    # only its own share, so summed check times do not count the loop twice
     import time
 
     t0 = time.perf_counter()
