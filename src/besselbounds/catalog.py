@@ -19,6 +19,10 @@ whose stated extension to -1 <= nu < 0 is numerically false near x = 0
 (the x->0 limit of phiI is 1/(nu+1), which the bound formulas overshoot
 for nu < 0), so those entries are guarded to nu >= 0.
 
+The radicand x^2 + mu of the sqrt(x^2 + mu) bounds and their guards is formed
+by ``_radicand`` alone: a change to how it rounds near |nu| = 1/2, where it
+cancels at small x (an open ROADMAP item), is one edit there.
+
 ``CATALOG`` is the one source of entries.  Point queries scan a view of it
 built at import, each quantity's entries in declaration order (_BY_QUANTITY).
 """
@@ -85,8 +89,9 @@ class BoundEvaluation:
     quantity: QuantityKind
 
 
-def _hyp(x: float, a: float) -> float:
-    return math.hypot(x, a)
+def _radicand(nu: float, x: float) -> float:
+    # x^2 + mu, mu = nu^2 - 1/4, in the one rounding order of every bound and guard
+    return x * x + nu * nu - 0.25
 
 
 # A bound with a pole at x = 0 overflows double precision at tiny x: one of
@@ -133,14 +138,14 @@ def _entries() -> list[BoundSpec]:
         sharp_at=("x->0",), note="constant 1/(nu+1) is best possible")
     add("turan8_lower", Q.PHI_I, "lower", "proved",
         lambda nu, x: nu >= 0.0, "nu >= 0",
-        lambda nu, x: 1.0 / (nu + 0.5 + _hyp(x, nu + 0.5)),
+        lambda nu, x: 1.0 / (nu + 0.5 + math.hypot(x, nu + 0.5)),
         "1/(nu+1/2+sqrt(x^2+(nu+1/2)^2))",
         sharp_at=("x->inf",),
         guard_note="stated range nu >= -1 fails on -1 <= nu < 0 near x = 0 "
                    "(bound exceeds the x->0 limit 1/(nu+1)); guarded to nu >= 0")
     add("turan8_upper", Q.PHI_I, "upper", "proved",
         lambda nu, x: nu >= 0.0, "nu >= 0",
-        lambda nu, x: 2.0 / (nu + 1.0 + _hyp(x, nu + 1.0)),
+        lambda nu, x: 2.0 / (nu + 1.0 + math.hypot(x, nu + 1.0)),
         "2/(nu+1+sqrt(x^2+(nu+1)^2))",
         sharp_at=("x->0", "x->inf"),
         guard_note="stated range nu > -1 fails on -1 < nu < 0 near x = 0; guarded to nu >= 0")
@@ -165,19 +170,19 @@ def _entries() -> list[BoundSpec]:
         sharp_at=("x->inf",), note="equivalent to b2hat < -1 for nu >= 1/2", guard_note=_POLE_NOTE)
     add("turan16_lower", Q.PHI_I, "lower", "proved",
         lambda nu, x: nu >= -0.5, "nu >= -1/2",
-        lambda nu, x: ((nu + 0.5) / (nu + 1.0)) / _hyp(x, nu + 0.5),
+        lambda nu, x: ((nu + 0.5) / (nu + 1.0)) / math.hypot(x, nu + 0.5),
         "((nu+1/2)/(nu+1))/sqrt(x^2+(nu+1/2)^2)",
         sharp_at=("x->0", "x->inf"))
     add("turan16_upper", Q.PHI_I, "upper", "proved",
         # x^2 + nu^2 - 1/4 rounds to 0 at nu = 1/2 below x ~ 1e-8: the guard
         # admits only points where the formula's radicand is positive
-        lambda nu, x: nu >= 0.5 and x * x + nu * nu - 0.25 > 0.0, "nu >= 1/2",
-        lambda nu, x: 1.0 / math.sqrt(x * x + nu * nu - 0.25),
+        lambda nu, x: nu >= 0.5 and _radicand(nu, x) > 0.0, "nu >= 1/2",
+        lambda nu, x: 1.0 / math.sqrt(_radicand(nu, x)),
         "1/sqrt(x^2+nu^2-1/4)",
         sharp_at=("x->inf",), note="tighter than 1/x for nu > 1/2")
     add("turanconj_lower", Q.PHI_I, "lower", "conjecture",
         lambda nu, x: nu >= -0.5, "nu >= -1/2",
-        lambda nu, x: 1.0 / _hyp(x, nu + 1.0), "1/sqrt(x^2+(nu+1)^2)",
+        lambda nu, x: 1.0 / math.hypot(x, nu + 1.0), "1/sqrt(x^2+(nu+1)^2)",
         sharp_at=("x->0", "x->inf"),
         note="equivalent to lambda = y - sqrt(x^2+(nu+1)^2) being increasing")
     add("joshi_turan7", Q.PHI_I, "upper", "refuted",
@@ -188,27 +193,27 @@ def _entries() -> list[BoundSpec]:
     # ---- log-derivative of I: y --------------------------------------------
     add("turan3_upper", Q.Y, "upper", "proved",
         lambda nu, x: nu > -1.0, "nu > -1",
-        lambda nu, x: _hyp(x, nu), "sqrt(x^2+nu^2)")
+        lambda nu, x: math.hypot(x, nu), "sqrt(x^2+nu^2)")
     add("turan13_lower", Q.Y, "lower", "proved",
         lambda nu, x: nu >= 0.5, "nu >= 1/2",
         lambda nu, x: x - 0.5, "x-1/2",
         sharp_at=("x->inf",))
     add("turan14_lower", Q.Y, "lower", "proved",
         lambda nu, x: nu >= 0.5, "nu >= 1/2",
-        lambda nu, x: _hyp(x, nu - 0.5) - 0.5, "sqrt(x^2+(nu-1/2)^2)-1/2",
+        lambda nu, x: math.hypot(x, nu - 0.5) - 0.5, "sqrt(x^2+(nu-1/2)^2)-1/2",
         sharp_at=("x->inf",))
     add("turan15_lower", Q.Y, "lower", "proved",
         lambda nu, x: nu >= 0.5, "nu >= 1/2",
-        lambda nu, x: math.sqrt(x * x + nu * nu - 0.25) - 0.5,
+        lambda nu, x: math.sqrt(_radicand(nu, x)) - 0.5,
         "sqrt(x^2+nu^2-1/4)-1/2",
         sharp_at=("x->inf",))
     add("tuseg_lower", Q.Y, "lower", "proved",
         lambda nu, x: nu >= -1.0, "nu >= -1",
-        lambda nu, x: _hyp(x, nu + 1.0) - 1.0, "sqrt(x^2+(nu+1)^2)-1",
+        lambda nu, x: math.hypot(x, nu + 1.0) - 1.0, "sqrt(x^2+(nu+1)^2)-1",
         sharp_at=("x->0", "x->inf"))
     add("tuseg_upper", Q.Y, "upper", "proved",
         lambda nu, x: nu >= -0.5, "nu >= -1/2",
-        lambda nu, x: _hyp(x, nu + 0.5) - 0.5, "sqrt(x^2+(nu+1/2)^2)-1/2",
+        lambda nu, x: math.hypot(x, nu + 0.5) - 0.5, "sqrt(x^2+(nu+1/2)^2)-1/2",
         sharp_at=("x->0", "x->inf"))
     add("ylog_lower", Q.Y, "lower", "proved",
         lambda nu, x: nu >= 0.0, "nu >= 0",
@@ -227,12 +232,12 @@ def _entries() -> list[BoundSpec]:
     add("gro_lower", Q.Y, "lower", "proved",
         lambda nu, x: nu >= 0.5 and x * x <= 2.0 * nu ** 3 * (nu + math.hypot(nu, 1.0)),
         "nu >= 1/2 and x^2 <= 2 nu^3 (nu + sqrt(nu^2+1))",
-        lambda nu, x: _hyp(x, nu) - (x * x + 2.0 * nu * nu) / (2.0 * x * x + 2.0 * nu * nu),
+        lambda nu, x: math.hypot(x, nu) - (x * x + 2.0 * nu * nu) / (2.0 * x * x + 2.0 * nu * nu),
         "sqrt(x^2+nu^2)-(x^2+2nu^2)/(2x^2+2nu^2)",
         note="restricted domain: proved only inside the stated x-range")
     add("turanconj2_upper", Q.Y, "upper", "conjecture",
         lambda nu, x: nu >= -0.5, "nu >= -1/2",
-        lambda nu, x: _hyp(x, nu + 1.0)
+        lambda nu, x: math.hypot(x, nu + 1.0)
         - 0.5 * (x * x + 2.0 * (nu + 1.0) ** 2) / (x * x + (nu + 1.0) ** 2),
         "sqrt(x^2+(nu+1)^2)-(x^2+2(nu+1)^2)/(2(x^2+(nu+1)^2))",
         note="would imply turanconj_lower")
@@ -264,7 +269,7 @@ def _entries() -> list[BoundSpec]:
     add("turan18_upper", Q.PHI_K, "upper", "proved",
         lambda nu, x: abs(nu) > 0.5 or abs(nu) == 0.5 and x >= 1e-300,
         "|nu| > 1/2 or (|nu| = 1/2 and x >= 1e-300)",
-        lambda nu, x: -1.0 / (abs(nu) - 0.5 + _hyp(x, abs(nu) - 0.5)),
+        lambda nu, x: -1.0 / (abs(nu) - 0.5 + math.hypot(x, abs(nu) - 0.5)),
         "-1/(|nu|-1/2+sqrt(x^2+(|nu|-1/2)^2))",
         sharp_at=("x->inf",), guard_note=_POLE_NOTE)
     add("turan19_lower", Q.PHI_K, "lower", "proved",
@@ -303,23 +308,23 @@ def _entries() -> list[BoundSpec]:
         # x^2 + mu can round to 0 (or below) just above x = sqrt(-mu); the
         # guard admits only points where the formula's radicand is positive
         lambda nu, x: (abs(nu) <= 0.5 and x > math.sqrt(0.25 - nu * nu)
-                       and x * x + nu * nu - 0.25 > 0.0),
+                       and _radicand(nu, x) > 0.0),
         "|nu| <= 1/2 and x > sqrt(-mu)",
         lambda nu, x: -(4.0 / math.pi) * (
-            math.acos(math.sqrt(0.25 - nu * nu) / x) / (2.0 * math.sqrt(x * x + nu * nu - 0.25))
+            math.acos(math.sqrt(0.25 - nu * nu) / x) / (2.0 * math.sqrt(_radicand(nu, x)))
             + math.sqrt(0.25 - nu * nu) / (2.0 * x * x)),
         "-(4/pi)*[arccos(sqrt(-mu)/x)/(2*sqrt(x^2+mu)) + sqrt(-mu)/(2x^2)]",
         strictness="non-strict", sharp_at=("x->inf", "nu=1/2"),
         note="tightens turan21_lower; equality at |nu| = 1/2")
     add("turan24_upper", Q.PHI_K, "upper", "proved",
         # the radicand rounds to 0 at |nu| = 1/2 below x ~ 1e-8 (as in turan16_upper)
-        lambda nu, x: abs(nu) >= 0.5 and x * x + nu * nu - 0.25 > 0.0, "|nu| >= 1/2",
-        lambda nu, x: -1.0 / math.sqrt(x * x + nu * nu - 0.25), "-1/sqrt(x^2+mu)",
+        lambda nu, x: abs(nu) >= 0.5 and _radicand(nu, x) > 0.0, "|nu| >= 1/2",
+        lambda nu, x: -1.0 / math.sqrt(_radicand(nu, x)), "-1/sqrt(x^2+mu)",
         strictness="non-strict", sharp_at=("x->inf", "nu=1/2"),
         note="tightens turan20_upper for |nu| > 1/2 and turan18_upper for |nu| >= 3/2")
     add("turan25_upper", Q.PHI_K, "upper", "proved",
         lambda nu, x: x + abs(nu) >= 1e-300, "x+|nu| >= 1e-300",
-        lambda nu, x: -1.0 / _hyp(x, nu), "-1/sqrt(x^2+nu^2)",
+        lambda nu, x: -1.0 / math.hypot(x, nu), "-1/sqrt(x^2+nu^2)",
         strictness="non-strict", sharp_at=("x->inf",),
         note="weaker than turan24_upper for |nu| >= 1/2 but valid for every order",
         guard_note=_POLE_NOTE)
@@ -327,29 +332,29 @@ def _entries() -> list[BoundSpec]:
     # ---- log-derivative of K: z --------------------------------------------
     add("turan4_upper", Q.Z, "upper", "proved",
         lambda nu, x: True, "all nu",
-        lambda nu, x: -_hyp(x, nu), "-sqrt(x^2+nu^2)")
+        lambda nu, x: -math.hypot(x, nu), "-sqrt(x^2+nu^2)")
     add("turan22_lower", Q.Z, "lower", "proved",
         lambda nu, x: abs(nu) >= 0.5, "|nu| >= 1/2",
-        lambda nu, x: -math.sqrt(x * x + nu * nu - 0.25) - 0.5, "-sqrt(x^2+mu)-1/2",
+        lambda nu, x: -math.sqrt(_radicand(nu, x)) - 0.5, "-sqrt(x^2+mu)-1/2",
         strictness="non-strict", sharp_at=("x->inf", "nu=1/2"),
         note="equality at |nu| = 1/2 where z = -x-1/2")
     add("paltsev_lower", Q.Z, "lower", "proved",
         lambda nu, x: True, "all nu",
-        lambda nu, x: -_hyp(x, nu) - 0.5, "-sqrt(x^2+nu^2)-1/2",
+        lambda nu, x: -math.hypot(x, nu) - 0.5, "-sqrt(x^2+nu^2)-1/2",
         sharp_at=("x->inf",))
     add("segura74_lower", Q.Z, "lower", "proved",
         lambda nu, x: nu >= 0.5, "nu >= 1/2",
-        lambda nu, x: -_hyp(x, nu + 0.5) - 0.5, "-sqrt(x^2+(nu+1/2)^2)-1/2",
+        lambda nu, x: -math.hypot(x, nu + 0.5) - 0.5, "-sqrt(x^2+(nu+1/2)^2)-1/2",
         note="order range not restated by the source; guarded conservatively to nu >= 1/2",
         guard_note="conservative order guard nu >= 1/2")
     add("segura75_upper", Q.Z, "upper", "proved",
         lambda nu, x: nu >= 0.5, "nu >= 1/2",
-        lambda nu, x: -_hyp(x, nu - 0.5) - 0.5, "-sqrt(x^2+(nu-1/2)^2)-1/2",
+        lambda nu, x: -math.hypot(x, nu - 0.5) - 0.5, "-sqrt(x^2+(nu-1/2)^2)-1/2",
         strictness="non-strict", sharp_at=("nu=1/2",),
         note="equality at nu = 1/2")
     add("zint_upper", Q.Z, "upper", "proved",
         lambda nu, x: nu >= 0.5, "nu >= 1/2",
-        lambda nu, x: -math.sqrt(x * x + nu * nu - 0.25) + math.sqrt(nu * nu - 0.25) - nu,
+        lambda nu, x: -math.sqrt(_radicand(nu, x)) + math.sqrt(nu * nu - 0.25) - nu,
         "-sqrt(x^2+mu)+sqrt(mu)-nu",
         strictness="non-strict", sharp_at=("x->0", "nu=1/2"),
         note="integrated form of turan24_upper; tighter than turan4_upper")
@@ -372,18 +377,18 @@ def _entries() -> list[BoundSpec]:
     # ---- normalised Turanian of the product: phiP ---------------------------
     add("turan26_lower", Q.PHI_P, "lower", "proved",
         # the radicand rounds to 0 at nu = 1/2 below x ~ 1e-8 (as in turan16_upper)
-        lambda nu, x: nu >= 0.5 and x >= 1e-300 and x * x + nu * nu - 0.25 > 0.0,
+        lambda nu, x: nu >= 0.5 and x >= 1e-300 and _radicand(nu, x) > 0.0,
         "nu >= 1/2 and x >= 1e-300",
         lambda nu, x: (
-            ((x - (nu + 0.5) - _hyp(x, nu + 0.5)) * math.sqrt(x * x + nu * nu - 0.25) + x)
-            / (x * math.sqrt(x * x + nu * nu - 0.25) * (nu + 0.5 + _hyp(x, nu + 0.5)))),
+            ((x - (nu + 0.5) - math.hypot(x, nu + 0.5)) * math.sqrt(_radicand(nu, x)) + x)
+            / (x * math.sqrt(_radicand(nu, x)) * (nu + 0.5 + math.hypot(x, nu + 0.5)))),
         "([x-(nu+1/2)-sqrt(x^2+(nu+1/2)^2)]*sqrt(x^2+mu)+x)"
         "/(x*sqrt(x^2+mu)*[nu+1/2+sqrt(x^2+(nu+1/2)^2)])",
         sharp_at=("x->inf",), guard_note=_POLE_NOTE)
     add("turan26_upper", Q.PHI_P, "upper", "proved",
-        lambda nu, x: nu >= 0.5 and x >= 1e-300 and x * x + nu * nu - 0.25 > 0.0,
+        lambda nu, x: nu >= 0.5 and x >= 1e-300 and _radicand(nu, x) > 0.0,
         "nu >= 1/2 and x >= 1e-300",
-        lambda nu, x: 1.0 / (x * math.sqrt(x * x + nu * nu - 0.25)), "1/(x*sqrt(x^2+mu))",
+        lambda nu, x: 1.0 / (x * math.sqrt(_radicand(nu, x))), "1/(x*sqrt(x^2+mu))",
         sharp_at=("x->inf",), guard_note=_POLE_NOTE)
 
     # ---- application-level bounds -------------------------------------------
@@ -406,7 +411,7 @@ def _entries() -> list[BoundSpec]:
         sharp_at=("x->0",), note="equivalent to turan2_lower at order mu_gig")
     add("ncns", Q.N_S, "lower", "proved",
         lambda nu, x: nu >= -1.0, "nu >= -1",
-        lambda nu, x: 0.25 * x * x / (nu + 1.0 + _hyp(x, nu + 1.0)),
+        lambda nu, x: 0.25 * x * x / (nu + 1.0 + math.hypot(x, nu + 1.0)),
         "n_c = (x^2/4)/(nu+1+sqrt(x^2+(nu+1)^2))",
         note="classical mean molecule count n_c is a strict lower bound for "
              "the stochastic one n_s")

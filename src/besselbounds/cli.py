@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from . import __version__
 from . import catalog as cat
 from .core import (
+    OVERLAP_AGREEMENT_REL,
     AccuracyError,
     DomainError,
     EvalContext,
@@ -225,7 +226,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         if abs(y - z - 1.0 / p) * p > 1e-10:
             failures.append(f"Wronskian at x={x:g}")
     worst_overlap = max(d for _, d in dual_path_checks())
-    if worst_overlap > 1e-11:
+    if worst_overlap > OVERLAP_AGREEMENT_REL:
         failures.append(f"path overlap disagreement {worst_overlap:.3e}")
     print(f"besselbounds {__version__} selftest "
           f"({(time.perf_counter()-t0)*1e3:.0f} ms)")
@@ -243,8 +244,16 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _config(**fields) -> VerifyConfig:
+    # VerifyConfig checks the fields; its refusal is a usage error of the flag
+    try:
+        return VerifyConfig(**fields)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_x_grid(text: str) -> tuple[float, float, int, str]:
-    """START:END:COUNT[:log|lin] with COUNT >= 2 and 0 < START < END."""
+    """START:END:COUNT[:log|lin], checked by VerifyConfig."""
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise argparse.ArgumentTypeError("expected START:END:COUNT[:log|lin]")
@@ -253,24 +262,17 @@ def _parse_x_grid(text: str) -> tuple[float, float, int, str]:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     scale = parts[3] if len(parts) == 4 else "log"
-    if scale not in ("log", "lin", "linear"):
-        raise argparse.ArgumentTypeError("scale must be 'log' or 'lin'")
-    if n < 2:
-        raise argparse.ArgumentTypeError("grid count must be >= 2")
-    if not (0.0 < lo < hi):
-        raise argparse.ArgumentTypeError("need 0 < START < END")
-    return lo, hi, n, ("linear" if scale.startswith("lin") else "log")
+    c = _config(x_lo=lo, x_hi=hi, x_points=n, scale="linear" if scale == "lin" else scale)
+    return c.x_lo, c.x_hi, c.x_points, c.scale
 
 
 def _parse_pairs(text: str) -> int:
-    """A count of random pairs, >= 1 (zero pairs would check nothing)."""
+    """A count of random pairs, checked by VerifyConfig (zero pairs would check nothing)."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError("pair count must be >= 1")
-    return n
+    return _config(random_pairs=n).random_pairs
 
 
 def _build_parser() -> argparse.ArgumentParser:

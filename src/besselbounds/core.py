@@ -14,17 +14,18 @@ lambda, q, t) used by the bounds catalog.
 
 Evaluation strategy by region
 -----------------------------
-* I: power series everywhere below the asymptotic threshold
-  x >= 30 + nu^2; large-argument expansion above it.
-* K: at mu = |nu| - round(|nu|) in [-1/2, 1/2], K_mu and K_{mu+1} by
-  Temme's series for x < 2 and by Steed's continued fraction CF2 for
+Each base result has one route function; evaluation_path reads the same ones.
+
+* I (_i_route): power series below x = 30 + nu^2 (_i_switch); large-argument
+  expansion at and above it.
+* K (_k_route): at mu = |nu| - round(|nu|) in [-1/2, 1/2], K_mu and K_{mu+1}
+  by Temme's series for x < 2 and by Steed's continued fraction CF2 for
   x >= 2; then forward recurrence in the order up to |nu|, which is stable
   because K is the dominant solution.
-* ratio_I = I_{nu+1}/I_nu: one route per region.  Below
-  x = 30 + max(nu^2, (nu+1)^2) the continued fraction CF1 (cut after its
-  first element, with a series tail, at tiny x where the Lentz start is not
-  negligible); at and above it, where I takes the large-argument expansion
-  at both orders, the quotient of the two expansions.
+* ratio_I = I_{nu+1}/I_nu (_ratio_i_asym, _ratio_i_two_term): where I's route
+  is the expansion at nu and at nu + 1, the quotient of the two expansions;
+  elsewhere the continued fraction CF1, cut after its first element, with a
+  series tail, at tiny x where the Lentz start is not negligible.
 * K_{nu-1}, K_nu, K_{nu+1} (ratio_K, z, phiK, kratio, deltaK and the rest of
   the K side): one ladder, i.e. one base evaluation and one climb for each
   distinct mu among the three orders: one climb, except at a sign change
@@ -318,20 +319,36 @@ def _i_asym(nu: float, x: float) -> tuple[float, float]:
     return val, rel
 
 
-I_PATHS = ("series", "asymptotic")  # power series below _ASYM_BASE + nu^2, expansion above
+I_PATHS = ("series", "asymptotic")  # indexed by _i_route
+
+
+def _i_switch(nu: float) -> float:
+    # I's large-argument expansion holds from x = 30 + nu^2 on
+    return _ASYM_BASE + nu * nu
+
+
+def _i_route(nu: float, x: float) -> bool:
+    # I's route: the expansion at and above the switch, the power series below
+    return x >= _i_switch(nu)
 
 
 def _besseli(nu: float, x: float) -> tuple[float, float]:
     """(value, rel error) for I_nu(x), e^-x-scaled when x > _SCALE_X."""
-    return (_i_asym if x >= _ASYM_BASE + nu * nu else _i_series)(nu, x)
+    return (_i_asym if _i_route(nu, x) else _i_series)(nu, x)
 
 
 # ---------------------------------------------------------------------------
 # modified Bessel function of the second kind
 # ---------------------------------------------------------------------------
 
-K_PATHS = ("temme", "cf2")  # Temme's series for x < _TEMME_X, Steed's CF2 above
+K_PATHS = ("temme", "cf2")  # indexed by _k_route
 _TEMME_X = 2.0
+
+
+def _k_route(x: float) -> bool:
+    # K's route at mu: Steed's CF2 at and above _TEMME_X, Temme's series below
+    return x >= _TEMME_X
+
 
 # 1/Gamma(1+z) = sum_j g_j z^j (A&S 6.1.34 shifted by one) as pairs
 # (g_2i, g_2i+1), i = 10 down to 0; the omitted terms are < 1e-20 for |z| <= 1/2
@@ -441,17 +458,23 @@ def _k_climb(mu: float, x: float, top: int) -> tuple[float, float, float, float,
 
     K_mu and K_{mu+1}, with claims rel0 and rel1, then forward recurrence in
     the order: K is its dominant solution and every term is positive past
-    mu + 1, so a step adds at most its five roundings, 2.5 eps, and K at
-    level n >= 1 claims rel + 2.5 (n - 1) eps, rel = max(rel0, rel1).  The
-    loop follows the module's kernel rules.
+    mu + 1, so a step adds at most its five roundings, 2.5 eps (the claims
+    of the levels are read by _k_level).  The loop follows the module's
+    kernel rules.
     """
-    k0, k1, rel0, rel1 = (_k_cf2 if x >= _TEMME_X else _k_temme)(mu, x)
+    k0, k1, rel0, rel1 = (_k_cf2 if _k_route(x) else _k_temme)(mu, x)
     xi2 = 2.0 / x
     kp = i = 0.0
     for _ in range(top - 1):
         i += 1.0
         kp, k0, k1 = k0, k1, (mu + i) * xi2 * k1 + k0
     return kp, k0, k1, rel0, max(rel0, rel1)
+
+
+def _k_level(climb: tuple[float, float, float, float, float], top: int, n: int) -> tuple[float, float]:
+    # K at level n (top - 2 .. top) of a climb to top, with its claim: rel0 at
+    # level 0; rel + 2.5 (n - 1) eps at n >= 1, one step's roundings per level
+    return climb[n - top + 2], (climb[4] + 2.5 * (n - 1) * _EPS if n else climb[3])
 
 
 def _besselk(nu: float, x: float) -> tuple[float, float]:
@@ -462,8 +485,8 @@ def _besselk(nu: float, x: float) -> tuple[float, float]:
     """
     an = abs(nu)
     nl = round(an)
-    _, k0, k1, rel0, rel = _k_climb(an - nl, x, nl or 1)
-    val, rel = (k1, rel + 2.5 * (nl - 1) * _EPS) if nl else (k0, rel0)
+    top = nl or 1
+    val, rel = _k_level(_k_climb(an - nl, x, top), top, nl)
     if not math.isfinite(val):
         raise AccuracyError(f"K_{nu}({x}) overflows double precision")
     return val, rel
@@ -511,13 +534,13 @@ def eval_K(ctx: EvalContext, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> 
 def evaluation_path(fn: str, nu: float, x: float) -> str:
     """Name of the evaluation path ('series', 'cf1', ...) used for I, K or ratio_I.
 
-    Answered from the region tests that _besseli, _k_climb and _ratio_i
+    Answered from the route functions that _besseli, _k_climb and _ratio_i
     take, without evaluating anything.
     """
     if fn == "I":
-        return I_PATHS[x >= _ASYM_BASE + nu * nu]
+        return I_PATHS[_i_route(nu, x)]
     if fn == "K":
-        return K_PATHS[x >= _TEMME_X]
+        return K_PATHS[_k_route(x)]
     if fn == "ratio_I":
         return RATIO_I_PATHS[1 if _ratio_i_asym(nu, x) else 0 if _ratio_i_two_term(nu, x) is None else 2]
     raise DomainError(f"unknown function tag {fn!r}")
@@ -617,8 +640,8 @@ def _ratio_i_two_term(nu: float, x: float) -> float | None:
 
 
 def _ratio_i_asym(nu: float, x: float) -> bool:
-    # whether _besseli takes the large-argument expansion at both nu and nu + 1
-    return x >= _ASYM_BASE + max(nu * nu, (nu + 1.0) * (nu + 1.0))
+    # whether I's route is the expansion at nu and at nu + 1: x >= 30 + max(nu^2, (nu+1)^2)
+    return _i_route(nu, x) and _i_route(nu + 1.0, x)
 
 
 RATIO_I_PATHS = ("cf1", "asymptotic", "two_term")  # CF1, expansion quotient, CF1 cut at tiny x
@@ -628,12 +651,12 @@ RATIO_I_PATHS = ("cf1", "asymptotic", "two_term")  # CF1, expansion quotient, CF
 def _ratio_i(nu: float, x: float) -> tuple[float, float]:
     """(I_{nu+1}/I_nu, rel error bound) by one route per region.
 
-    Below x = 30 + max(nu^2, (nu+1)^2) the continued fraction CF1
-    (_ratio_i_cf, claim derived there).  At and above it, where _besseli
-    takes the large-argument expansion at both orders, the quotient of the
-    two expansions: their claims e1 + e0 and one rounding, eps covering the
-    second-order terms.  The power-series quotient is no route; it is
-    the harness check consistency:ratio_I_dual_path and the claim tests.
+    Where I's route is the large-argument expansion at both orders
+    (_ratio_i_asym), the quotient of the two expansions: their claims
+    e1 + e0 and one rounding, eps covering the second-order terms.
+    Elsewhere the continued fraction CF1 (_ratio_i_cf, claim derived there).
+    The power-series quotient is no route; it is the harness check
+    consistency:ratio_I_dual_path and the claim tests.
     """
     if _ratio_i_asym(nu, x):
         num, e1 = _i_asym(nu + 1.0, x)
@@ -680,14 +703,12 @@ def _k_ladder(nu: float, x: float) -> tuple[float, float, float, float, float, f
     elif mp != m0:
         tp = lp or 1
         cp = _k_climb(mp, x, tp)
-    # a climb holds levels top - 2 .. top; K > 0, so < inf is isfinite
-    km, k0, k1 = cm[lm - tm + 2], c0[l0 - t0 + 2], cp[lp - tp + 2]
-    if not (km < _INF and k0 < _INF and k1 < _INF):
+    km, em = _k_level(cm, tm, lm)
+    k0, e0 = _k_level(c0, t0, l0)
+    k1, e1 = _k_level(cp, tp, lp)
+    if not (km < _INF and k0 < _INF and k1 < _INF):  # K > 0, so < inf is isfinite
         order = nu - 1.0 if not km < _INF else nu if not k0 < _INF else nu + 1.0
         raise AccuracyError(f"K_{order}({x}) overflows double precision")
-    em = cm[4] + 2.5 * (lm - 1) * _EPS if lm else cm[3]
-    e0 = c0[4] + 2.5 * (l0 - 1) * _EPS if l0 else c0[3]
-    e1 = cp[4] + 2.5 * (lp - 1) * _EPS if lp else cp[3]
     # upward recurrence K_{nu+1} = K_{nu-1} + (2nu/x) K_nu; the residual is
     # compared against the dominant term since the recurrence may produce a
     # small K_{nu+1} from the difference of two huge terms (nu << 0, x small)
@@ -734,6 +755,11 @@ class QuantityKind(str, Enum):
     K_RATIO = "kratio"
 
 
+def _from_abs(val: float, abs_err: float) -> ValueWithError:
+    # val with the relative claim of abs_err; an exact 0 claims inf, as quantity() needs
+    return ValueWithError(val, abs_err / abs(val) if val != 0.0 else _INF)
+
+
 def _phi_i(ctx: EvalContext) -> ValueWithError:
     # phiI = 1 - (I_{nu-1}/I_nu)(I_{nu+1}/I_nu) with
     # I_{nu-1}/I_nu = 2 nu/x + r via the three-term recurrence; never forms
@@ -748,7 +774,7 @@ def _phi_i(ctx: EvalContext) -> ValueWithError:
         return ValueWithError(1.0 / (nu + 1.0), 2.0 * _EPS)
     val = 1.0 - a * r
     abs_err = (abs(a) + r) * r * er + 4.0 * _EPS * (1.0 + abs(a) * r)
-    return ValueWithError(val, abs_err / abs(val) if val != 0.0 else math.inf)
+    return _from_abs(val, abs_err)
 
 
 def _phi_k(ctx: EvalContext) -> ValueWithError:
@@ -759,7 +785,7 @@ def _phi_k(ctx: EvalContext) -> ValueWithError:
     a = km / k0
     val = 1.0 - a * r
     abs_err = a * r * (er + em + e0) + 4.0 * _EPS * (1.0 + a * r)
-    return ValueWithError(val, abs_err / abs(val) if val != 0.0 else math.inf)
+    return _from_abs(val, abs_err)
 
 
 def _y_abs(ctx: EvalContext) -> tuple[float, float]:
@@ -774,15 +800,14 @@ def _y_abs(ctx: EvalContext) -> tuple[float, float]:
 
 
 def _y(ctx: EvalContext) -> ValueWithError:
-    val, abs_err = _y_abs(ctx)
-    return ValueWithError(val, abs_err / abs(val) if val != 0.0 else math.inf)
+    return _from_abs(*_y_abs(ctx))
 
 
 def _z(ctx: EvalContext) -> ValueWithError:
     r, er = _k_ladder(ctx.nu, ctx.x)[4:]
     val = ctx.nu - ctx.x * r
     abs_err = ctx.x * r * er + 2.0 * _EPS * (abs(ctx.nu) + ctx.x * r)
-    return ValueWithError(val, abs_err / abs(val) if val != 0.0 else math.inf)
+    return _from_abs(val, abs_err)
 
 
 @lru_cache(maxsize=200_000)
@@ -798,9 +823,7 @@ def _shifted(base: float, base_err: float, sign: float, shift: float,
              shift_err: float = 0.0) -> ValueWithError:
     # sign * base + shift, propagating the absolute errors; shift_err is the
     # shift's error beyond its last rounding
-    val = sign * base + shift
-    abs_err = base_err + 2.0 * _EPS * (abs(shift) + abs(base)) + shift_err
-    return ValueWithError(val, abs_err / abs(val) if val != 0.0 else math.inf)
+    return _from_abs(sign * base + shift, base_err + 2.0 * _EPS * (abs(shift) + abs(base)) + shift_err)
 
 
 def _mu_shift(ctx: EvalContext) -> tuple[float, float]:
@@ -820,7 +843,7 @@ def _phi_p(ctx: EvalContext) -> ValueWithError:
     if math.isfinite(fk.value):
         val = fi.value + fk.value - fi.value * fk.value
         abs_err = fi.abs_error_bound * (1.0 + abs(fk.value)) + fk.abs_error_bound * (1.0 + abs(fi.value))
-        return ValueWithError(val, abs_err / abs(val) if val != 0.0 else math.inf)
+        return _from_abs(val, abs_err)
     # 1 - phiK = a_K r_K = (K_{nu-1}/K_nu)(K_{nu+1}/K_nu) overflows (x below
     # about 1e-154), while 1 - phiI = a_I r_I may be as small as nu or x^2:
     # phiP = 1 - T, T = a_I r_I a_K r_K, whose partial products may leave
@@ -839,7 +862,7 @@ def _phi_p(ctx: EvalContext) -> ValueWithError:
     rel_t = (r * er + 2.0 * _EPS * (abs(2.0 * nu / x) + r)) / abs(a) + er + em + e0 + erk + 4.0 * _EPS
     val = 1.0 - t
     abs_err = abs(t) * rel_t + _EPS * (1.0 + abs(t))
-    return ValueWithError(val, abs_err / abs(val) if val != 0.0 else math.inf)
+    return _from_abs(val, abs_err)
 
 
 def _omega_by_wronskian(p: float) -> bool:
@@ -1047,7 +1070,7 @@ def dual_path_checks() -> list[tuple[str, float]]:
     """
     out: list[tuple[str, float]] = []
     for nu in (0.0, 0.3, 1.0, 2.5, 4.0):
-        x = _ASYM_BASE + nu * nu + 1.0
+        x = _i_switch(nu) + 1.0
         vs, _ = _i_series(nu, x)
         va, _ = _i_asym(nu, x)
         out.append((f"I series/asymptotic nu={nu} x={x:g}", abs(vs - va) / abs(va)))

@@ -18,11 +18,12 @@ import os
 import random
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import groupby
 
 from . import catalog as cat
 from .core import (
+    OVERLAP_AGREEMENT_REL,
     DomainError,
     EvalContext,
     QuantityKind,
@@ -127,33 +128,9 @@ class VerificationReport:
         return self.summary["fail"] == 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "generated_at": self.generated_at,
-            "seed": self.seed,
-            "checks": [
-                {
-                    "check_id": c.check_id,
-                    "status": c.status,
-                    "tolerance": c.tolerance,
-                    "max_violation": c.max_violation,
-                    "witnesses": [
-                        {
-                            "bound_id": w.bound_id,
-                            "nu": w.nu,
-                            "x": w.x,
-                            "bound_value": w.bound_value,
-                            "true_value": w.true_value,
-                            "margin": w.margin,
-                        }
-                        for w in c.witnesses
-                    ],
-                    "runtime_ms": c.runtime_ms,
-                }
-                for c in self.checks
-            ],
-            "summary": self.summary,
-        }
+        # a check's and a witness's keys are their dataclass fields, in order
+        return {"suite": self.suite, "generated_at": self.generated_at, "seed": self.seed,
+                "checks": [asdict(c) for c in self.checks], "summary": self.summary}
 
 
 @dataclass(frozen=True)
@@ -192,7 +169,7 @@ DEFAULT_NU_GRID = (-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 
 
 def default_grid(x_points: int = 200) -> GridSpec:
     """Default sweep grid: 12 orders x log-spaced points in (1e-3, 100]."""
-    return GridSpec(DEFAULT_NU_GRID, _log_grid(1e-3, 100.0, x_points))
+    return grid_from_config(VerifyConfig(x_points=x_points))
 
 
 def grid_from_config(cfg: VerifyConfig) -> GridSpec:
@@ -361,16 +338,9 @@ def equality_and_limit_checks() -> list[CheckRecord]:
     xs = _log_grid(0.02, 20.0, 50)
     checks = _Checks()
 
-    devs = []
-    for x in xs:
-        fk = quantity(QuantityKind.PHI_K, EvalContext(0.5, x)).value
-        devs.append(abs(fk + 1.0 / x) * x)
+    devs = [abs(quantity(QuantityKind.PHI_K, EvalContext(0.5, x)).value + 1.0 / x) * x for x in xs]
     checks.add("equality:phiK_half_is_-1/x", 1e-12, max(devs))
-
-    devs = []
-    for x in xs:
-        zz = quantity(QuantityKind.Z, EvalContext(0.5, x)).value
-        devs.append(abs(zz + x + 0.5) / (x + 0.5))
+    devs = [abs(quantity(QuantityKind.Z, EvalContext(0.5, x)).value + x + 0.5) / (x + 0.5) for x in xs]
     checks.add("equality:z_half_is_-x-1/2", 1e-12, max(devs))
 
     for bound_id, kind in (("turan22_lower", QuantityKind.Z),
@@ -587,7 +557,7 @@ def consistency_checks() -> list[CheckRecord]:
             devs.append(abs(kp - km) / abs(kp))
     checks.add("consistency:K_symmetry", 1e-12, max(devs))
 
-    checks.add("consistency:path_overlap", 1e-11, max(d for _, d in dual_path_checks()))
+    checks.add("consistency:path_overlap", OVERLAP_AGREEMENT_REL, max(d for _, d in dual_path_checks()))
     return checks.records
 
 
@@ -691,8 +661,6 @@ def enclosure_checks(cfg: VerifyConfig) -> list[CheckRecord]:
               QuantityKind.Z, QuantityKind.PHI_P):
         wits = []
         for nu in grid.nu_values:
-            if q in (QuantityKind.PHI_I, QuantityKind.Y, QuantityKind.PHI_P) and nu < -1.0:
-                continue
             for x in grid.x_values:
                 lo, hi = cat.best_bounds(q, nu, x)
                 if lo is None and hi is None:

@@ -595,11 +595,11 @@ _BASE_KERNELS = ("_i_series", "_i_asym", "_k_climb")  # the evaluations under I 
 
 
 def test_evaluation_path_is_the_region_that_runs(monkeypatch):
-    # at each switch -+ 1 ulp the reported path is the kernel that _besseli
-    # or _besselk runs, and asking for it runs no kernel at all
+    # at each switch -+ 1 ulp the reported path is the kernel that _besseli,
+    # _besselk or _ratio_i runs, and asking for it runs no kernel at all
     from besselbounds import core
 
-    calls = _counted(monkeypatch, core, _BASE_KERNELS + ("_k_temme", "_k_cf2"))
+    calls = _counted(monkeypatch, core, _BASE_KERNELS + ("_k_temme", "_k_cf2", "_ratio_i_cf"))
     for nu in (-1.0, -0.3, 0.0, 0.5, 2.5, 7.0, 20.0):
         switch = 30.0 + nu * nu
         for x in (math.nextafter(switch, 0.0), switch, math.nextafter(switch, math.inf)):
@@ -617,6 +617,25 @@ def test_evaluation_path_is_the_region_that_runs(monkeypatch):
             core._besselk(nu, x)
             assert calls == ["_k_climb", f"_k_{path}"], (nu, x)
             calls.clear()
+    # ratio_I: the quotient of two expansions from 30 + max(nu^2, (nu+1)^2)
+    # on, CF1 below it, and at tiny x on either side of the Lentz-start cut
+    # (about 1.4e-13 max(1, nu + 1)) CF1 cut after b_1, told apart by its claim
+    core._ratio_i.cache_clear()
+    points = [(nu, x) for nu in (-0.7, 2.5, 15.3)
+              for switch in (30.0 + max(nu * nu, (nu + 1.0) * (nu + 1.0)),)
+              for x in (math.nextafter(switch, 0.0), switch, math.nextafter(switch, math.inf))]
+    points += [(nu, x) for nu in (-1.0, 0.0, 2.5, 15.3) for x in (1e-15, 1e-13, 3e-13, 1e-12, 1e-10)]
+    seen = set()
+    for nu, x in points:
+        path = evaluation_path("ratio_I", nu, x)
+        assert calls == []
+        _, rel = core._ratio_i(nu, x)
+        assert calls == (["_i_asym"] * 2 if path == "asymptotic" else ["_ratio_i_cf"]), (nu, x)
+        assert (path == "asymptotic") == (x >= 30.0 + max(nu * nu, (nu + 1.0) * (nu + 1.0))), (nu, x)
+        assert (rel == 0.5 * x * x + 3.0 * _EPS) == (path == "two_term"), (nu, x)
+        seen.add(path)
+        calls.clear()
+    assert seen == set(core.RATIO_I_PATHS)
 
 
 def test_P_is_cached_and_I_and_K_are_not(monkeypatch):
