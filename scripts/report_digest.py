@@ -26,8 +26,10 @@ so one copy of the script serves both sides of a comparison.  ``--against``
 builds a second checkout as the old side and, after both sets of digests,
 prints each ``check_id`` whose fields other than ``runtime_ms`` differ, with
 its old -> new ``status``, ``max_violation`` and witness margins, whether
-each other output is identical, and for ``tags`` the first points whose
-outcomes differ, tag by tag.  Standard library only; each checkout takes
+each other output is identical, and for ``tags`` how many points moved, per
+tag, how many changed outcome kind (value <-> refusal, or another refusal
+type), the range of x they span and the first points whose outcomes differ,
+tag by tag.  Standard library only; each checkout takes
 about as long as a cold ``verify --suite all`` plus 10 s for the tags.
 """
 
@@ -122,23 +124,39 @@ def _tag_outcomes() -> None:
         out.write(" ".join(fields) + "\n")
 
 
+def _outcome_kind(field: str) -> str:
+    # "value" for "value/claim", else the exception's type
+    return "value" if "/" in field else field
+
+
 def tags_diff(old: bytes, new: bytes) -> list[str]:
-    """The points whose tag outcomes differ (the first TAG_DIFFS_SHOWN, tag by tag) and their count."""
+    """What moved between two tags outputs: the count of points whose outcomes
+    differ, their count per tag, how many changed outcome kind (value <->
+    refusal, or another refusal type), their least and greatest x, and the
+    first TAG_DIFFS_SHOWN of them, tag by tag."""
     old_lines, new_lines = old.decode().splitlines(), new.decode().splitlines()
     names = new_lines[0].split()
     if old_lines[0] != new_lines[0] or len(old_lines) != len(new_lines):
         return ["tags: the tag list or the point set differs"]
-    lines, moved = [], 0
+    lines, xs, per_tag, kind_changes = [], [], dict.fromkeys(names, 0), 0
     for a, b in zip(old_lines[1:], new_lines[1:]):
         if a == b:
             continue
-        moved += 1
-        if moved > TAG_DIFFS_SHOWN:
-            continue
         fa, fb = a.split(), b.split()
-        lines.append(f"  nu={fa[0]} x={fa[1]}: " + ", ".join(
-            f"{tag} {va} -> {vb}" for tag, va, vb in zip(names, fa[2:], fb[2:]) if va != vb))
-    return [f"tags: {moved} of {len(new_lines) - 1} points differ"] + lines
+        xs.append(float(fa[1]))
+        moved = [(tag, va, vb) for tag, va, vb in zip(names, fa[2:], fb[2:]) if va != vb]
+        for tag, _, _ in moved:
+            per_tag[tag] += 1
+        kind_changes += any(_outcome_kind(va) != _outcome_kind(vb) for _, va, vb in moved)
+        if len(xs) <= TAG_DIFFS_SHOWN:
+            lines.append(f"  nu={fa[0]} x={fa[1]}: " + ", ".join(f"{tag} {va} -> {vb}" for tag, va, vb in moved))
+    out = [f"tags: {len(xs)} of {len(new_lines) - 1} points differ"]
+    if xs:
+        order = lambda v: (v == v, v)  # NaN below every number
+        out += ["  per tag: " + ", ".join(f"{tag} {n}" for tag, n in per_tag.items() if n),
+                f"  points that changed outcome kind: {kind_changes}",
+                f"  x of the moved points: {min(xs, key=order)!r} .. {max(xs, key=order)!r}"]
+    return out + lines
 
 
 def _drop_runtimes(obj):

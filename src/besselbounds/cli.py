@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from . import __version__
 from . import catalog as cat
 from .core import (
+    DEFAULT_TARGET_REL_ERR,
     OVERLAP_AGREEMENT_REL,
     AccuracyError,
     DomainError,
@@ -84,12 +85,16 @@ def _out_path(name: str, explicit: str | None) -> str:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     fn = "lambda" if args.fn == "lam" else args.fn
+    if args.target_rel_err is not None and fn not in ("I", "K"):
+        print("error: --target-rel-err applies to --fn I and K only", file=sys.stderr)
+        return 2
+    target = DEFAULT_TARGET_REL_ERR if args.target_rel_err is None else args.target_rel_err
     try:
         ctx = EvalContext(args.nu, args.x)
         if fn == "I":
-            v = eval_I(ctx, args.target_rel_err)
+            v = eval_I(ctx, target)
         elif fn == "K":
-            v = eval_K(ctx, args.target_rel_err)
+            v = eval_K(ctx, target)
         else:
             v = quantity(QuantityKind(fn), ctx)
     except (DomainError, AccuracyError) as exc:
@@ -105,6 +110,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_bounds_at(args: argparse.Namespace) -> int:
     q = QuantityKind(args.quantity)
+    ctx = EvalContext(args.nu, args.x)  # refuses a point outside the box before any query
     statuses = (args.status,) if args.status else ("proved", "conjecture", "refuted")
     evs = cat.applicable(q, args.nu, args.x, statuses=statuses)
     if not evs:
@@ -112,7 +118,7 @@ def cmd_bounds_at(args: argparse.Namespace) -> int:
         return 0
     lo, hi = cat.best_bounds(q, args.nu, args.x)
     try:
-        true = quantity(q, EvalContext(args.nu, args.x))
+        true = quantity(q, ctx)
         print(f"{q.value}(nu={args.nu:g}, x={args.x:g}) = {_fmt(true.value)}")
     except (DomainError, AccuracyError) as exc:
         print(f"{q.value} not evaluable here ({exc})")
@@ -286,7 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--fn", required=True, choices=_FN_TAGS + ("lam",))
     pe.add_argument("--nu", type=float, required=True)
     pe.add_argument("--x", type=float, required=True)
-    pe.add_argument("--target-rel-err", type=float, default=1e-12, dest="target_rel_err")
+    pe.add_argument("--target-rel-err", type=float, default=None, dest="target_rel_err",
+                    help=f"relative-error target for --fn I and K only (default {DEFAULT_TARGET_REL_ERR:g})")
     pe.set_defaults(run=cmd_eval)
 
     pb = sub.add_parser("bounds", help="inspect the bounds catalog")

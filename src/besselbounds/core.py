@@ -44,9 +44,9 @@ a check, not a route: the harness compares it with CF1
 recurrence at run time; disagreement raises ``CrossCheckError`` since it
 signals an evaluator bug, not an unlucky input.
 
-Values are kept exponentially scaled (e^-x I, e^x K) internally once
-x > 50 so that no intermediate overflows inside the supported box
-nu in [-10, 20], x in (0, 500].
+No value needs exponential scaling: at the box's edge x = 500 (nu in [-10, 20],
+x in (0, 500]), e^500 ~ 1.4e217, I_0(500) ~ 2.5e215 and K_0(500) ~ 4.0e-219
+are all normal doubles.
 
 Caching
 -------
@@ -95,7 +95,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Callable
@@ -133,8 +133,6 @@ DEFAULT_TARGET_REL_ERR = 1e-12
 
 _EPS = 2.220446049250313e-16
 _INF = math.inf
-# exponential scaling (e^-x I, e^x K) kicks in beyond this argument
-_SCALE_X = 50.0
 # large-argument expansions are used for x >= _ASYM_BASE + nu^2
 _ASYM_BASE = 30.0
 _LN2 = math.log(2.0)
@@ -157,13 +155,13 @@ class CrossCheckError(AccuracyError):
 
 @dataclass(frozen=True, slots=True, init=False)
 class EvalContext:
-    """Point (nu, x) at which quantities are evaluated; mu = nu^2 - 1/4 (a mu passed in is ignored)."""
+    """Point (nu, x) at which quantities are evaluated; mu = nu^2 - 1/4 is derived."""
 
     nu: float
     x: float
-    mu: float = 0.0
+    mu: float = field(init=False)
 
-    def __init__(self, nu: float, x: float, mu: float = 0.0):
+    def __init__(self, nu: float, x: float):
         nu, x = float(nu), float(x)
         if not _NU_LO <= nu <= _NU_HI:
             raise DomainError(f"order nu={nu!r} outside supported [{_NU_LO}, {_NU_HI}]")
@@ -205,11 +203,11 @@ _set_value, _set_rel = ValueWithError.value.__set__, ValueWithError.rel_error_bo
 def _i_series(nu: float, x: float) -> tuple[float, float]:
     """Power series for I_nu(x); returns (value, rel error bound).
 
-    The value is exponentially scaled by e^-x when x > _SCALE_X.  Terms are
-    generated by the ratio recurrence and accumulated with compensated
-    summation; the error bound tracks the truncation tail (geometric once
-    the term ratio drops below 1) plus rounding inflated by the observed
-    cancellation sum|t|/|sum t| (cancellation only occurs for nu < -1).
+    Terms are generated by the ratio recurrence and accumulated with
+    compensated summation; the error bound tracks the truncation tail
+    (geometric once the term ratio drops below 1) plus rounding inflated by
+    the observed cancellation sum|t|/|sum t| (cancellation only occurs for
+    nu < -1).
     The loop follows the module's kernel rules: nu > -1, where every term is
     positive, has its own loop without abs().
     """
@@ -268,11 +266,7 @@ def _i_series(nu: float, x: float) -> tuple[float, float]:
     if not _MIN_NORMAL <= abs(s) < math.inf:
         raise AccuracyError(f"I_{nu}({x}): series sum not a normal double")
     cancel = s_abs / abs(s)
-    rel = tail / abs(s) + (3.0 * n + 4.0) * _EPS * cancel
-    if x > _SCALE_X:
-        s *= math.exp(-x)
-        rel += 2.0 * _EPS
-    return s, rel
+    return s, tail / abs(s) + (3.0 * n + 4.0) * _EPS * cancel
 
 
 def _asym_bracket(nu: float, x: float) -> tuple[float, float]:
@@ -309,14 +303,10 @@ def _asym_bracket(nu: float, x: float) -> tuple[float, float]:
 
 
 def _i_asym(nu: float, x: float) -> tuple[float, float]:
-    """Large-argument expansion for I; scaled by e^-x when x > _SCALE_X."""
+    """Large-argument expansion for I."""
     s, rel = _asym_bracket(nu, x)
-    val = s / math.sqrt(2.0 * math.pi * x)
     # second exponential series contributes at relative size ~ e^(-2x)
-    rel += 2.0 * math.exp(-2.0 * x)
-    if x <= _SCALE_X:
-        val *= math.exp(x)
-    return val, rel
+    return s / math.sqrt(2.0 * math.pi * x) * math.exp(x), rel + 2.0 * math.exp(-2.0 * x)
 
 
 I_PATHS = ("series", "asymptotic")  # indexed by _i_route
@@ -333,7 +323,7 @@ def _i_route(nu: float, x: float) -> bool:
 
 
 def _besseli(nu: float, x: float) -> tuple[float, float]:
-    """(value, rel error) for I_nu(x), e^-x-scaled when x > _SCALE_X."""
+    """(value, rel error) for I_nu(x)."""
     return (_i_asym if _i_route(nu, x) else _i_series)(nu, x)
 
 
@@ -412,7 +402,7 @@ def _k_temme(mu: float, x: float) -> tuple[float, float, float, float]:
 
 
 def _k_cf2(mu: float, x: float) -> tuple[float, float, float, float]:
-    """Steed's CF2: (K_mu, K_{mu+1}, rel0, rel1), e^x-scaled when x > _SCALE_X.
+    """Steed's CF2: (K_mu, K_{mu+1}, rel0, rel1).
 
     K_mu = sqrt(pi/2x) e^-x / s, s = 1 + sum q_i dh_i summed alongside the
     continued fraction h = sum dh_i (Thompson-Barnett; Numerical Recipes
@@ -447,14 +437,14 @@ def _k_cf2(mu: float, x: float) -> tuple[float, float, float, float]:
             break
         prev = dels
     tail = 2.0 * dels / (1.0 - dels / prev) if dels else 0.0
-    k0 = math.sqrt(0.5 * math.pi / x) / s * (math.exp(-x) if x <= _SCALE_X else 1.0)
+    k0 = math.sqrt(0.5 * math.pi / x) / s * math.exp(-x)
     g = mu + x + 0.5 - a1 * h
     rel0 = i * _EPS * (0.5 + 34.0 * (s - 1.0) / s) + tail / s + 4.0 * _EPS
     return k0, k0 * g / x, rel0, rel0 + 27.0 * i * _EPS * a1 * h / g + 3.0 * _EPS
 
 
 def _k_climb(mu: float, x: float, top: int) -> tuple[float, float, float, float, float]:
-    """(K_{mu+top-2}, K_{mu+top-1}, K_{mu+top}, rel0, rel) for top >= 1, e^x-scaled when x > _SCALE_X.
+    """(K_{mu+top-2}, K_{mu+top-1}, K_{mu+top}, rel0, rel) for top >= 1.
 
     K_mu and K_{mu+1}, with claims rel0 and rel1, then forward recurrence in
     the order: K is its dominant solution and every term is positive past
@@ -478,7 +468,7 @@ def _k_level(climb: tuple[float, float, float, float, float], top: int, n: int) 
 
 
 def _besselk(nu: float, x: float) -> tuple[float, float]:
-    """(value, rel error) for K_nu(x), e^x-scaled when x > _SCALE_X.
+    """(value, rel error) for K_nu(x).
 
     mu = |nu| - round(|nu|) lies in [-1/2, 1/2]; evaluating at |nu|
     realises K_{-nu} = K_nu exactly.
@@ -496,17 +486,9 @@ def _besselk(nu: float, x: float) -> tuple[float, float]:
 # public point evaluation
 # ---------------------------------------------------------------------------
 
-def _unscale_i(val: float, x: float) -> float:
-    return val * math.exp(x) if x > _SCALE_X else val
-
-
-def _unscale_k(val: float, x: float) -> float:
-    return val * math.exp(-x) if x > _SCALE_X else val
-
-
 def _check_target(rel: float, target: float, fn: str, ctx: EvalContext) -> None:
-    if target < 1e-14:
-        raise DomainError(f"target_rel_err={target} below the 1e-14 floor")
+    if not target >= 1e-14:  # NaN fails too
+        raise DomainError(f"target_rel_err={target} must be a number >= 1e-14")
     if rel > target:
         raise AccuracyError(f"{fn}_{ctx.nu}({ctx.x}): certified error {rel:.3e} exceeds target {target:.3e}")
 
@@ -515,33 +497,35 @@ def eval_I(ctx: EvalContext, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> 
     """I_nu(x) with a certified relative-error bound."""
     val, rel = _besseli(ctx.nu, ctx.x)
     _check_target(rel, target_rel_err, "I", ctx)
-    out = _unscale_i(val, ctx.x)
-    if not math.isfinite(out):
+    if not math.isfinite(val):
         raise AccuracyError(f"I_{ctx.nu}({ctx.x}) overflows double precision")
-    return ValueWithError(out, rel)
+    return ValueWithError(val, rel)
 
 
 def eval_K(ctx: EvalContext, target_rel_err: float = DEFAULT_TARGET_REL_ERR) -> ValueWithError:
     """K_nu(x) with a certified relative-error bound; K_{-nu} = K_nu."""
     val, rel = _besselk(ctx.nu, ctx.x)
     _check_target(rel, target_rel_err, "K", ctx)
-    out = _unscale_k(val, ctx.x)
-    if not math.isfinite(out) or out <= 0.0:
+    if not math.isfinite(val) or val <= 0.0:
         raise AccuracyError(f"K_{ctx.nu}({ctx.x}) not representable in double precision")
-    return ValueWithError(out, rel)
+    return ValueWithError(val, rel)
 
 
 def evaluation_path(fn: str, nu: float, x: float) -> str:
     """Name of the evaluation path ('series', 'cf1', ...) used for I, K or ratio_I.
 
     Answered from the route functions that _besseli, _k_climb and _ratio_i
-    take, without evaluating anything.
+    take, without evaluating anything.  A point the evaluator refuses (outside
+    the box, or ratio_I below nu = -1) raises the evaluator's DomainError.
     """
+    ctx = EvalContext(nu, x)
+    nu, x = ctx.nu, ctx.x
     if fn == "I":
         return I_PATHS[_i_route(nu, x)]
     if fn == "K":
         return K_PATHS[_k_route(x)]
     if fn == "ratio_I":
+        _check_ratio_i_order(nu)
         return RATIO_I_PATHS[1 if _ratio_i_asym(nu, x) else 0 if _ratio_i_two_term(nu, x) is None else 2]
     raise DomainError(f"unknown function tag {fn!r}")
 
@@ -669,10 +653,15 @@ def _ratio_i(nu: float, x: float) -> tuple[float, float]:
     return r, rel
 
 
+def _check_ratio_i_order(nu: float) -> None:
+    # the order test that ratio_I and evaluation_path share
+    if nu < -1.0:
+        raise DomainError(f"ratio_I needs nu >= -1 (I_nu > 0); got nu={nu}")
+
+
 def ratio_I(ctx: EvalContext) -> ValueWithError:
     """I_{nu+1}(x)/I_nu(x): the continued fraction, or the expansions' quotient at large x."""
-    if ctx.nu < -1.0:
-        raise DomainError(f"ratio_I needs nu >= -1 (I_nu > 0); got nu={ctx.nu}")
+    _check_ratio_i_order(ctx.nu)
     r, rel = _ratio_i(ctx.nu, ctx.x)
     if not _MIN_NORMAL <= r < math.inf:
         raise AccuracyError(f"ratio_I at nu={ctx.nu}, x={ctx.x} not a normal double")
@@ -812,8 +801,7 @@ def _z(ctx: EvalContext) -> ValueWithError:
 
 @lru_cache(maxsize=200_000)
 def _p_at(nu: float, x: float) -> ValueWithError:
-    # P with its claim, cached as the result object: a hit builds nothing.
-    # The scaling factors e^-x and e^x cancel, so the product never overflows
+    # P with its claim, cached as the result object: a hit builds nothing
     vi, ei = _besseli(nu, x)
     vk, ek = _besselk(nu, x)
     return ValueWithError(vi * vk, ei + ek + 2.0 * _EPS)
@@ -887,16 +875,14 @@ def _omega(ctx: EvalContext) -> ValueWithError:
 
 def _delta_i(ctx: EvalContext) -> ValueWithError:
     fi = _phi_i(ctx)
-    vi, ei = _besseli(ctx.nu, ctx.x)
-    iv = _unscale_i(vi, ctx.x)
+    iv, ei = _besseli(ctx.nu, ctx.x)
     val = iv * iv * fi.value  # inf (not OverflowError) when I^2 overflows
     return ValueWithError(val, 2.0 * ei + fi.rel_error_bound + 2.0 * _EPS)
 
 
 def _delta_k(ctx: EvalContext) -> ValueWithError:
     fk = _phi_k(ctx)
-    _, _, vk, ek, _, _ = _k_ladder(ctx.nu, ctx.x)
-    kv = _unscale_k(vk, ctx.x)
+    _, _, kv, ek, _, _ = _k_ladder(ctx.nu, ctx.x)
     val = kv * kv * fk.value
     return ValueWithError(val, 2.0 * ek + fk.rel_error_bound + 2.0 * _EPS)
 

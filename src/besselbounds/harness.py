@@ -24,6 +24,7 @@ from itertools import groupby
 from . import catalog as cat
 from .core import (
     OVERLAP_AGREEMENT_REL,
+    SUPPORTED_X,
     DomainError,
     EvalContext,
     QuantityKind,
@@ -147,10 +148,11 @@ class VerifyConfig:
             raise ValueError("random_pairs must be >= 1: the concavity checks need a pair to draw")
         if self.x_points < 2:
             raise ValueError("grid counts must be >= 2")
-        if not (0.0 < self.x_lo < self.x_hi):
-            raise ValueError("grid range must satisfy 0 < start < end")
+        if not (0.0 < self.x_lo < self.x_hi <= SUPPORTED_X[1]):
+            raise ValueError(f"grid range must satisfy 0 < start < end <= {SUPPORTED_X[1]:g}")
         if self.scale not in ("log", "linear"):
             raise ValueError(f"scale must be 'log' or 'linear'; got {self.scale!r}")
+        grid_from_config(self)  # GridSpec refuses points that rounding makes equal
 
 
 def _now_iso() -> str:
@@ -173,13 +175,13 @@ def default_grid(x_points: int = 200) -> GridSpec:
 
 
 def grid_from_config(cfg: VerifyConfig) -> GridSpec:
-    """Sweep grid over the configured x range (log or linear spacing)."""
+    """Sweep grid over the configured x range (log or linear spacing), ending at x_hi itself."""
     if cfg.scale == "linear":
         step = (cfg.x_hi - cfg.x_lo) / (cfg.x_points - 1)
-        xs = tuple(cfg.x_lo + step * k for k in range(cfg.x_points))
+        xs = tuple(cfg.x_lo + step * k for k in range(cfg.x_points - 1))
     else:
-        xs = _log_grid(cfg.x_lo, cfg.x_hi, cfg.x_points)
-    return GridSpec(DEFAULT_NU_GRID, xs)
+        xs = _log_grid(cfg.x_lo, cfg.x_hi, cfg.x_points)[:-1]
+    return GridSpec(DEFAULT_NU_GRID, xs + (float(cfg.x_hi),))
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,9 @@ _EVAL_PINS = {
     "phiP": ("-0.016028110545652896 1.498e-11 ratio_I=cf1, K=temme",
              "9.9977490429303744e-05 4.202e-10 ratio_I=asymptotic, K=cf2"),
     "P": ("0.3401733509048675 2.905e-14 I=series, K=temme",
-          "0.0049998124824141765 9.866e-15 I=asymptotic, K=cf2"),
+          "0.0049998124824141782 9.866e-15 I=asymptotic, K=cf2"),
     "omega": ("0.3401733509048675 2.927e-14 I=series, K=temme",
-              "0.49998124824141765 1.009e-14 I=asymptotic, K=cf2"),
+              "0.49998124824141782 1.009e-14 I=asymptotic, K=cf2"),
     "deltaI": ("0.14753932014919344 3.196e-14 ratio_I=cf1, I=series",
                "1.1413694779085161e+82 2.846e-12 ratio_I=asymptotic, I=asymptotic"),
     "deltaK": ("-0.32180457076582003 2.164e-13 K=temme",
@@ -135,8 +135,8 @@ def test_eval_exit_codes(capsys):
 
 def test_eval_fuzz_box_edges_and_switches(capsys):
     # every tag at the box edges, at the region switches (x = 2 for K,
-    # x = 30 + nu^2 for I, x = 50 for the scaling) and at one small interior
-    # argument ends in an exit code, never in an exception or a traceback
+    # x = 30 + nu^2 for I), at x = 50 and at one small interior argument
+    # ends in an exit code, never in an exception or a traceback
     for nu in (-10.0, -1.0, -0.3, 0.5, 2.5, 20.0):
         xs = (5e-324, 0.1, math.nextafter(2.0, 0.0), 2.0, math.nextafter(30.0 + nu * nu, 0.0),
               30.0 + nu * nu, 50.0, 500.0, 500.5)
@@ -165,6 +165,34 @@ def test_bounds_at(capsys):
     rc, out, err = run(capsys, "bounds", "at", "--quantity", "phiK", "--nu", "-0.9", "--x", "1e-10")
     assert rc == 0 and err == ""
     assert float(out.split("turan18_lower")[1].split()[2]) == pytest.approx(-4e19, rel=1e-15)
+
+
+def test_bounds_at_refuses_points_outside_the_box(capsys, monkeypatch):
+    # refused with the evaluator's DomainError before the catalog is queried:
+    # no traceback, and no table of 0 or nan rows
+    def no_query(*args, **kwargs):
+        raise AssertionError("catalog queried")
+
+    monkeypatch.setattr(cat, "applicable", no_query)
+    monkeypatch.setattr(cat, "best_bounds", no_query)
+    for quantity, nu, x in (("phiK", "1", "-1"), ("y", "1e300", "1e300"), ("y", "inf", "1"),
+                            ("phiI", "1", "nan"), ("phiI", "1", "0"), ("phiI", "1", "500.5"),
+                            ("phiK", "-10.5", "1")):
+        rc, out, err = run(capsys, "bounds", "at", "--quantity", quantity, "--nu", nu, "--x", x)
+        assert rc == 1 and out == "" and err.startswith("error:") and "outside supported" in err, (nu, x)
+
+
+def test_eval_target_rel_err(capsys):
+    # the target applies to I and K only, and must be a number >= 1e-14
+    for fn in ("P", "y", "phiK", "lam"):
+        rc, out, err = run(capsys, "eval", "--fn", fn, "--nu", "1", "--x", "1", "--target-rel-err", "1e-30")
+        assert rc == 2 and out == "" and "--target-rel-err" in err, fn
+    for fn in ("I", "K"):
+        for target in ("nan", "1e-15", "0", "-1"):
+            rc, out, err = run(capsys, "eval", "--fn", fn, "--nu", "1", "--x", "1", "--target-rel-err", target)
+            assert rc == 1 and out == "" and "target_rel_err" in err, (fn, target)
+        rc, out, _ = run(capsys, "eval", "--fn", fn, "--nu", "1", "--x", "1", "--target-rel-err", "1e-13")
+        assert rc == 0 and out == run(capsys, "eval", "--fn", fn, "--nu", "1", "--x", "1")[1]
 
 
 def test_bounds_list_round_trip(capsys):
@@ -212,6 +240,20 @@ def test_verify_grid_usage_errors(capsys):
     assert run(capsys, "verify", "--x-grid", "1:100:1")[0] == 2      # count < 2
     assert run(capsys, "verify", "--x-grid", "5:1:40")[0] == 2        # start >= end
     assert run(capsys, "verify", "--x-grid", "junk")[0] == 2
+    # an end beyond the box, or a grid whose points rounding makes equal, is
+    # refused before any suite runs
+    for grid in ("1e-3:600:3", "1e-3:1e300:3", "1e-3:1e400:3", "1e-3:500.00000000000006:3",
+                 "1:1.0000000000000002:5", "1:1.0000000000000002:5:lin"):
+        rc, out, err = run(capsys, "verify", "--x-grid", grid)
+        assert rc == 2 and "--x-grid" in err and "Traceback" not in err and out == "", grid
+
+
+def test_verify_grid_ends_at_its_end(tmp_path, capsys):
+    # the grid's last point is the end itself: 500 rounds to no point beyond the box
+    for grid in ("1e-3:500:45", "1e-3:500:22:lin"):
+        rc, _, err = run(capsys, "verify", "--suite", "conjectures", "--x-grid", grid,
+                         "--out", str(tmp_path / "c.json"))
+        assert rc == 0 and err == "", grid
 
 
 def test_verify_pairs_usage_errors(capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -213,7 +214,9 @@ def test_context_and_value_contract():
     assert [f.name for f in dataclasses.fields(ctx)] == ["nu", "x", "mu"]
     assert type(ctx.nu) is float and type(ctx.x) is float
     assert repr(ctx) == "EvalContext(nu=1.0, x=2.0, mu=0.75)"
-    assert ctx == EvalContext(1.0, 2.0) == EvalContext(1.0, 2.0, mu=9.0)  # mu is derived
+    assert ctx == EvalContext(1.0, 2.0)
+    with pytest.raises(TypeError):
+        EvalContext(1.0, 2.0, mu=9.0)  # mu is derived, not a parameter
     assert ctx != EvalContext(1.0, 2.5) and hash(ctx) == hash((1.0, 2.0, 0.75))
     assert dataclasses.replace(ctx, nu=0.5).mu == 0.0
     assert pickle.loads(pickle.dumps(ctx)) == ctx
@@ -636,6 +639,38 @@ def test_evaluation_path_is_the_region_that_runs(monkeypatch):
         seen.add(path)
         calls.clear()
     assert seen == set(core.RATIO_I_PATHS)
+
+
+def test_evaluation_path_refuses_where_the_evaluator_refuses(monkeypatch):
+    # a point outside the box, or ratio_I below nu = -1, raises DomainError
+    # from evaluation_path exactly where the evaluator raises it, and asking
+    # still runs no kernel
+    from besselbounds import core
+
+    evaluators = {"I": eval_I, "K": eval_K, "ratio_I": ratio_I}
+    points = [(nu, x) for nu in (math.nan, -math.inf, -10.5, -10.0, -3.0, math.nextafter(-1.0, -2.0),
+                                 -1.0, 0.0, 20.0, 20.5, 25.0, math.inf)
+              for x in (math.nan, -math.inf, -1.0, -0.0, 0.0, 5e-324, 1.0, 500.0, 500.5, 600.0, math.inf)]
+    refused = Counter()
+    for nu, x in points:
+        for fn, evaluate in evaluators.items():
+            try:
+                evaluate(EvalContext(nu, x))
+                want = False
+            except DomainError:
+                want = True
+            except AccuracyError:
+                want = False
+            calls = _counted(monkeypatch, core, _BASE_KERNELS + ("_k_temme", "_k_cf2", "_ratio_i_cf"))
+            try:
+                evaluation_path(fn, nu, x)
+                got = False
+            except DomainError:
+                got = True
+            monkeypatch.undo()
+            assert got == want and calls == [], (fn, nu, x)
+            refused[fn] += got
+    assert refused["ratio_I"] > refused["I"] == refused["K"] > 0
 
 
 def test_P_is_cached_and_I_and_K_are_not(monkeypatch):

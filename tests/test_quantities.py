@@ -114,7 +114,7 @@ def test_product_quantities():
     for x in (0.3, 1.0, 5.0):
         assert q(QK.P, 0.5, x).value == pytest.approx(
             (1.0 - math.exp(-2.0 * x)) / (2.0 * x), rel=1e-13)
-    # P never overflows inside the box: the scalings cancel
+    # P never overflows inside the box: I and K are normal doubles up to x = 500
     assert q(QK.P, 1.0, 500.0).value == pytest.approx(1.0 / 1000.0, rel=1e-2)
 
 
