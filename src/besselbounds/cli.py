@@ -35,7 +35,7 @@ from .core import (
     quantity,
     quantity_reads,
 )
-from .harness import SUITE_NAMES, VerifyConfig, run_suite
+from .harness import SUITE_NAMES, VerifyConfig, run_suite, source_date
 
 __all__ = ["main", "FigureSpec", "FIGURES"]
 
@@ -72,11 +72,16 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
-def _out_path(name: str, explicit: str | None) -> str:
-    if explicit:
-        return explicit
-    base = os.environ.get("BESSELBOUNDS_OUT", ".")
-    return os.path.join(base, name)
+def _write_out(name: str, explicit: str | None, what: str, text: str) -> str:
+    """Write ``text`` to ``explicit``, else to ``name`` in $BESSELBOUNDS_OUT (or the
+    working directory), and return the path; an OSError says which ``what`` failed."""
+    path = explicit or os.path.join(os.environ.get("BESSELBOUNDS_OUT", "."), name)
+    try:
+        with open(path, "w", newline="\n") as f:
+            f.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {what}: {exc}") from None
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +154,8 @@ def cmd_bounds_list(args: argparse.Namespace) -> int:
         guard = "  [guarded]" if r["guard_note"] else ""
         print(f"{r['id']:24} {r['quantity']:7} {r['side']:5} {r['status']:10} "
               f"domain: {r['domain']:42} {r['formula']}{guard}")
-    if args.json_path:
-        path = _out_path("catalog.json", args.json_path)
-        with open(path, "w", newline="\n") as f:
-            json.dump(rows, f, indent=2)
-            f.write("\n")
+    if args.json_path is not None:
+        path = _write_out("catalog.json", args.json_path, "catalog", json.dumps(rows, indent=2) + "\n")
         print(f"catalog written to {path}")
     return 0
 
@@ -162,17 +164,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lo, hi, n, scale = args.x_grid
     vcfg = VerifyConfig(seed=args.seed, random_pairs=args.pairs,
                         x_points=n, x_lo=lo, x_hi=hi, scale=scale)
+    try:
+        source_date()  # refused here, a usage error, not after the suite has run
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     t0 = time.perf_counter()
     report = run_suite(args.suite, vcfg)
     dt = time.perf_counter() - t0
-    path = _out_path(f"verify_{args.suite}.json", args.out)
-    try:
-        with open(path, "w", newline="\n") as f:
-            json.dump(report.to_json_dict(), f, indent=2)
-            f.write("\n")
-    except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return 1
+    text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+    path = _write_out(f"verify_{args.suite}.json", args.out, "report", text)
     s = report.summary
     print(f"suite={args.suite} checks={len(report.checks)} "
           f"pass={s['pass']} fail={s['fail']} info={s['info']} ({dt:.1f}s)")
@@ -189,20 +190,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     spec = FIGURES[args.figure_id]
-    path = _out_path(f"{spec.figure_id}.csv", args.out)
-    header = ["x", spec.quantity.value] + list(spec.bound_ids)
-    try:
-        with open(path, "w", newline="\n") as f:
-            f.write(",".join(header) + "\n")
-            for k in range(1, FIGURE_POINTS + 1):
-                x = k * spec.x_max / FIGURE_POINTS
-                row = [_fmt(x), _fmt(quantity(spec.quantity, EvalContext(spec.nu, x)).value)]
-                for bid in spec.bound_ids:
-                    row.append(_fmt(cat.evaluate_bound(bid, spec.nu, x).value))
-                f.write(",".join(row) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write figure data: {exc}", file=sys.stderr)
-        return 1
+    rows = [["x", spec.quantity.value, *spec.bound_ids]]
+    for k in range(1, FIGURE_POINTS + 1):
+        x = k * spec.x_max / FIGURE_POINTS
+        rows.append([_fmt(x), _fmt(quantity(spec.quantity, EvalContext(spec.nu, x)).value),
+                     *(_fmt(cat.evaluate_bound(bid, spec.nu, x).value) for bid in spec.bound_ids)])
+    path = _write_out(f"{spec.figure_id}.csv", args.out, "figure data", "".join(",".join(r) + "\n" for r in rows))
     print(f"{spec.figure_id}: {FIGURE_POINTS} rows written to {path}")
     return 0
 
@@ -211,14 +204,12 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     """Closed-form checks; runs in well under a second."""
     t0 = time.perf_counter()
     failures = []
-    perturb = 1.0 + (1e-6 if args.inject_error else 0.0)
-    xs = (0.3, 1.0, 2.5, 7.0, 20.0)
-    for x in xs:
-        got = eval_I(EvalContext(0.5, x)).value * perturb
+    for x in (0.3, 1.0, 2.5, 7.0, 20.0):
+        got = eval_I(EvalContext(0.5, x)).value
         want = math.sqrt(2.0 / (math.pi * x)) * math.sinh(x)
         if abs(got - want) > 1e-12 * want:
             failures.append(f"I(1/2, {x:g}): {got!r} != {want!r}")
-        gotk = eval_K(EvalContext(0.5, x)).value * perturb
+        gotk = eval_K(EvalContext(0.5, x)).value
         wantk = math.sqrt(0.5 * math.pi / x) * math.exp(-x)
         if abs(gotk - wantk) > 1e-12 * wantk:
             failures.append(f"K(1/2, {x:g}): {gotk!r} != {wantk!r}")
@@ -310,8 +301,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pbl.add_argument("--quantity", choices=tuple(k.value for k in QuantityKind))
     pbl.add_argument("--id", action="append", default=[], dest="bound_ids",
                      help="restrict to specific bound ids (repeatable)")
-    pbl.add_argument("--json", nargs="?", const="catalog.json", default=None,
-                     dest="json_path", help="also write the catalog as JSON (optional path)")
+    pbl.add_argument("--json", nargs="?", const="", default=None, dest="json_path",
+                     help="also write the catalog as JSON (optional path; default catalog.json "
+                          "in $BESSELBOUNDS_OUT or the working directory)")
     pbl.set_defaults(run=cmd_bounds_list)
 
     pv = sub.add_parser("verify", help="run verification suites")
@@ -331,8 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pf.set_defaults(run=cmd_figure)
 
     ps = sub.add_parser("selftest", help="quick closed-form sanity checks")
-    ps.add_argument("--inject-error", action="store_true", dest="inject_error",
-                    help=argparse.SUPPRESS)  # test hook: perturbs the evaluator
     ps.set_defaults(run=cmd_selftest)
     return p
 
@@ -345,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.run(args)
-    except (DomainError, AccuracyError, cat.UnknownBoundError) as exc:
+    except (DomainError, AccuracyError, cat.UnknownBoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,7 +23,8 @@ Each base result has one route function; evaluation_path reads the same ones.
   x >= 2; then forward recurrence in the order up to |nu|, which is stable
   because K is the dominant solution.
 * ratio_I = I_{nu+1}/I_nu (_ratio_i_asym, _ratio_i_two_term): where I's route
-  is the expansion at nu and at nu + 1, the quotient of the two expansions;
+  is the expansion at nu and at nu + 1, the quotient of the two expansion
+  sums, without their common factor e^x/sqrt(2 pi x);
   elsewhere the continued fraction CF1, cut after its first element, with a
   series tail, at tiny x where the Lentz start is not negligible.
 * K_{nu-1}, K_nu, K_{nu+1} (ratio_K, z, phiK, kratio, deltaK and the rest of
@@ -37,7 +38,7 @@ the relative error (truncation tail + rounding).  The ratio_I claim is
 derived from its route: for CF1 the Lentz start, the truncation that the
 stop test bounds (convergents of a fraction with positive elements
 alternate about the limit) and a running-error bound on the Lentz steps;
-for the quotient the two expansions' claims.  The power-series quotient is
+for the quotient the two expansion sums' claims.  The power-series quotient is
 a check, not a route: the harness compares it with CF1
 (consistency:ratio_I_dual_path) and the claim tests compare every tag with
 40-digit mpmath.  ratio_K is cross-checked against the three-term
@@ -270,9 +271,9 @@ def _i_series(nu: float, x: float) -> tuple[float, float]:
 
 
 def _asym_bracket(nu: float, x: float) -> tuple[float, float]:
-    """Sum of the bracket of I's large-argument expansion, with its rel error.
+    """Sum of the bracket of I's large-argument expansion, with the whole expansion's rel error.
 
-    The loop follows the module's kernel rules.
+    I (_i_asym) and ratio_I (_ratio_i) both read it.  The loop follows the module's kernel rules.
     """
     four_nu2 = 4.0 * nu * nu
     c = 1.0
@@ -298,15 +299,14 @@ def _asym_bracket(nu: float, x: float) -> tuple[float, float]:
             break
     if not math.isfinite(err_term):
         err_term = prev
-    rel = err_term / abs(s) + 30.0 * _EPS
-    return s, rel
+    # second exponential series contributes at relative size ~ e^(-2x)
+    return s, err_term / abs(s) + 30.0 * _EPS + 2.0 * math.exp(-2.0 * x)
 
 
 def _i_asym(nu: float, x: float) -> tuple[float, float]:
-    """Large-argument expansion for I."""
+    """Large-argument expansion for I: the bracket times e^x/sqrt(2 pi x), its claim unchanged."""
     s, rel = _asym_bracket(nu, x)
-    # second exponential series contributes at relative size ~ e^(-2x)
-    return s / math.sqrt(2.0 * math.pi * x) * math.exp(x), rel + 2.0 * math.exp(-2.0 * x)
+    return s / math.sqrt(2.0 * math.pi * x) * math.exp(x), rel
 
 
 I_PATHS = ("series", "asymptotic")  # indexed by _i_route
@@ -636,15 +636,16 @@ def _ratio_i(nu: float, x: float) -> tuple[float, float]:
     """(I_{nu+1}/I_nu, rel error bound) by one route per region.
 
     Where I's route is the large-argument expansion at both orders
-    (_ratio_i_asym), the quotient of the two expansions: their claims
-    e1 + e0 and one rounding, eps covering the second-order terms.
+    (_ratio_i_asym), the quotient of the two expansion sums, which never forms
+    their common factor e^x/sqrt(2 pi x): their claims e0 + e1 and one
+    rounding, eps covering the second-order terms.
     Elsewhere the continued fraction CF1 (_ratio_i_cf, claim derived there).
     The power-series quotient is no route; it is the harness check
     consistency:ratio_I_dual_path and the claim tests.
     """
     if _ratio_i_asym(nu, x):
-        num, e1 = _i_asym(nu + 1.0, x)
-        den, e0 = _i_asym(nu, x)
+        num, e1 = _asym_bracket(nu + 1.0, x)
+        den, e0 = _asym_bracket(nu, x)
         r, rel = num / den, e0 + e1 + _EPS
     else:
         r, rel = _ratio_i_cf(nu, x)
@@ -660,7 +661,7 @@ def _check_ratio_i_order(nu: float) -> None:
 
 
 def ratio_I(ctx: EvalContext) -> ValueWithError:
-    """I_{nu+1}(x)/I_nu(x): the continued fraction, or the expansions' quotient at large x."""
+    """I_{nu+1}(x)/I_nu(x): the continued fraction, or the expansion sums' quotient at large x."""
     _check_ratio_i_order(ctx.nu)
     r, rel = _ratio_i(ctx.nu, ctx.x)
     if not _MIN_NORMAL <= r < math.inf:

@@ -55,6 +55,7 @@ __all__ = [
     "application_checks",
     "run_suite",
     "run_all",
+    "source_date",
     "SUITE_NAMES",
 ]
 
@@ -80,7 +81,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Violation:
-    """Witness of a bound exceeded beyond tolerance (margin > 0)."""
+    """Witness of a bound exceeded beyond tolerance; margin is the excess (>= 0)."""
 
     bound_id: str
     nu: float
@@ -155,10 +156,13 @@ class VerifyConfig:
         grid_from_config(self)  # GridSpec refuses points that rounding makes equal
 
 
-def _now_iso() -> str:
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(epoch) if epoch else int(time.time())
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
+def source_date() -> time.struct_time | None:
+    """$SOURCE_DATE_EPOCH in UTC, None where unset or empty; a malformed value raises ValueError."""
+    text = os.environ.get("SOURCE_DATE_EPOCH")
+    try:
+        return time.gmtime(int(text)) if text else None
+    except (ValueError, OverflowError, OSError):
+        raise ValueError(f"SOURCE_DATE_EPOCH must be whole seconds since 1970-01-01; got {text!r}") from None
 
 
 def _log_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
@@ -578,8 +582,8 @@ def application_checks(cfg: VerifyConfig) -> list[CheckRecord]:
         for x in [20.0 * (k + 1) / 40 for k in range(40)]:
             ns = quantity(QuantityKind.N_S, EvalContext(nu, x))
             nc = cat.evaluate_bound("ncns", nu, x).value
-            if ns.value - nc <= ns.abs_error_bound:
-                wits.append(Violation("ncns", nu, x, nc, ns.value, nc - ns.value))
+            if (margin := ns.abs_error_bound - (ns.value - nc)) >= 0.0:
+                wits.append(Violation("ncns", nu, x, nc, ns.value, margin))
     checks.add("applications:ns_gt_nc", 0.0, witnesses=wits)
 
     # effective variance of the generalised inverse Gaussian distribution
@@ -588,9 +592,12 @@ def application_checks(cfg: VerifyConfig) -> list[CheckRecord]:
         for inv_w in _log_grid(0.1, 50.0, 40):
             v = quantity(QuantityKind.V_EFF, EvalContext(mu_gig, inv_w))
             hi = 1.0 / (mu_gig - 1.0)
-            if not (v.abs_error_bound < v.value < hi - v.abs_error_bound):
-                wits.append(Violation("veff_bounds", mu_gig, inv_w, hi, v.value, 0.0))
-    checks.add("applications:veff_in_(0,1/(mu-1))", 0.0, float(len(wits)), wits)
+            err = v.abs_error_bound
+            if not err < v.value:
+                wits.append(Violation("veff_bounds", mu_gig, inv_w, 0.0, v.value, err - v.value))
+            elif not v.value < hi - err:
+                wits.append(Violation("veff_bounds", mu_gig, inv_w, hi, v.value, v.value - (hi - err)))
+    checks.add("applications:veff_in_(0,1/(mu-1))", 0.0, witnesses=wits)
 
     # hyperplane-bias bounds (margins below evaluation noise count as holds:
     # both bounds are asymptotically attained, e.g. b2hat -> -1 at nu = 1/2)
@@ -600,10 +607,10 @@ def application_checks(cfg: VerifyConfig) -> list[CheckRecord]:
             b2 = quantity(QuantityKind.B2HAT, EvalContext(nu, x))
             tol = max(1e-12, b2.abs_error_bound)
             cap = -(x + nu) / (2.0 * x)
-            if b2.value - cap > tol:
-                wits.append(Violation("b2hat_upper", nu, x, cap, b2.value, b2.value - cap))
-            if nu >= 0.5 and b2.value + 1.0 > tol:
-                wits.append(Violation("b2hat_upper_strong", nu, x, -1.0, b2.value, b2.value + 1.0))
+            if (margin := b2.value - cap - tol) > 0.0:
+                wits.append(Violation("b2hat_upper", nu, x, cap, b2.value, margin))
+            if nu >= 0.5 and (margin := b2.value + 1.0 - tol) > 0.0:
+                wits.append(Violation("b2hat_upper_strong", nu, x, -1.0, b2.value, margin))
     checks.add("applications:b2hat_bounds", 0.0, witnesses=wits)
 
     # geometric-mean concavity of P and midpoint concavity of omega = x P:
@@ -669,10 +676,10 @@ def enclosure_checks(cfg: VerifyConfig) -> list[CheckRecord]:
                     continue
                 tv = quantity(q, EvalContext(nu, x))
                 tol = _tolerance(tv.value, tv.abs_error_bound)
-                if lo is not None and lo.value - tv.value > tol:
-                    wits.append(Violation(lo.id, nu, x, lo.value, tv.value, lo.value - tv.value))
-                if hi is not None and tv.value - hi.value > tol:
-                    wits.append(Violation(hi.id, nu, x, hi.value, tv.value, tv.value - hi.value))
+                if lo is not None and (margin := lo.value - tv.value - tol) > 0.0:
+                    wits.append(Violation(lo.id, nu, x, lo.value, tv.value, margin))
+                if hi is not None and (margin := tv.value - hi.value - tol) > 0.0:
+                    wits.append(Violation(hi.id, nu, x, hi.value, tv.value, margin))
         checks.add(f"enclosure:{q.value}", 1e-9, witnesses=wits)
     # dominance claims between named bounds
     ok = True
@@ -715,9 +722,10 @@ def run_suite(name: str, cfg: VerifyConfig | None = None) -> VerificationReport:
     cfg = cfg or VerifyConfig()
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    stamp = source_date()  # a malformed value is refused before any check runs
     checks = [c for suite, run in _SUITES.items() if name in ("all", suite) for c in run(cfg)]
     checks.sort(key=lambda c: c.check_id)
-    return VerificationReport(name, cfg.seed, checks, _now_iso())
+    return VerificationReport(name, cfg.seed, checks, time.strftime("%Y-%m-%dT%H:%M:%SZ", stamp or time.gmtime()))
 
 
 def run_all(cfg: VerifyConfig | None = None) -> VerificationReport:

@@ -7,6 +7,7 @@ import math
 import pytest
 
 import besselbounds.catalog as cat
+from besselbounds import cli
 from besselbounds.cli import _FN_TAGS, FIGURES, main
 from besselbounds.core import QuantityKind as QK
 
@@ -221,6 +222,46 @@ def test_bounds_list_filters_and_json(tmp_path, capsys):
                for r in rows)
 
 
+def test_bounds_list_json_default_directory(tmp_path, capsys, monkeypatch):
+    # a bare --json writes catalog.json into $BESSELBOUNDS_OUT, not the working directory
+    out_dir, cwd = tmp_path / "out", tmp_path / "cwd"
+    out_dir.mkdir()
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("BESSELBOUNDS_OUT", str(out_dir))
+    rc, out, _ = run(capsys, "bounds", "list", "--json")
+    assert rc == 0
+    assert f"catalog written to {out_dir / 'catalog.json'}" in out
+    assert {r["id"] for r in json.loads((out_dir / "catalog.json").read_text())} == set(cat.CATALOG)
+    assert list(cwd.iterdir()) == []
+
+
+def test_unwritable_output_is_an_error_not_a_traceback(tmp_path, capsys):
+    # a missing directory or a directory as the path: exit 1 with one message
+    for path in (str(tmp_path / "missing" / "x.json"), str(tmp_path)):
+        rc, _, err = run(capsys, "bounds", "list", "--json", path)
+        assert rc == 1 and err.startswith("error: cannot write catalog: "), err
+        rc, _, err = run(capsys, "figure", "fig3", "--out", path)
+        assert rc == 1 and err.startswith("error: cannot write figure data: "), err
+
+
+@pytest.mark.parametrize("epoch", ["abc", "1.5e9", "100000000000000000"])
+def test_verify_refuses_malformed_source_date_epoch(epoch, capsys, monkeypatch):
+    # refused as a usage error before any check runs
+    from besselbounds import harness
+
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    suites = []
+    monkeypatch.setattr(harness, "_SUITES", {"validity": lambda cfg: suites.append(cfg) or []})
+    rc, _, err = run(capsys, "verify", "--suite", "validity")
+    assert rc == 2 and "SOURCE_DATE_EPOCH" in err and "Traceback" not in err
+    with pytest.raises(ValueError, match="SOURCE_DATE_EPOCH"):
+        harness.run_suite("validity")
+    assert suites == []
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "")  # empty means unset
+    assert harness.source_date() is None
+
+
 def test_verify_suite_writes_schema_json(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     path = tmp_path / "r.json"
@@ -337,12 +378,16 @@ def test_figure_default_outdir(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "fig3.csv").exists()
 
 
-def test_selftest(capsys):
+def test_selftest(capsys, monkeypatch):
     rc, out, _ = run(capsys, "selftest")
     assert rc == 0
     assert "selftest" in out and "evaluation paths" in out
     assert "evaluation paths: I: series, asymptotic; K: temme, cf2; " in out
-    rc, out, _ = run(capsys, "selftest", "--inject-error")
+    # an evaluator off by 1e-6 relative fails the closed-form checks
+    real_eval_I = cli.eval_I
+    monkeypatch.setattr(cli, "eval_I", lambda ctx: dataclasses.replace(
+        real_eval_I(ctx), value=real_eval_I(ctx).value * (1.0 + 1e-6)))
+    rc, out, _ = run(capsys, "selftest")
     assert rc == 1
     assert "FAIL" in out
 

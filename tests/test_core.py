@@ -147,7 +147,7 @@ def test_no_overflow_leak_at_box_edges():
     assert math.isfinite(big.value)
 
 
-def test_scaled_region_paths():
+def test_region_paths():
     assert evaluation_path("I", 0.0, 400.0) == "asymptotic"
     assert evaluation_path("I", 0.0, 20.0) == "series"
     assert evaluation_path("K", 0.0, 400.0) == "cf2"
@@ -594,7 +594,7 @@ def _counted(monkeypatch, module, names):
     return calls
 
 
-_BASE_KERNELS = ("_i_series", "_i_asym", "_k_climb")  # the evaluations under I and K
+_BASE_KERNELS = ("_i_series", "_i_asym", "_asym_bracket", "_k_climb")  # the evaluations under I, K and ratio_I
 
 
 def test_evaluation_path_is_the_region_that_runs(monkeypatch):
@@ -610,7 +610,7 @@ def test_evaluation_path_is_the_region_that_runs(monkeypatch):
             assert calls == []
             assert path == ("series" if x < switch else "asymptotic")
             core._besseli(nu, x)
-            assert calls == [{"series": "_i_series", "asymptotic": "_i_asym"}[path]], (nu, x)
+            assert calls == {"series": ["_i_series"], "asymptotic": ["_i_asym", "_asym_bracket"]}[path], (nu, x)
             calls.clear()
     for nu in (-9.7, -0.5, 0.0, 0.3, 1.0, 19.5):
         for x in (math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, math.inf)):
@@ -620,7 +620,7 @@ def test_evaluation_path_is_the_region_that_runs(monkeypatch):
             core._besselk(nu, x)
             assert calls == ["_k_climb", f"_k_{path}"], (nu, x)
             calls.clear()
-    # ratio_I: the quotient of two expansions from 30 + max(nu^2, (nu+1)^2)
+    # ratio_I: the quotient of two expansion sums from 30 + max(nu^2, (nu+1)^2)
     # on, CF1 below it, and at tiny x on either side of the Lentz-start cut
     # (about 1.4e-13 max(1, nu + 1)) CF1 cut after b_1, told apart by its claim
     core._ratio_i.cache_clear()
@@ -633,7 +633,7 @@ def test_evaluation_path_is_the_region_that_runs(monkeypatch):
         path = evaluation_path("ratio_I", nu, x)
         assert calls == []
         _, rel = core._ratio_i(nu, x)
-        assert calls == (["_i_asym"] * 2 if path == "asymptotic" else ["_ratio_i_cf"]), (nu, x)
+        assert calls == (["_asym_bracket"] * 2 if path == "asymptotic" else ["_ratio_i_cf"]), (nu, x)
         assert (path == "asymptotic") == (x >= 30.0 + max(nu * nu, (nu + 1.0) * (nu + 1.0))), (nu, x)
         assert (rel == 0.5 * x * x + 3.0 * _EPS) == (path == "two_term"), (nu, x)
         seen.add(path)

@@ -1,11 +1,13 @@
 """Verification harness: sweeps, probes, determinism."""
 
+import dataclasses
 import json
 import math
 from collections import Counter
 
 import pytest
 
+from besselbounds import catalog as cat
 from besselbounds.catalog import ids
 from besselbounds.harness import (
     DEFAULT_SEED,
@@ -285,6 +287,23 @@ def test_application_spot_values():
 def test_enclosure_checks_pass():
     recs = enclosure_checks(FAST)
     assert [c.check_id for c in recs if c.status == "fail"] == []
+
+
+def test_enclosure_margin_is_the_validity_margin(monkeypatch):
+    # a witness's margin is its excess beyond the check's tolerance: with
+    # turan16_lower raised by 1e-6 relative, enclosure:phiI records the margin
+    # that validity:turan16_lower records at every point where both have one
+    real = cat.get("turan16_lower")
+    broken = dataclasses.replace(real, formula=lambda nu, x: real.formula(nu, x) * (1.0 + 1e-6))
+    monkeypatch.setattr(cat, "get", lambda bound_id: broken if bound_id == real.id else cat.CATALOG[bound_id])
+    monkeypatch.setitem(cat._BY_QUANTITY, real.quantity,
+                        tuple(broken if b is real else b for b in cat._BY_QUANTITY[real.quantity]))
+    validity = {(v.nu, v.x): v.margin for v in sweep_validity([real.id], default_grid(40))}
+    rec = next(c for c in enclosure_checks(VerifyConfig(x_points=200))
+               if c.check_id == "enclosure:phiI")
+    common = [w for w in rec.witnesses if w.bound_id == real.id and (w.nu, w.x) in validity]
+    assert rec.status == "fail" and common
+    assert [w.margin for w in common] == [validity[w.nu, w.x] for w in common]
 
 
 def test_run_all_deterministic(monkeypatch):
