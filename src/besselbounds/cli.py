@@ -4,38 +4,35 @@ Exit codes: 0 all checks pass / evaluation ok, 1 violation or evaluation
 failure, 2 usage error.  Output files default into $BESSELBOUNDS_OUT (or
 the working directory).  CSV output is deterministic byte for byte: 17
 significant digits, comma separators, LF line endings.
+
+Only core is imported here: catalog and harness are imported inside the
+commands that use them (bounds, verify, figure), and verify's suite names,
+defaults and checks are read from harness when verify is parsed, so a
+one-shot ``eval`` starts without compiling either.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 from dataclasses import dataclass
 
 from . import __version__
-from . import catalog as cat
 from .core import (
     DEFAULT_TARGET_REL_ERR,
-    OVERLAP_AGREEMENT_REL,
     AccuracyError,
     DomainError,
     EvalContext,
-    I_PATHS,
-    K_PATHS,
-    RATIO_I_PATHS,
     QuantityKind,
-    dual_path_checks,
     eval_I,
     eval_K,
     evaluation_path,
     quantity,
     quantity_reads,
 )
-from .harness import SUITE_NAMES, VerifyConfig, run_suite, source_date
 
 __all__ = ["main", "FigureSpec", "FIGURES"]
 
@@ -114,6 +111,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds_at(args: argparse.Namespace) -> int:
+    from . import catalog as cat
+
     q = QuantityKind(args.quantity)
     ctx = EvalContext(args.nu, args.x)  # refuses a point outside the box before any query
     statuses = (args.status,) if args.status else ("proved", "conjecture", "refuted")
@@ -139,6 +138,8 @@ def cmd_bounds_at(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds_list(args: argparse.Namespace) -> int:
+    from . import catalog as cat
+
     rows = cat.catalog_rows()
     if args.status:
         rows = [r for r in rows if r["status"] == args.status]
@@ -161,9 +162,10 @@ def cmd_bounds_list(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    lo, hi, n, scale = args.x_grid
-    vcfg = VerifyConfig(seed=args.seed, random_pairs=args.pairs,
-                        x_points=n, x_lo=lo, x_hi=hi, scale=scale)
+    from .harness import VerifyConfig, run_suite, source_date
+
+    given = {"seed": args.seed, "random_pairs": args.pairs, **(args.x_grid or {})}
+    vcfg = VerifyConfig(**{k: v for k, v in given.items() if v is not None})
     try:
         source_date()  # refused here, a usage error, not after the suite has run
     except ValueError as exc:
@@ -189,6 +191,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
+    from . import catalog as cat
+
     spec = FIGURES[args.figure_id]
     rows = [["x", spec.quantity.value, *spec.bound_ids]]
     for k in range(1, FIGURE_POINTS + 1):
@@ -200,57 +204,32 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
-    """Closed-form checks; runs in well under a second."""
-    t0 = time.perf_counter()
-    failures = []
-    for x in (0.3, 1.0, 2.5, 7.0, 20.0):
-        got = eval_I(EvalContext(0.5, x)).value
-        want = math.sqrt(2.0 / (math.pi * x)) * math.sinh(x)
-        if abs(got - want) > 1e-12 * want:
-            failures.append(f"I(1/2, {x:g}): {got!r} != {want!r}")
-        gotk = eval_K(EvalContext(0.5, x)).value
-        wantk = math.sqrt(0.5 * math.pi / x) * math.exp(-x)
-        if abs(gotk - wantk) > 1e-12 * wantk:
-            failures.append(f"K(1/2, {x:g}): {gotk!r} != {wantk!r}")
-        ks = eval_K(EvalContext(2.3, x)).value
-        km = eval_K(EvalContext(-2.3, x)).value
-        if abs(ks - km) > 1e-12 * ks:
-            failures.append(f"K symmetry at x={x:g}")
-        y = quantity(QuantityKind.Y, EvalContext(1.0, x)).value
-        z = quantity(QuantityKind.Z, EvalContext(1.0, x)).value
-        p = quantity(QuantityKind.P, EvalContext(1.0, x)).value
-        if abs(y - z - 1.0 / p) * p > 1e-10:
-            failures.append(f"Wronskian at x={x:g}")
-    worst_overlap = max(d for _, d in dual_path_checks())
-    if worst_overlap > OVERLAP_AGREEMENT_REL:
-        failures.append(f"path overlap disagreement {worst_overlap:.3e}")
-    print(f"besselbounds {__version__} selftest "
-          f"({(time.perf_counter()-t0)*1e3:.0f} ms)")
-    print(f"evaluation paths: I: {', '.join(I_PATHS)}; K: {', '.join(K_PATHS)}; "
-          f"ratio_I: {', '.join(RATIO_I_PATHS)}")
-    if failures:
-        for msg in failures:
-            print(f"FAIL {msg}")
-        return 1
-    print(f"all closed-form checks pass (worst path-overlap diff {worst_overlap:.2e})")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _config(**fields) -> VerifyConfig:
-    # VerifyConfig checks the fields; its refusal is a usage error of the flag
+def _check_config(**fields) -> None:
+    # harness.VerifyConfig checks the fields; its refusal is a usage error of the flag
+    from .harness import VerifyConfig
+
     try:
-        return VerifyConfig(**fields)
+        VerifyConfig(**fields)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_x_grid(text: str) -> tuple[float, float, int, str]:
-    """START:END:COUNT[:log|lin], checked by VerifyConfig."""
+def _parse_suite(text: str) -> str:
+    """A name in harness.SUITE_NAMES, read when verify is parsed, not when the parser is built."""
+    from .harness import SUITE_NAMES
+
+    if text not in SUITE_NAMES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(map(repr, SUITE_NAMES))})")
+    return text
+
+
+def _parse_x_grid(text: str) -> dict:
+    """START:END:COUNT[:log|lin] as VerifyConfig fields, checked by VerifyConfig."""
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise argparse.ArgumentTypeError("expected START:END:COUNT[:log|lin]")
@@ -259,8 +238,9 @@ def _parse_x_grid(text: str) -> tuple[float, float, int, str]:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     scale = parts[3] if len(parts) == 4 else "log"
-    c = _config(x_lo=lo, x_hi=hi, x_points=n, scale="linear" if scale == "lin" else scale)
-    return c.x_lo, c.x_hi, c.x_points, c.scale
+    fields = {"x_lo": lo, "x_hi": hi, "x_points": n, "scale": "linear" if scale == "lin" else scale}
+    _check_config(**fields)
+    return fields
 
 
 def _parse_pairs(text: str) -> int:
@@ -269,7 +249,8 @@ def _parse_pairs(text: str) -> int:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    return _config(random_pairs=n).random_pairs
+    _check_config(random_pairs=n)
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -307,23 +288,21 @@ def _build_parser() -> argparse.ArgumentParser:
     pbl.set_defaults(run=cmd_bounds_list)
 
     pv = sub.add_parser("verify", help="run verification suites")
-    pv.add_argument("--suite", default="all", choices=SUITE_NAMES)
+    # an option left out is None, and cmd_verify leaves VerifyConfig's default
+    pv.add_argument("--suite", default="all", type=_parse_suite, metavar="SUITE",
+                    help="all (the default) or one suite; an unknown name lists them")
     pv.add_argument("--out", default=None)
-    pv.add_argument("--seed", type=int, default=VerifyConfig.seed)
-    pv.add_argument("--pairs", type=_parse_pairs, default=VerifyConfig.random_pairs,
+    pv.add_argument("--seed", type=int, default=None)
+    pv.add_argument("--pairs", type=_parse_pairs, default=None,
                     help="random pairs per order for the concavity checks")
     pv.add_argument("--x-grid", type=_parse_x_grid, dest="x_grid", metavar="START:END:COUNT[:log|lin]",
-                    default=(VerifyConfig.x_lo, VerifyConfig.x_hi, VerifyConfig.x_points, VerifyConfig.scale),
-                    help="sweep grid for the validity/conjecture suites")
+                    default=None, help="sweep grid for the validity/conjecture suites")
     pv.set_defaults(run=cmd_verify)
 
     pf = sub.add_parser("figure", help="write figure data as CSV")
     pf.add_argument("figure_id", choices=tuple(FIGURES))
     pf.add_argument("--out", default=None)
     pf.set_defaults(run=cmd_figure)
-
-    ps = sub.add_parser("selftest", help="quick closed-form sanity checks")
-    ps.set_defaults(run=cmd_selftest)
     return p
 
 
@@ -335,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.run(args)
-    except (DomainError, AccuracyError, cat.UnknownBoundError, OSError) as exc:
+    except (DomainError, AccuracyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -125,7 +125,6 @@ __all__ = [
     "numeric_derivative",
     "evaluation_path",
     "quantity_reads",
-    "dual_path_checks",
 ]
 
 SUPPORTED_NU = (-10.0, 20.0)
@@ -1038,33 +1037,3 @@ def numeric_derivative(kind: QuantityKind, ctx: EvalContext, order: int = 1) -> 
         return (f(ctx.x + step) - 2.0 * f0 + f(ctx.x - step)) / (step * step)
 
     return (4.0 * d(0.5 * h) - d(h)) / 3.0
-
-
-# ---------------------------------------------------------------------------
-# evaluator self-checks
-# ---------------------------------------------------------------------------
-
-OVERLAP_AGREEMENT_REL = 1e-11
-
-
-def dual_path_checks() -> list[tuple[str, float]]:
-    """Compare independent evaluation paths where their regions overlap.
-
-    I: power series against the large-argument expansion just above the
-    switch; K: Temme's series against CF2 for K_mu and K_{mu+1} on both
-    sides of x = _TEMME_X.  Returns (label, relative difference) pairs; any
-    entry exceeding OVERLAP_AGREEMENT_REL indicates an evaluator bug.
-    """
-    out: list[tuple[str, float]] = []
-    for nu in (0.0, 0.3, 1.0, 2.5, 4.0):
-        x = _i_switch(nu) + 1.0
-        vs, _ = _i_series(nu, x)
-        va, _ = _i_asym(nu, x)
-        out.append((f"I series/asymptotic nu={nu} x={x:g}", abs(vs - va) / abs(va)))
-    for mu in (-0.4, -0.2, 0.0, 0.3, 0.5):
-        for x in (1.5, 2.0, 2.5):
-            t = _k_temme(mu, x)
-            c = _k_cf2(mu, x)
-            for j in (0, 1):
-                out.append((f"K temme/cf2 order={mu + j:g} x={x:g}", abs(t[j] - c[j]) / c[j]))
-    return out

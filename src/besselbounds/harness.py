@@ -23,17 +23,16 @@ from itertools import groupby
 
 from . import catalog as cat
 from .core import (
-    OVERLAP_AGREEMENT_REL,
     SUPPORTED_X,
     DomainError,
     EvalContext,
     QuantityKind,
-    dual_path_checks,
+    eval_I,
     eval_K,
     numeric_derivative,
     quantity,
 )
-from .core import _ratio_i_cf, _i_series  # dual-path measurement
+from .core import _i_asym, _i_series, _i_switch, _k_cf2, _k_temme, _ratio_i_cf  # dual-path measurement
 
 __all__ = [
     "DEFAULT_SEED",
@@ -52,6 +51,8 @@ __all__ = [
     "conjecture_probe",
     "refutation_probe",
     "consistency_checks",
+    "OVERLAP_AGREEMENT_REL",
+    "dual_path_checks",
     "application_checks",
     "run_suite",
     "run_all",
@@ -349,6 +350,12 @@ def equality_and_limit_checks() -> list[CheckRecord]:
     devs = [abs(quantity(QuantityKind.Z, EvalContext(0.5, x)).value + x + 0.5) / (x + 0.5) for x in xs]
     checks.add("equality:z_half_is_-x-1/2", 1e-12, max(devs))
 
+    for name, fn, form in (
+            ("I_half_is_sqrt(2/(pi*x))*sinh(x)", eval_I, lambda x: math.sqrt(2.0 / (math.pi * x)) * math.sinh(x)),
+            ("K_half_is_sqrt(pi/(2*x))*exp(-x)", eval_K, lambda x: math.sqrt(0.5 * math.pi / x) * math.exp(-x))):
+        devs = [abs(fn(EvalContext(0.5, x)).value - form(x)) / form(x) for x in (0.3, 1.0, 2.5, 7.0, 20.0)]
+        checks.add(f"equality:{name}", 1e-12, max(devs))
+
     for bound_id, kind in (("turan22_lower", QuantityKind.Z),
                            ("turan23_lower", QuantityKind.PHI_K),
                            ("turan24_upper", QuantityKind.PHI_K)):
@@ -493,6 +500,32 @@ def refutation_probe(cfg: VerifyConfig) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 
 CONSISTENCY_NU = (-0.75, -0.25, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0)
+
+
+OVERLAP_AGREEMENT_REL = 1e-11
+
+
+def dual_path_checks() -> list[tuple[str, float]]:
+    """Compare independent evaluation paths where their regions overlap.
+
+    I: power series against the large-argument expansion just above the
+    switch; K: Temme's series against CF2 for K_mu and K_{mu+1} on both
+    sides of x = core._TEMME_X.  Returns (label, relative difference) pairs; any
+    entry exceeding OVERLAP_AGREEMENT_REL indicates an evaluator bug.
+    """
+    out: list[tuple[str, float]] = []
+    for nu in (0.0, 0.3, 1.0, 2.5, 4.0):
+        x = _i_switch(nu) + 1.0
+        vs, _ = _i_series(nu, x)
+        va, _ = _i_asym(nu, x)
+        out.append((f"I series/asymptotic nu={nu} x={x:g}", abs(vs - va) / abs(va)))
+    for mu in (-0.4, -0.2, 0.0, 0.3, 0.5):
+        for x in (1.5, 2.0, 2.5):
+            t = _k_temme(mu, x)
+            c = _k_cf2(mu, x)
+            for j in (0, 1):
+                out.append((f"K temme/cf2 order={mu + j:g} x={x:g}", abs(t[j] - c[j]) / c[j]))
+    return out
 
 
 def consistency_checks() -> list[CheckRecord]:

@@ -378,18 +378,76 @@ def test_figure_default_outdir(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "fig3.csv").exists()
 
 
-def test_selftest(capsys, monkeypatch):
-    rc, out, _ = run(capsys, "selftest")
+def test_closed_forms_fail_verify_on_a_faulty_evaluator(tmp_path, capsys, monkeypatch):
+    # I_{1/2} and K_{1/2} in closed form are checks of the consistency suite;
+    # an I off by 1e-6 relative fails the I check alone
+    from besselbounds import harness
+
+    ids = ("equality:I_half_is_sqrt(2/(pi*x))*sinh(x)", "equality:K_half_is_sqrt(pi/(2*x))*exp(-x)")
+    rc, out, _ = run(capsys, "verify", "--suite", "consistency", "--out", str(tmp_path / "ok.json"))
     assert rc == 0
-    assert "selftest" in out and "evaluation paths" in out
-    assert "evaluation paths: I: series, asymptotic; K: temme, cf2; " in out
-    # an evaluator off by 1e-6 relative fails the closed-form checks
-    real_eval_I = cli.eval_I
-    monkeypatch.setattr(cli, "eval_I", lambda ctx: dataclasses.replace(
+    checks = {c["check_id"]: c for c in json.loads((tmp_path / "ok.json").read_text())["checks"]}
+    assert all(checks[i]["status"] == "pass" and checks[i]["tolerance"] == 1e-12 for i in ids)
+    real_eval_I = harness.eval_I
+    monkeypatch.setattr(harness, "eval_I", lambda ctx: dataclasses.replace(
         real_eval_I(ctx), value=real_eval_I(ctx).value * (1.0 + 1e-6)))
-    rc, out, _ = run(capsys, "selftest")
+    rc, out, _ = run(capsys, "verify", "--suite", "consistency", "--out", str(tmp_path / "bad.json"))
     assert rc == 1
-    assert "FAIL" in out
+    assert [l.split(":", 1)[0] for l in out.splitlines() if l.startswith("FAIL ")] == ["FAIL equality"]
+    assert f"FAIL {ids[0]}: " in out
+
+
+def test_one_shot_eval_loads_neither_catalog_nor_harness():
+    # the start-up of `besselbounds eval` (and of importing cli) is core's alone
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = ("import json, sys\n"
+            "from besselbounds import cli\n"
+            "loaded = [sorted(sys.modules)]\n"
+            "rc = cli.main(['eval', '--fn', 'P', '--nu', '1', '--x', '1'])\n"
+            "loaded.append(sorted(sys.modules))\n"
+            "print(json.dumps([rc, loaded]))\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0
+    for modules in loaded:
+        assert "besselbounds.core" in modules
+        assert "besselbounds.catalog" not in modules and "besselbounds.harness" not in modules
+
+
+def test_verify_options_reach_verify_config(tmp_path, capsys, monkeypatch):
+    # an option left out takes VerifyConfig's default; one given is passed on
+    from besselbounds import harness
+
+    seen = []
+    monkeypatch.setattr(harness, "_SUITES", {"validity": lambda cfg: seen.append(cfg) or []})
+    monkeypatch.setenv("BESSELBOUNDS_OUT", str(tmp_path))
+    assert run(capsys, "verify", "--suite", "validity")[0] == 0
+    assert run(capsys, "verify", "--suite", "validity", "--seed", "3", "--pairs", "5",
+               "--x-grid", "1:10:3:lin")[0] == 0
+    assert seen == [harness.VerifyConfig(),
+                    harness.VerifyConfig(seed=3, random_pairs=5, x_lo=1.0, x_hi=10.0, x_points=3,
+                                         scale="linear")]
+
+
+def test_usage_errors_survive_the_lazy_parser(capsys):
+    from besselbounds.harness import SUITE_NAMES
+
+    rc, out, err = run(capsys, "verify", "--suite", "nosuch")
+    assert rc == 2 and out == "" and "Traceback" not in err
+    assert "--suite" in err and all(repr(name) in err for name in SUITE_NAMES)
+    rc, _, err = run(capsys, "bounds", "list", "--id", "bogus")
+    assert rc == 1 and err.startswith("error: ") and "bogus" in err
+    for flag, value in (("--pairs", "0"), ("--x-grid", "1:100:1"), ("--x-grid", "junk")):
+        rc, out, err = run(capsys, "verify", flag, value)
+        assert rc == 2 and flag in err and out == "" and "Traceback" not in err, (flag, value)
 
 
 def test_version(capsys):

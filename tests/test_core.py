@@ -20,7 +20,6 @@ from besselbounds.core import (
     EvalContext,
     QuantityKind,
     ValueWithError,
-    dual_path_checks,
     eval_I,
     eval_K,
     evaluation_path,
@@ -28,6 +27,7 @@ from besselbounds.core import (
     ratio_K,
     quantity,
 )
+from besselbounds.harness import dual_path_checks
 
 from frozen import FROZEN_I, FROZEN_K, FROZEN_MISC
 
