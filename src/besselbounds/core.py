@@ -28,10 +28,12 @@ Each base result has one route function; evaluation_path reads the same ones.
   elsewhere the continued fraction CF1, cut after its first element, with a
   series tail, at tiny x where the Lentz start is not negligible.
 * K_{nu-1}, K_nu, K_{nu+1} (ratio_K, z, phiK, kratio, deltaK and the rest of
-  the K side): one ladder, i.e. one base evaluation and one climb for each
-  distinct mu among the three orders: one climb, except at a sign change
-  near nu = 0 or a round() tie at .5.  The ladder gives each order the bits
-  it gets alone.
+  the K side): one ladder, i.e. one climb for each distinct mu among the
+  three orders (one climb, except at a sign change near nu = 0 or a round()
+  tie at .5), so one Temme or CF2 evaluation of K_mu and K_{mu+1} for every
+  order whose mu has the same bits; at x >= 2 two climbs at mu and -mu also
+  share CF2's loop, which reads mu only through mu^2.  The ladder gives each
+  order the bits it gets alone.
 
 Every evaluation returns a ``ValueWithError`` carrying a claimed bound on
 the relative error (truncation tail + rounding).  The ratio_I claim is
@@ -58,10 +60,14 @@ P's result object, which P and omega share: the applications suite draws
 160 000 distinct P points, and a warm verify replays exactly those.
 I and K themselves are not cached: nothing else asks for them twice at a
 point, and caching each would hold every P point twice, once per function.
+_TEMME_ORDER is a table, not a cache: Temme's order-only terms at mu = 0
+and +-1/2, where every integer and half-integer order lands, filled once at
+import; other orders compute theirs at each call, where a per-call cache
+would cost its bookkeeping on every random order.
 
 Kernel rules
 ------------
-The hot loops (_i_series, _asym_bracket, _k_temme, _k_cf2, _k_climb,
+The hot loops (_i_series, _asym_bracket, _k_temme, _k_cf2_loop, _k_climb,
 _ratio_i_cf) follow these rules, and each rewrite under them does the same
 floating-point operations in the same order, so every value and claim keeps
 its bits; keep it that way.
@@ -81,7 +87,10 @@ its bits; keep it that way.
 * One division per term where a ratio is reused (the I series' stop test
   feeds the next term), and a product formed once where it is used twice
   (na d in CF2; left-associative, so the same rounding).
-* Compensated sums written inline, in Kahan's operation order.
+* Compensated sums written inline, in Kahan's operation order, and only in
+  _asym_bracket and the I series at nu < -1; the other sums are plain and
+  their claims bound the plain sum (the I series at nu > -1, where every
+  term is positive, by the recursive-summation bound).
 
 Around the kernels, the fixed cost of an evaluation: build nothing on a
 cache hit (a cache holds the finished result, P's ValueWithError), and no
@@ -203,13 +212,25 @@ _set_value, _set_rel = ValueWithError.value.__set__, ValueWithError.rel_error_bo
 def _i_series(nu: float, x: float) -> tuple[float, float]:
     """Power series for I_nu(x); returns (value, rel error bound).
 
-    Terms are generated by the ratio recurrence and accumulated with
-    compensated summation; the error bound tracks the truncation tail
-    (geometric once the term ratio drops below 1) plus rounding inflated by
-    the observed cancellation sum|t|/|sum t| (cancellation only occurs for
-    nu < -1).
-    The loop follows the module's kernel rules: nu > -1, where every term is
-    positive, has its own loop without abs().
+    Terms are generated by the ratio recurrence t_k = t_{k-1} q / (k (k + nu)),
+    q = x^2/4.  The claim is the truncation tail (geometric once the term
+    ratio drops below 1/2) plus (3n + 4) eps times the observed cancellation
+    sum|t|/|sum t|, in eps = 2u, after n terms past the leading one:
+
+    * nu > -1: every term is positive and the loop sums plainly, so the
+      cancellation is 1 and the rounding is the recursive-summation bound
+      (Higham, Accuracy and Stability, 4.2).  The leading term is granted
+      8u = 4 eps.  Term k carries at most 5k roundings, five per step: q's
+      own (it enters every step), m + nu, the product, the quotient and the
+      multiply.  The n additions each round once, relative to a partial sum
+      below s.  First order: (8 + 5n + n) u s = (3n + 4) eps s.  Second order:
+      sum k t_k <= (n - 1) s + n t_n with t_n <= 1e-18 s, so the term bound
+      5u sum k t_k leaves about 5u s of slack, while the second-order terms
+      stay below ((6n + 8) u)^2 s < 2e-24 s for n <= 2000.
+    * nu < -1 (non-integer): the terms change sign, so the loop keeps
+      Kahan's compensated sum and charges the cancellation it observes.
+
+    The loops follow the module's kernel rules.
     """
     if nu < 0 and nu == round(nu):
         nu = -nu  # integer-order symmetry; also dodges Gamma poles
@@ -229,26 +250,23 @@ def _i_series(nu: float, x: float) -> tuple[float, float]:
         raise AccuracyError(f"I_{nu}({x}): leading series term not representable") from exc
     if t == 0.0 or not math.isfinite(t):
         raise AccuracyError(f"I_{nu}({x}): leading series term over/underflows")
-    s, comp = t, 0.0
-    s_abs = abs(t)
+    s = t
     tail = math.inf
     ratio = q / (1.0 + nu)  # term n is term n-1 times q / (n (n + nu))
     m = 1.0  # n + 1 while term n is added
     # q and 1e-18 s may underflow to 0 at tiny x, where the tail is nil
-    if nu > -1.0:  # every term positive
+    if nu > -1.0:  # every term positive: a plain sum
         for n in range(1, 2001):
             t *= ratio
-            y = t - comp
-            u = s + y
-            comp = (u - s) - y
-            s = u
-            s_abs += t
+            s += t
             m += 1.0
             ratio = q / (m * (m + nu))
             if ratio < 0.5 and t <= 1e-18 * s:
                 tail = t * ratio / (1.0 - ratio)
                 break
+        s_abs = s  # no cancellation: s_abs / |s| below is exactly 1
     else:  # non-integer nu < -1: the terms change sign
+        comp, s_abs = 0.0, abs(t)
         for n in range(1, 2001):
             t *= ratio
             y = t - comp
@@ -351,12 +369,32 @@ _RGAMMA1P = (
 )
 
 
+def _temme_order(mu: float) -> tuple[float, float, float, float, float]:
+    """The terms of Temme's series that read the order alone, for |mu| <= 1/2.
+
+    (ev, od, pi mu / sin(pi mu), 1/Gamma(1 + mu), 1/Gamma(1 - mu)) with
+    ev = sum g_2i mu^2i = gam2 and od = sum g_2i+1 mu^2i = -gam1 of the
+    _RGAMMA1P sum, by Horner in mu^2, so that 1/Gamma(1 +- mu) = ev +- mu od.
+    """
+    m2 = mu * mu
+    ev = od = 0.0
+    for g_even, g_odd in _RGAMMA1P:
+        ev, od = g_even + m2 * ev, g_odd + m2 * od
+    fact = math.pi * mu / math.sin(math.pi * mu) if mu else 1.0
+    return ev, od, fact, ev + mu * od, ev - mu * od
+
+
+# see Caching in the module docstring; -0.0 finds 0.0's entry, which has its bits
+_TEMME_ORDER = {mu: _temme_order(mu) for mu in (0.0, 0.5, -0.5)}
+
+
 def _k_temme(mu: float, x: float) -> tuple[float, float, float, float]:
     """Temme's series: (K_mu, K_{mu+1}, rel0, rel1) for |mu| <= 1/2, x < 2.
 
     K_mu = sum c_k f_k, K_{mu+1} = (2/x) sum c_k (p_k - k f_k), c_k = (x^2/4)^k/k!
     (Temme 1975; Numerical Recipes ``bessik``); gam1, gam2 come from the Taylor
-    series of 1/Gamma(1+mu), which cannot cancel as mu -> 0.  Error budget in
+    series of 1/Gamma(1+mu), which cannot cancel as mu -> 0 (_temme_order, or
+    its table _TEMME_ORDER at mu = 0, +-1/2).  Error budget in
     eps = 2u: r0 bounds the start (Horner sums within 2 eps, 1/Gamma(1 +- mu)
     >= 0.56 within 7, e = mu ln(2/x) off by 2|e| + 1/2) for p0, q0, and f0
     against F0; past k = 0 every c_k, f_k, p_k, q_k is positive, f_1's
@@ -366,16 +404,13 @@ def _k_temme(mu: float, x: float) -> tuple[float, float, float, float]:
     """
     d = _LN2 - math.log(x)  # ln(2/x)
     e, m2 = mu * d, mu * mu
-    ev = od = 0.0  # gam2, -gam1
-    for g_even, g_odd in _RGAMMA1P:
-        ev, od = g_even + m2 * ev, g_odd + m2 * od
-    fact = math.pi * mu / math.sin(math.pi * mu) if mu else 1.0
+    ev, od, fact, rgp, rgm = _TEMME_ORDER.get(mu) or _temme_order(mu)
     a = od * math.cosh(e)
     b = ev * (math.sinh(e) / e if e else 1.0) * d
     ee = math.exp(e)
     f0 = ff = fact * (b - a)
-    p0 = p = 0.5 * ee / (ev + mu * od)
-    q = 0.5 / (ee * (ev - mu * od))
+    p0 = p = 0.5 * ee / rgp
+    q = 0.5 / (ee * rgm)
     big_f = fact * (a + abs(b))
     r0 = (2.0 * abs(e) + 13.0) * _EPS
     rr = (r0 + 1.5 * _EPS) * (big_f + p + q) / (ff + p + q)
@@ -400,17 +435,18 @@ def _k_temme(mu: float, x: float) -> tuple[float, float, float, float]:
     return s0, s1 * 2.0 / x, err0 / s0, err1 / abs(s1) + _EPS
 
 
-def _k_cf2(mu: float, x: float) -> tuple[float, float, float, float]:
-    """Steed's CF2: (K_mu, K_{mu+1}, rel0, rel1).
+def _k_cf2_loop(mu: float, x: float) -> tuple[float, float, float, float, float]:
+    """Steed's CF2 loop: (K_mu, rel0, a1, h, i), the part of _k_cf2 that mu and -mu share.
 
     K_mu = sqrt(pi/2x) e^-x / s, s = 1 + sum q_i dh_i summed alongside the
     continued fraction h = sum dh_i (Thompson-Barnett; Numerical Recipes
-    ``bessik``); all terms are positive.  Error budget in eps = 2u: an iteration
-    adds <= 34 eps to a term of s, 27 to one of h (c 1.6; q 5, a dominant
-    recurrence cancelling < 3x; dh 26, d contracting by dh_i/dh_{i-1} < 0.7 at
-    x >= 2); a partial sum costs u.  Terms fall like exp(-2 sqrt(2 x i)): the
-    tail is within twice the geometric tail at the last ratio.  The loop
-    follows the module's kernel rules.
+    ``bessik``); all terms are positive.  The loop reads mu only through
+    a1 = 1/4 - mu^2, so mu and -mu give it the same bits.  Error budget in
+    eps = 2u: an iteration adds <= 34 eps to a term of s, 27 to one of h (c
+    1.6; q 5, a dominant recurrence cancelling < 3x; dh 26, d contracting by
+    dh_i/dh_{i-1} < 0.7 at x >= 2); a partial sum costs u.  Terms fall like
+    exp(-2 sqrt(2 x i)): the tail is within twice the geometric tail at the
+    last ratio.  The loop follows the module's kernel rules.
     """
     a1 = 0.25 - mu * mu
     b = 2.0 * (1.0 + x)
@@ -437,21 +473,33 @@ def _k_cf2(mu: float, x: float) -> tuple[float, float, float, float]:
         prev = dels
     tail = 2.0 * dels / (1.0 - dels / prev) if dels else 0.0
     k0 = math.sqrt(0.5 * math.pi / x) / s * math.exp(-x)
+    return k0, i * _EPS * (0.5 + 34.0 * (s - 1.0) / s) + tail / s + 4.0 * _EPS, a1, h, i
+
+
+def _k_cf2(mu: float, x: float, loop: tuple[float, float, float, float, float] | None = None
+           ) -> tuple[float, float, float, float]:
+    """Steed's CF2: (K_mu, K_{mu+1}, rel0, rel1), finishing at mu the loop given (of mu or -mu) or its own.
+
+    The finish reads mu itself: g = x K_{mu+1}/K_mu, and K_{mu+1}'s claim adds
+    h's 27 eps per iteration through a1 h / g.
+    """
+    k0, rel0, a1, h, i = loop or _k_cf2_loop(mu, x)
     g = mu + x + 0.5 - a1 * h
-    rel0 = i * _EPS * (0.5 + 34.0 * (s - 1.0) / s) + tail / s + 4.0 * _EPS
     return k0, k0 * g / x, rel0, rel0 + 27.0 * i * _EPS * a1 * h / g + 3.0 * _EPS
 
 
-def _k_climb(mu: float, x: float, top: int) -> tuple[float, float, float, float, float]:
+def _k_climb(mu: float, x: float, top: int, loop: tuple[float, float, float, float, float] | None = None
+             ) -> tuple[float, float, float, float, float]:
     """(K_{mu+top-2}, K_{mu+top-1}, K_{mu+top}, rel0, rel) for top >= 1.
 
     K_mu and K_{mu+1}, with claims rel0 and rel1, then forward recurrence in
     the order: K is its dominant solution and every term is positive past
     mu + 1, so a step adds at most its five roundings, 2.5 eps (the claims
-    of the levels are read by _k_level).  The loop follows the module's
-    kernel rules.
+    of the levels are read by _k_level).  A CF2 loop given (x >= 2, of mu or
+    -mu) is finished at mu instead of running one.  The loop follows the
+    module's kernel rules.
     """
-    k0, k1, rel0, rel1 = (_k_cf2 if _k_route(x) else _k_temme)(mu, x)
+    k0, k1, rel0, rel1 = _k_cf2(mu, x, loop) if _k_route(x) else _k_temme(mu, x)
     xi2 = 2.0 / x
     kp = i = 0.0
     for _ in range(top - 1):
@@ -678,20 +726,30 @@ def _k_ladder(nu: float, x: float) -> tuple[float, float, float, float, float, f
     Order v is level round(|v|) of the climb from mu = |v| - round(|v|); one
     climb per distinct mu, taken to the highest level read (the levels lie
     within 2 of each other), gives each order the bits _besselk gives it.
+    CF2's loop reads mu only through mu^2, so at x >= 2 two climbs at mu and
+    -mu (a sign change near nu = 0, a round() tie at .5) finish one loop
+    instead of running one each.
     """
     am, a0, ap = abs(nu - 1.0), abs(nu), abs(nu + 1.0)
     lm, l0, lp = round(am), round(a0), round(ap)
     mm, m0, mp = am - lm, a0 - l0, ap - lp
     tm = tp = t0 = max(1, l0, lm if mm == m0 else 0, lp if mp == m0 else 0)
-    cm = cp = c0 = _k_climb(m0, x, t0)
+    f0 = fm = fp = None  # the CF2 loop each climb finishes, if shared
+    if not mm == m0 == mp and _k_route(x):
+        if m0 and -m0 in (mm, mp):
+            f0 = _k_cf2_loop(m0, x)
+            fm, fp = (f0 if mm == -m0 else None), (f0 if mp == -m0 else None)
+        elif mm and mp == -mm:
+            fm = fp = _k_cf2_loop(mm, x)
+    cm = cp = c0 = _k_climb(m0, x, t0, f0)
     if mm != m0:
         tm = max(1, lm, lp if mp == mm else 0)
-        cm = _k_climb(mm, x, tm)
+        cm = _k_climb(mm, x, tm, fm)
     if mp == mm != m0:
         cp, tp = cm, tm
     elif mp != m0:
         tp = lp or 1
-        cp = _k_climb(mp, x, tp)
+        cp = _k_climb(mp, x, tp, fp)
     km, em = _k_level(cm, tm, lm)
     k0, e0 = _k_level(c0, t0, l0)
     k1, e1 = _k_level(cp, tp, lp)

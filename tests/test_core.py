@@ -467,17 +467,21 @@ def _assert_claims_cover(cases, nu, x, domain_ok):
     (-0.708, 222.6),
     (2.5, 36.25), (2.5, math.nextafter(36.25, 0.0)),  # I's switch, 30 + nu^2
     (15.3, 30.0 + 15.3 * 15.3), (15.3, math.nextafter(30.0 + 15.3 * 15.3, 0.0)),
+    (20.0, math.nextafter(430.0, 0.0)),  # I's longest series in the box, about 302 terms
     *[(nu, x) for nu in _LADDER_EDGES for x in (2.0, math.nextafter(2.0, 0.0))],
     *_RATIO_I_EDGES,
     (-1.0, 2.0), (math.nextafter(-1.0, 0.0), 1e-3),  # CF1's first step, b_1 = 0 and near it
     (-0.9999990984435865, 2.225073858507203e-309),  # x^nu overflows where I is a normal double
 ])
-# drawn from the half-integer stratum, and open as the FOUND line on eval_I's
-# leading-term claim in CHANGES.md (ROADMAP item 4): math.gamma is off by up
-# to about 57 eps near half-integers, and the claim grants the term 4
+# open as the FOUND lines on eval_I's leading-term claim in CHANGES.md
+# (ROADMAP item 3): math.gamma is off by up to about 57 eps near
+# half-integers (the first two, drawn from the half-integer stratum) and by
+# about 21 eps near integers (the third), and the claim grants the term 4
 @example(nu=15.499999999999998, x=2.8331883496863664e-15).xfail(
     raises=AssertionError, reason="FOUND: eval_I's leading series term exceeds its claim")
 @example(nu=15.499999665904289, x=0.25).xfail(
+    raises=AssertionError, reason="FOUND: eval_I's leading series term exceeds its claim")
+@example(nu=15.0000001, x=0.002145625914081833).xfail(
     raises=AssertionError, reason="FOUND: eval_I's leading series term exceeds its claim")
 def test_I_and_ratio_claims_cover_actual_error(nu, x):
     # |error| <= rel_error_bound against 40-digit mpmath for eval_I, ratio_I
@@ -502,7 +506,8 @@ def test_I_and_ratio_claims_cover_actual_error(nu, x):
 @given(nu=st.floats(-10.0, 20.0), x=st.floats(0.0, 500.0, exclude_min=True))
 @_with_examples([
     (20.0, 400.0),
-    (15.3, math.nextafter(30.0 + 15.3 * 15.3, 0.0)),  # I's longest series in the box
+    (20.0, math.nextafter(430.0, 0.0)),  # I's longest series in the box, about 302 terms
+    (15.3, math.nextafter(30.0 + 15.3 * 15.3, 0.0)),  # a long I series, about 202 terms
     (15.3, 200.0),
     (1.4942871284895034, 499.248154944117),
     (0.0, 360.0),  # I^2 overflows: deltaI refuses
@@ -719,19 +724,58 @@ def test_K_ladder_climbs_once_per_mu(monkeypatch):
             calls.clear()
 
 
+def _bits(values):
+    return [float.hex(float(v)) for v in values]
+
+
+def test_temme_order_table_keeps_the_bits(monkeypatch):
+    # _k_temme reads its order-only terms from the table at mu = 0, +-1/2
+    # (-0.0 finds 0.0's entry) and gets the bits it computes without it
+    from besselbounds import core
+
+    assert set(core._TEMME_ORDER) == {0.0, 0.5, -0.5}
+    points = [(mu, x) for mu in (0.0, -0.0, 0.5, -0.5) for x in (5e-324, 1e-3, 1.0, math.nextafter(2.0, 0.0))]
+    tabled = [_bits(core._k_temme(mu, x)) for mu, x in points]
+    monkeypatch.setattr(core, "_TEMME_ORDER", {})
+    assert [_bits(core._k_temme(mu, x)) for mu, x in points] == tabled
+
+
+def test_K_ladder_runs_one_CF2_loop_for_mu_and_minus_mu(monkeypatch):
+    # CF2's loop reads mu only through mu^2: at x >= 2 a ladder with climbs at
+    # s and -s (a sign change, a round() tie at 2.5) runs it once for both, and
+    # each order keeps its single-order bits
+    from besselbounds import core
+
+    for nu in (0.3, 0.92, -0.49, 2.5):
+        mus = {abs(v) - round(abs(v)) for v in (nu - 1.0, nu, nu + 1.0)}
+        assert len({abs(m) for m in mus}) == len(mus) - 1, nu
+        for x in (2.0, 30.0, 400.0):
+            core._k_ladder.cache_clear()
+            calls = _counted(monkeypatch, core, ("_k_climb", "_k_cf2_loop"))
+            km, em, k0, e0, r, er = core._k_ladder(nu, x)
+            monkeypatch.undo()
+            assert Counter(calls) == {"_k_climb": len(mus), "_k_cf2_loop": len(mus) - 1}, (nu, x)
+            kp = _besselk(nu + 1.0, x)
+            assert _bits((km, em, k0, e0)) == _bits((*_besselk(nu - 1.0, x), *_besselk(nu, x)))
+            assert _bits((r, er)) == _bits((kp[0] / k0, e0 + kp[1] + 2.0 * _EPS))
+    core._k_ladder.cache_clear()
+
+
 def test_K_ladder_cross_check_fires_on_a_corrupted_climb(monkeypatch):
-    # the ladder's recurrence check catches a climb whose top level is off
+    # the ladder's recurrence check catches a climb whose top level is off,
+    # also where two climbs share one CF2 loop (nu = 0.3 at x = 3)
     from besselbounds import core
 
     climb = core._k_climb
 
-    def corrupted(mu, x, top):
-        kp, k0, k1, rel0, rel = climb(mu, x, top)
+    def corrupted(mu, x, top, loop=None):
+        kp, k0, k1, rel0, rel = climb(mu, x, top, loop)
         return kp, k0, k1 * (1.0 + 1e-6), rel0, rel
 
     monkeypatch.setattr(core, "_k_climb", corrupted)
     core._k_ladder.cache_clear()
     for nu in (3.3, -4.2, 0.3):
-        with pytest.raises(CrossCheckError):
-            core._k_ladder(nu, 1.5)
+        for x in (1.5, 3.0):
+            with pytest.raises(CrossCheckError):
+                core._k_ladder(nu, x)
     core._k_ladder.cache_clear()
