@@ -31,9 +31,8 @@ Each base result has one route function; evaluation_path reads the same ones.
   the K side): one ladder, i.e. one climb for each distinct mu among the
   three orders (one climb, except at a sign change near nu = 0 or a round()
   tie at .5), so one Temme or CF2 evaluation of K_mu and K_{mu+1} for every
-  order whose mu has the same bits; at x >= 2 two climbs at mu and -mu also
-  share CF2's loop, which reads mu only through mu^2.  The ladder gives each
-  order the bits it gets alone.
+  order whose mu has the same bits.  The ladder gives each order the bits it
+  gets alone.
 
 Every evaluation returns a ``ValueWithError`` carrying a claimed bound on
 the relative error (truncation tail + rounding).  The ratio_I claim is
@@ -67,7 +66,7 @@ would cost its bookkeeping on every random order.
 
 Kernel rules
 ------------
-The hot loops (_i_series, _asym_bracket, _k_temme, _k_cf2_loop, _k_climb,
+The hot loops (_i_series, _asym_bracket, _k_temme, _k_cf2, _k_climb,
 _ratio_i_cf) follow these rules, and each rewrite under them does the same
 floating-point operations in the same order, so every value and claim keeps
 its bits; keep it that way.
@@ -435,18 +434,17 @@ def _k_temme(mu: float, x: float) -> tuple[float, float, float, float]:
     return s0, s1 * 2.0 / x, err0 / s0, err1 / abs(s1) + _EPS
 
 
-def _k_cf2_loop(mu: float, x: float) -> tuple[float, float, float, float, float]:
-    """Steed's CF2 loop: (K_mu, rel0, a1, h, i), the part of _k_cf2 that mu and -mu share.
+def _k_cf2(mu: float, x: float) -> tuple[float, float, float, float]:
+    """Steed's CF2: (K_mu, K_{mu+1}, rel0, rel1).
 
     K_mu = sqrt(pi/2x) e^-x / s, s = 1 + sum q_i dh_i summed alongside the
     continued fraction h = sum dh_i (Thompson-Barnett; Numerical Recipes
-    ``bessik``); all terms are positive.  The loop reads mu only through
-    a1 = 1/4 - mu^2, so mu and -mu give it the same bits.  Error budget in
-    eps = 2u: an iteration adds <= 34 eps to a term of s, 27 to one of h (c
-    1.6; q 5, a dominant recurrence cancelling < 3x; dh 26, d contracting by
-    dh_i/dh_{i-1} < 0.7 at x >= 2); a partial sum costs u.  Terms fall like
-    exp(-2 sqrt(2 x i)): the tail is within twice the geometric tail at the
-    last ratio.  The loop follows the module's kernel rules.
+    ``bessik``); all terms are positive.  Error budget in eps = 2u: an iteration
+    adds <= 34 eps to a term of s, 27 to one of h (c 1.6; q 5, a dominant
+    recurrence cancelling < 3x; dh 26, d contracting by dh_i/dh_{i-1} < 0.7 at
+    x >= 2); a partial sum costs u.  Terms fall like exp(-2 sqrt(2 x i)): the
+    tail is within twice the geometric tail at the last ratio.  The loop
+    follows the module's kernel rules.
     """
     a1 = 0.25 - mu * mu
     b = 2.0 * (1.0 + x)
@@ -473,33 +471,21 @@ def _k_cf2_loop(mu: float, x: float) -> tuple[float, float, float, float, float]
         prev = dels
     tail = 2.0 * dels / (1.0 - dels / prev) if dels else 0.0
     k0 = math.sqrt(0.5 * math.pi / x) / s * math.exp(-x)
-    return k0, i * _EPS * (0.5 + 34.0 * (s - 1.0) / s) + tail / s + 4.0 * _EPS, a1, h, i
-
-
-def _k_cf2(mu: float, x: float, loop: tuple[float, float, float, float, float] | None = None
-           ) -> tuple[float, float, float, float]:
-    """Steed's CF2: (K_mu, K_{mu+1}, rel0, rel1), finishing at mu the loop given (of mu or -mu) or its own.
-
-    The finish reads mu itself: g = x K_{mu+1}/K_mu, and K_{mu+1}'s claim adds
-    h's 27 eps per iteration through a1 h / g.
-    """
-    k0, rel0, a1, h, i = loop or _k_cf2_loop(mu, x)
     g = mu + x + 0.5 - a1 * h
+    rel0 = i * _EPS * (0.5 + 34.0 * (s - 1.0) / s) + tail / s + 4.0 * _EPS
     return k0, k0 * g / x, rel0, rel0 + 27.0 * i * _EPS * a1 * h / g + 3.0 * _EPS
 
 
-def _k_climb(mu: float, x: float, top: int, loop: tuple[float, float, float, float, float] | None = None
-             ) -> tuple[float, float, float, float, float]:
+def _k_climb(mu: float, x: float, top: int) -> tuple[float, float, float, float, float]:
     """(K_{mu+top-2}, K_{mu+top-1}, K_{mu+top}, rel0, rel) for top >= 1.
 
     K_mu and K_{mu+1}, with claims rel0 and rel1, then forward recurrence in
     the order: K is its dominant solution and every term is positive past
     mu + 1, so a step adds at most its five roundings, 2.5 eps (the claims
-    of the levels are read by _k_level).  A CF2 loop given (x >= 2, of mu or
-    -mu) is finished at mu instead of running one.  The loop follows the
-    module's kernel rules.
+    of the levels are read by _k_level).  The loop follows the module's
+    kernel rules.
     """
-    k0, k1, rel0, rel1 = _k_cf2(mu, x, loop) if _k_route(x) else _k_temme(mu, x)
+    k0, k1, rel0, rel1 = (_k_cf2 if _k_route(x) else _k_temme)(mu, x)
     xi2 = 2.0 / x
     kp = i = 0.0
     for _ in range(top - 1):
@@ -726,30 +712,20 @@ def _k_ladder(nu: float, x: float) -> tuple[float, float, float, float, float, f
     Order v is level round(|v|) of the climb from mu = |v| - round(|v|); one
     climb per distinct mu, taken to the highest level read (the levels lie
     within 2 of each other), gives each order the bits _besselk gives it.
-    CF2's loop reads mu only through mu^2, so at x >= 2 two climbs at mu and
-    -mu (a sign change near nu = 0, a round() tie at .5) finish one loop
-    instead of running one each.
     """
     am, a0, ap = abs(nu - 1.0), abs(nu), abs(nu + 1.0)
     lm, l0, lp = round(am), round(a0), round(ap)
     mm, m0, mp = am - lm, a0 - l0, ap - lp
     tm = tp = t0 = max(1, l0, lm if mm == m0 else 0, lp if mp == m0 else 0)
-    f0 = fm = fp = None  # the CF2 loop each climb finishes, if shared
-    if not mm == m0 == mp and _k_route(x):
-        if m0 and -m0 in (mm, mp):
-            f0 = _k_cf2_loop(m0, x)
-            fm, fp = (f0 if mm == -m0 else None), (f0 if mp == -m0 else None)
-        elif mm and mp == -mm:
-            fm = fp = _k_cf2_loop(mm, x)
-    cm = cp = c0 = _k_climb(m0, x, t0, f0)
+    cm = cp = c0 = _k_climb(m0, x, t0)
     if mm != m0:
         tm = max(1, lm, lp if mp == mm else 0)
-        cm = _k_climb(mm, x, tm, fm)
+        cm = _k_climb(mm, x, tm)
     if mp == mm != m0:
         cp, tp = cm, tm
     elif mp != m0:
         tp = lp or 1
-        cp = _k_climb(mp, x, tp, fp)
+        cp = _k_climb(mp, x, tp)
     km, em = _k_level(cm, tm, lm)
     k0, e0 = _k_level(c0, t0, l0)
     k1, e1 = _k_level(cp, tp, lp)

@@ -740,42 +740,19 @@ def test_temme_order_table_keeps_the_bits(monkeypatch):
     assert [_bits(core._k_temme(mu, x)) for mu, x in points] == tabled
 
 
-def test_K_ladder_runs_one_CF2_loop_for_mu_and_minus_mu(monkeypatch):
-    # CF2's loop reads mu only through mu^2: at x >= 2 a ladder with climbs at
-    # s and -s (a sign change, a round() tie at 2.5) runs it once for both, and
-    # each order keeps its single-order bits
-    from besselbounds import core
-
-    for nu in (0.3, 0.92, -0.49, 2.5):
-        mus = {abs(v) - round(abs(v)) for v in (nu - 1.0, nu, nu + 1.0)}
-        assert len({abs(m) for m in mus}) == len(mus) - 1, nu
-        for x in (2.0, 30.0, 400.0):
-            core._k_ladder.cache_clear()
-            calls = _counted(monkeypatch, core, ("_k_climb", "_k_cf2_loop"))
-            km, em, k0, e0, r, er = core._k_ladder(nu, x)
-            monkeypatch.undo()
-            assert Counter(calls) == {"_k_climb": len(mus), "_k_cf2_loop": len(mus) - 1}, (nu, x)
-            kp = _besselk(nu + 1.0, x)
-            assert _bits((km, em, k0, e0)) == _bits((*_besselk(nu - 1.0, x), *_besselk(nu, x)))
-            assert _bits((r, er)) == _bits((kp[0] / k0, e0 + kp[1] + 2.0 * _EPS))
-    core._k_ladder.cache_clear()
-
-
 def test_K_ladder_cross_check_fires_on_a_corrupted_climb(monkeypatch):
-    # the ladder's recurrence check catches a climb whose top level is off,
-    # also where two climbs share one CF2 loop (nu = 0.3 at x = 3)
+    # the ladder's recurrence check catches a climb whose top level is off
     from besselbounds import core
 
     climb = core._k_climb
 
-    def corrupted(mu, x, top, loop=None):
-        kp, k0, k1, rel0, rel = climb(mu, x, top, loop)
+    def corrupted(mu, x, top):
+        kp, k0, k1, rel0, rel = climb(mu, x, top)
         return kp, k0, k1 * (1.0 + 1e-6), rel0, rel
 
     monkeypatch.setattr(core, "_k_climb", corrupted)
     core._k_ladder.cache_clear()
     for nu in (3.3, -4.2, 0.3):
-        for x in (1.5, 3.0):
-            with pytest.raises(CrossCheckError):
-                core._k_ladder(nu, x)
+        with pytest.raises(CrossCheckError):
+            core._k_ladder(nu, 1.5)
     core._k_ladder.cache_clear()
