@@ -9,7 +9,6 @@ from .core import (
     DomainError,
     EvalContext,
     QuantityKind,
-    QUANTITY_EXPRESSIONS,
     ValueWithError,
     eval_I,
     eval_K,
@@ -31,7 +30,6 @@ __all__ = [
     "DomainError",
     "EvalContext",
     "QuantityKind",
-    "QUANTITY_EXPRESSIONS",
     "ValueWithError",
     "eval_I",
     "eval_K",

@@ -11,7 +11,12 @@ and the application quantities b2hat, veff, ns).  Entries carry:
 * a status flag: ``proved`` entries must never be violated by the
   reference evaluator anywhere in their domain (the master test),
   ``conjecture`` and ``refuted`` entries are probed but never trusted,
-* strictness and sharpness metadata (equality orders, x->0 / x->inf).
+* strictness, and sharpness tags (``sharp_at``), each naming a limit, its
+  sense and the order it is checked at: ``"x->inf rel nu=1"`` (the relative
+  error tends to 0 as x grows), ``"x->inf abs nu=1"`` (only the absolute
+  error does), ``"x->0 nu=2"`` (the relative error tends to 0 as x -> 0) and
+  ``"nu=1/2"`` (equality at that order).  They are the one record of
+  sharpness: the harness checks each tag of a proved entry once.
 
 Domains tightened relative to their classical statements are flagged via
 ``guard_note``; the headline cases are the phiI lower/upper families,
@@ -131,34 +136,34 @@ def _entries() -> list[BoundSpec]:
     add("turan1_lower", Q.PHI_I, "lower", "proved",
         lambda nu, x: nu > -1.0, "nu > -1",
         lambda nu, x: 0.0, "0",
-        sharp_at=("x->inf",), note="constant 0 is best possible")
+        sharp_at=("x->inf abs nu=1",), note="constant 0 is best possible")
     add("turan1_upper", Q.PHI_I, "upper", "proved",
         lambda nu, x: nu > -1.0, "nu > -1",
         lambda nu, x: 1.0 / (nu + 1.0), "1/(nu+1)",
-        sharp_at=("x->0",), note="constant 1/(nu+1) is best possible")
+        sharp_at=("x->0 nu=1",), note="constant 1/(nu+1) is best possible")
     add("turan8_lower", Q.PHI_I, "lower", "proved",
         lambda nu, x: nu >= 0.0, "nu >= 0",
         lambda nu, x: 1.0 / (nu + 0.5 + math.hypot(x, nu + 0.5)),
         "1/(nu+1/2+sqrt(x^2+(nu+1/2)^2))",
-        sharp_at=("x->inf",),
+        sharp_at=("x->inf rel nu=1",),
         guard_note="stated range nu >= -1 fails on -1 <= nu < 0 near x = 0 "
                    "(bound exceeds the x->0 limit 1/(nu+1)); guarded to nu >= 0")
     add("turan8_upper", Q.PHI_I, "upper", "proved",
         lambda nu, x: nu >= 0.0, "nu >= 0",
         lambda nu, x: 2.0 / (nu + 1.0 + math.hypot(x, nu + 1.0)),
         "2/(nu+1+sqrt(x^2+(nu+1)^2))",
-        sharp_at=("x->0", "x->inf"),
+        sharp_at=("x->0 nu=1", "x->inf abs nu=1"),
         guard_note="stated range nu > -1 fails on -1 < nu < 0 near x = 0; guarded to nu >= 0")
     add("turan9_lower", Q.PHI_I, "lower", "proved",
         lambda nu, x: nu >= 0.0, "nu >= 0",
         lambda nu, x: 1.0 / (x + 2.0 * nu + 1.0), "1/(x+2nu+1)",
-        sharp_at=("x->inf",),
+        sharp_at=("x->inf rel nu=0",),
         guard_note="stated range nu >= -1 is singular at x = -(2nu+1) and fails "
                    "for nu < 0 near x = 0; guarded to nu >= 0")
     add("turan9_upper", Q.PHI_I, "upper", "proved",
         lambda nu, x: nu >= 0.0, "nu >= 0",
         lambda nu, x: 2.0 / (x + nu + 1.0), "2/(x+nu+1)",
-        sharp_at=("x->inf",),
+        sharp_at=("x->inf abs nu=1",),
         guard_note="stated range nu >= -1 fails at e.g. nu = -3/4, x = 1/2; guarded to nu >= 0")
     add("turan10_upper", Q.PHI_I, "upper", "proved",
         lambda nu, x: nu >= 0.0 and x + nu >= 1e-300, "nu >= 0 and x+nu >= 1e-300",
@@ -167,23 +172,23 @@ def _entries() -> list[BoundSpec]:
     add("turan11_upper", Q.PHI_I, "upper", "proved",
         lambda nu, x: nu >= 0.5 and x >= 1e-300, "nu >= 1/2 and x >= 1e-300",
         lambda nu, x: 1.0 / x, "1/x",
-        sharp_at=("x->inf",), note="equivalent to b2hat < -1 for nu >= 1/2", guard_note=_POLE_NOTE)
+        sharp_at=("x->inf rel nu=1",), note="equivalent to b2hat < -1 for nu >= 1/2", guard_note=_POLE_NOTE)
     add("turan16_lower", Q.PHI_I, "lower", "proved",
         lambda nu, x: nu >= -0.5, "nu >= -1/2",
         lambda nu, x: ((nu + 0.5) / (nu + 1.0)) / math.hypot(x, nu + 0.5),
         "((nu+1/2)/(nu+1))/sqrt(x^2+(nu+1/2)^2)",
-        sharp_at=("x->0", "x->inf"))
+        sharp_at=("x->0 nu=1", "x->inf abs nu=1"))
     add("turan16_upper", Q.PHI_I, "upper", "proved",
         # x^2 + nu^2 - 1/4 rounds to 0 at nu = 1/2 below x ~ 1e-8: the guard
         # admits only points where the formula's radicand is positive
         lambda nu, x: nu >= 0.5 and _radicand(nu, x) > 0.0, "nu >= 1/2",
         lambda nu, x: 1.0 / math.sqrt(_radicand(nu, x)),
         "1/sqrt(x^2+nu^2-1/4)",
-        sharp_at=("x->inf",), note="tighter than 1/x for nu > 1/2")
+        sharp_at=("x->inf rel nu=1",), note="tighter than 1/x for nu > 1/2")
     add("turanconj_lower", Q.PHI_I, "lower", "conjecture",
         lambda nu, x: nu >= -0.5, "nu >= -1/2",
         lambda nu, x: 1.0 / math.hypot(x, nu + 1.0), "1/sqrt(x^2+(nu+1)^2)",
-        sharp_at=("x->0", "x->inf"),
+        sharp_at=("x->0 nu=1", "x->inf rel nu=1"),
         note="equivalent to lambda = y - sqrt(x^2+(nu+1)^2) being increasing")
     add("joshi_turan7", Q.PHI_I, "upper", "refuted",
         lambda nu, x: nu >= 0.0 and x + nu >= 1e-300, "nu >= 0 and x+nu >= 1e-300",
@@ -197,36 +202,36 @@ def _entries() -> list[BoundSpec]:
     add("turan13_lower", Q.Y, "lower", "proved",
         lambda nu, x: nu >= 0.5, "nu >= 1/2",
         lambda nu, x: x - 0.5, "x-1/2",
-        sharp_at=("x->inf",))
+        sharp_at=("x->inf rel nu=1",))
     add("turan14_lower", Q.Y, "lower", "proved",
         lambda nu, x: nu >= 0.5, "nu >= 1/2",
         lambda nu, x: math.hypot(x, nu - 0.5) - 0.5, "sqrt(x^2+(nu-1/2)^2)-1/2",
-        sharp_at=("x->inf",))
+        sharp_at=("x->inf rel nu=1",))
     add("turan15_lower", Q.Y, "lower", "proved",
         lambda nu, x: nu >= 0.5, "nu >= 1/2",
         lambda nu, x: math.sqrt(_radicand(nu, x)) - 0.5,
         "sqrt(x^2+nu^2-1/4)-1/2",
-        sharp_at=("x->inf",))
+        sharp_at=("x->inf rel nu=1",))
     add("tuseg_lower", Q.Y, "lower", "proved",
         lambda nu, x: nu >= -1.0, "nu >= -1",
         lambda nu, x: math.hypot(x, nu + 1.0) - 1.0, "sqrt(x^2+(nu+1)^2)-1",
-        sharp_at=("x->0", "x->inf"))
+        sharp_at=("x->0 nu=1", "x->inf rel nu=1"))
     add("tuseg_upper", Q.Y, "upper", "proved",
         lambda nu, x: nu >= -0.5, "nu >= -1/2",
         lambda nu, x: math.hypot(x, nu + 0.5) - 0.5, "sqrt(x^2+(nu+1/2)^2)-1/2",
-        sharp_at=("x->0", "x->inf"))
+        sharp_at=("x->0 nu=1", "x->inf rel nu=1"))
     add("ylog_lower", Q.Y, "lower", "proved",
         lambda nu, x: nu >= 0.0, "nu >= 0",
         lambda nu, x: x + nu + (2.0 * nu + 1.0) * math.log((2.0 * nu + 1.0) / (x + 2.0 * nu + 1.0)),
         "x+nu+(2nu+1)*log((2nu+1)/(x+2nu+1))",
-        sharp_at=("x->0",),
+        sharp_at=("x->0 nu=1",),
         guard_note="integrated form of turan9_lower; inherits its nu >= 0 guard "
                    "(fails for nu < 0 near x = 0)")
     add("ylog_upper", Q.Y, "upper", "proved",
         lambda nu, x: nu >= 0.0, "nu >= 0",
         lambda nu, x: 2.0 * x + nu + 2.0 * (nu + 1.0) * math.log((nu + 1.0) / (x + nu + 1.0)),
         "2x+nu+2(nu+1)*log((nu+1)/(x+nu+1))",
-        sharp_at=("x->0",),
+        sharp_at=("x->0 nu=1",),
         guard_note="integrated form of turan9_upper; inherits its nu >= 0 guard "
                    "(fails near nu = -1, e.g. nu = -0.999, x = 0.18)")
     add("gro_lower", Q.Y, "lower", "proved",
@@ -256,7 +261,7 @@ def _entries() -> list[BoundSpec]:
     add("turan2_lower", Q.PHI_K, "lower", "proved",
         lambda nu, x: abs(nu) > 1.0, "|nu| > 1",
         lambda nu, x: 1.0 / (1.0 - abs(nu)), "1/(1-|nu|)",
-        sharp_at=("x->0",), note="constant 1/(1-|nu|) is the x->0 limit")
+        sharp_at=("x->0 nu=2",), note="constant 1/(1-|nu|) is the x->0 limit")
     add("turan2_upper", Q.PHI_K, "upper", "proved",
         lambda nu, x: abs(nu) > 1.0, "|nu| > 1",
         lambda nu, x: 0.0, "0")
@@ -265,13 +270,13 @@ def _entries() -> list[BoundSpec]:
         "|nu| > 1 or (|nu| >= 1/2 and x >= 1e-150)",
         _turan18_lower,
         "-2/(|nu|-1+sqrt(x^2+(|nu|-1)^2))",
-        sharp_at=("x->inf",), note="also sharp as x->0 when |nu| > 1", guard_note=_POLE_NOTE)
+        sharp_at=("x->0 nu=2", "x->inf abs nu=1"), guard_note=_POLE_NOTE)
     add("turan18_upper", Q.PHI_K, "upper", "proved",
         lambda nu, x: abs(nu) > 0.5 or abs(nu) == 0.5 and x >= 1e-300,
         "|nu| > 1/2 or (|nu| = 1/2 and x >= 1e-300)",
         lambda nu, x: -1.0 / (abs(nu) - 0.5 + math.hypot(x, abs(nu) - 0.5)),
         "-1/(|nu|-1/2+sqrt(x^2+(|nu|-1/2)^2))",
-        sharp_at=("x->inf",), guard_note=_POLE_NOTE)
+        sharp_at=("x->inf rel nu=1",), guard_note=_POLE_NOTE)
     add("turan19_lower", Q.PHI_K, "lower", "proved",
         lambda nu, x: abs(nu) >= 0.5 and x + abs(nu) - 1.0 > 0.0,
         "|nu| >= 1/2 and x+|nu|-1 > 0",
@@ -283,26 +288,26 @@ def _entries() -> list[BoundSpec]:
         lambda nu, x: abs(nu) > 0.5 or abs(nu) == 0.5 and x >= 1e-300,
         "|nu| > 1/2 or (|nu| = 1/2 and x >= 1e-300)",
         lambda nu, x: -1.0 / (x + (2.0 * abs(nu) - 1.0)), "-1/(x+2|nu|-1)",
-        sharp_at=("x->inf",), guard_note=_POLE_NOTE)
+        sharp_at=("x->inf rel nu=1",), guard_note=_POLE_NOTE)
     add("turan20_lower", Q.PHI_K, "lower", "proved",
         lambda nu, x: abs(nu) >= 0.5 and x >= 1e-300, "|nu| >= 1/2 and x >= 1e-300",
         lambda nu, x: -1.0 / x, "-1/x",
-        strictness="non-strict", sharp_at=("x->inf", "nu=1/2"),
-        note="equality at |nu| = 1/2; sharp as x->0 for 1/2 <= |nu| <= 1", guard_note=_POLE_NOTE)
+        strictness="non-strict", sharp_at=("x->inf rel nu=2", "nu=1/2"),
+        note="equality at |nu| = 1/2", guard_note=_POLE_NOTE)
     add("turan20_upper", Q.PHI_K, "upper", "proved",
         lambda nu, x: abs(nu) >= 0.5 and x >= 1e-100, "|nu| >= 1/2 and x >= 1e-100",
         lambda nu, x: -(1.0 - (nu * nu - 0.25) / (x * x)) / x, "-(1-mu/x^2)/x",
-        strictness="non-strict", sharp_at=("x->inf", "nu=1/2"),
+        strictness="non-strict", sharp_at=("x->inf rel nu=2", "nu=1/2"),
         note="equality at |nu| = 1/2", guard_note=_POLE_NOTE)
     add("turan21_lower", Q.PHI_K, "lower", "proved",
         lambda nu, x: abs(nu) < 0.5 and x >= 1e-100, "|nu| < 1/2 and x >= 1e-100",
         lambda nu, x: -(1.0 - (nu * nu - 0.25) / (x * x)) / x, "-(1-mu/x^2)/x",
-        sharp_at=("x->0", "x->inf"), note="turan20_upper reversed for |nu| < 1/2",
+        sharp_at=("x->inf rel nu=0",), note="turan20_upper reversed for |nu| < 1/2",
         guard_note=_POLE_NOTE)
     add("turan21_upper", Q.PHI_K, "upper", "proved",
         lambda nu, x: abs(nu) < 0.5 and x >= 1e-300, "|nu| < 1/2 and x >= 1e-300",
         lambda nu, x: -1.0 / x, "-1/x",
-        sharp_at=("x->0", "x->inf"), note="turan20_lower reversed for |nu| < 1/2",
+        sharp_at=("x->inf rel nu=0",), note="turan20_lower reversed for |nu| < 1/2",
         guard_note=_POLE_NOTE)
     add("turan23_lower", Q.PHI_K, "lower", "proved",
         # x^2 + mu can round to 0 (or below) just above x = sqrt(-mu); the
@@ -314,18 +319,18 @@ def _entries() -> list[BoundSpec]:
             math.acos(math.sqrt(0.25 - nu * nu) / x) / (2.0 * math.sqrt(_radicand(nu, x)))
             + math.sqrt(0.25 - nu * nu) / (2.0 * x * x)),
         "-(4/pi)*[arccos(sqrt(-mu)/x)/(2*sqrt(x^2+mu)) + sqrt(-mu)/(2x^2)]",
-        strictness="non-strict", sharp_at=("x->inf", "nu=1/2"),
+        strictness="non-strict", sharp_at=("x->inf rel nu=0", "nu=1/2"),
         note="tightens turan21_lower; equality at |nu| = 1/2")
     add("turan24_upper", Q.PHI_K, "upper", "proved",
         # the radicand rounds to 0 at |nu| = 1/2 below x ~ 1e-8 (as in turan16_upper)
         lambda nu, x: abs(nu) >= 0.5 and _radicand(nu, x) > 0.0, "|nu| >= 1/2",
         lambda nu, x: -1.0 / math.sqrt(_radicand(nu, x)), "-1/sqrt(x^2+mu)",
-        strictness="non-strict", sharp_at=("x->inf", "nu=1/2"),
+        strictness="non-strict", sharp_at=("x->inf rel nu=2", "nu=1/2"),
         note="tightens turan20_upper for |nu| > 1/2 and turan18_upper for |nu| >= 3/2")
     add("turan25_upper", Q.PHI_K, "upper", "proved",
         lambda nu, x: x + abs(nu) >= 1e-300, "x+|nu| >= 1e-300",
         lambda nu, x: -1.0 / math.hypot(x, nu), "-1/sqrt(x^2+nu^2)",
-        strictness="non-strict", sharp_at=("x->inf",),
+        strictness="non-strict", sharp_at=("x->inf rel nu=1",),
         note="weaker than turan24_upper for |nu| >= 1/2 but valid for every order",
         guard_note=_POLE_NOTE)
 
@@ -336,12 +341,12 @@ def _entries() -> list[BoundSpec]:
     add("turan22_lower", Q.Z, "lower", "proved",
         lambda nu, x: abs(nu) >= 0.5, "|nu| >= 1/2",
         lambda nu, x: -math.sqrt(_radicand(nu, x)) - 0.5, "-sqrt(x^2+mu)-1/2",
-        strictness="non-strict", sharp_at=("x->inf", "nu=1/2"),
+        strictness="non-strict", sharp_at=("x->inf rel nu=1", "nu=1/2"),
         note="equality at |nu| = 1/2 where z = -x-1/2")
     add("paltsev_lower", Q.Z, "lower", "proved",
         lambda nu, x: True, "all nu",
         lambda nu, x: -math.hypot(x, nu) - 0.5, "-sqrt(x^2+nu^2)-1/2",
-        sharp_at=("x->inf",))
+        sharp_at=("x->inf rel nu=1",))
     add("segura74_lower", Q.Z, "lower", "proved",
         lambda nu, x: nu >= 0.5, "nu >= 1/2",
         lambda nu, x: -math.hypot(x, nu + 0.5) - 0.5, "-sqrt(x^2+(nu+1/2)^2)-1/2",
@@ -356,13 +361,13 @@ def _entries() -> list[BoundSpec]:
         lambda nu, x: nu >= 0.5, "nu >= 1/2",
         lambda nu, x: -math.sqrt(_radicand(nu, x)) + math.sqrt(nu * nu - 0.25) - nu,
         "-sqrt(x^2+mu)+sqrt(mu)-nu",
-        strictness="non-strict", sharp_at=("x->0", "nu=1/2"),
+        strictness="non-strict", sharp_at=("x->0 nu=1", "nu=1/2"),
         note="integrated form of turan24_upper; tighter than turan4_upper")
     add("zlog_lower", Q.Z, "lower", "proved",
         lambda nu, x: abs(nu) > 1.0, "|nu| > 1",
         lambda nu, x: -2.0 * x - abs(nu) + 2.0 * (abs(nu) - 1.0) * math.log1p(x / (abs(nu) - 1.0)),
         "-2x-|nu|+2(|nu|-1)*log(1+x/(|nu|-1))",
-        sharp_at=("x->0",),
+        sharp_at=("x->0 nu=2",),
         guard_note="|nu| > 1 added: the log coefficient is undefined/sign-flipped "
                    "for |nu| <= 1")
     add("zlog_upper", Q.Z, "upper", "proved",
@@ -371,7 +376,7 @@ def _entries() -> list[BoundSpec]:
             (2.0 * abs(nu) - 1.0) * math.log1p(x / (2.0 * abs(nu) - 1.0))
             if 2.0 * abs(nu) - 1.0 > 1e-12 else 0.0),
         "-x-|nu|+(2|nu|-1)*log(1+x/(2|nu|-1))",
-        strictness="non-strict", sharp_at=("x->0", "nu=1/2"),
+        strictness="non-strict", sharp_at=("x->0 nu=1", "nu=1/2"),
         note="value at |nu| = 1/2 defined by continuity as -x-1/2 (equality there)")
 
     # ---- normalised Turanian of the product: phiP ---------------------------
@@ -384,12 +389,12 @@ def _entries() -> list[BoundSpec]:
             / (x * math.sqrt(_radicand(nu, x)) * (nu + 0.5 + math.hypot(x, nu + 0.5)))),
         "([x-(nu+1/2)-sqrt(x^2+(nu+1/2)^2)]*sqrt(x^2+mu)+x)"
         "/(x*sqrt(x^2+mu)*[nu+1/2+sqrt(x^2+(nu+1/2)^2)])",
-        sharp_at=("x->inf",), guard_note=_POLE_NOTE)
+        sharp_at=("x->inf abs nu=1",), guard_note=_POLE_NOTE)
     add("turan26_upper", Q.PHI_P, "upper", "proved",
         lambda nu, x: nu >= 0.5 and x >= 1e-300 and _radicand(nu, x) > 0.0,
         "nu >= 1/2 and x >= 1e-300",
         lambda nu, x: 1.0 / (x * math.sqrt(_radicand(nu, x))), "1/(x*sqrt(x^2+mu))",
-        sharp_at=("x->inf",), guard_note=_POLE_NOTE)
+        sharp_at=("x->inf rel nu=1",), guard_note=_POLE_NOTE)
 
     # ---- application-level bounds -------------------------------------------
     add("b2hat_upper", Q.B2HAT, "upper", "proved",
@@ -404,11 +409,11 @@ def _entries() -> list[BoundSpec]:
     add("veff_lower", Q.V_EFF, "lower", "proved",
         lambda nu, x: nu > 1.0, "mu_gig > 1  (nu plays mu_gig, x plays 1/w)",
         lambda nu, x: 0.0, "0",
-        sharp_at=("x->inf",))
+        sharp_at=("x->inf abs nu=2",))
     add("veff_upper", Q.V_EFF, "upper", "proved",
         lambda nu, x: nu > 1.0, "mu_gig > 1  (nu plays mu_gig, x plays 1/w)",
         lambda nu, x: 1.0 / (nu - 1.0), "1/(mu_gig-1)",
-        sharp_at=("x->0",), note="equivalent to turan2_lower at order mu_gig")
+        sharp_at=("x->0 nu=2",), note="equivalent to turan2_lower at order mu_gig")
     add("ncns", Q.N_S, "lower", "proved",
         lambda nu, x: nu >= -1.0, "nu >= -1",
         lambda nu, x: 0.25 * x * x / (nu + 1.0 + math.hypot(x, nu + 1.0)),

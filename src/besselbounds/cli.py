@@ -152,9 +152,10 @@ def cmd_bounds_list(args: argparse.Namespace) -> int:
             return 1
         rows = [r for r in rows if r["id"] in args.bound_ids]
     for r in rows:
+        sharp = f"  [sharp: {'; '.join(r['sharp_at'])}]" if r["sharp_at"] else ""
         guard = "  [guarded]" if r["guard_note"] else ""
         print(f"{r['id']:24} {r['quantity']:7} {r['side']:5} {r['status']:10} "
-              f"domain: {r['domain']:42} {r['formula']}{guard}")
+              f"domain: {r['domain']:42} {r['formula']}{sharp}{guard}")
     if args.json_path is not None:
         path = _write_out("catalog.json", args.json_path, "catalog", json.dumps(rows, indent=2) + "\n")
         print(f"catalog written to {path}")

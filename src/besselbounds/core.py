@@ -121,7 +121,6 @@ __all__ = [
     "QuantityKind",
     "QuantitySpec",
     "QUANTITIES",
-    "QUANTITY_EXPRESSIONS",
     "I_PATHS",
     "K_PATHS",
     "RATIO_I_PATHS",
@@ -1015,7 +1014,6 @@ QUANTITIES: dict[QuantityKind, QuantitySpec] = {
     QuantityKind.I_RATIO: QuantitySpec("I(nu,x)/I(nu-1,x)", 0.0, _RI, _iratio),
     QuantityKind.K_RATIO: QuantitySpec("K(nu,x)/K(nu-1,x)", -math.inf, _K, _kratio),
 }
-QUANTITY_EXPRESSIONS: dict[QuantityKind, str] = {k: q.expression for k, q in QUANTITIES.items()}
 
 
 def quantity(kind: QuantityKind, ctx: EvalContext) -> ValueWithError:

@@ -2,8 +2,10 @@
 
 Each suite produces ``CheckRecord`` rows; a ``VerificationReport`` bundles
 them with summary counts and serialises to the JSON schema used by the
-CLI.  Proved catalog entries must sweep clean (status ``fail`` otherwise);
-conjecture and refutation probes are informational and never fail a run.
+CLI.  Proved catalog entries must sweep clean (status ``fail`` otherwise),
+and each ``sharp_at`` tag of one is checked once, by the rule of its kind
+(``SHARP_RULES``); conjecture and refutation probes are informational and
+never fail a run.
 
 All randomised checks draw from a seeded generator and every record list
 is deterministically ordered, so reports are reproducible bit for bit
@@ -45,6 +47,8 @@ __all__ = [
     "default_grid",
     "grid_from_config",
     "sweep_validity",
+    "SHARP_RULES",
+    "sharp_checks",
     "sharpness_decay",
     "equality_and_limit_checks",
     "gronwall_probe",
@@ -107,7 +111,7 @@ class SharpnessReport:
     bound_id: str
     nu: float
     x_values: tuple[float, ...]
-    rel_errors: tuple[float, ...]
+    errors: tuple[float, ...]
     monotone_decreasing: bool
     terminal: float
 
@@ -279,60 +283,58 @@ def validity_records(cfg: VerifyConfig) -> list[CheckRecord]:
 
 
 # ---------------------------------------------------------------------------
-# sharpness decay
+# sharpness: one check per sharp_at tag of a proved entry
 # ---------------------------------------------------------------------------
 
-def sharpness_decay(bound_id: str, x_sequence: tuple[float, ...], nu: float) -> SharpnessReport:
-    """Relative error of a bound along increasing x; flags monotone decay."""
+SHARPNESS_X = (10.0, 20.0, 50.0, 100.0)
+SHARPNESS_TERMINAL = 0.02
+# each kind of sharp_at tag: its check id, x values and tolerance.  x->inf: the error falls strictly over
+# the x values to below the tolerance; x->0: the relative error is below it; nu=1/2: the largest is within it
+SHARP_RULES = {
+    "x->inf": ("sharpness:{}:nu={:g}", SHARPNESS_X, SHARPNESS_TERMINAL),
+    "x->0": ("sharpness_x0:{}:nu={:g}", (1e-4,), 1e-4),
+    "nu=1/2": ("equality:{}_at_half", _log_grid(0.02, 20.0, 50), 1e-12),
+}
+
+
+def sharp_checks(kind: str) -> list[tuple[str, str, float, bool]]:
+    """(check id, bound id, order, relative) of each sharp_at tag of one kind
+    of the proved entries, in catalog order.  A tag is ``nu=1/2``,
+    ``x->0 nu=<order>`` or ``x->inf rel|abs nu=<order>``; another raises ValueError."""
+    out = []
+    for bound_id in cat.ids(status="proved"):
+        for tag in cat.get(bound_id).sharp_at:
+            head, _, order = tag.rpartition(" ")
+            if tag != "nu=1/2" and (head not in ("x->0", "x->inf rel", "x->inf abs") or order[:3] != "nu="):
+                raise ValueError(f"{bound_id}: malformed sharp_at tag {tag!r}")
+            if (head.split()[0] if head else tag) == kind:
+                nu = 0.5 if kind == "nu=1/2" else float(order[3:])
+                out.append((SHARP_RULES[kind][0].format(bound_id, nu), bound_id, nu, head != "x->inf abs"))
+    return out
+
+
+def sharpness_decay(bound_id: str, x_sequence: tuple[float, ...], nu: float, relative: bool = True) -> SharpnessReport:
+    """Relative (or absolute) error of a bound along increasing x; flags strict decay."""
     spec = cat.get(bound_id)
     errs = []
     for x in x_sequence:
         if not spec.domain(nu, x):
             raise DomainError(f"{bound_id} not applicable at nu={nu}, x={x}")
         tv = quantity(spec.quantity, EvalContext(nu, x))
-        errs.append(abs(spec.formula(nu, x) - tv.value) / abs(tv.value))
+        err = abs(spec.formula(nu, x) - tv.value)
+        errs.append(err / abs(tv.value) if relative else err)
     mono = all(b < a for a, b in zip(errs, errs[1:]))
     return SharpnessReport(bound_id, nu, tuple(x_sequence), tuple(errs), mono, errs[-1])
 
 
-SHARPNESS_X = (10.0, 20.0, 50.0, 100.0)
-SHARPNESS_TERMINAL = 0.02
-# (bound_id, nu) pairs whose relative error must fall below 2% by x = 100,
-# monotonically over SHARPNESS_X
-SHARPNESS_CASES = (
-    ("turan8_lower", 1.0),
-    ("turan9_lower", 0.0),
-    ("turan11_upper", 1.0),
-    ("turan16_upper", 1.0),
-    ("turan19_upper", 1.0),
-    ("turan20_lower", 2.0),
-    ("turan20_upper", 2.0),
-    ("turan24_upper", 2.0),
-    ("turan26_upper", 1.0),
-)
-
-
 def sharpness_records(cfg: VerifyConfig) -> list[CheckRecord]:
+    """One check per x->inf and x->0 sharp_at tag of a proved entry."""
     checks = _Checks()
-    for bound_id, nu in SHARPNESS_CASES:
-        rep = sharpness_decay(bound_id, SHARPNESS_X, nu)
-        checks.add(f"sharpness:{bound_id}:nu={nu:g}", SHARPNESS_TERMINAL, rep.terminal,
-                   ok=rep.monotone_decreasing and rep.terminal < SHARPNESS_TERMINAL)
-    # turan26_lower is sharp only in the absolute sense: its relative error
-    # tends to nu+1/2 (the bound behaves like -(nu-1/2)/x^2 against
-    # phiP ~ +1/x^2), so it is reported, not gated
-    rep = sharpness_decay("turan26_lower", SHARPNESS_X, 1.0)
-    checks.add("sharpness:turan26_lower:nu=1:limit_rel_err_nu+1/2", math.inf, rep.terminal, info=True)
-    # x->0 sharpness: bound value at x = 1e-4 reproduces the stated limit
-    for bound_id, nu, limit in (
-        ("turan8_upper", 1.0, 0.5),      # 1/(nu+1)
-        ("turan16_lower", 1.0, 0.5),
-        ("turan1_upper", 1.0, 0.5),
-        ("turan18_lower", 2.0, -1.0),    # 1/(1-|nu|)
-        ("turan2_lower", 2.0, -1.0),
-    ):
-        dev = abs(cat.evaluate_bound(bound_id, nu, 1e-4).value - limit)
-        checks.add(f"sharpness_x0:{bound_id}:nu={nu:g}", 1e-4, dev, ok=dev < 1e-4)
+    for kind in ("x->inf", "x->0"):
+        _, xs, tol = SHARP_RULES[kind]
+        for check_id, bound_id, nu, relative in sharp_checks(kind):
+            rep = sharpness_decay(bound_id, xs, nu, relative)
+            checks.add(check_id, tol, rep.terminal, ok=rep.monotone_decreasing and rep.terminal < tol)
     return checks.records
 
 
@@ -342,7 +344,7 @@ def sharpness_records(cfg: VerifyConfig) -> list[CheckRecord]:
 
 def equality_and_limit_checks() -> list[CheckRecord]:
     """Closed-form equality cases at nu = 1/2 and the x->0 / x->inf limits."""
-    xs = _log_grid(0.02, 20.0, 50)
+    _, xs, tol = SHARP_RULES["nu=1/2"]
     checks = _Checks()
 
     devs = [abs(quantity(QuantityKind.PHI_K, EvalContext(0.5, x)).value + 1.0 / x) * x for x in xs]
@@ -356,15 +358,8 @@ def equality_and_limit_checks() -> list[CheckRecord]:
         devs = [abs(fn(EvalContext(0.5, x)).value - form(x)) / form(x) for x in (0.3, 1.0, 2.5, 7.0, 20.0)]
         checks.add(f"equality:{name}", 1e-12, max(devs))
 
-    for bound_id, kind in (("turan22_lower", QuantityKind.Z),
-                           ("turan23_lower", QuantityKind.PHI_K),
-                           ("turan24_upper", QuantityKind.PHI_K)):
-        devs = []
-        for x in xs:
-            bv = cat.evaluate_bound(bound_id, 0.5, x).value
-            tv = quantity(kind, EvalContext(0.5, x)).value
-            devs.append(abs(bv - tv) / abs(tv))
-        checks.add(f"equality:{bound_id}_at_half", 1e-12, max(devs))
+    for check_id, bound_id, nu, _ in sharp_checks("nu=1/2"):
+        checks.add(check_id, tol, max(sharpness_decay(bound_id, xs, nu).errors))
 
     devs = [abs(quantity(QuantityKind.PHI_I, EvalContext(nu, 1e-4)).value - 1.0 / (nu + 1.0))
             for nu in (0.0, 0.5, 1.0, 2.0, 5.0)]

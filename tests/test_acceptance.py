@@ -154,7 +154,7 @@ def test_criterion_5_sharpness_decay(bound_id, nu):
     rep = sharpness_decay(bound_id, (10.0, 20.0, 50.0, 100.0), nu)
     ok = rep.monotone_decreasing and rep.terminal < 0.02
     _report(f"5 sharpness {bound_id} nu={nu:g}", ok,
-            f"rel errs {['%.3g' % e for e in rep.rel_errors]}")
+            f"rel errs {['%.3g' % e for e in rep.errors]}")
     assert rep.monotone_decreasing
     assert rep.terminal < 0.02
 

@@ -149,7 +149,7 @@ def test_guard_notes_flagged():
                 "segura74_lower"):
         assert rows[bid]["guard_note"], bid
     assert rows["turan20_lower"]["strictness"] == "non-strict"
-    assert rows["turan16_lower"]["sharp_at"] == ["x->0", "x->inf"]
+    assert rows["turan16_lower"]["sharp_at"] == ["x->0 nu=1", "x->inf abs nu=1"]
     # export carries all schema columns
     assert set(rows["turan1_lower"]) == {"id", "quantity", "side", "status", "domain",
                                          "formula", "strictness", "sharp_at", "note",

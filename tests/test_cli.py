@@ -312,6 +312,15 @@ def test_bounds_list_id_filter(capsys):
     assert run(capsys, "bounds", "list", "--id", "nope")[0] == 1
 
 
+def test_bounds_list_prints_sharp_tags(capsys):
+    # each sharp_at tag as the catalog writes it, with its sense; none where there is none
+    rc, out, _ = run(capsys, "bounds", "list", "--id", "turan8_upper", "--id", "turan10_upper")
+    assert rc == 0
+    lines = {l.split()[0]: l for l in out.splitlines() if l.strip()}
+    assert lines["turan8_upper"].endswith("  [sharp: x->0 nu=1; x->inf abs nu=1]  [guarded]")
+    assert "[sharp:" not in lines["turan10_upper"]
+
+
 def test_verify_conjectures_exit_zero(tmp_path, capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "conjectures",
                      "--out", str(tmp_path / "c.json"), "--x-grid", "1e-3:100:60")

@@ -12,6 +12,7 @@ from besselbounds.catalog import ids
 from besselbounds.harness import (
     DEFAULT_SEED,
     GRONWALL_ROOT,
+    SHARP_RULES,
     GridSpec,
     VerifyConfig,
     application_checks,
@@ -24,7 +25,9 @@ from besselbounds.harness import (
     refutation_probe,
     run_all,
     run_suite,
+    sharp_checks,
     sharpness_decay,
+    sharpness_records,
     sweep_validity,
 )
 
@@ -136,6 +139,62 @@ def test_equality_and_limit_checks_pass():
     info = {c.check_id for c in recs if c.status == "info"}
     assert "limit:z_x0_small_nu_slow_rate" in info
     assert "limit:phiK_x0_nu1.5_rate_x" in info
+
+
+def _tag_check_id(bound_id, tag):
+    # the id a tag's check is reported under, spelled out from the tag itself
+    if tag == "nu=1/2":
+        return f"equality:{bound_id}_at_half"
+    prefix = "sharpness" if tag.startswith("x->inf ") else "sharpness_x0"
+    return f"{prefix}:{bound_id}:{tag.split()[-1]}"
+
+
+def test_every_sharp_tag_is_read_by_one_check():
+    # each tag of each proved entry has exactly one check in the full report,
+    # and each sharpness or nu = 1/2 equality check of a bound reads a tag
+    rep = run_suite("all", FAST)
+    got = Counter(c.check_id for c in rep.checks)
+    want = [_tag_check_id(bid, tag) for bid in ids(status="proved") for tag in cat.get(bid).sharp_at]
+    assert want and len(want) == len(set(want))
+    assert {cid: got[cid] for cid in want} == dict.fromkeys(want, 1)
+    generated = {cid for cid in got if cid.startswith("sharpness")
+                 or cid.startswith("equality:") and cid.endswith("_at_half")}
+    assert generated == set(want)
+    assert [c.check_id for c in rep.checks if c.check_id in generated and c.status != "pass"] == []
+
+
+def test_sharp_tag_orders_lie_in_their_domains():
+    for kind, (_, xs, _) in SHARP_RULES.items():
+        for check_id, bound_id, nu, _ in sharp_checks(kind):
+            spec = cat.get(bound_id)
+            assert all(spec.domain(nu, x) for x in xs), check_id
+
+
+@pytest.mark.parametrize("bound_id,tags,check_id,group", [
+    # turan21_lower's relative error at x = 1e-4 is about 2e5
+    ("turan21_lower", ("x->0 nu=0", "x->inf rel nu=0"), "sharpness_x0:turan21_lower:nu=0",
+     lambda: sharpness_records(FAST)),
+    # turan8_upper tends to 2/x against phiI ~ 1/x: sharp only in the absolute sense
+    ("turan8_upper", ("x->0 nu=1", "x->inf rel nu=1"), "sharpness:turan8_upper:nu=1",
+     lambda: sharpness_records(FAST)),
+    # turan16_upper is 1/x at nu = 1/2, not phiI
+    ("turan16_upper", ("x->inf rel nu=1", "nu=1/2"), "equality:turan16_upper_at_half",
+     equality_and_limit_checks),
+])
+def test_a_wrong_sharp_tag_fails_its_check(monkeypatch, bound_id, tags, check_id, group):
+    planted = dataclasses.replace(cat.get(bound_id), sharp_at=tags)
+    monkeypatch.setattr(cat, "get", lambda bid: planted if bid == bound_id else cat.CATALOG[bid])
+    status = {c.check_id: c.status for c in group()}
+    assert status[check_id] == "fail"
+    assert [cid for cid, st in status.items() if st == "fail"] == [check_id]
+
+
+@pytest.mark.parametrize("tag", ["x->inf", "x->inf nu=1", "x->0 rel nu=1", "x->inf rel 1", "nu=1"])
+def test_malformed_sharp_tag_is_refused(monkeypatch, tag):
+    planted = dataclasses.replace(cat.get("turan8_lower"), sharp_at=(tag,))
+    monkeypatch.setattr(cat, "get", lambda bid: planted if bid == "turan8_lower" else cat.CATALOG[bid])
+    with pytest.raises(ValueError, match="malformed sharp_at tag"):
+        sharp_checks("x->inf")
 
 
 def test_gronwall_probe():

@@ -8,8 +8,8 @@ from besselbounds.core import (
     AccuracyError,
     DomainError,
     EvalContext,
+    QUANTITIES,
     QuantityKind as QK,
-    QUANTITY_EXPRESSIONS,
     eval_I,
     eval_K,
     numeric_derivative,
@@ -26,8 +26,8 @@ def q(kind, nu, x):
 
 
 def test_every_kind_has_one_expression():
-    assert set(QUANTITY_EXPRESSIONS) == set(QK)
-    assert len(set(QUANTITY_EXPRESSIONS.values())) == len(QK)
+    assert set(QUANTITIES) == set(QK)
+    assert len({spec.expression for spec in QUANTITIES.values()}) == len(QK)
 
 
 @pytest.mark.parametrize("kind,nu,x", sorted((QK(k), nu, x) for (k, nu, x) in FROZEN_PHI))
