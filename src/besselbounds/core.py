@@ -19,9 +19,10 @@ Each base result has one route function; evaluation_path reads the same ones.
 * I (_i_route): power series below x = 30 + nu^2 (_i_switch); large-argument
   expansion at and above it.
 * K (_k_route): at mu = |nu| - round(|nu|) in [-1/2, 1/2], K_mu and K_{mu+1}
-  by Temme's series for x < 2 and by Steed's continued fraction CF2 for
-  x >= 2; then forward recurrence in the order up to |nu|, which is stable
-  because K is the dominant solution.
+  by Temme's series for x < 2, by the trapezoidal rule on K's integral for
+  2 <= x < 10 and by Steed's continued fraction CF2 for x >= 10; then forward
+  recurrence in the order up to |nu|, which is stable because K is the
+  dominant solution.
 * ratio_I = I_{nu+1}/I_nu (_ratio_i_asym, _ratio_i_two_term): where I's route
   is the expansion at nu and at nu + 1, the quotient of the two expansion
   sums, without their common factor e^x/sqrt(2 pi x);
@@ -30,7 +31,7 @@ Each base result has one route function; evaluation_path reads the same ones.
 * K_{nu-1}, K_nu, K_{nu+1} (ratio_K, z, phiK, kratio, deltaK and the rest of
   the K side): one ladder, i.e. one climb for each distinct mu among the
   three orders (one climb, except at a sign change near nu = 0 or a round()
-  tie at .5), so one Temme or CF2 evaluation of K_mu and K_{mu+1} for every
+  tie at .5), so one evaluation of K_mu and K_{mu+1} for every
   order whose mu has the same bits.  The ladder gives each order the bits it
   gets alone.
 
@@ -62,14 +63,15 @@ point, and caching each would hold every P point twice, once per function.
 _TEMME_ORDER is a table, not a cache: Temme's order-only terms at mu = 0
 and +-1/2, where every integer and half-integer order lands, filled once at
 import; other orders compute theirs at each call, where a per-call cache
-would cost its bookkeeping on every random order.
+would cost its bookkeeping on every random order.  _TRAP_NODES, the
+trapezoidal rule's node values, is a table of the same kind.
 
 Kernel rules
 ------------
-The hot loops (_i_series, _asym_bracket, _k_temme, _k_cf2, _k_climb,
-_ratio_i_cf) follow these rules, and each rewrite under them does the same
-floating-point operations in the same order, so every value and claim keeps
-its bits; keep it that way.
+The hot loops (_i_series, _asym_bracket, _k_temme, _k_trapezoid, _k_cf2,
+_k_climb, _ratio_i_cf) follow these rules, and each rewrite under them does
+the same floating-point operations in the same order, so every value and
+claim keeps its bits; keep it that way.
 
 * Float loop counters.  Where the loop index meets a float (m (m + nu),
   nu + k, k k - mu^2, y / k, ...) a float counter stepped by 1.0 stands in
@@ -86,10 +88,15 @@ its bits; keep it that way.
 * One division per term where a ratio is reused (the I series' stop test
   feeds the next term), and a product formed once where it is used twice
   (na d in CF2; left-associative, so the same rounding).
+* Nothing recomputed per node that the order or a table gives: the
+  trapezoidal rule reads its node values, the node index among them, from
+  _TRAP_NODES and steps e^(+-mu t_j) by a product, so each node costs one
+  exp, bound to a local name.
 * Compensated sums written inline, in Kahan's operation order, and only in
   _asym_bracket and the I series at nu < -1; the other sums are plain and
-  their claims bound the plain sum (the I series at nu > -1, where every
-  term is positive, by the recursive-summation bound).
+  their claims bound the plain sum (the I series at nu > -1 and the
+  trapezoidal rule, where every term is positive, by the recursive-summation
+  bound).
 
 Around the kernels, the fixed cost of an evaluation: build nothing on a
 cache hit (a cache holds the finished result, P's ValueWithError), and no
@@ -346,13 +353,15 @@ def _besseli(nu: float, x: float) -> tuple[float, float]:
 # modified Bessel function of the second kind
 # ---------------------------------------------------------------------------
 
-K_PATHS = ("temme", "cf2")  # indexed by _k_route
+K_PATHS = ("temme", "trapezoid", "cf2")  # indexed by _k_route
 _TEMME_X = 2.0
+_TRAP_X = 10.0
 
 
-def _k_route(x: float) -> bool:
-    # K's route at mu: Steed's CF2 at and above _TEMME_X, Temme's series below
-    return x >= _TEMME_X
+def _k_route(x: float) -> int:
+    # K's route at mu: Temme's series below _TEMME_X, the trapezoidal rule
+    # from there to _TRAP_X, Steed's CF2 at and above it
+    return 0 if x < _TEMME_X else 1 if x < _TRAP_X else 2
 
 
 # 1/Gamma(1+z) = sum_j g_j z^j (A&S 6.1.34 shifted by one) as pairs
@@ -387,7 +396,12 @@ _TEMME_ORDER = {mu: _temme_order(mu) for mu in (0.0, 0.5, -0.5)}
 
 
 def _k_temme(mu: float, x: float) -> tuple[float, float, float, float]:
-    """Temme's series: (K_mu, K_{mu+1}, rel0, rel1) for |mu| <= 1/2, x < 2.
+    """Temme's series: (K_mu, K_{mu+1}, rel0, rel1) for |mu| <= 1/2, 0 < x <= 2.
+
+    The budget below is meant for x <= 2 only: past it f_1's cancellation
+    f_0 + p_0 + q_0 tends to 0 and rr grows without bound (2 600-4 900 eps
+    at x = 2.5; at x = 3, mu = 1/2 the sum rounds to -4e-16 and the budget
+    is negative), so no route and no check calls it there.
 
     K_mu = sum c_k f_k, K_{mu+1} = (2/x) sum c_k (p_k - k f_k), c_k = (x^2/4)^k/k!
     (Temme 1975; Numerical Recipes ``bessik``); gam1, gam2 come from the Taylor
@@ -431,6 +445,82 @@ def _k_temme(mu: float, x: float) -> tuple[float, float, float, float]:
     err0 = r0 * big_f + rr * (s0 - f0) + 6.0 * _EPS * w + 0.5 * k * _EPS * (s0 - f0 + abs(f0)) + 2.0 * t0
     err1 = r0 * p0 + rr * v + 6.0 * _EPS * w + 0.5 * k * _EPS * (p0 + v) + 2.0 * abs(t1)
     return s0, s1 * 2.0 / x, err0 / s0, err1 / abs(s1) + _EPS
+
+
+# the trapezoidal rule's step, strip half-width and nodes t_j = j h, j >= 1
+# (h is dyadic, so every t_j and t_j / 2 is exact): (2 sinh^2(t_j/2), j, e^t_j,
+# e^-t_j), filled once at import; 32 nodes reach t = 6, past the last node
+# used at x = 1.5
+_TRAP_H = 0.1875
+_TRAP_A = 1.5
+_TRAP_NODES = tuple((2.0 * math.sinh(0.5 * t) ** 2, j, math.exp(t), math.exp(-t))
+                    for j in map(float, range(1, 33)) for t in (j * _TRAP_H,))
+_TRAP_COS_A = math.cos(_TRAP_A)
+# 4/h sqrt(pi/2) / (e^(2 pi a/h) - 1): the discretisation bound's x-free factor
+_TRAP_DISC = 4.0 / _TRAP_H * math.sqrt(0.5 * math.pi) / math.expm1(2.0 * math.pi * _TRAP_A / _TRAP_H)
+
+
+def _k_trapezoid(mu: float, x: float) -> tuple[float, float, float, float]:
+    """The trapezoidal rule: (K_mu, K_{mu+1}, rel0, rel1) for |mu| <= 1/2, x >= 1.5.
+
+    K_v(x) = int_0^inf e^(-x cosh t) cosh(v t) dt (DLMF 10.32.9) on the nodes
+    t_j = j h: K_v = (h/2) e^-x S_v with S_v = 1 + sum_j e^(-x C_j) 2 cosh(v t_j),
+    C_j = 2 sinh^2(t_j/2) = cosh t_j - 1 from the table _TRAP_NODES, and
+    e^(+-mu t_j) by a product chain, so a node costs one exp.  The terms
+    a_j (v = mu) and b_j (v = mu + 1, from e^(mu t) e^t + e^(-mu t) e^-t) are
+    positive, and b_j >= a_j.  The claim, absolute in S's units, in eps = 2u:
+
+    * discretisation (Trefethen and Weideman, SIAM Review 56 (2014), Thm
+      5.1): the integrand is entire and, for |Im t| = b <= a < pi/2,
+      |e^(-x cosh t) cosh(v t)| <= e^(-x cos(a) cosh(Re t)) cosh(v Re t), so
+      the rule is within 2 K_3/2(x cos a) / (e^(2 pi a/h) - 1) of K_v for
+      |v| <= 3/2, with K_3/2(y) = sqrt(pi/2y) e^-y (1 + 1/y); a = 1.5, h = 3/16
+      make it below eps/7 of K_0 at x < 10 (disc, in S's units).
+    * truncation: past t_N, f(t + h)/f(t) <= rho = e^(3h/2 - x h sinh t_N), as
+      cosh(t + h) - cosh t >= h sinh t and cosh(v (t + h))/cosh(v t) <= e^(|v| h);
+      the tail is below the last term times rho/(1 - rho).  The loop stops
+      once b_N < 1e-14, where rho < 2e-3: a tail below 0.1 eps of S >= 1.
+    * rounding (running error analysis, Higham 3.3).  With libm's sinh and
+      exp within 1 ulp, C_j is within 2.5 eps and e^+-t_j within eps, so the
+      exponent y_j = x C_j is off by 3 eps y_j, which e^-y turns into a
+      relative error; the chains' ratios e^(+-mu h) are within eps + |mu| h u
+      and each step rounds once: (1.5 + |mu| h/2) j eps <= 1.55 j eps.  Both
+      go in w = sum b_j (2 y_j + j), times 1.55 eps.  A term's own roundings
+      are 2 eps for a_j and 3.5 eps for b_j, and the N additions, each to a
+      partial sum below S, cost N u S.  b_j/a_j and 2 y_j + j both grow with
+      j, so the a-weighted mean of 2 y_j + j is below the b-weighted one
+      (Chebyshev's sum inequality): w/S_{mu+1} serves S_mu too.
+
+    Each budget E is made relative by E/(S - E); the scaling by (h/2) e^-x adds
+    2 eps.  Second-order terms, and the roundings in the bound's own terms,
+    are below 1e-28.  At x >= 1.5 the loop stops before the table ends.  The
+    loop follows the module's kernel rules.
+    """
+    exp = math.exp
+    em, emi = exp(mu * _TRAP_H), exp(-mu * _TRAP_H)
+    e = ei = s0 = s1 = 1.0
+    w = 0.0
+    for c, j, ep, en in _TRAP_NODES:
+        y = x * c
+        g = exp(-y)
+        e *= em
+        ei *= emi
+        a = g * (e + ei)
+        b = g * (e * ep + ei * en)
+        s0 += a
+        s1 += b
+        w += b * (y + y + j)
+        if b < 1e-14:
+            break
+    rho = exp(1.5 * _TRAP_H - x * _TRAP_H * 0.5 * (ep - en))
+    q = rho / (1.0 - rho)
+    yc = x * _TRAP_COS_A
+    disc = _TRAP_DISC * math.sqrt(1.0 / yc) * (1.0 + 1.0 / yc) * exp(x - yc)
+    shared = (1.55 * w / s1 + 0.5 * j) * _EPS
+    err0 = (2.0 * _EPS + shared) * s0 + a * q + disc
+    err1 = (3.5 * _EPS + shared) * s1 + b * q + disc
+    hx = 0.5 * _TRAP_H * exp(-x)
+    return s0 * hx, s1 * hx, err0 / (s0 - err0) + 2.0 * _EPS, err1 / (s1 - err1) + 2.0 * _EPS
 
 
 def _k_cf2(mu: float, x: float) -> tuple[float, float, float, float]:
@@ -484,7 +574,7 @@ def _k_climb(mu: float, x: float, top: int) -> tuple[float, float, float, float,
     of the levels are read by _k_level).  The loop follows the module's
     kernel rules.
     """
-    k0, k1, rel0, rel1 = (_k_cf2 if _k_route(x) else _k_temme)(mu, x)
+    k0, k1, rel0, rel1 = (_k_temme, _k_trapezoid, _k_cf2)[_k_route(x)](mu, x)
     xi2 = 2.0 / x
     kp = i = 0.0
     for _ in range(top - 1):

@@ -34,7 +34,7 @@ from .core import (
     numeric_derivative,
     quantity,
 )
-from .core import _i_asym, _i_series, _i_switch, _k_cf2, _k_temme, _ratio_i_cf  # dual-path measurement
+from .core import _i_asym, _i_series, _i_switch, _k_cf2, _k_temme, _k_trapezoid, _ratio_i_cf  # dual-path measurement
 
 __all__ = [
     "DEFAULT_SEED",
@@ -504,9 +504,11 @@ def dual_path_checks() -> list[tuple[str, float]]:
     """Compare independent evaluation paths where their regions overlap.
 
     I: power series against the large-argument expansion just above the
-    switch; K: Temme's series against CF2 for K_mu and K_{mu+1} on both
-    sides of x = core._TEMME_X.  Returns (label, relative difference) pairs; any
-    entry exceeding OVERLAP_AGREEMENT_REL indicates an evaluator bug.
+    switch; K, for K_mu and K_{mu+1}, each kernel inside its domain only:
+    Temme's series against the trapezoidal rule at and below x = core._TEMME_X,
+    the trapezoidal rule against CF2 at and above x = core._TRAP_X.  Returns
+    (label, relative difference) pairs; any entry exceeding
+    OVERLAP_AGREEMENT_REL indicates an evaluator bug.
     """
     out: list[tuple[str, float]] = []
     for nu in (0.0, 0.3, 1.0, 2.5, 4.0):
@@ -514,12 +516,13 @@ def dual_path_checks() -> list[tuple[str, float]]:
         vs, _ = _i_series(nu, x)
         va, _ = _i_asym(nu, x)
         out.append((f"I series/asymptotic nu={nu} x={x:g}", abs(vs - va) / abs(va)))
-    for mu in (-0.4, -0.2, 0.0, 0.3, 0.5):
-        for x in (1.5, 2.0, 2.5):
-            t = _k_temme(mu, x)
-            c = _k_cf2(mu, x)
-            for j in (0, 1):
-                out.append((f"K temme/cf2 order={mu + j:g} x={x:g}", abs(t[j] - c[j]) / c[j]))
+    for names, pair, xs in (("temme/trapezoid", (_k_temme, _k_trapezoid), (1.5, 2.0)),
+                            ("trapezoid/cf2", (_k_trapezoid, _k_cf2), (10.0, 12.5))):
+        for mu in (-0.4, -0.2, 0.0, 0.3, 0.5):
+            for x in xs:
+                a, b = (kernel(mu, x) for kernel in pair)
+                for j in (0, 1):
+                    out.append((f"K {names} order={mu + j:g} x={x:g}", abs(a[j] - b[j]) / b[j]))
     return out
 
 

@@ -123,6 +123,12 @@ def test_eval_output_pinned(tag, capsys):
             0, f"{tag}(nu=1, x={x}) = {value}\nrel_error_bound = {claim}\npaths: {paths}\n", "")
 
 
+def test_eval_pins_the_trapezoid_path(capsys):
+    # between the pinned points: K at 2 <= x < 10 takes the trapezoidal rule
+    assert run(capsys, "eval", "--fn", "K", "--nu", "1", "--x", "5") == (
+        0, "K(nu=1, x=5) = 0.0040446134454521637\nrel_error_bound = 3.951e-15\npaths: K=trapezoid\n", "")
+
+
 def test_eval_exit_codes(capsys):
     assert run(capsys, "eval", "--fn", "nosuch", "--nu", "1", "--x", "1")[0] == 2
     assert run(capsys, "eval", "--fn", "I", "--nu", "1")[0] == 2  # missing --x

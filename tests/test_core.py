@@ -130,7 +130,7 @@ def test_K_ladder_matches_single_orders():
     # at nu = +-1e-20, +-1e-12 the orders nu -+ 1 round, at 0.5 -+ ulp round() ties
     for nu in (-2.5, 2.5, -0.3, 0.3, 0.5, 1.0, 15.3, -9.7, 7.3, 19.0, 1e-20, -1e-20, 1e-12, -1e-12,
                math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)):
-        for x in (1e-3, math.nextafter(2.0, 0.0), 2.0, 60.0, 400.0):
+        for x in (1e-3, math.nextafter(2.0, 0.0), 2.0, 5.0, math.nextafter(10.0, 0.0), 10.0, 60.0, 400.0):
             km, em, k0, e0, r, er = _k_ladder(nu, x)
             kp = _besselk(nu + 1.0, x)
             assert (km, em) == _besselk(nu - 1.0, x)[:2]
@@ -153,6 +153,8 @@ def test_region_paths():
     assert evaluation_path("K", 0.0, 400.0) == "cf2"
     assert evaluation_path("K", 0.3, 0.5) == "temme"
     assert evaluation_path("K", 1.0, 0.5) == "temme"  # integer order
+    assert evaluation_path("K", 0.5, 2.0) == "trapezoid"
+    assert evaluation_path("K", 2.0, 5.0) == "trapezoid"
     assert evaluation_path("K", 2.0, 10.0) == "cf2"
 
 
@@ -333,10 +335,11 @@ def _offset(centres):
 # the box, and the strata where the kernels' loops branch: nu = -1 and near
 # it (CF1's first step, the I series' positive / mixed-sign split), near the
 # negative integers and half-integers (the integer-order flip, round() ties
-# of mu, which K takes at |nu|); x = 2 -+ ulp (Temme / CF2) and 30 + nu^2 -+
-# ulp (series / expansion).  nu is shared so that x can take its switch.
-# Positive half-integers add no branch and find the open leading-term claim
-# hole pinned below in 3 of 124 runs, so they wait for its fix
+# of mu, which K takes at |nu|); x = 2 -+ ulp (Temme / trapezoid), 10 -+ ulp
+# (trapezoid / CF2) and 30 + nu^2 -+ ulp (series / expansion).  nu is shared
+# so that x can take its switch.  Positive half-integers find the open
+# leading-term claim hole of I pinned below in 3 of 124 runs, so only the K
+# claims take them (the orders with |mu| = 1/2, the ends of K's kernels)
 _NU_STRATA = st.shared(st.one_of(
     st.floats(-10.0, 20.0),
     st.floats(-1.0 - 1e-6, -1.0 + 1e-6),
@@ -345,8 +348,19 @@ _NU_STRATA = st.shared(st.one_of(
 _X_STRATA = st.one_of(
     st.floats(0.0, 500.0, exclude_min=True),
     _near(2.0),
+    _near(10.0),
     _NU_STRATA.flatmap(lambda nu: _near(30.0 + nu * nu)),
 )
+_K_NU_STRATA = st.one_of(_NU_STRATA, st.sampled_from(tuple(n + 0.5 for n in range(-10, 20))))
+_K_X_STRATA = st.one_of(_X_STRATA, st.floats(2.0, 10.0, exclude_max=True))  # the trapezoidal rule's region
+
+
+def _with_examples(points):
+    def deco(fn):
+        for nu, x in points:
+            fn = example(nu=nu, x=x)(fn)
+        return fn
+    return deco
 
 
 def _k_over_max(nu, x):
@@ -357,7 +371,8 @@ def _k_over_max(nu, x):
 
 
 @settings(max_examples=200, deadline=None)
-@given(nu=_NU_STRATA, x=_X_STRATA)
+@given(nu=_K_NU_STRATA, x=_K_X_STRATA)
+@_with_examples([(nu, x) for nu in (-0.5, 0.5, 1.5, 19.5) for x in (2.0, math.nextafter(10.0, 0.0), 10.0)])
 @example(nu=17.435071950116672, x=279.4318877889326)
 @example(nu=15.9, x=143.9)
 @example(nu=18.8, x=340.1)
@@ -393,14 +408,6 @@ def _normal(v):
 
 
 _LADDER_EDGES = (-2.5, 2.5, -0.3, 0.3, 0.5, 1.0, 15.3)
-
-
-def _with_examples(points):
-    def deco(fn):
-        for nu, x in points:
-            fn = example(nu=nu, x=x)(fn)
-        return fn
-    return deco
 
 
 def _mp_bessel(nu, x):
@@ -468,7 +475,7 @@ def _assert_claims_cover(cases, nu, x, domain_ok):
     (2.5, 36.25), (2.5, math.nextafter(36.25, 0.0)),  # I's switch, 30 + nu^2
     (15.3, 30.0 + 15.3 * 15.3), (15.3, math.nextafter(30.0 + 15.3 * 15.3, 0.0)),
     (20.0, math.nextafter(430.0, 0.0)),  # I's longest series in the box, about 302 terms
-    *[(nu, x) for nu in _LADDER_EDGES for x in (2.0, math.nextafter(2.0, 0.0))],
+    *[(nu, x) for nu in _LADDER_EDGES for x in (2.0, math.nextafter(2.0, 0.0), 10.0, math.nextafter(10.0, 0.0))],
     *_RATIO_I_EDGES,
     (-1.0, 2.0), (math.nextafter(-1.0, 0.0), 1e-3),  # CF1's first step, b_1 = 0 and near it
     (-0.9999990984435865, 2.225073858507203e-309),  # x^nu overflows where I is a normal double
@@ -607,7 +614,7 @@ def test_evaluation_path_is_the_region_that_runs(monkeypatch):
     # _besselk or _ratio_i runs, and asking for it runs no kernel at all
     from besselbounds import core
 
-    calls = _counted(monkeypatch, core, _BASE_KERNELS + ("_k_temme", "_k_cf2", "_ratio_i_cf"))
+    calls = _counted(monkeypatch, core, _BASE_KERNELS + ("_k_temme", "_k_trapezoid", "_k_cf2", "_ratio_i_cf"))
     for nu in (-1.0, -0.3, 0.0, 0.5, 2.5, 7.0, 20.0):
         switch = 30.0 + nu * nu
         for x in (math.nextafter(switch, 0.0), switch, math.nextafter(switch, math.inf)):
@@ -618,10 +625,11 @@ def test_evaluation_path_is_the_region_that_runs(monkeypatch):
             assert calls == {"series": ["_i_series"], "asymptotic": ["_i_asym", "_asym_bracket"]}[path], (nu, x)
             calls.clear()
     for nu in (-9.7, -0.5, 0.0, 0.3, 1.0, 19.5):
-        for x in (math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, math.inf)):
+        for x in (math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 20.0),
+                  math.nextafter(10.0, 0.0), 10.0, math.nextafter(10.0, 20.0)):
             path = evaluation_path("K", nu, x)
             assert calls == []
-            assert path == ("temme" if x < 2.0 else "cf2")
+            assert path == ("temme" if x < 2.0 else "trapezoid" if x < 10.0 else "cf2")
             core._besselk(nu, x)
             assert calls == ["_k_climb", f"_k_{path}"], (nu, x)
             calls.clear()
@@ -666,7 +674,7 @@ def test_evaluation_path_refuses_where_the_evaluator_refuses(monkeypatch):
                 want = True
             except AccuracyError:
                 want = False
-            calls = _counted(monkeypatch, core, _BASE_KERNELS + ("_k_temme", "_k_cf2", "_ratio_i_cf"))
+            calls = _counted(monkeypatch, core, _BASE_KERNELS + ("_k_temme", "_k_trapezoid", "_k_cf2", "_ratio_i_cf"))
             try:
                 evaluation_path(fn, nu, x)
                 got = False
@@ -738,6 +746,46 @@ def test_temme_order_table_keeps_the_bits(monkeypatch):
     tabled = [_bits(core._k_temme(mu, x)) for mu, x in points]
     monkeypatch.setattr(core, "_TEMME_ORDER", {})
     assert [_bits(core._k_temme(mu, x)) for mu, x in points] == tabled
+
+
+def test_trapezoid_table_within_its_claimed_rounding():
+    # _k_trapezoid's claim takes each tabled 2 sinh^2(t_j/2) within 2.5 eps and
+    # e^+-t_j within eps of their values at the exact nodes t_j = j h
+    from mpmath import cosh, exp, mp, mpf
+
+    from besselbounds import core
+
+    mp.dps = 40
+    assert len(core._TRAP_NODES) == 32
+    for j, (c, jf, ep, en) in enumerate(core._TRAP_NODES, 1):
+        t = mpf(j) * mpf(core._TRAP_H)
+        assert t == j * core._TRAP_H and jf == j
+        assert abs(c - (cosh(t) - 1)) <= 2.5 * _EPS * c, j
+        assert abs(ep - exp(t)) <= _EPS * ep and abs(en - exp(-t)) <= _EPS * en, j
+
+
+def test_trapezoid_stops_on_its_own_test_before_the_table_ends(monkeypatch):
+    # at x = 1.5, the smallest x any caller passes (dual_path_checks; the
+    # route starts at 2), the node loop breaks on its stop test with nodes of
+    # the table left unread, at both ends of mu and between them
+    from besselbounds import core
+
+    table = core._TRAP_NODES
+    read = []
+
+    class Counted:
+        def __iter__(self):
+            for node in table:
+                read.append(node)
+                yield node
+
+    monkeypatch.setattr(core, "_TRAP_NODES", Counted())
+    for mu in (-0.5, -0.2, 0.0, 0.3, 0.5):
+        for x in (1.5, 2.0):
+            read.clear()
+            core._k_trapezoid(mu, x)
+            assert 15 < len(read) < len(table), (mu, x, len(read))
+    assert min(float(label.split("x=")[1]) for label, _ in dual_path_checks() if "trapezoid" in label) == 1.5
 
 
 def test_K_ladder_cross_check_fires_on_a_corrupted_climb(monkeypatch):
