@@ -66,7 +66,8 @@ TAG_DIFFS_SHOWN = 10
 _EDGE_NU = (math.nan, math.inf, -math.inf, -10.5, -10.0, -2.0, -1.0, -0.5, 0.0, 5e-324,
             0.5, 1.0, 2.5, 15.3, 20.0, 20.5, 500.5)
 _EDGE_X = (math.nan, math.inf, 0.0, -1.0, 5e-324, 1e-300, 1e-9, math.nextafter(2.0, 0.0), 2.0,
-           math.nextafter(2.0, math.inf), 50.0, 500.0, 500.5)
+           math.nextafter(2.0, math.inf), 50.0, 500.0, 500.5,
+           math.nextafter(10.0, 0.0), 10.0, math.nextafter(10.0, math.inf))
 
 
 def _near(v: float) -> tuple[float, float, float]:
@@ -78,9 +79,11 @@ def tag_points() -> list[tuple[float, float]]:
 
     nu uniform in [-10, 20], or an integer or half-integer in that range
     moved by 0, +-1e-6 or +-1e-12; x log-uniform in [1e-3, 500] or in
-    [5e-324, 1e-3], or at a region switch (2, 30 + nu^2, 1e-9) or a box edge
-    (50, 500, 5e-324), give or take one ulp.  Then every pair of the edges:
-    NaN, inf, 0, -1, 500.5, 5e-324, 2 -+ ulp, 30 + nu^2 -+ ulp and more.
+    [5e-324, 1e-3], or at a region switch (2, 30 + nu^2, 1e-9), a former
+    switch (50) or a box edge (500, 5e-324), give or take one ulp.  Then every
+    pair of the edges: NaN, inf, 0, -1, 500.5, 5e-324, 2 -+ ulp, 10 -+ ulp,
+    30 + nu^2 -+ ulp and more.  The points are literals, not read from core, so
+    that two checkouts are compared on one point set.
     """
     rng = random.Random(TAG_SEED)
     points = []

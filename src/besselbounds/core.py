@@ -19,10 +19,10 @@ Each base result has one route function; evaluation_path reads the same ones.
 * I (_i_route): power series below x = 30 + nu^2 (_i_switch); large-argument
   expansion at and above it.
 * K (_k_route): at mu = |nu| - round(|nu|) in [-1/2, 1/2], K_mu and K_{mu+1}
-  by Temme's series for x < 2, by the trapezoidal rule on K's integral for
-  2 <= x < 10 and by Steed's continued fraction CF2 for x >= 10; then forward
-  recurrence in the order up to |nu|, which is stable because K is the
-  dominant solution.
+  by Temme's series, the trapezoidal rule on K's integral or Steed's CF2 as x
+  grows, at the route starts and claim domains of the table _K_KERNELS; then
+  forward recurrence in the order up to |nu|, which is stable because K is
+  the dominant solution.
 * ratio_I = I_{nu+1}/I_nu (_ratio_i_asym, _ratio_i_two_term): where I's route
   is the expansion at nu and at nu + 1, the quotient of the two expansion
   sums, without their common factor e^x/sqrt(2 pi x);
@@ -111,10 +111,11 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 __all__ = [
     "SUPPORTED_NU",
@@ -353,17 +354,6 @@ def _besseli(nu: float, x: float) -> tuple[float, float]:
 # modified Bessel function of the second kind
 # ---------------------------------------------------------------------------
 
-K_PATHS = ("temme", "trapezoid", "cf2")  # indexed by _k_route
-_TEMME_X = 2.0
-_TRAP_X = 10.0
-
-
-def _k_route(x: float) -> int:
-    # K's route at mu: Temme's series below _TEMME_X, the trapezoidal rule
-    # from there to _TRAP_X, Steed's CF2 at and above it
-    return 0 if x < _TEMME_X else 1 if x < _TRAP_X else 2
-
-
 # 1/Gamma(1+z) = sum_j g_j z^j (A&S 6.1.34 shifted by one) as pairs
 # (g_2i, g_2i+1), i = 10 down to 0; the omitted terms are < 1e-20 for |z| <= 1/2
 _RGAMMA1P = (
@@ -565,6 +555,24 @@ def _k_cf2(mu: float, x: float) -> tuple[float, float, float, float]:
     return k0, k0 * g / x, rel0, rel0 + 27.0 * i * _EPS * a1 * h / g + 3.0 * _EPS
 
 
+# K's kernels in route order, the one place their switch points and domains are
+# written: the path evaluation_path reports, the kernel, the x where the route enters
+# it and the closed x-range where its docstring derives its claim (x > 0: the box's)
+_KKernel = NamedTuple("_KKernel", [("path", str), ("kernel", Callable), ("start", float), ("domain", tuple)])
+_K_KERNELS = (
+    _KKernel("temme", _k_temme, 0.0, (0.0, 2.0)),
+    _KKernel("trapezoid", _k_trapezoid, 2.0, (1.5, math.inf)),
+    _KKernel("cf2", _k_cf2, 10.0, (2.0, math.inf)),
+)
+K_PATHS = tuple(row.path for row in _K_KERNELS)
+_K_STARTS = tuple(row.start for row in _K_KERNELS[1:])
+
+
+def _k_route(x: float) -> _KKernel:
+    # K's route at mu: the last row of _K_KERNELS whose start is at or below x
+    return _K_KERNELS[bisect_right(_K_STARTS, x)]
+
+
 def _k_climb(mu: float, x: float, top: int) -> tuple[float, float, float, float, float]:
     """(K_{mu+top-2}, K_{mu+top-1}, K_{mu+top}, rel0, rel) for top >= 1.
 
@@ -574,7 +582,7 @@ def _k_climb(mu: float, x: float, top: int) -> tuple[float, float, float, float,
     of the levels are read by _k_level).  The loop follows the module's
     kernel rules.
     """
-    k0, k1, rel0, rel1 = (_k_temme, _k_trapezoid, _k_cf2)[_k_route(x)](mu, x)
+    k0, k1, rel0, rel1 = _k_route(x).kernel(mu, x)
     xi2 = 2.0 / x
     kp = i = 0.0
     for _ in range(top - 1):
@@ -645,7 +653,7 @@ def evaluation_path(fn: str, nu: float, x: float) -> str:
     if fn == "I":
         return I_PATHS[_i_route(nu, x)]
     if fn == "K":
-        return K_PATHS[_k_route(x)]
+        return _k_route(x).path
     if fn == "ratio_I":
         _check_ratio_i_order(nu)
         return RATIO_I_PATHS[1 if _ratio_i_asym(nu, x) else 0 if _ratio_i_two_term(nu, x) is None else 2]

@@ -34,7 +34,7 @@ from .core import (
     numeric_derivative,
     quantity,
 )
-from .core import _i_asym, _i_series, _i_switch, _k_cf2, _k_temme, _k_trapezoid, _ratio_i_cf  # dual-path measurement
+from .core import _K_KERNELS, _i_asym, _i_series, _i_switch, _ratio_i_cf  # dual-path measurement
 
 __all__ = [
     "DEFAULT_SEED",
@@ -504,11 +504,11 @@ def dual_path_checks() -> list[tuple[str, float]]:
     """Compare independent evaluation paths where their regions overlap.
 
     I: power series against the large-argument expansion just above the
-    switch; K, for K_mu and K_{mu+1}, each kernel inside its domain only:
-    Temme's series against the trapezoidal rule at and below x = core._TEMME_X,
-    the trapezoidal rule against CF2 at and above x = core._TRAP_X.  Returns
-    (label, relative difference) pairs; any entry exceeding
-    OVERLAP_AGREEMENT_REL indicates an evaluator bug.
+    switch; K, for K_mu and K_{mu+1}, each pair of neighbouring rows of
+    core._K_KERNELS at the upper row's route start e and at e + e/4 if that
+    lies in the lower kernel's domain, else at e - e/4.  Returns (label,
+    relative difference) pairs; any entry exceeding OVERLAP_AGREEMENT_REL
+    indicates an evaluator bug.
     """
     out: list[tuple[str, float]] = []
     for nu in (0.0, 0.3, 1.0, 2.5, 4.0):
@@ -516,13 +516,14 @@ def dual_path_checks() -> list[tuple[str, float]]:
         vs, _ = _i_series(nu, x)
         va, _ = _i_asym(nu, x)
         out.append((f"I series/asymptotic nu={nu} x={x:g}", abs(vs - va) / abs(va)))
-    for names, pair, xs in (("temme/trapezoid", (_k_temme, _k_trapezoid), (1.5, 2.0)),
-                            ("trapezoid/cf2", (_k_trapezoid, _k_cf2), (10.0, 12.5))):
+    for lower, upper in zip(_K_KERNELS, _K_KERNELS[1:]):
+        e = upper.start
+        xs = sorted((e, e + e / 4 if e + e / 4 <= lower.domain[1] else e - e / 4))
         for mu in (-0.4, -0.2, 0.0, 0.3, 0.5):
             for x in xs:
-                a, b = (kernel(mu, x) for kernel in pair)
+                a, b = lower.kernel(mu, x), upper.kernel(mu, x)
                 for j in (0, 1):
-                    out.append((f"K {names} order={mu + j:g} x={x:g}", abs(a[j] - b[j]) / b[j]))
+                    out.append((f"K {lower.path}/{upper.path} order={mu + j:g} x={x:g}", abs(a[j] - b[j]) / b[j]))
     return out
 
 

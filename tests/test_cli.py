@@ -9,6 +9,7 @@ import pytest
 import besselbounds.catalog as cat
 from besselbounds import cli
 from besselbounds.cli import _FN_TAGS, FIGURES, main
+from besselbounds.core import _K_KERNELS, _i_switch
 from besselbounds.core import QuantityKind as QK
 
 
@@ -141,12 +142,12 @@ def test_eval_exit_codes(capsys):
 
 
 def test_eval_fuzz_box_edges_and_switches(capsys):
-    # every tag at the box edges, at the region switches (x = 2 for K,
-    # x = 30 + nu^2 for I), at x = 50 and at one small interior argument
-    # ends in an exit code, never in an exception or a traceback
+    # every tag at the box edges, at the region switches (each route start of
+    # K's kernel table, I's 30 + nu^2), at x = 50 and at one small interior
+    # argument ends in an exit code, never in an exception or a traceback
     for nu in (-10.0, -1.0, -0.3, 0.5, 2.5, 20.0):
-        xs = (5e-324, 0.1, math.nextafter(2.0, 0.0), 2.0, math.nextafter(30.0 + nu * nu, 0.0),
-              30.0 + nu * nu, 50.0, 500.0, 500.5)
+        switches = [row.start for row in _K_KERNELS[1:]] + [_i_switch(nu)]
+        xs = (5e-324, 0.1, *(x for v in switches for x in (math.nextafter(v, 0.0), v)), 50.0, 500.0, 500.5)
         for tag in _FN_TAGS + ("lam",):
             for x in xs:
                 rc, _, err = run(capsys, "eval", "--fn", tag, "--nu", repr(nu), "--x", repr(x))

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from besselbounds.core import (
     _EPS,
+    _K_KERNELS,
     _RGAMMA1P,
     _besselk,
+    _i_switch,
     _k_ladder,
     AccuracyError,
     CrossCheckError,
@@ -321,9 +323,13 @@ def test_rgamma_taylor_coefficients():
         assert abs(got - rgamma(1 + mpf(z))) < 1e-20 + rounding
 
 
-def _near(v):
+def _ulps(v):
     # v and the doubles one ulp either side of it
-    return st.sampled_from((math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)))
+    return math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)
+
+
+def _near(v):
+    return st.sampled_from(_ulps(v))
 
 
 def _offset(centres):
@@ -335,11 +341,12 @@ def _offset(centres):
 # the box, and the strata where the kernels' loops branch: nu = -1 and near
 # it (CF1's first step, the I series' positive / mixed-sign split), near the
 # negative integers and half-integers (the integer-order flip, round() ties
-# of mu, which K takes at |nu|); x = 2 -+ ulp (Temme / trapezoid), 10 -+ ulp
-# (trapezoid / CF2) and 30 + nu^2 -+ ulp (series / expansion).  nu is shared
-# so that x can take its switch.  Positive half-integers find the open
-# leading-term claim hole of I pinned below in 3 of 124 runs, so only the K
-# claims take them (the orders with |mu| = 1/2, the ends of K's kernels)
+# of mu, which K takes at |nu|); x at each route start of core._K_KERNELS
+# -+ ulp (Temme / trapezoid, trapezoid / CF2) and at I's switch 30 + nu^2
+# -+ ulp (series / expansion).  nu is shared so that x can take its switch.
+# Positive half-integers find the open leading-term claim hole of I pinned
+# below in 3 of 124 runs, so only the K claims take them (the orders with
+# |mu| = 1/2, the ends of K's kernels)
 _NU_STRATA = st.shared(st.one_of(
     st.floats(-10.0, 20.0),
     st.floats(-1.0 - 1e-6, -1.0 + 1e-6),
@@ -347,12 +354,13 @@ _NU_STRATA = st.shared(st.one_of(
 ), key="nu")
 _X_STRATA = st.one_of(
     st.floats(0.0, 500.0, exclude_min=True),
-    _near(2.0),
-    _near(10.0),
-    _NU_STRATA.flatmap(lambda nu: _near(30.0 + nu * nu)),
+    *(_near(row.start) for row in _K_KERNELS[1:]),
+    _NU_STRATA.flatmap(lambda nu: _near(_i_switch(nu))),
 )
 _K_NU_STRATA = st.one_of(_NU_STRATA, st.sampled_from(tuple(n + 0.5 for n in range(-10, 20))))
-_K_X_STRATA = st.one_of(_X_STRATA, st.floats(2.0, 10.0, exclude_max=True))  # the trapezoidal rule's region
+_K_ROWS = {row.path: row for row in _K_KERNELS}
+_K_X_STRATA = st.one_of(_X_STRATA, st.floats(_K_ROWS["trapezoid"].start, _K_ROWS["cf2"].start,
+                                             exclude_max=True))  # the trapezoidal rule's route
 
 
 def _with_examples(points):
@@ -372,7 +380,8 @@ def _k_over_max(nu, x):
 
 @settings(max_examples=200, deadline=None)
 @given(nu=_K_NU_STRATA, x=_K_X_STRATA)
-@_with_examples([(nu, x) for nu in (-0.5, 0.5, 1.5, 19.5) for x in (2.0, math.nextafter(10.0, 0.0), 10.0)])
+@_with_examples([(nu, x) for nu in (-0.5, 0.5, 1.5, 19.5)
+                  for row in _K_KERNELS[1:] for x in (math.nextafter(row.start, 0.0), row.start)])
 @example(nu=17.435071950116672, x=279.4318877889326)
 @example(nu=15.9, x=143.9)
 @example(nu=18.8, x=340.1)
@@ -592,17 +601,23 @@ def test_deltaI_sums_each_series_once(monkeypatch):
 
 
 
-def _counted(monkeypatch, module, names):
-    # replace each named kernel by one that logs its name, in call order
+def _counted(monkeypatch, module, names, k_kernels=False):
+    # replace each named kernel by one that logs its name, in call order; with
+    # k_kernels, also the kernel of each row of core's K route table, which
+    # holds the functions themselves and so is not reached by name
     calls = []
-    for name in names:
-        kernel = getattr(module, name)
 
-        def counted(*args, name=name, kernel=kernel):
+    def counter(name, kernel):
+        def counted(*args):
             calls.append(name)
             return kernel(*args)
+        return counted
 
-        monkeypatch.setattr(module, name, counted)
+    for name in names:
+        monkeypatch.setattr(module, name, counter(name, getattr(module, name)))
+    if k_kernels:
+        rows = tuple(row._replace(kernel=counter(row.kernel.__name__, row.kernel)) for row in module._K_KERNELS)
+        monkeypatch.setattr(module, "_K_KERNELS", rows)
     return calls
 
 
@@ -614,9 +629,9 @@ def test_evaluation_path_is_the_region_that_runs(monkeypatch):
     # _besselk or _ratio_i runs, and asking for it runs no kernel at all
     from besselbounds import core
 
-    calls = _counted(monkeypatch, core, _BASE_KERNELS + ("_k_temme", "_k_trapezoid", "_k_cf2", "_ratio_i_cf"))
+    calls = _counted(monkeypatch, core, _BASE_KERNELS + ("_ratio_i_cf",), k_kernels=True)
     for nu in (-1.0, -0.3, 0.0, 0.5, 2.5, 7.0, 20.0):
-        switch = 30.0 + nu * nu
+        switch = core._i_switch(nu)
         for x in (math.nextafter(switch, 0.0), switch, math.nextafter(switch, math.inf)):
             path = evaluation_path("I", nu, x)
             assert calls == []
@@ -625,11 +640,10 @@ def test_evaluation_path_is_the_region_that_runs(monkeypatch):
             assert calls == {"series": ["_i_series"], "asymptotic": ["_i_asym", "_asym_bracket"]}[path], (nu, x)
             calls.clear()
     for nu in (-9.7, -0.5, 0.0, 0.3, 1.0, 19.5):
-        for x in (math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 20.0),
-                  math.nextafter(10.0, 0.0), 10.0, math.nextafter(10.0, 20.0)):
+        for x in (v for row in _K_KERNELS[1:] for v in _ulps(row.start)):
             path = evaluation_path("K", nu, x)
             assert calls == []
-            assert path == ("temme" if x < 2.0 else "trapezoid" if x < 10.0 else "cf2")
+            assert path == [row.path for row in _K_KERNELS if row.start <= x][-1]
             core._besselk(nu, x)
             assert calls == ["_k_climb", f"_k_{path}"], (nu, x)
             calls.clear()
@@ -674,7 +688,7 @@ def test_evaluation_path_refuses_where_the_evaluator_refuses(monkeypatch):
                 want = True
             except AccuracyError:
                 want = False
-            calls = _counted(monkeypatch, core, _BASE_KERNELS + ("_k_temme", "_k_trapezoid", "_k_cf2", "_ratio_i_cf"))
+            calls = _counted(monkeypatch, core, _BASE_KERNELS + ("_ratio_i_cf",), k_kernels=True)
             try:
                 evaluation_path(fn, nu, x)
                 got = False
@@ -765,9 +779,10 @@ def test_trapezoid_table_within_its_claimed_rounding():
 
 
 def test_trapezoid_stops_on_its_own_test_before_the_table_ends(monkeypatch):
-    # at x = 1.5, the smallest x any caller passes (dual_path_checks; the
-    # route starts at 2), the node loop breaks on its stop test with nodes of
-    # the table left unread, at both ends of mu and between them
+    # at the floor of the trapezoid row's domain, the smallest x any caller
+    # passes (test_K_kernels_run_only_inside_their_table_domains), and at its
+    # route start, the node loop breaks on its stop test with nodes of the
+    # table left unread, at both ends of mu and between them
     from besselbounds import core
 
     table = core._TRAP_NODES
@@ -781,11 +796,38 @@ def test_trapezoid_stops_on_its_own_test_before_the_table_ends(monkeypatch):
 
     monkeypatch.setattr(core, "_TRAP_NODES", Counted())
     for mu in (-0.5, -0.2, 0.0, 0.3, 0.5):
-        for x in (1.5, 2.0):
+        for x in (_K_ROWS["trapezoid"].domain[0], _K_ROWS["trapezoid"].start):
             read.clear()
             core._k_trapezoid(mu, x)
             assert 15 < len(read) < len(table), (mu, x, len(read))
-    assert min(float(label.split("x=")[1]) for label, _ in dual_path_checks() if "trapezoid" in label) == 1.5
+
+
+def test_K_kernels_run_only_inside_their_table_domains(monkeypatch):
+    # every x that a row's kernel receives, from dual_path_checks and from
+    # _k_climb's route at the box's ends and at each route start -+ ulp, lies
+    # in that row's domain, and so does each row's route interval: Temme's
+    # series, whose budget fails past its domain, is never called there
+    from besselbounds import core, harness
+
+    seen = {row.path: [] for row in _K_KERNELS}
+
+    def recorded(row):
+        def kernel(mu, x):
+            seen[row.path].append(x)
+            return row.kernel(mu, x)
+        return row._replace(kernel=kernel)
+
+    rows = tuple(map(recorded, _K_KERNELS))
+    monkeypatch.setattr(core, "_K_KERNELS", rows)
+    monkeypatch.setattr(harness, "_K_KERNELS", rows)
+    dual_path_checks()
+    for mu in (-0.5, -0.2, 0.0, 0.3, 0.5):
+        for x in (5e-324, core.SUPPORTED_X[1], *(v for row in rows[1:] for v in _ulps(row.start))):
+            core._k_climb(mu, x, 1)
+    for row, end in zip(rows, [row.start for row in rows[1:]] + [math.inf]):
+        lo, hi = row.domain
+        assert lo <= row.start and end <= hi, row.path
+        assert seen[row.path] and all(lo <= x <= hi for x in seen[row.path]), row.path
 
 
 def test_K_ladder_cross_check_fires_on_a_corrupted_climb(monkeypatch):
