@@ -16,16 +16,19 @@ Evaluation strategy by region
 -----------------------------
 Each base result has one route function; evaluation_path reads the same ones.
 
-* I (_i_route): power series below x = 30 + nu^2 (_i_switch); large-argument
-  expansion at and above it.
+* I (_i_route): at nu = +-1/2 the closed form sqrt(2/(pi x)) sinh x or
+  cosh x (DLMF 10.39.1) at every x; elsewhere power series below
+  x = 30 + nu^2 (_i_switch), large-argument expansion at and above it.
 * K (_k_route): at mu = |nu| - round(|nu|) in [-1/2, 1/2], K_mu and K_{mu+1}
-  by Temme's series, the trapezoidal rule on K's integral or Steed's CF2 as x
-  grows, at the route starts and claim domains of the table _K_KERNELS; then
-  forward recurrence in the order up to |nu|, which is stable because K is
-  the dominant solution.
-* ratio_I = I_{nu+1}/I_nu (_ratio_i_asym, _ratio_i_two_term): where I's route
-  is the expansion at nu and at nu + 1, the quotient of the two expansion
-  sums, without their common factor e^x/sqrt(2 pi x);
+  in closed form where |mu| = 1/2 (DLMF 10.39.2; the row _K_CLOSED, at every
+  x), elsewhere by Temme's series, the trapezoidal rule on K's integral or
+  Steed's CF2 as x grows, at the route starts and claim domains of the table
+  _K_KERNELS; then forward recurrence in the order up to |nu|, which is
+  stable because K is the dominant solution.
+* ratio_I = I_{nu+1}/I_nu (_ratio_i_asym, _ratio_i_two_term): at and above
+  x = 30 + max(nu^2, (nu+1)^2), where I's expansion holds at nu and at
+  nu + 1, the quotient of the two expansion sums, without their common
+  factor e^x/sqrt(2 pi x);
   elsewhere the continued fraction CF1, cut after its first element, with a
   series tail, at tiny x where the Lentz start is not negligible.
 * K_{nu-1}, K_nu, K_{nu+1} (ratio_K, z, phiK, kratio, deltaK and the rest of
@@ -60,18 +63,19 @@ P's result object, which P and omega share: the applications suite draws
 160 000 distinct P points, and a warm verify replays exactly those.
 I and K themselves are not cached: nothing else asks for them twice at a
 point, and caching each would hold every P point twice, once per function.
-_TEMME_ORDER is a table, not a cache: Temme's order-only terms at mu = 0
-and +-1/2, where every integer and half-integer order lands, filled once at
-import; other orders compute theirs at each call, where a per-call cache
-would cost its bookkeeping on every random order.  _TRAP_NODES, the
-trapezoidal rule's node values, is a table of the same kind.
+_TEMME_ORDER is a table, not a cache: Temme's order-only terms at mu = 0,
+where every integer order lands, filled once at import (the half-integer
+orders take the closed form); other orders compute theirs at each call,
+where a per-call cache would cost its bookkeeping on every random order.
+_TRAP_NODES, the trapezoidal rule's node values, is a table of the same kind.
 
 Kernel rules
 ------------
 The hot loops (_i_series, _asym_bracket, _k_temme, _k_trapezoid, _k_cf2,
 _k_climb, _ratio_i_cf) follow these rules, and each rewrite under them does
 the same floating-point operations in the same order, so every value and
-claim keeps its bits; keep it that way.
+claim keeps its bits; keep it that way.  The closed forms (_i_closed,
+_k_closed) have no loop: a few roundings, each counted in the claim.
 
 * Float loop counters.  Where the loop index meets a float (m (m + nu),
   nu + k, k k - mu^2, y / k, ...) a float counter stepped by 1.0 stands in
@@ -332,7 +336,26 @@ def _i_asym(nu: float, x: float) -> tuple[float, float]:
     return s / math.sqrt(2.0 * math.pi * x) * math.exp(x), rel
 
 
-I_PATHS = ("series", "asymptotic")  # indexed by _i_route
+# sqrt(2/pi) and sqrt(pi/2), each the double nearest to it: within 0.57 u and 0.66 u
+_C_I = 0.7978845608028654
+_C_K = 1.2533141373155003
+
+
+def _i_closed(nu: float, x: float) -> tuple[float, float]:
+    """I_{+-1/2}(x) = sqrt(2/(pi x)) sinh x or cosh x (DLMF 10.39.1): (value, rel error).
+
+    The factor is C_I / sqrt(x), not sqrt(2/(pi x)), which overflows at
+    subnormal x.  The claim, in eps = 2u: C_I is within 0.57 u of sqrt(2/pi);
+    sqrt (a normal double at every x > 0) and the division round once each;
+    sinh and cosh are taken within 1 ulp of libm, eps, as _k_trapezoid takes
+    exp (sinh x is subnormal only where x is, and there libm returns x, within
+    x^2/6 of sinh x); the product rounds once.  First order 6u = 3 eps, with
+    0.43 u to spare for the second-order terms, below 20 u^2.
+    """
+    return _C_I / math.sqrt(x) * (math.sinh(x) if nu > 0.0 else math.cosh(x)), 3.0 * _EPS
+
+
+I_PATHS = ("series", "asymptotic", "closed")  # indexed by _i_route
 
 
 def _i_switch(nu: float) -> float:
@@ -340,14 +363,16 @@ def _i_switch(nu: float) -> float:
     return _ASYM_BASE + nu * nu
 
 
-def _i_route(nu: float, x: float) -> bool:
-    # I's route: the expansion at and above the switch, the power series below
-    return x >= _i_switch(nu)
+def _i_route(nu: float, x: float) -> int:
+    # I's route, an index into I_PATHS: the closed form at nu = +-1/2 (no other
+    # double squares to 1/4), else the expansion at and above the switch, the
+    # power series below
+    return 2 if nu * nu == 0.25 else x >= _i_switch(nu)
 
 
 def _besseli(nu: float, x: float) -> tuple[float, float]:
-    """(value, rel error) for I_nu(x)."""
-    return (_i_asym if _i_route(nu, x) else _i_series)(nu, x)
+    """(value, rel error) for I_nu(x), by the kernel _i_route indexes."""
+    return (_i_series, _i_asym, _i_closed)[_i_route(nu, x)](nu, x)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +407,7 @@ def _temme_order(mu: float) -> tuple[float, float, float, float, float]:
 
 
 # see Caching in the module docstring; -0.0 finds 0.0's entry, which has its bits
-_TEMME_ORDER = {mu: _temme_order(mu) for mu in (0.0, 0.5, -0.5)}
+_TEMME_ORDER = {0.0: _temme_order(0.0)}
 
 
 def _k_temme(mu: float, x: float) -> tuple[float, float, float, float]:
@@ -396,7 +421,7 @@ def _k_temme(mu: float, x: float) -> tuple[float, float, float, float]:
     K_mu = sum c_k f_k, K_{mu+1} = (2/x) sum c_k (p_k - k f_k), c_k = (x^2/4)^k/k!
     (Temme 1975; Numerical Recipes ``bessik``); gam1, gam2 come from the Taylor
     series of 1/Gamma(1+mu), which cannot cancel as mu -> 0 (_temme_order, or
-    its table _TEMME_ORDER at mu = 0, +-1/2).  Error budget in
+    its table _TEMME_ORDER at mu = 0).  Error budget in
     eps = 2u: r0 bounds the start (Horner sums within 2 eps, 1/Gamma(1 +- mu)
     >= 0.56 within 7, e = mu ln(2/x) off by 2|e| + 1/2) for p0, q0, and f0
     against F0; past k = 0 every c_k, f_k, p_k, q_k is positive, f_1's
@@ -555,6 +580,27 @@ def _k_cf2(mu: float, x: float) -> tuple[float, float, float, float]:
     return k0, k0 * g / x, rel0, rel0 + 27.0 * i * _EPS * a1 * h / g + 3.0 * _EPS
 
 
+def _k_closed(mu: float, x: float) -> tuple[float, float, float, float]:
+    """The closed form: (K_mu, K_{mu+1}, rel0, rel1) for |mu| = 1/2, every x > 0.
+
+    K_{-1/2} = K_{1/2} = sqrt(pi/(2x)) e^-x (DLMF 10.39.2) and, by the
+    recurrence at order 1/2, K_{3/2} = K_{1/2} (1 + 1/x).  The factor is
+    C_K / sqrt(x), not sqrt(pi/(2x)), which overflows at subnormal x where
+    K_{1/2} (5.6e161 at x = 5e-324) is a normal double.  The claim, in
+    eps = 2u: C_K is within 0.66 u of sqrt(pi/2); sqrt (a normal double at
+    every x > 0) and the division round once each; exp is taken within 1 ulp
+    of libm, eps, as _k_trapezoid takes it; the product rounds once.  First
+    order 6u = 3 eps for K_{1/2}.  K_{3/2} adds three roundings, 1/x, the sum
+    of two positive terms and the product: 9u = 4.5 eps.  The 0.34 u to spare
+    covers the second-order terms, below 50 u^2.  Below x ~ 5.6e-309, 1/x
+    overflows, and so does K_{3/2} (above 1e462).
+    """
+    k = _C_K / math.sqrt(x) * math.exp(-x)
+    if mu > 0.0:
+        return k, k * (1.0 + 1.0 / x), 3.0 * _EPS, 4.5 * _EPS
+    return k, k, 3.0 * _EPS, 3.0 * _EPS
+
+
 # K's kernels in route order, the one place their switch points and domains are
 # written: the path evaluation_path reports, the kernel, the x where the route enters
 # it and the closed x-range where its docstring derives its claim (x > 0: the box's)
@@ -564,13 +610,21 @@ _K_KERNELS = (
     _KKernel("trapezoid", _k_trapezoid, 2.0, (1.5, math.inf)),
     _KKernel("cf2", _k_cf2, 10.0, (2.0, math.inf)),
 )
-K_PATHS = tuple(row.path for row in _K_KERNELS)
+# the row keyed by |mu| = 1/2, which _k_route takes at every x, ahead of the x rows
+_K_CLOSED = _KKernel("closed", _k_closed, 0.0, (0.0, math.inf))
+K_PATHS = tuple(row.path for row in _K_KERNELS) + (_K_CLOSED.path,)
 _K_STARTS = tuple(row.start for row in _K_KERNELS[1:])
 
 
-def _k_route(x: float) -> _KKernel:
-    # K's route at mu: the last row of _K_KERNELS whose start is at or below x
+def _k_row(x: float) -> _KKernel:
+    # the last row of _K_KERNELS whose start is at or below x
     return _K_KERNELS[bisect_right(_K_STARTS, x)]
+
+
+def _k_route(mu: float, x: float) -> _KKernel:
+    # K's route: _K_CLOSED at |mu| = 1/2 (mu = |nu| - round(|nu|) is exact,
+    # and no other double squares to 1/4), else the row x selects
+    return _K_CLOSED if mu * mu == 0.25 else _k_row(x)
 
 
 def _k_climb(mu: float, x: float, top: int) -> tuple[float, float, float, float, float]:
@@ -582,7 +636,7 @@ def _k_climb(mu: float, x: float, top: int) -> tuple[float, float, float, float,
     of the levels are read by _k_level).  The loop follows the module's
     kernel rules.
     """
-    k0, k1, rel0, rel1 = _k_route(x).kernel(mu, x)
+    k0, k1, rel0, rel1 = _k_route(mu, x).kernel(mu, x)
     xi2 = 2.0 / x
     kp = i = 0.0
     for _ in range(top - 1):
@@ -653,7 +707,8 @@ def evaluation_path(fn: str, nu: float, x: float) -> str:
     if fn == "I":
         return I_PATHS[_i_route(nu, x)]
     if fn == "K":
-        return _k_route(x).path
+        an = abs(nu)
+        return _k_route(an - round(an), x).path
     if fn == "ratio_I":
         _check_ratio_i_order(nu)
         return RATIO_I_PATHS[1 if _ratio_i_asym(nu, x) else 0 if _ratio_i_two_term(nu, x) is None else 2]
@@ -754,8 +809,10 @@ def _ratio_i_two_term(nu: float, x: float) -> float | None:
 
 
 def _ratio_i_asym(nu: float, x: float) -> bool:
-    # whether I's route is the expansion at nu and at nu + 1: x >= 30 + max(nu^2, (nu+1)^2)
-    return _i_route(nu, x) and _i_route(nu + 1.0, x)
+    # ratio_I's switch: x >= 30 + max(nu^2, (nu+1)^2), where I's expansion holds
+    # at nu and at nu + 1 (I's switch at each order, not I's route, which is the
+    # closed form at nu = +-1/2)
+    return x >= _i_switch(nu) and x >= _i_switch(nu + 1.0)
 
 
 RATIO_I_PATHS = ("cf1", "asymptotic", "two_term")  # CF1, expansion quotient, CF1 cut at tiny x
@@ -765,8 +822,8 @@ RATIO_I_PATHS = ("cf1", "asymptotic", "two_term")  # CF1, expansion quotient, CF
 def _ratio_i(nu: float, x: float) -> tuple[float, float]:
     """(I_{nu+1}/I_nu, rel error bound) by one route per region.
 
-    Where I's route is the large-argument expansion at both orders
-    (_ratio_i_asym), the quotient of the two expansion sums, which never forms
+    At and above the switch where I's large-argument expansion holds at both
+    orders (_ratio_i_asym), the quotient of the two expansion sums, which never forms
     their common factor e^x/sqrt(2 pi x): their claims e0 + e1 and one
     rounding, eps covering the second-order terms.
     Elsewhere the continued fraction CF1 (_ratio_i_cf, claim derived there).

@@ -34,7 +34,7 @@ from .core import (
     numeric_derivative,
     quantity,
 )
-from .core import _K_KERNELS, _i_asym, _i_series, _i_switch, _ratio_i_cf  # dual-path measurement
+from .core import _K_KERNELS, _i_asym, _i_series, _i_switch, _k_row, _ratio_i_cf  # dual-path measurement
 
 __all__ = [
     "DEFAULT_SEED",
@@ -352,10 +352,13 @@ def equality_and_limit_checks() -> list[CheckRecord]:
     devs = [abs(quantity(QuantityKind.Z, EvalContext(0.5, x)).value + x + 0.5) / (x + 0.5) for x in xs]
     checks.add("equality:z_half_is_-x-1/2", 1e-12, max(devs))
 
-    for name, fn, form in (
-            ("I_half_is_sqrt(2/(pi*x))*sinh(x)", eval_I, lambda x: math.sqrt(2.0 / (math.pi * x)) * math.sinh(x)),
-            ("K_half_is_sqrt(pi/(2*x))*exp(-x)", eval_K, lambda x: math.sqrt(0.5 * math.pi / x) * math.exp(-x))):
-        devs = [abs(fn(EvalContext(0.5, x)).value - form(x)) / form(x) for x in (0.3, 1.0, 2.5, 7.0, 20.0)]
+    # I and K route order 1/2 to their closed forms: each is checked against the
+    # kernel that would take the order without them, I's by I's switch, K's the row x selects
+    for name, fn, general in (
+            ("I_half_is_sqrt(2/(pi*x))*sinh(x)", eval_I,
+             lambda x: (_i_asym if x >= _i_switch(0.5) else _i_series)(0.5, x)[0]),
+            ("K_half_is_sqrt(pi/(2*x))*exp(-x)", eval_K, lambda x: _k_row(x).kernel(0.5, x)[0])):
+        devs = [abs(fn(EvalContext(0.5, x)).value - general(x)) / general(x) for x in (0.3, 1.0, 2.5, 7.0, 20.0)]
         checks.add(f"equality:{name}", 1e-12, max(devs))
 
     for check_id, bound_id, nu, _ in sharp_checks("nu=1/2"):

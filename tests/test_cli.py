@@ -52,17 +52,17 @@ def test_eval_reports_ratio_I_route(capsys):
 
 def test_eval_reports_omega_wronskian_paths(capsys, monkeypatch):
     # where P = I K is not a normal double omega is 1/(r_I + r_K), so the
-    # paths are ratio_I's and K's; the report reads the cached P and sums
-    # no series a second time
+    # paths are ratio_I's and K's; the report reads the cached P and
+    # evaluates no I a second time (I_{-1/2} in closed form)
     from besselbounds import core
 
     calls = []
-    series = core._i_series
-    monkeypatch.setattr(core, "_i_series", lambda nu, x: calls.append(nu) or series(nu, x))
+    closed = core._i_closed
+    monkeypatch.setattr(core, "_i_closed", lambda nu, x: calls.append(nu) or closed(nu, x))
     core._p_at.cache_clear()
     rc, out, _ = run(capsys, "eval", "--fn", "omega", "--nu", "-0.5", "--x", "5e-324")
     assert rc == 0
-    assert out.splitlines()[-1] == "paths: ratio_I=two_term, K=temme"
+    assert out.splitlines()[-1] == "paths: ratio_I=two_term, K=closed"
     assert calls == [-0.5]
 
 
@@ -128,6 +128,12 @@ def test_eval_pins_the_trapezoid_path(capsys):
     # between the pinned points: K at 2 <= x < 10 takes the trapezoidal rule
     assert run(capsys, "eval", "--fn", "K", "--nu", "1", "--x", "5") == (
         0, "K(nu=1, x=5) = 0.0040446134454521637\nrel_error_bound = 3.951e-15\npaths: K=trapezoid\n", "")
+
+
+def test_eval_pins_the_closed_path(capsys):
+    # K at a half-integer order takes its closed form at every x
+    assert run(capsys, "eval", "--fn", "K", "--nu", "0.5", "--x", "5") == (
+        0, "K(nu=0.5, x=5) = 0.0037766133746428825\nrel_error_bound = 6.661e-16\npaths: K=closed\n", "")
 
 
 def test_eval_exit_codes(capsys):

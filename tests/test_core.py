@@ -108,6 +108,11 @@ def test_K_at_tiny_argument_matches_mpmath():
     v = eval_K(EvalContext(0.5, 1e-30))
     want = math.sqrt(0.5 * math.pi / 1e-30) * math.exp(-1e-30)
     assert v.value == pytest.approx(want, rel=1e-13)
+    # K_{1/2}(5e-324) ~ 5.6e161 is a normal double, and the closed form keeps
+    # its few-eps claim down there
+    v = eval_K(EvalContext(0.5, 5e-324))
+    want = besselk(0.5, mpf(5e-324))
+    assert v.rel_error_bound <= 10.0 * _EPS and abs(v.value - want) <= v.rel_error_bound * want
 
 
 def test_I_at_tiny_argument_matches_mpmath():
@@ -155,7 +160,9 @@ def test_region_paths():
     assert evaluation_path("K", 0.0, 400.0) == "cf2"
     assert evaluation_path("K", 0.3, 0.5) == "temme"
     assert evaluation_path("K", 1.0, 0.5) == "temme"  # integer order
-    assert evaluation_path("K", 0.5, 2.0) == "trapezoid"
+    assert evaluation_path("K", 0.5, 2.0) == "closed"  # |mu| = 1/2, at every x
+    assert evaluation_path("K", 1.5, 400.0) == "closed"
+    assert evaluation_path("I", -0.5, 400.0) == "closed"
     assert evaluation_path("K", 2.0, 5.0) == "trapezoid"
     assert evaluation_path("K", 2.0, 10.0) == "cf2"
 
@@ -344,19 +351,31 @@ def _offset(centres):
 # of mu, which K takes at |nu|); x at each route start of core._K_KERNELS
 # -+ ulp (Temme / trapezoid, trapezoid / CF2) and at I's switch 30 + nu^2
 # -+ ulp (series / expansion).  nu is shared so that x can take its switch.
-# Positive half-integers find the open leading-term claim hole of I pinned
-# below in 3 of 124 runs, so only the K claims take them (the orders with
-# |mu| = 1/2, the ends of K's kernels)
-_NU_STRATA = st.shared(st.one_of(
+# The positive half-integers past 1/2 stay out of the I claims: math.gamma
+# under the I series' leading term is off near them by more than the claim
+# grants (the open hole pinned below), so only the K claims take them (the
+# orders with |mu| = 1/2, K's closed form).  nu = +-1/2 exactly, I's closed
+# form, joins the I claims with x log-uniform down to 5e-324
+_NU_DRAWS = (
     st.floats(-10.0, 20.0),
     st.floats(-1.0 - 1e-6, -1.0 + 1e-6),
     _offset(tuple(n / 2.0 for n in range(-20, 0))),
-), key="nu")
-_X_STRATA = st.one_of(
-    st.floats(0.0, 500.0, exclude_min=True),
-    *(_near(row.start) for row in _K_KERNELS[1:]),
-    _NU_STRATA.flatmap(lambda nu: _near(_i_switch(nu))),
 )
+_NU_STRATA = st.shared(st.one_of(*_NU_DRAWS), key="nu")
+
+
+def _x_strata(nu):
+    return st.one_of(
+        st.floats(0.0, 500.0, exclude_min=True),
+        *(_near(row.start) for row in _K_KERNELS[1:]),
+        _near(_i_switch(nu)),
+    )
+
+
+_X_STRATA = _NU_STRATA.flatmap(_x_strata)
+_LOG_X = st.floats(math.log(5e-324), math.log(500.0)).map(lambda t: min(max(math.exp(t), 5e-324), 500.0))
+_I_NU_STRATA = st.shared(st.one_of(*_NU_DRAWS, st.sampled_from((-0.5, 0.5))), key="i_nu")
+_I_X_STRATA = _I_NU_STRATA.flatmap(lambda nu: _LOG_X if abs(nu) == 0.5 else _x_strata(nu))
 _K_NU_STRATA = st.one_of(_NU_STRATA, st.sampled_from(tuple(n + 0.5 for n in range(-10, 20))))
 _K_ROWS = {row.path: row for row in _K_KERNELS}
 _K_X_STRATA = st.one_of(_X_STRATA, st.floats(_K_ROWS["trapezoid"].start, _K_ROWS["cf2"].start,
@@ -476,8 +495,8 @@ def _assert_claims_cover(cases, nu, x, domain_ok):
         assert abs(v.value - want) <= v.rel_error_bound * scale, (tag, v, float(want))
 
 
-@settings(max_examples=160, deadline=None)
-@given(nu=_NU_STRATA, x=_X_STRATA)
+@settings(max_examples=210, deadline=None)  # nu = +-1/2 takes a quarter: about 160 for the rest
+@given(nu=_I_NU_STRATA, x=_I_X_STRATA)
 @_with_examples([
     (1.4942871284895034, 499.248154944117),
     (-0.708, 222.6),
@@ -618,10 +637,13 @@ def _counted(monkeypatch, module, names, k_kernels=False):
     if k_kernels:
         rows = tuple(row._replace(kernel=counter(row.kernel.__name__, row.kernel)) for row in module._K_KERNELS)
         monkeypatch.setattr(module, "_K_KERNELS", rows)
+        closed = module._K_CLOSED
+        monkeypatch.setattr(module, "_K_CLOSED", closed._replace(kernel=counter(closed.kernel.__name__, closed.kernel)))
     return calls
 
 
-_BASE_KERNELS = ("_i_series", "_i_asym", "_asym_bracket", "_k_climb")  # the evaluations under I, K and ratio_I
+# the evaluations under I, K and ratio_I
+_BASE_KERNELS = ("_i_series", "_i_asym", "_i_closed", "_asym_bracket", "_k_climb")
 
 
 def test_evaluation_path_is_the_region_that_runs(monkeypatch):
@@ -630,20 +652,22 @@ def test_evaluation_path_is_the_region_that_runs(monkeypatch):
     from besselbounds import core
 
     calls = _counted(monkeypatch, core, _BASE_KERNELS + ("_ratio_i_cf",), k_kernels=True)
-    for nu in (-1.0, -0.3, 0.0, 0.5, 2.5, 7.0, 20.0):
+    for nu in (-1.0, -0.5, -0.3, 0.0, 0.5, 2.5, 7.0, 20.0):
         switch = core._i_switch(nu)
         for x in (math.nextafter(switch, 0.0), switch, math.nextafter(switch, math.inf)):
             path = evaluation_path("I", nu, x)
             assert calls == []
-            assert path == ("series" if x < switch else "asymptotic")
+            assert path == ("closed" if abs(nu) == 0.5 else "series" if x < switch else "asymptotic")
             core._besseli(nu, x)
-            assert calls == {"series": ["_i_series"], "asymptotic": ["_i_asym", "_asym_bracket"]}[path], (nu, x)
+            assert calls == {"series": ["_i_series"], "asymptotic": ["_i_asym", "_asym_bracket"],
+                             "closed": ["_i_closed"]}[path], (nu, x)
             calls.clear()
+    # K: the closed form at |mu| = 1/2 (nu = -0.5, 19.5), the row x selects elsewhere
     for nu in (-9.7, -0.5, 0.0, 0.3, 1.0, 19.5):
         for x in (v for row in _K_KERNELS[1:] for v in _ulps(row.start)):
             path = evaluation_path("K", nu, x)
             assert calls == []
-            assert path == [row.path for row in _K_KERNELS if row.start <= x][-1]
+            assert path == ("closed" if nu in (-0.5, 19.5) else [row.path for row in _K_KERNELS if row.start <= x][-1])
             core._besselk(nu, x)
             assert calls == ["_k_climb", f"_k_{path}"], (nu, x)
             calls.clear()
@@ -651,7 +675,7 @@ def test_evaluation_path_is_the_region_that_runs(monkeypatch):
     # on, CF1 below it, and at tiny x on either side of the Lentz-start cut
     # (about 1.4e-13 max(1, nu + 1)) CF1 cut after b_1, told apart by its claim
     core._ratio_i.cache_clear()
-    points = [(nu, x) for nu in (-0.7, 2.5, 15.3)
+    points = [(nu, x) for nu in (-0.7, -0.5, 2.5, 15.3)  # -0.5: I's route is its closed form, ratio_I's is not
               for switch in (30.0 + max(nu * nu, (nu + 1.0) * (nu + 1.0)),)
               for x in (math.nextafter(switch, 0.0), switch, math.nextafter(switch, math.inf))]
     points += [(nu, x) for nu in (-1.0, 0.0, 2.5, 15.3) for x in (1e-15, 1e-13, 3e-13, 1e-12, 1e-10)]
@@ -751,12 +775,12 @@ def _bits(values):
 
 
 def test_temme_order_table_keeps_the_bits(monkeypatch):
-    # _k_temme reads its order-only terms from the table at mu = 0, +-1/2
-    # (-0.0 finds 0.0's entry) and gets the bits it computes without it
+    # _k_temme reads its order-only terms from the table at mu = 0 (-0.0
+    # finds 0.0's entry) and gets the bits it computes without it
     from besselbounds import core
 
-    assert set(core._TEMME_ORDER) == {0.0, 0.5, -0.5}
-    points = [(mu, x) for mu in (0.0, -0.0, 0.5, -0.5) for x in (5e-324, 1e-3, 1.0, math.nextafter(2.0, 0.0))]
+    assert set(core._TEMME_ORDER) == {0.0}
+    points = [(mu, x) for mu in (0.0, -0.0) for x in (5e-324, 1e-3, 1.0, math.nextafter(2.0, 0.0))]
     tabled = [_bits(core._k_temme(mu, x)) for mu, x in points]
     monkeypatch.setattr(core, "_TEMME_ORDER", {})
     assert [_bits(core._k_temme(mu, x)) for mu, x in points] == tabled
@@ -776,6 +800,31 @@ def test_trapezoid_table_within_its_claimed_rounding():
         assert t == j * core._TRAP_H and jf == j
         assert abs(c - (cosh(t) - 1)) <= 2.5 * _EPS * c, j
         assert abs(ep - exp(t)) <= _EPS * ep and abs(en - exp(-t)) <= _EPS * en, j
+
+
+def test_closed_forms_libm_within_their_claimed_rounding():
+    # _i_closed and _k_closed take their constants within 0.57 u and 0.66 u
+    # of sqrt(2/pi) and sqrt(pi/2), sqrt correctly rounded, and exp, sinh and
+    # cosh within eps of their values, at seeded x log-uniform in [5e-324, 500]
+    import random
+
+    from mpmath import cosh, exp, mp, mpf, pi, sinh, sqrt
+
+    from besselbounds import core
+
+    mp.dps = 40
+    u = _EPS / 2.0
+    assert abs(core._C_I - sqrt(2 / pi)) <= 0.57 * u * sqrt(2 / pi)
+    assert abs(core._C_K - sqrt(pi / 2)) <= 0.66 * u * sqrt(pi / 2)
+    rng = random.Random(22)
+    lo, hi = math.log(5e-324), math.log(500.0)
+    xs = [5e-324, 2.2250738585072014e-308, 1e-8, 500.0]
+    xs += [min(max(math.exp(rng.uniform(lo, hi)), 5e-324), 500.0) for _ in range(300)]
+    for x in xs:
+        m = mpf(x)
+        assert abs(math.sqrt(x) - sqrt(m)) <= u * sqrt(m), x
+        for got, want in ((math.exp(-x), exp(-m)), (math.sinh(x), sinh(m)), (math.cosh(x), cosh(m))):
+            assert abs(got - want) <= _EPS * want, x
 
 
 def test_trapezoid_stops_on_its_own_test_before_the_table_ends(monkeypatch):
@@ -803,31 +852,37 @@ def test_trapezoid_stops_on_its_own_test_before_the_table_ends(monkeypatch):
 
 
 def test_K_kernels_run_only_inside_their_table_domains(monkeypatch):
-    # every x that a row's kernel receives, from dual_path_checks and from
-    # _k_climb's route at the box's ends and at each route start -+ ulp, lies
-    # in that row's domain, and so does each row's route interval: Temme's
-    # series, whose budget fails past its domain, is never called there
+    # every x that a row's kernel receives, from dual_path_checks, from the
+    # equality checks at order 1/2 and from _k_climb's route at the box's ends
+    # and at each route start -+ ulp, lies in that row's domain, and so does
+    # each row's route interval: Temme's series, whose budget fails past its
+    # domain, is never called there.  The closed form's row takes |mu| = 1/2
+    # alone, at every x
     from besselbounds import core, harness
 
-    seen = {row.path: [] for row in _K_KERNELS}
+    seen = {row.path: [] for row in (*_K_KERNELS, core._K_CLOSED)}
 
     def recorded(row):
         def kernel(mu, x):
-            seen[row.path].append(x)
+            seen[row.path].append((mu, x))
             return row.kernel(mu, x)
         return row._replace(kernel=kernel)
 
     rows = tuple(map(recorded, _K_KERNELS))
     monkeypatch.setattr(core, "_K_KERNELS", rows)
     monkeypatch.setattr(harness, "_K_KERNELS", rows)
+    monkeypatch.setattr(core, "_K_CLOSED", recorded(core._K_CLOSED))
     dual_path_checks()
+    harness.equality_and_limit_checks()
     for mu in (-0.5, -0.2, 0.0, 0.3, 0.5):
         for x in (5e-324, core.SUPPORTED_X[1], *(v for row in rows[1:] for v in _ulps(row.start))):
             core._k_climb(mu, x, 1)
     for row, end in zip(rows, [row.start for row in rows[1:]] + [math.inf]):
         lo, hi = row.domain
         assert lo <= row.start and end <= hi, row.path
-        assert seen[row.path] and all(lo <= x <= hi for x in seen[row.path]), row.path
+        assert seen[row.path] and all(lo <= x <= hi for _, x in seen[row.path]), row.path
+    closed = seen["closed"]
+    assert closed and all(abs(mu) == 0.5 for mu, _ in closed) and min(x for _, x in closed) == 5e-324
 
 
 def test_K_ladder_cross_check_fires_on_a_corrupted_climb(monkeypatch):
