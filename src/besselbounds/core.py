@@ -19,11 +19,12 @@ Each base result has one route function; evaluation_path reads the same ones.
 * I (_i_route): at nu = +-1/2 the closed form sqrt(2/(pi x)) sinh x or
   cosh x (DLMF 10.39.1) at every x; elsewhere power series below
   x = 30 + nu^2 (_i_switch), large-argument expansion at and above it.
-* K (_k_route): at mu = |nu| - round(|nu|) in [-1/2, 1/2], K_mu and K_{mu+1}
-  in closed form where |mu| = 1/2 (DLMF 10.39.2; the row _K_CLOSED, at every
-  x), elsewhere by Temme's series, the trapezoidal rule on K's integral or
+* K (_k_route): at (mu, n) = _k_split(nu), |nu| = n + mu with mu in
+  (-1/2, 1/2], K_mu and K_{mu+1} in closed form where mu = 1/2, which every
+  half-integer order takes (DLMF 10.39.2; the row _K_CLOSED, at every x),
+  elsewhere by Temme's series, the trapezoidal rule on K's integral or
   Steed's CF2 as x grows, at the route starts and claim domains of the table
-  _K_KERNELS; then forward recurrence in the order up to |nu|, which is
+  _K_KERNELS; then forward recurrence in the order up to level n, which is
   stable because K is the dominant solution.
 * ratio_I = I_{nu+1}/I_nu (_ratio_i_asym, _ratio_i_two_term): at and above
   x = 30 + max(nu^2, (nu+1)^2), where I's expansion holds at nu and at
@@ -33,10 +34,10 @@ Each base result has one route function; evaluation_path reads the same ones.
   series tail, at tiny x where the Lentz start is not negligible.
 * K_{nu-1}, K_nu, K_{nu+1} (ratio_K, z, phiK, kratio, deltaK and the rest of
   the K side): one ladder, i.e. one climb for each distinct mu among the
-  three orders (one climb, except at a sign change near nu = 0 or a round()
-  tie at .5), so one evaluation of K_mu and K_{mu+1} for every
-  order whose mu has the same bits.  The ladder gives each order the bits it
-  gets alone.
+  three orders (one climb, except at a sign change near nu = 0, or where
+  nu -+ 1 rounds off nu's mu), so one evaluation of K_mu and K_{mu+1} for
+  every order whose mu has the same bits.  The ladder gives each order the
+  bits it gets alone.
 
 Every evaluation returns a ``ValueWithError`` carrying a claimed bound on
 the relative error (truncation tail + rounding).  The ratio_I claim is
@@ -581,10 +582,10 @@ def _k_cf2(mu: float, x: float) -> tuple[float, float, float, float]:
 
 
 def _k_closed(mu: float, x: float) -> tuple[float, float, float, float]:
-    """The closed form: (K_mu, K_{mu+1}, rel0, rel1) for |mu| = 1/2, every x > 0.
+    """The closed form: (K_mu, K_{mu+1}, rel0, rel1) for mu = 1/2, every x > 0.
 
-    K_{-1/2} = K_{1/2} = sqrt(pi/(2x)) e^-x (DLMF 10.39.2) and, by the
-    recurrence at order 1/2, K_{3/2} = K_{1/2} (1 + 1/x).  The factor is
+    K_{1/2} = sqrt(pi/(2x)) e^-x (DLMF 10.39.2) and, by the recurrence at
+    order 1/2, K_{3/2} = K_{1/2} (1 + 1/x).  The factor is
     C_K / sqrt(x), not sqrt(pi/(2x)), which overflows at subnormal x where
     K_{1/2} (5.6e161 at x = 5e-324) is a normal double.  The claim, in
     eps = 2u: C_K is within 0.66 u of sqrt(pi/2); sqrt (a normal double at
@@ -596,9 +597,7 @@ def _k_closed(mu: float, x: float) -> tuple[float, float, float, float]:
     overflows, and so does K_{3/2} (above 1e462).
     """
     k = _C_K / math.sqrt(x) * math.exp(-x)
-    if mu > 0.0:
-        return k, k * (1.0 + 1.0 / x), 3.0 * _EPS, 4.5 * _EPS
-    return k, k, 3.0 * _EPS, 3.0 * _EPS
+    return k, k * (1.0 + 1.0 / x), 3.0 * _EPS, 4.5 * _EPS
 
 
 # K's kernels in route order, the one place their switch points and domains are
@@ -610,7 +609,7 @@ _K_KERNELS = (
     _KKernel("trapezoid", _k_trapezoid, 2.0, (1.5, math.inf)),
     _KKernel("cf2", _k_cf2, 10.0, (2.0, math.inf)),
 )
-# the row keyed by |mu| = 1/2, which _k_route takes at every x, ahead of the x rows
+# the row keyed by mu = 1/2, which _k_route takes at every x, ahead of the x rows
 _K_CLOSED = _KKernel("closed", _k_closed, 0.0, (0.0, math.inf))
 K_PATHS = tuple(row.path for row in _K_KERNELS) + (_K_CLOSED.path,)
 _K_STARTS = tuple(row.start for row in _K_KERNELS[1:])
@@ -622,9 +621,19 @@ def _k_row(x: float) -> _KKernel:
 
 
 def _k_route(mu: float, x: float) -> _KKernel:
-    # K's route: _K_CLOSED at |mu| = 1/2 (mu = |nu| - round(|nu|) is exact,
-    # and no other double squares to 1/4), else the row x selects
-    return _K_CLOSED if mu * mu == 0.25 else _k_row(x)
+    # K's route: _K_CLOSED at mu = 1/2 (_k_split puts every half-integer
+    # order there), else the row x selects
+    return _K_CLOSED if mu == 0.5 else _k_row(x)
+
+
+def _k_split(v: float) -> tuple[float, int]:
+    # K's order v as (mu, n), |v| = n + mu exactly with mu in (-1/2, 1/2]: n is
+    # the integer nearest |v|, and a tie takes the lower one, mu = +1/2, which
+    # climbs from the closed form.  |v| - 1/2 is exact for 1/4 <= |v| <= 21, past
+    # the ladder's reach nu + 1; below 1/4 it lies in [-1/2, -1/4] and n is 0
+    a = abs(v)
+    n = math.ceil(a - 0.5)
+    return a - n, n
 
 
 def _k_climb(mu: float, x: float, top: int) -> tuple[float, float, float, float, float]:
@@ -652,15 +661,13 @@ def _k_level(climb: tuple[float, float, float, float, float], top: int, n: int) 
 
 
 def _besselk(nu: float, x: float) -> tuple[float, float]:
-    """(value, rel error) for K_nu(x).
+    """(value, rel error) for K_nu(x): level n of the climb from mu, (mu, n) = _k_split(nu).
 
-    mu = |nu| - round(|nu|) lies in [-1/2, 1/2]; evaluating at |nu|
-    realises K_{-nu} = K_nu exactly.
+    The split reads |nu|, which realises K_{-nu} = K_nu exactly.
     """
-    an = abs(nu)
-    nl = round(an)
-    top = nl or 1
-    val, rel = _k_level(_k_climb(an - nl, x, top), top, nl)
+    mu, n = _k_split(nu)
+    top = n or 1
+    val, rel = _k_level(_k_climb(mu, x, top), top, n)
     if not math.isfinite(val):
         raise AccuracyError(f"K_{nu}({x}) overflows double precision")
     return val, rel
@@ -707,8 +714,7 @@ def evaluation_path(fn: str, nu: float, x: float) -> str:
     if fn == "I":
         return I_PATHS[_i_route(nu, x)]
     if fn == "K":
-        an = abs(nu)
-        return _k_route(an - round(an), x).path
+        return _k_route(_k_split(nu)[0], x).path
     if fn == "ratio_I":
         _check_ratio_i_order(nu)
         return RATIO_I_PATHS[1 if _ratio_i_asym(nu, x) else 0 if _ratio_i_two_term(nu, x) is None else 2]
@@ -863,13 +869,12 @@ RATIO_K_CROSSCHECK_REL = 1e-9
 def _k_ladder(nu: float, x: float) -> tuple[float, float, float, float, float, float]:
     """(K_{nu-1}, em, K_nu, e0, K_{nu+1}/K_nu, er), cross-checked.
 
-    Order v is level round(|v|) of the climb from mu = |v| - round(|v|); one
-    climb per distinct mu, taken to the highest level read (the levels lie
-    within 2 of each other), gives each order the bits _besselk gives it.
+    Order v is level n of the climb from mu, (mu, n) = _k_split(v); one climb
+    per distinct mu, taken to the highest level read (the levels lie within 2
+    of each other), gives each order the bits _besselk gives it.  At a
+    half-integer nu all three orders share mu = 1/2: one climb.
     """
-    am, a0, ap = abs(nu - 1.0), abs(nu), abs(nu + 1.0)
-    lm, l0, lp = round(am), round(a0), round(ap)
-    mm, m0, mp = am - lm, a0 - l0, ap - lp
+    (mm, lm), (m0, l0), (mp, lp) = _k_split(nu - 1.0), _k_split(nu), _k_split(nu + 1.0)
     tm = tp = t0 = max(1, l0, lm if mm == m0 else 0, lp if mp == m0 else 0)
     cm = cp = c0 = _k_climb(m0, x, t0)
     if mm != m0:

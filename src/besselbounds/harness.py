@@ -165,6 +165,8 @@ def source_date() -> time.struct_time | None:
     """$SOURCE_DATE_EPOCH in UTC, None where unset or empty; a malformed value raises ValueError."""
     text = os.environ.get("SOURCE_DATE_EPOCH")
     try:
+        if text and not (text.isascii() and text.isdigit()):
+            raise ValueError(text)  # int() also takes signs, blanks, "_" and non-ASCII digits
         return time.gmtime(int(text)) if text else None
     except (ValueError, OverflowError, OSError):
         raise ValueError(f"SOURCE_DATE_EPOCH must be whole seconds since 1970-01-01; got {text!r}") from None
@@ -346,11 +348,6 @@ def equality_and_limit_checks() -> list[CheckRecord]:
     """Closed-form equality cases at nu = 1/2 and the x->0 / x->inf limits."""
     _, xs, tol = SHARP_RULES["nu=1/2"]
     checks = _Checks()
-
-    devs = [abs(quantity(QuantityKind.PHI_K, EvalContext(0.5, x)).value + 1.0 / x) * x for x in xs]
-    checks.add("equality:phiK_half_is_-1/x", 1e-12, max(devs))
-    devs = [abs(quantity(QuantityKind.Z, EvalContext(0.5, x)).value + x + 0.5) / (x + 0.5) for x in xs]
-    checks.add("equality:z_half_is_-x-1/2", 1e-12, max(devs))
 
     # I and K route order 1/2 to their closed forms: each is checked against the
     # kernel that would take the order without them, I's by I's switch, K's the row x selects

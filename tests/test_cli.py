@@ -258,9 +258,11 @@ def test_unwritable_output_is_an_error_not_a_traceback(tmp_path, capsys):
         assert rc == 1 and err.startswith("error: cannot write figure data: "), err
 
 
-@pytest.mark.parametrize("epoch", ["abc", "1.5e9", "100000000000000000"])
+@pytest.mark.parametrize("epoch", ["abc", "1.5e9", "100000000000000000",
+                                   "1_000", " 7 ", "+5", "-5", "\u0663"])  # U+0663: Arabic-Indic three
 def test_verify_refuses_malformed_source_date_epoch(epoch, capsys, monkeypatch):
-    # refused as a usage error before any check runs
+    # refused as a usage error before any check runs: whole seconds are ASCII
+    # digits alone, where int() would also take signs, blanks, "_" and other digits
     from besselbounds import harness
 
     monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)

@@ -133,10 +133,11 @@ def test_I_at_tiny_argument_matches_mpmath():
 
 def test_K_ladder_matches_single_orders():
     # one ladder for K_{nu-1}, K_nu, K_{nu+1} gives each order the bits it
-    # gets alone, also where the orders' mu differ (sign change, round tie)
-    # at nu = +-1e-20, +-1e-12 the orders nu -+ 1 round, at 0.5 -+ ulp round() ties
-    for nu in (-2.5, 2.5, -0.3, 0.3, 0.5, 1.0, 15.3, -9.7, 7.3, 19.0, 1e-20, -1e-20, 1e-12, -1e-12,
-               math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)):
+    # gets alone, also where the orders' mu differ (sign change, rounding);
+    # at nu = +-1e-20, +-1e-12 the orders nu -+ 1 round, at 0.5 -+ ulp nu -+ 1
+    # fall either side of a tie; the half-integers share mu = 1/2
+    for nu in (-2.5, 2.5, -1.5, 1.5, 3.5, -9.5, 19.5, -0.3, 0.3, 0.5, 1.0, 15.3, -9.7, 7.3, 19.0,
+               1e-20, -1e-20, 1e-12, -1e-12, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)):
         for x in (1e-3, math.nextafter(2.0, 0.0), 2.0, 5.0, math.nextafter(10.0, 0.0), 10.0, 60.0, 400.0):
             km, em, k0, e0, r, er = _k_ladder(nu, x)
             kp = _besselk(nu + 1.0, x)
@@ -160,7 +161,7 @@ def test_region_paths():
     assert evaluation_path("K", 0.0, 400.0) == "cf2"
     assert evaluation_path("K", 0.3, 0.5) == "temme"
     assert evaluation_path("K", 1.0, 0.5) == "temme"  # integer order
-    assert evaluation_path("K", 0.5, 2.0) == "closed"  # |mu| = 1/2, at every x
+    assert evaluation_path("K", 0.5, 2.0) == "closed"  # mu = 1/2, at every x
     assert evaluation_path("K", 1.5, 400.0) == "closed"
     assert evaluation_path("I", -0.5, 400.0) == "closed"
     assert evaluation_path("K", 2.0, 5.0) == "trapezoid"
@@ -347,14 +348,14 @@ def _offset(centres):
 
 # the box, and the strata where the kernels' loops branch: nu = -1 and near
 # it (CF1's first step, the I series' positive / mixed-sign split), near the
-# negative integers and half-integers (the integer-order flip, round() ties
-# of mu, which K takes at |nu|); x at each route start of core._K_KERNELS
-# -+ ulp (Temme / trapezoid, trapezoid / CF2) and at I's switch 30 + nu^2
-# -+ ulp (series / expansion).  nu is shared so that x can take its switch.
-# The positive half-integers past 1/2 stay out of the I claims: math.gamma
-# under the I series' leading term is off near them by more than the claim
-# grants (the open hole pinned below), so only the K claims take them (the
-# orders with |mu| = 1/2, K's closed form).  nu = +-1/2 exactly, I's closed
+# negative integers and half-integers (the integer-order flip, the ties of
+# K's split at mu = 1/2, which K takes at |nu|); x at each route start of
+# core._K_KERNELS -+ ulp (Temme / trapezoid, trapezoid / CF2) and at I's
+# switch 30 + nu^2 -+ ulp (series / expansion).  nu is shared so that x can
+# take its switch.  The positive half-integers past 1/2 stay out of the I
+# claims: math.gamma under the I series' leading term is off near them by
+# more than the claim grants (the open hole pinned below), so only the K
+# claims take them (the orders with mu = 1/2, K's closed form).  nu = +-1/2 exactly, I's closed
 # form, joins the I claims with x log-uniform down to 5e-324
 _NU_DRAWS = (
     st.floats(-10.0, 20.0),
@@ -662,12 +663,12 @@ def test_evaluation_path_is_the_region_that_runs(monkeypatch):
             assert calls == {"series": ["_i_series"], "asymptotic": ["_i_asym", "_asym_bracket"],
                              "closed": ["_i_closed"]}[path], (nu, x)
             calls.clear()
-    # K: the closed form at |mu| = 1/2 (nu = -0.5, 19.5), the row x selects elsewhere
-    for nu in (-9.7, -0.5, 0.0, 0.3, 1.0, 19.5):
+    # K: the closed form at mu = 1/2 (nu = -1.5, -0.5, 19.5), the row x selects elsewhere
+    for nu in (-9.7, -1.5, -0.5, 0.0, 0.3, 1.0, 19.5):
         for x in (v for row in _K_KERNELS[1:] for v in _ulps(row.start)):
             path = evaluation_path("K", nu, x)
             assert calls == []
-            assert path == ("closed" if nu in (-0.5, 19.5) else [row.path for row in _K_KERNELS if row.start <= x][-1])
+            assert path == ("closed" if nu in (-1.5, -0.5, 19.5) else [row.path for row in _K_KERNELS if row.start <= x][-1])
             core._besselk(nu, x)
             assert calls == ["_k_climb", f"_k_{path}"], (nu, x)
             calls.clear()
@@ -750,16 +751,39 @@ def test_P_is_cached_and_I_and_K_are_not(monkeypatch):
             == [(r.check_id, r.status, r.max_violation) for r in second])
 
 
+def test_K_split_is_exact_and_ties_at_plus_half():
+    # |v| = n + mu exactly with -1/2 < mu <= 1/2, n the nearest integer off
+    # ties and the lower one at a tie (mu = +1/2), at every integer and
+    # half-integer of the ladder's reach [-21, 21] -+ ulp and at seeded draws
+    # over it, tiny orders included
+    import random
+    from fractions import Fraction
+
+    from besselbounds import core
+
+    rng = random.Random(23)
+    orders = [v for k in range(-42, 43) for v in _ulps(k / 2.0)]
+    orders += [rng.uniform(-21.0, 21.0) for _ in range(2000)]
+    orders += [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 0.0) for _ in range(500)]
+    for v in orders:
+        mu, n = core._k_split(v)
+        assert isinstance(n, int) and Fraction(mu) + n == Fraction(abs(v)), v
+        assert -0.5 < mu <= 0.5, v
+        assert n == round(abs(v)) if mu != 0.5 else abs(v) == n + 0.5, v
+
+
 def test_K_ladder_climbs_once_per_mu(monkeypatch):
-    # a ladder miss takes one climb for each distinct mu = |v| - round(|v|)
-    # among v = nu - 1, nu, nu + 1: one where all three share nu's mu, more
-    # where a sign change, a rounded nu -+ 1 or a round() tie splits them
+    # a ladder miss takes one climb for each distinct mu of core._k_split
+    # among v = nu - 1, nu, nu + 1: one where all three share nu's mu, every
+    # half-integer included (mu = 1/2), more where a sign change or a rounded
+    # nu -+ 1 splits them
     from besselbounds import core
 
     calls = _counted(monkeypatch, core, ("_k_climb",))
-    for nu, climbs in ((2.5, 2), (-9.7, 1), (19.0, 1), (0.3, 3), (0.5, 2), (7.3, 2), (1e-20, 2),
+    halves = tuple((n + 0.5, 1) for n in range(-10, 20))
+    for nu, climbs in (*halves, (-9.7, 1), (19.0, 1), (0.3, 3), (7.3, 2), (1e-20, 2),
                        (1e-12, 3), (math.nextafter(0.5, 1.0), 3)):
-        mus = {abs(v) - round(abs(v)) for v in (nu - 1.0, nu, nu + 1.0)}
+        mus = {core._k_split(v)[0] for v in (nu - 1.0, nu, nu + 1.0)}
         assert len(mus) == climbs, nu
         for x in (0.7, 30.0):
             core._k_ladder.cache_clear()
@@ -856,7 +880,7 @@ def test_K_kernels_run_only_inside_their_table_domains(monkeypatch):
     # equality checks at order 1/2 and from _k_climb's route at the box's ends
     # and at each route start -+ ulp, lies in that row's domain, and so does
     # each row's route interval: Temme's series, whose budget fails past its
-    # domain, is never called there.  The closed form's row takes |mu| = 1/2
+    # domain, is never called there.  The closed form's row takes mu = 1/2
     # alone, at every x
     from besselbounds import core, harness
 
@@ -874,7 +898,7 @@ def test_K_kernels_run_only_inside_their_table_domains(monkeypatch):
     monkeypatch.setattr(core, "_K_CLOSED", recorded(core._K_CLOSED))
     dual_path_checks()
     harness.equality_and_limit_checks()
-    for mu in (-0.5, -0.2, 0.0, 0.3, 0.5):
+    for mu in (math.nextafter(-0.5, 0.0), -0.2, 0.0, 0.3, 0.5):  # the ends of _k_split's mu range
         for x in (5e-324, core.SUPPORTED_X[1], *(v for row in rows[1:] for v in _ulps(row.start))):
             core._k_climb(mu, x, 1)
     for row, end in zip(rows, [row.start for row in rows[1:]] + [math.inf]):
@@ -882,7 +906,7 @@ def test_K_kernels_run_only_inside_their_table_domains(monkeypatch):
         assert lo <= row.start and end <= hi, row.path
         assert seen[row.path] and all(lo <= x <= hi for _, x in seen[row.path]), row.path
     closed = seen["closed"]
-    assert closed and all(abs(mu) == 0.5 for mu, _ in closed) and min(x for _, x in closed) == 5e-324
+    assert closed and all(mu == 0.5 for mu, _ in closed) and min(x for _, x in closed) == 5e-324
 
 
 def test_K_ladder_cross_check_fires_on_a_corrupted_climb(monkeypatch):
