@@ -140,6 +140,11 @@ class VerificationReport:
                 "checks": [asdict(c) for c in self.checks], "summary": self.summary}
 
 
+# the largest sweep grid: its points are built and checked before any suite
+# runs, and 10^6 of them already take minutes to sweep
+MAX_X_POINTS = 1_000_000
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     seed: int = DEFAULT_SEED
@@ -152,8 +157,8 @@ class VerifyConfig:
     def __post_init__(self):
         if self.random_pairs < 1:
             raise ValueError("random_pairs must be >= 1: the concavity checks need a pair to draw")
-        if self.x_points < 2:
-            raise ValueError("grid counts must be >= 2")
+        if not 2 <= self.x_points <= MAX_X_POINTS:
+            raise ValueError(f"grid counts must be >= 2 and <= {MAX_X_POINTS}")
         if not (0.0 < self.x_lo < self.x_hi <= SUPPORTED_X[1]):
             raise ValueError(f"grid range must satisfy 0 < start < end <= {SUPPORTED_X[1]:g}")
         if self.scale not in ("log", "linear"):

@@ -59,7 +59,7 @@ def test_eval_reports_omega_wronskian_paths(capsys, monkeypatch):
     calls = []
     closed = core._i_closed
     monkeypatch.setattr(core, "_i_closed", lambda nu, x: calls.append(nu) or closed(nu, x))
-    core._p_at.cache_clear()
+    core._p_clear()
     rc, out, _ = run(capsys, "eval", "--fn", "omega", "--nu", "-0.5", "--x", "5e-324")
     assert rc == 0
     assert out.splitlines()[-1] == "paths: ratio_I=two_term, K=closed"
@@ -296,10 +296,11 @@ def test_verify_grid_usage_errors(capsys):
     assert run(capsys, "verify", "--x-grid", "1:100:1")[0] == 2      # count < 2
     assert run(capsys, "verify", "--x-grid", "5:1:40")[0] == 2        # start >= end
     assert run(capsys, "verify", "--x-grid", "junk")[0] == 2
-    # an end beyond the box, or a grid whose points rounding makes equal, is
-    # refused before any suite runs
+    # an end beyond the box, a grid whose points rounding makes equal, or a
+    # count above harness.MAX_X_POINTS (checked before the grid is built:
+    # 10^8 points would ask for more than 3 GB) is refused before any suite runs
     for grid in ("1e-3:600:3", "1e-3:1e300:3", "1e-3:1e400:3", "1e-3:500.00000000000006:3",
-                 "1:1.0000000000000002:5", "1:1.0000000000000002:5:lin"):
+                 "1:1.0000000000000002:5", "1:1.0000000000000002:5:lin", "1e-3:100:100000000"):
         rc, out, err = run(capsys, "verify", "--x-grid", grid)
         assert rc == 2 and "--x-grid" in err and "Traceback" not in err and out == "", grid
 
