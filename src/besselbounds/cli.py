@@ -165,8 +165,7 @@ def cmd_bounds_list(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .harness import VerifyConfig, run_suite, source_date
 
-    given = {"seed": args.seed, "random_pairs": args.pairs, **(args.x_grid or {})}
-    vcfg = VerifyConfig(**{k: v for k, v in given.items() if v is not None})
+    vcfg = VerifyConfig(**(args.x_grid or {}))
     try:
         source_date()  # refused here, a usage error, not after the suite has run
     except ValueError as exc:
@@ -209,16 +208,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _check_config(**fields) -> None:
-    # harness.VerifyConfig checks the fields; its refusal is a usage error of the flag
-    from .harness import VerifyConfig
-
-    try:
-        VerifyConfig(**fields)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _parse_suite(text: str) -> str:
     """A name in harness.SUITE_NAMES, read when verify is parsed, not when the parser is built."""
     from .harness import SUITE_NAMES
@@ -230,7 +219,10 @@ def _parse_suite(text: str) -> str:
 
 
 def _parse_x_grid(text: str) -> dict:
-    """START:END:COUNT[:log|lin] as VerifyConfig fields, checked by VerifyConfig."""
+    """START:END:COUNT[:log|lin] as VerifyConfig fields, checked by VerifyConfig:
+    its refusal is a usage error of the flag."""
+    from .harness import VerifyConfig
+
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise argparse.ArgumentTypeError("expected START:END:COUNT[:log|lin]")
@@ -240,18 +232,11 @@ def _parse_x_grid(text: str) -> dict:
         raise argparse.ArgumentTypeError(str(exc)) from None
     scale = parts[3] if len(parts) == 4 else "log"
     fields = {"x_lo": lo, "x_hi": hi, "x_points": n, "scale": "linear" if scale == "lin" else scale}
-    _check_config(**fields)
-    return fields
-
-
-def _parse_pairs(text: str) -> int:
-    """A count of random pairs, checked by VerifyConfig (zero pairs would check nothing)."""
     try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    _check_config(random_pairs=n)
-    return n
+        VerifyConfig(**fields)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return fields
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -289,13 +274,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pbl.set_defaults(run=cmd_bounds_list)
 
     pv = sub.add_parser("verify", help="run verification suites")
-    # an option left out is None, and cmd_verify leaves VerifyConfig's default
+    # --x-grid left out is None, and cmd_verify leaves VerifyConfig's defaults
     pv.add_argument("--suite", default="all", type=_parse_suite, metavar="SUITE",
                     help="all (the default) or one suite; an unknown name lists them")
     pv.add_argument("--out", default=None)
-    pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument("--pairs", type=_parse_pairs, default=None,
-                    help="random pairs per order for the concavity checks")
     pv.add_argument("--x-grid", type=_parse_x_grid, dest="x_grid", metavar="START:END:COUNT[:log|lin]",
                     default=None, help="sweep grid for the validity/conjecture suites")
     pv.set_defaults(run=cmd_verify)

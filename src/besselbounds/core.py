@@ -60,21 +60,11 @@ Caching
 Results are cached where points repeat, and nowhere else.  _ratio_i and
 _k_ladder serve the several tags computed at one point (y, phiI, u, ... all
 read ratio_I; z, phiK, kratio, ... all read the K ladder); they are
-lru_caches of 200 000 entries, and a verify --suite all fills them to 7 415
-and 3 729.  _p_at caches P's result object, which P and omega share, in
-_p_table, keyed by order, then by x: {nu: {x: P}}.  Its traffic is of
-another kind: the applications suite draws 160 000 distinct P points, so a
-cold verify --suite all misses 160 614 times at only 11 orders, four of
-them holding 40 020-40 079 points each, and each warm verify hits every one.
-An lru_cache entry would carry a key tuple and a list node beside the x
-float, the result and its two floats, about 265 bytes a point; the table
-drops those two and holds about 155.  It keeps at most _P_TABLE_MAX
-(200 000) entries over all orders and is emptied whole when full, with no
-LRU order: verify's points fit within the bound either way, and where P
-points do not repeat (the benchmark's eval-box) an order keeps nothing
-worth keeping.
-I and K themselves are not cached: nothing else asks for them twice at a
-point, and caching each would hold every P point twice, once per function.
+lru_caches of 200 000 entries, and a verify --suite all fills them to 15 415
+and 11 729.
+I, K and P = I K are not cached: nothing asks for one of them many times at
+a point, and where points do not repeat (the benchmark's eval-box) a cache
+only costs its bookkeeping and memory.
 _TEMME_ORDER is a table, not a cache: Temme's order-only terms at mu = 0,
 where every integer order lands, filled once at import (the half-integer
 orders take the closed form); other orders compute theirs at each call,
@@ -115,25 +105,20 @@ _k_closed) have no loop: a few roundings, each counted in the claim.
   bound).
 
 Around the kernels, the fixed cost of an evaluation: build nothing on a
-cache hit (a cache holds the finished result, P's ValueWithError; a hit on
-P's table is two dict lookups and takes no lock), and no container
+cache hit (a cache holds the finished result), and no container
 bookkeeping around a kernel call (_k_ladder picks its climbs in
 straight-line code); the per-point objects are slotted.
 
-All functions are pure and cache only immutable results; they are safe to
-call concurrently from any number of threads.  A race can make two threads
-evaluate the same point, and, where the table is emptied between them, hand
-them two equal result objects instead of one.  It cannot change a bit, since
-every evaluation of a point gives the same bits, and it cannot overfill P's
-table: a miss stores and counts its entry under _p_lock, so the table never
-holds more than _P_TABLE_MAX entries.
+All functions are pure and cache only immutable results in lru_caches; they
+are safe to call concurrently from any number of threads.  A race can make
+two threads evaluate the same point, which cannot change a bit, since every
+evaluation of a point gives the same bits.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -1010,38 +995,10 @@ def _z(ctx: EvalContext) -> ValueWithError:
     return _from_abs(val, abs_err)
 
 
-_P_TABLE_MAX = 200_000  # entries over all orders; a full table is emptied whole
-_p_table: dict[float, dict[float, ValueWithError]] = {}  # {nu: {x: P}}
-_p_entries = 0
-_p_lock = threading.Lock()  # taken on a miss only, to store and count
-
-
 def _p_at(nu: float, x: float) -> ValueWithError:
-    # P with its claim, cached as the result object: a hit builds nothing
-    row = _p_table.get(nu)
-    if row is not None:
-        p = row.get(x)
-        if p is not None:
-            return p
     vi, ei = _besseli(nu, x)
     vk, ek = _besselk(nu, x)
-    p = ValueWithError(vi * vk, ei + ek + 2.0 * _EPS)
-    global _p_entries
-    with _p_lock:
-        if _p_entries >= _P_TABLE_MAX:
-            _p_table.clear()
-            _p_entries = 0
-        row = _p_table.setdefault(nu, {})
-        _p_entries += x not in row
-        return row.setdefault(x, p)  # a thread that stored the point first wins
-
-
-def _p_clear() -> None:
-    """Empty P's table."""
-    global _p_entries
-    with _p_lock:
-        _p_table.clear()
-        _p_entries = 0
+    return ValueWithError(vi * vk, ei + ek + 2.0 * _EPS)
 
 
 def _shifted(base: float, base_err: float, sign: float, shift: float,
@@ -1240,9 +1197,8 @@ def quantity_reads(kind: QuantityKind, nu: float, x: float) -> tuple[str, ...]:
     """The base results ("ratio_I", "I", "K") that quantity(kind) read at (nu, x).
 
     The row's reads, except for omega where P = I K is not a normal double and
-    the Wronskian form reads ratio_I and K.  Meant for after quantity() has
-    evaluated the point: omega's answer comes from the cached P, so nothing is
-    evaluated a second time.
+    the Wronskian form reads ratio_I and K: omega's answer evaluates P = I K
+    again, as quantity() did.
     """
     kind = QuantityKind(kind)
     if kind is QuantityKind.OMEGA and _omega_by_wronskian(_p_at(nu, x).value):

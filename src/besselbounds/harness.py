@@ -7,9 +7,9 @@ and each ``sharp_at`` tag of one is checked once, by the rule of its kind
 (``SHARP_RULES``); conjecture and refutation probes are informational and
 never fail a run.
 
-All randomised checks draw from a seeded generator and every record list
-is deterministically ordered, so reports are reproducible bit for bit
-apart from wall-clock fields (``generated_at`` honours SOURCE_DATE_EPOCH,
+No check draws at random and every record list is deterministically
+ordered, so reports are reproducible bit for bit apart from wall-clock
+fields (``generated_at`` honours SOURCE_DATE_EPOCH,
 ``runtime_ms`` is timing noise by nature).
 """
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-import random
 import time
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
@@ -34,10 +33,10 @@ from .core import (
     numeric_derivative,
     quantity,
 )
+from .core import _EPS  # the rounding of the concavity checks' error bounds
 from .core import _K_KERNELS, _i_asym, _i_series, _i_switch, _k_row, _ratio_i_cf  # dual-path measurement
 
 __all__ = [
-    "DEFAULT_SEED",
     "GridSpec",
     "Violation",
     "CheckRecord",
@@ -57,6 +56,8 @@ __all__ = [
     "consistency_checks",
     "OVERLAP_AGREEMENT_REL",
     "dual_path_checks",
+    "CONCAVITY_NU",
+    "CONCAVITY_X",
     "application_checks",
     "run_suite",
     "run_all",
@@ -64,7 +65,6 @@ __all__ = [
     "SUITE_NAMES",
 ]
 
-DEFAULT_SEED = 20260810
 GRONWALL_ROOT = 3.577847594  # stationary point of w at nu = 1/2, +-1e-6
 
 
@@ -119,7 +119,6 @@ class SharpnessReport:
 @dataclass
 class VerificationReport:
     suite: str
-    seed: int
     checks: list[CheckRecord]
     generated_at: str
 
@@ -136,7 +135,7 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         # a check's and a witness's keys are their dataclass fields, in order
-        return {"suite": self.suite, "generated_at": self.generated_at, "seed": self.seed,
+        return {"suite": self.suite, "generated_at": self.generated_at,
                 "checks": [asdict(c) for c in self.checks], "summary": self.summary}
 
 
@@ -147,16 +146,12 @@ MAX_X_POINTS = 1_000_000
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    seed: int = DEFAULT_SEED
-    random_pairs: int = 10_000
     x_points: int = 200
     x_lo: float = 1e-3
     x_hi: float = 100.0
     scale: str = "log"
 
     def __post_init__(self):
-        if self.random_pairs < 1:
-            raise ValueError("random_pairs must be >= 1: the concavity checks need a pair to draw")
         if not 2 <= self.x_points <= MAX_X_POINTS:
             raise ValueError(f"grid counts must be >= 2 and <= {MAX_X_POINTS}")
         if not (0.0 < self.x_lo < self.x_hi <= SUPPORTED_X[1]):
@@ -261,12 +256,11 @@ class _Checks:
 
     def add(self, check_id: str, tolerance: float, worst: float | None = None,
             witnesses: Sequence[Violation] = (), *, ok: bool | None = None,
-            info: bool = False, carry_s: float = 0.0) -> None:
+            info: bool = False) -> None:
         """Record one check.  ``worst`` defaults to the largest witness margin
         (0 without one); the WITNESS_CAP witnesses of largest margin are kept,
-        sorted by (bound_id, nu, x); ``carry_s`` seconds of this check's time
-        belong to the next record."""
-        seconds = self._lap() - carry_s
+        sorted by (bound_id, nu, x)."""
+        seconds = self._lap()
         if worst is None:
             worst = max((w.margin for w in witnesses), default=0.0)
         if ok is None:
@@ -276,7 +270,6 @@ class _Checks:
         self.records.append(CheckRecord(check_id, "info" if info else "pass" if ok else "fail",
                                         tolerance, worst, kept, round(seconds * 1e3, 3)))
         self._lap()
-        self._t -= carry_s
 
 
 def validity_records(cfg: VerifyConfig) -> list[CheckRecord]:
@@ -608,8 +601,40 @@ def consistency_checks() -> list[CheckRecord]:
 # application-level checks
 # ---------------------------------------------------------------------------
 
-def application_checks(cfg: VerifyConfig) -> list[CheckRecord]:
-    rng = random.Random(cfg.seed)
+# orders and arguments of the pointwise concavity checks: the orders where the
+# catalogue proves phiI + phiK <= 0, and a log grid reaching the box's edge
+CONCAVITY_NU = (0.5, 1.0, 2.0, 5.0)
+CONCAVITY_X = _log_grid(1e-3, SUPPORTED_X[1], 2000)
+
+
+def _p_concavity(nu: float, x: float) -> tuple[float, float]:
+    """phiI + phiK at (nu, x), with an absolute error bound from the two claims.
+
+    By the Riccati equations (DLMF 10.29), s = y + z = x P'/P has
+    x s' = x^2 (phiI + phiK), so P = I K is strictly geometrically concave
+    exactly where this is negative.  For nu >= 1/2 the catalogue proves it:
+    turan16_upper (phiI < 1/sqrt(x^2 + mu)) and turan24_upper
+    (phiK <= -1/sqrt(x^2 + mu)), mu = nu^2 - 1/4, sum to 0.
+    """
+    ctx = EvalContext(nu, x)
+    fi, fk = quantity(QuantityKind.PHI_I, ctx), quantity(QuantityKind.PHI_K, ctx)
+    g = fi.value + fk.value
+    return g, fi.abs_error_bound + fk.abs_error_bound + _EPS * abs(g)
+
+
+def _omega_concavity(nu: float, x: float) -> tuple[float, float]:
+    """s (1 + s) + x^2 (phiI + phiK), s = y + z, at (nu, x), with an absolute
+    error bound from the four claims: omega = x P has omega'' of its sign."""
+    g, eg = _p_concavity(nu, x)
+    ctx = EvalContext(nu, x)
+    y, z = quantity(QuantityKind.Y, ctx), quantity(QuantityKind.Z, ctx)
+    s = y.value + z.value
+    es = y.abs_error_bound + z.abs_error_bound + _EPS * abs(s)
+    a, b = s * (1.0 + s), x * x * g
+    return a + b, (abs(1.0 + 2.0 * s) + es) * es + x * x * eg + 4.0 * _EPS * (abs(a) + abs(b))
+
+
+def application_checks() -> list[CheckRecord]:
     checks = _Checks()
 
     # stochastic mean molecule count exceeds the classical one
@@ -650,36 +675,22 @@ def application_checks(cfg: VerifyConfig) -> list[CheckRecord]:
                 wits.append(Violation("b2hat_upper_strong", nu, x, -1.0, b2.value, margin))
     checks.add("applications:b2hat_bounds", 0.0, witnesses=wits)
 
-    # geometric-mean concavity of P and midpoint concavity of omega = x P:
-    # a pair fails only when the concavity margin is negative beyond the
-    # evaluation noise (both inequalities approach equality exponentially
-    # fast for large arguments, where strictness is not resolvable in doubles)
-    lo, hi = math.log(0.05), math.log(40.0)
-    # (the shared draws and pa, pb, pg are charged to the geometric check,
-    # the midpoint value and its comparison to the midpoint check)
-    mid_s = 0.0
-    geo_fail = mid_fail = 0
-    P = QuantityKind.P  # an enum member lookup takes about 0.1 us: once, not four times a pair
-    for nu in (0.5, 1.0, 2.0, 5.0):
-        for _ in range(cfg.random_pairs):
-            while True:
-                a = math.exp(rng.uniform(lo, hi))
-                b = math.exp(rng.uniform(lo, hi))
-                if abs(math.log(a) - math.log(b)) > 1e-4:
-                    break
-            pa, pb = quantity(P, EvalContext(nu, a)), quantity(P, EvalContext(nu, b))
-            pg = quantity(P, EvalContext(nu, math.sqrt(a * b)))
-            tol = 3.0 * (pa.rel_error_bound + pb.rel_error_bound + pg.rel_error_bound)
-            if math.log(pg.value) - 0.5 * (math.log(pa.value) + math.log(pb.value)) < -tol:
-                geo_fail += 1
-            t1 = time.perf_counter()
-            m = 0.5 * (a + b)
-            scale = m * quantity(P, EvalContext(nu, m)).value
-            if scale - 0.5 * (a * pa.value + b * pb.value) < -tol * scale:
-                mid_fail += 1
-            mid_s += time.perf_counter() - t1
-    checks.add("applications:P_geometric_concavity", 0.0, float(geo_fail), carry_s=mid_s)
-    checks.add("applications:omega_midpoint_concavity", 0.0, float(mid_fail))
+    # concavity of P in log x and of omega = x P, at each point of a fixed
+    # grid: a point fails when its value is positive beyond its error bound;
+    # a point whose bound straddles 0 (both approach 0 like e^(-2x) at
+    # nu = 1/2) is counted as unresolved, an info record, never as a pass
+    for name, term, label in (("P_geometric_concavity", _p_concavity, "phiI+phiK<0"),
+                              ("omega_concavity", _omega_concavity, "s(1+s)+x^2(phiI+phiK)<0")):
+        wits, unresolved = [], 0
+        for nu in CONCAVITY_NU:
+            for x in CONCAVITY_X:
+                v, err = term(nu, x)
+                if v - err > 0.0:
+                    wits.append(Violation(label, nu, x, 0.0, v, v - err))
+                elif v + err >= 0.0:
+                    unresolved += 1
+        checks.add(f"applications:{name}_pointwise", 0.0, witnesses=wits)
+        checks.add(f"applications:{name}_pointwise_unresolved", 0.0, float(unresolved), info=True)
 
     # P strictly decreasing, with P < 1/(2 nu) < 1/2 for nu > 1
     ok = True
@@ -748,7 +759,7 @@ _SUITES = {
     "validity": lambda cfg: validity_records(cfg) + enclosure_checks(cfg),
     "sharpness": lambda cfg: sharpness_records(cfg),
     "consistency": lambda cfg: consistency_checks() + equality_and_limit_checks() + gronwall_probe(),
-    "applications": lambda cfg: application_checks(cfg),
+    "applications": lambda cfg: application_checks(),
     "conjectures": lambda cfg: conjecture_probe(cfg),
 }
 SUITE_NAMES = ("all", *_SUITES)
@@ -762,7 +773,7 @@ def run_suite(name: str, cfg: VerifyConfig | None = None) -> VerificationReport:
     stamp = source_date()  # a malformed value is refused before any check runs
     checks = [c for suite, run in _SUITES.items() if name in ("all", suite) for c in run(cfg)]
     checks.sort(key=lambda c: c.check_id)
-    return VerificationReport(name, cfg.seed, checks, time.strftime("%Y-%m-%dT%H:%M:%SZ", stamp or time.gmtime()))
+    return VerificationReport(name, checks, time.strftime("%Y-%m-%dT%H:%M:%SZ", stamp or time.gmtime()))
 
 
 def run_all(cfg: VerifyConfig | None = None) -> VerificationReport:

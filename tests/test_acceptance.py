@@ -19,7 +19,6 @@ from besselbounds.cli import main as cli_main
 from besselbounds.core import EvalContext, QuantityKind as QK, quantity
 from besselbounds.harness import (
     GridSpec,
-    VerifyConfig,
     application_checks,
     consistency_checks,
     default_grid,
@@ -235,10 +234,11 @@ def test_criterion_8_oracle_confirmation():
 
 def test_criterion_9_applications_full_scale():
     t0 = time.perf_counter()
-    recs = application_checks(VerifyConfig(random_pairs=10_000))
+    recs = application_checks()
     dt = time.perf_counter() - t0
-    bad = [c.check_id for c in recs if c.status != "pass"]
-    _report("9 applications (n_s>n_c, veff, b2hat, concavity x 4x10^4 pairs)",
+    # the pointwise concavity checks' unresolved counts are info records
+    bad = [c.check_id for c in recs if c.status != ("info" if c.check_id.endswith("_unresolved") else "pass")]
+    _report("9 applications (n_s>n_c, veff, b2hat, pointwise concavity x 8x10^3 points)",
             not bad, f"{dt:.1f}s" + (f"; failing: {bad}" if bad else ""))
     assert bad == []
 

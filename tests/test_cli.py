@@ -52,18 +52,18 @@ def test_eval_reports_ratio_I_route(capsys):
 
 def test_eval_reports_omega_wronskian_paths(capsys, monkeypatch):
     # where P = I K is not a normal double omega is 1/(r_I + r_K), so the
-    # paths are ratio_I's and K's; the report reads the cached P and
-    # evaluates no I a second time (I_{-1/2} in closed form)
+    # paths are ratio_I's and K's; P is not cached, so the report evaluates
+    # it again to find omega's route: I_{-1/2} in closed form, once for the
+    # value and once for the report
     from besselbounds import core
 
     calls = []
     closed = core._i_closed
     monkeypatch.setattr(core, "_i_closed", lambda nu, x: calls.append(nu) or closed(nu, x))
-    core._p_clear()
     rc, out, _ = run(capsys, "eval", "--fn", "omega", "--nu", "-0.5", "--x", "5e-324")
     assert rc == 0
     assert out.splitlines()[-1] == "paths: ratio_I=two_term, K=closed"
-    assert calls == [-0.5]
+    assert calls == [-0.5, -0.5]
 
 
 # `eval` output, "value claim paths", at (nu, x) = (1, 1), below every path
@@ -281,10 +281,10 @@ def test_verify_suite_writes_schema_json(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     path = tmp_path / "r.json"
     rc, out, _ = run(capsys, "verify", "--suite", "validity", "--out", str(path),
-                     "--x-grid", "1e-3:100:60", "--pairs", "100")
+                     "--x-grid", "1e-3:100:60")
     assert rc == 0
     d = json.loads(path.read_text())
-    assert set(d) == {"suite", "generated_at", "seed", "checks", "summary"}
+    assert set(d) == {"suite", "generated_at", "checks", "summary"}
     assert d["suite"] == "validity"
     assert d["generated_at"] == "2023-11-14T22:13:20Z"
     assert d["summary"]["fail"] == 0
@@ -314,10 +314,10 @@ def test_verify_grid_ends_at_its_end(tmp_path, capsys):
 
 
 def test_verify_pairs_usage_errors(capsys):
-    # zero pairs would let both concavity checks pass having drawn nothing
-    for pairs in ("-3", "0", "junk"):
-        rc, _, err = run(capsys, "verify", "--suite", "applications", "--pairs", pairs)
-        assert rc == 2 and "--pairs" in err, pairs
+    # verify draws nothing at random, so it takes neither a pair count nor a seed
+    for flag in ("--pairs", "--seed"):
+        rc, out, err = run(capsys, "verify", "--suite", "applications", flag, "3")
+        assert rc == 2 and flag in err and out == "" and "Traceback" not in err, flag
 
 
 def test_bounds_list_id_filter(capsys):
@@ -455,11 +455,9 @@ def test_verify_options_reach_verify_config(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(harness, "_SUITES", {"validity": lambda cfg: seen.append(cfg) or []})
     monkeypatch.setenv("BESSELBOUNDS_OUT", str(tmp_path))
     assert run(capsys, "verify", "--suite", "validity")[0] == 0
-    assert run(capsys, "verify", "--suite", "validity", "--seed", "3", "--pairs", "5",
-               "--x-grid", "1:10:3:lin")[0] == 0
+    assert run(capsys, "verify", "--suite", "validity", "--x-grid", "1:10:3:lin")[0] == 0
     assert seen == [harness.VerifyConfig(),
-                    harness.VerifyConfig(seed=3, random_pairs=5, x_lo=1.0, x_hi=10.0, x_points=3,
-                                         scale="linear")]
+                    harness.VerifyConfig(x_lo=1.0, x_hi=10.0, x_points=3, scale="linear")]
 
 
 def test_usage_errors_survive_the_lazy_parser(capsys):
@@ -470,7 +468,7 @@ def test_usage_errors_survive_the_lazy_parser(capsys):
     assert "--suite" in err and all(repr(name) in err for name in SUITE_NAMES)
     rc, _, err = run(capsys, "bounds", "list", "--id", "bogus")
     assert rc == 1 and err.startswith("error: ") and "bogus" in err
-    for flag, value in (("--pairs", "0"), ("--x-grid", "1:100:1"), ("--x-grid", "junk")):
+    for flag, value in (("--x-grid", "1:100:1"), ("--x-grid", "junk")):
         rc, out, err = run(capsys, "verify", flag, value)
         assert rc == 2 and flag in err and out == "" and "Traceback" not in err, (flag, value)
 
@@ -481,8 +479,8 @@ def test_version(capsys):
 
 
 def test_full_verification_script_usage_error(tmp_path):
-    # a bad --pairs reaches `besselbounds verify`, which refuses it as a usage
-    # error (exit 2), not as a traceback
+    # an option the script does not take (verify's former --pairs) is a
+    # usage error (exit 2), not a traceback
     import os
     import subprocess
     import sys

@@ -725,87 +725,29 @@ def test_evaluation_path_refuses_where_the_evaluator_refuses(monkeypatch):
     assert refused["ratio_I"] > refused["I"] == refused["K"] > 0
 
 
-def test_P_is_cached_and_I_and_K_are_not(monkeypatch):
-    # the one cache of a base product is P's: a P point is evaluated once,
-    # I and K every time they are asked for, and a second applications run
-    # (which replays its P points) evaluates no I or K at all
-    from besselbounds import core, harness
+def test_P_I_and_K_are_not_cached(monkeypatch):
+    # P = I K, I and K are evaluated each time they are asked for, and a P
+    # point gives the same bits each time
+    from besselbounds import core
 
     calls = _counted(monkeypatch, core, _BASE_KERNELS)
     ctx = EvalContext(1.3, 0.7)
-    core._p_clear()
     first = core.quantity(QuantityKind.P, ctx)
-    assert core.quantity(QuantityKind.P, EvalContext(1.3, 0.7)) is first  # a hit builds nothing
-    assert sorted(calls) == ["_i_series", "_k_climb"]
+    second = core.quantity(QuantityKind.P, EvalContext(1.3, 0.7))
+    assert second is not first and second == first
+    assert sorted(calls) == ["_i_series"] * 2 + ["_k_climb"] * 2
     calls.clear()
     for _ in range(2):
         eval_I(ctx)
         eval_K(ctx)
     assert sorted(calls) == ["_i_series"] * 2 + ["_k_climb"] * 2
-    cfg = harness.VerifyConfig(random_pairs=20)
-    first = harness.application_checks(cfg)
-    calls.clear()
-    second = harness.application_checks(cfg)
-    assert calls == []
-    assert ([(r.check_id, r.status, r.max_violation) for r in first]
-            == [(r.check_id, r.status, r.max_violation) for r in second])
-    # the table holds at most _P_TABLE_MAX entries over all orders, and a
-    # full table is emptied whole: the fourth point leaves only itself
-    monkeypatch.setattr(core, "_P_TABLE_MAX", 3)
-    core._p_clear()
-    sizes = []
-    for nu, x in ((1.3, 0.7), (1.3, 0.9), (2.0, 0.7), (2.0, 1.1), (1.3, 0.7)):
-        core._p_at(nu, x)
-        sizes.append(_p_table_size(core))
-    assert sizes == [1, 2, 3, 1, 2]
-    assert sorted((nu, sorted(row)) for nu, row in core._p_table.items()) == [(1.3, [0.7]), (2.0, [1.1])]
-    # (1.3, 0.7) was emptied with the rest and evaluated again; a later hit
-    # returns the object now held and builds nothing
-    calls.clear()
-    held = core._p_table[1.3][0.7]
-    assert core._p_at(1.3, 0.7) is held and calls == []
 
 
-def _p_table_size(core):
-    # entries in P's table over all orders, read under its lock, where they
-    # match the count that _p_at keeps
-    with core._p_lock:
-        n = sum(map(len, core._p_table.values()))
-        assert n == core._p_entries
-    return n
-
-
-def test_P_table_holds_a_point_in_under_200_bytes():
-    # retained memory of 2 000 P points at one order, each x made in the
-    # traced loop as the applications suite makes its draws: about 155 bytes
-    # a point (the x float, the result object and its two floats, the dict
-    # slot), where an lru_cache entry with its key tuple and list node held 265
-    import random
-    import tracemalloc
-
-    from besselbounds import core
-
-    rng = random.Random(2502)
-    core._p_clear()
-    core._p_at(1.0, 0.5)  # the order's row exists before the count
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for _ in range(2000):
-            core._p_at(1.0, 10.0 ** rng.uniform(-2.0, 1.5))
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-        core._p_clear()
-    assert held / 2000 < 200, held / 2000
-
-
-def test_threads_get_the_serial_bits(monkeypatch):
+def test_threads_get_the_serial_bits():
     # 4 threads evaluate P, omega, z and phiK at the same 500 seeded points,
-    # each in its own order, with P's table bounded at 40 entries so that it
-    # is emptied while they run: every result and refusal (x reaches 1e-20,
-    # where some points refuse) matches the serial run bit for bit, and the
-    # table never passes its bound
+    # each in its own order, through the lru_caches _ratio_i and _k_ladder:
+    # every result and refusal (x reaches 1e-20, where some points refuse)
+    # matches the serial run bit for bit
     import random
     import sys
     import threading
@@ -816,7 +758,6 @@ def test_threads_get_the_serial_bits(monkeypatch):
     points = [(rng.uniform(-1.0, 20.0), 10.0 ** rng.uniform(-20.0, 2.69)) for _ in range(500)]
     work = [(kind, i) for kind in (QuantityKind.P, QuantityKind.OMEGA, QuantityKind.Z, QuantityKind.PHI_K)
             for i in range(len(points))]
-    monkeypatch.setattr(core, "_P_TABLE_MAX", 40)
 
     def outcome(kind, i):
         try:
@@ -826,21 +767,13 @@ def test_threads_get_the_serial_bits(monkeypatch):
         return v.value.hex(), v.rel_error_bound.hex()
 
     def cold():
-        core._p_clear()
         core._ratio_i.cache_clear()
         core._k_ladder.cache_clear()
 
     cold()
     serial = {w: outcome(*w) for w in work}
     cold()
-    results, sizes, errors, clears = [{} for _ in range(4)], [], [], []
-
-    class Table(dict):
-        def clear(self):
-            clears.append(len(self))
-            super().clear()
-
-    monkeypatch.setattr(core, "_p_table", Table())
+    results, errors = [{} for _ in range(4)], []
 
     def run(k):
         try:
@@ -848,7 +781,6 @@ def test_threads_get_the_serial_bits(monkeypatch):
             random.Random(k).shuffle(order)
             for w in order:
                 results[k][w] = outcome(*w)
-                sizes.append(_p_table_size(core))
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -862,10 +794,8 @@ def test_threads_get_the_serial_bits(monkeypatch):
             t.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-        core._p_clear()
     assert not any(t.is_alive() for t in threads) and errors == []
     assert all(r == serial for r in results)
-    assert max(sizes) <= 40 and len(clears) > 10
 
 
 def test_K_split_is_exact_and_ties_at_plus_half():
