@@ -420,7 +420,8 @@ def _k_temme(mu: float, x: float) -> tuple[float, float, float, float]:
     The budget below is meant for x <= 2 only: past it f_1's cancellation
     f_0 + p_0 + q_0 tends to 0 and rr grows without bound (2 600-4 900 eps
     at x = 2.5; at x = 3, mu = 1/2 the sum rounds to -4e-16 and the budget
-    is negative), so no route and no check calls it there.
+    is negative), so an x outside its row's domain in _K_KERNELS raises
+    AccuracyError.
 
     K_mu = sum c_k f_k, K_{mu+1} = (2/x) sum c_k (p_k - k f_k), c_k = (x^2/4)^k/k!
     (Temme 1975; Numerical Recipes ``bessik``); gam1, gam2 come from the Taylor
@@ -433,6 +434,8 @@ def _k_temme(mu: float, x: float) -> tuple[float, float, float, float]:
     partial sum costs u, and the tail is under twice the last term.  The loop
     follows the module's kernel rules.
     """
+    if not 0.0 < x <= _TEMME_X_MAX:
+        raise AccuracyError(f"K_{mu}({x}): Temme's series claims nothing outside 0 < x <= {_TEMME_X_MAX:g}")
     d = _LN2 - math.log(x)  # ln(2/x)
     e, m2 = mu * d, mu * mu
     ev, od, fact, rgp, rgm = _TEMME_ORDER.get(mu) or _temme_order(mu)
@@ -612,6 +615,7 @@ _K_KERNELS = (
     _KKernel("trapezoid", _k_trapezoid, 2.0, (1.5, math.inf)),
     _KKernel("cf2", _k_cf2, 10.0, (2.0, math.inf)),
 )
+_TEMME_X_MAX = _K_KERNELS[0].domain[1]  # _k_temme refuses larger x
 # the row keyed by mu = 1/2, which _k_route takes at every x, ahead of the x rows
 _K_CLOSED = _KKernel("closed", _k_closed, 0.0, (0.0, math.inf))
 K_PATHS = tuple(row.path for row in _K_KERNELS) + (_K_CLOSED.path,)

@@ -239,10 +239,12 @@ class _Checks:
     """The check records of one group function, timed back to back.
 
     A record's ``runtime_ms`` runs from the end of the previous record (or the
-    recorder's creation) to its own ``add``, so it covers its own check's work
-    and no time is counted twice.  A check is ``info`` (reported, never
-    gated) or passes when ``ok``: by default when it has no witness and its
-    worst deviation is within its tolerance.
+    recorder's creation) to its own ``add``, so it covers the work in between
+    and no time is counted twice.  Where checks share one pass, the first
+    record added after it carries the whole pass and the others about 0.  A
+    check is ``info`` (reported, never gated) or passes when ``ok``: by
+    default when it has no witness and its worst deviation is within its
+    tolerance.
     """
 
     def __init__(self):
@@ -530,12 +532,15 @@ def consistency_checks() -> list[CheckRecord]:
     xs = _log_grid(0.05, 80.0, 20)
     checks = _Checks()
 
+    # each (kind, nu, x) is evaluated once: the Riccati loops read the
+    # Wronskian loop's y and z, and the identity loops the Riccati loops' v'
+    values, derivs = {}, {}
     devs = []
     for nu in CONSISTENCY_NU:
         for x in xs:
             ctx = EvalContext(nu, x)
-            y = quantity(QuantityKind.Y, ctx).value
-            z = quantity(QuantityKind.Z, ctx).value
+            y = values[QuantityKind.Y, nu, x] = quantity(QuantityKind.Y, ctx).value
+            z = values[QuantityKind.Z, nu, x] = quantity(QuantityKind.Z, ctx).value
             p = quantity(QuantityKind.P, ctx).value
             devs.append(abs(y - z - 1.0 / p) * p)
     checks.add("consistency:wronskian", 1e-10, max(devs))
@@ -546,10 +551,10 @@ def consistency_checks() -> list[CheckRecord]:
         devs = []
         for nu in CONSISTENCY_NU:
             for x in xs:
-                ctx = EvalContext(nu, x)
                 s = x * x + nu * nu
-                v = quantity(kind, ctx).value
-                devs.append(abs(x * numeric_derivative(kind, ctx) - (s - v * v)) / s)
+                v = values[kind, nu, x]
+                vp = derivs[kind, nu, x] = numeric_derivative(kind, EvalContext(nu, x))
+                devs.append(abs(x * vp - (s - v * v)) / s)
         checks.add(f"consistency:riccati_{side}", 1e-6, max(devs))
 
     for side, kind, phi, min_nu in (("I", QuantityKind.Y, QuantityKind.PHI_I, 0.0),
@@ -559,9 +564,8 @@ def consistency_checks() -> list[CheckRecord]:
             if nu < min_nu:
                 continue
             for x in xs:
-                ctx = EvalContext(nu, x)
-                f = quantity(phi, ctx).value
-                devs.append(abs(numeric_derivative(kind, ctx) - x * f) / abs(x * f))
+                f = quantity(phi, EvalContext(nu, x)).value
+                devs.append(abs(derivs[kind, nu, x] - x * f) / abs(x * f))
         checks.add(f"consistency:delta{side}_identity", 1e-6, max(devs))
 
     # second derivative: x y'' = 2x - (2y+1) y', relative to the term scale
@@ -607,8 +611,8 @@ CONCAVITY_NU = (0.5, 1.0, 2.0, 5.0)
 CONCAVITY_X = _log_grid(1e-3, SUPPORTED_X[1], 2000)
 
 
-def _p_concavity(nu: float, x: float) -> tuple[float, float]:
-    """phiI + phiK at (nu, x), with an absolute error bound from the two claims.
+def _p_concavity(ctx: EvalContext) -> tuple[float, float]:
+    """phiI + phiK at ctx's point, with an absolute error bound from the two claims.
 
     By the Riccati equations (DLMF 10.29), s = y + z = x P'/P has
     x s' = x^2 (phiI + phiK), so P = I K is strictly geometrically concave
@@ -616,17 +620,16 @@ def _p_concavity(nu: float, x: float) -> tuple[float, float]:
     turan16_upper (phiI < 1/sqrt(x^2 + mu)) and turan24_upper
     (phiK <= -1/sqrt(x^2 + mu)), mu = nu^2 - 1/4, sum to 0.
     """
-    ctx = EvalContext(nu, x)
     fi, fk = quantity(QuantityKind.PHI_I, ctx), quantity(QuantityKind.PHI_K, ctx)
     g = fi.value + fk.value
     return g, fi.abs_error_bound + fk.abs_error_bound + _EPS * abs(g)
 
 
-def _omega_concavity(nu: float, x: float) -> tuple[float, float]:
-    """s (1 + s) + x^2 (phiI + phiK), s = y + z, at (nu, x), with an absolute
-    error bound from the four claims: omega = x P has omega'' of its sign."""
-    g, eg = _p_concavity(nu, x)
-    ctx = EvalContext(nu, x)
+def _omega_concavity(ctx: EvalContext, g: float, eg: float) -> tuple[float, float]:
+    """s (1 + s) + x^2 (phiI + phiK), s = y + z, at ctx's point, from P's term
+    (g, eg) = _p_concavity(ctx), with an absolute error bound from the four
+    claims: omega = x P has omega'' of its sign."""
+    x = ctx.x
     y, z = quantity(QuantityKind.Y, ctx), quantity(QuantityKind.Z, ctx)
     s = y.value + z.value
     es = y.abs_error_bound + z.abs_error_bound + _EPS * abs(s)
@@ -678,19 +681,23 @@ def application_checks() -> list[CheckRecord]:
     # concavity of P in log x and of omega = x P, at each point of a fixed
     # grid: a point fails when its value is positive beyond its error bound;
     # a point whose bound straddles 0 (both approach 0 like e^(-2x) at
-    # nu = 1/2) is counted as unresolved, an info record, never as a pass
-    for name, term, label in (("P_geometric_concavity", _p_concavity, "phiI+phiK<0"),
-                              ("omega_concavity", _omega_concavity, "s(1+s)+x^2(phiI+phiK)<0")):
-        wits, unresolved = [], 0
-        for nu in CONCAVITY_NU:
-            for x in CONCAVITY_X:
-                v, err = term(nu, x)
+    # nu = 1/2) is counted as unresolved, an info record, never as a pass.
+    # One pass evaluates each point once for both checks, so the first
+    # record's runtime_ms carries the whole pass and the other three about 0
+    labels = ("phiI+phiK<0", "s(1+s)+x^2(phiI+phiK)<0")
+    wits, unresolved = ([], []), [0, 0]
+    for nu in CONCAVITY_NU:
+        for x in CONCAVITY_X:
+            ctx = EvalContext(nu, x)
+            g, eg = _p_concavity(ctx)
+            for j, (v, err) in enumerate(((g, eg), _omega_concavity(ctx, g, eg))):
                 if v - err > 0.0:
-                    wits.append(Violation(label, nu, x, 0.0, v, v - err))
+                    wits[j].append(Violation(labels[j], nu, x, 0.0, v, v - err))
                 elif v + err >= 0.0:
-                    unresolved += 1
-        checks.add(f"applications:{name}_pointwise", 0.0, witnesses=wits)
-        checks.add(f"applications:{name}_pointwise_unresolved", 0.0, float(unresolved), info=True)
+                    unresolved[j] += 1
+    for name, w, n in zip(("P_geometric_concavity", "omega_concavity"), wits, unresolved):
+        checks.add(f"applications:{name}_pointwise", 0.0, witnesses=w)
+        checks.add(f"applications:{name}_pointwise_unresolved", 0.0, float(n), info=True)
 
     # P strictly decreasing, with P < 1/(2 nu) < 1/2 for nu > 1
     ok = True

@@ -857,6 +857,20 @@ def test_temme_order_table_keeps_the_bits(monkeypatch):
     assert [_bits(core._k_temme(mu, x)) for mu, x in points] == tabled
 
 
+def test_temme_refuses_outside_its_domain():
+    # past x = 2 Temme's budget fails: at x = 3 it would be -888 at mu = 1/2
+    # and about 2e-11 at mu = 0.3, so the kernel refuses there, and at the
+    # edge of its row's domain it still runs
+    from besselbounds import core
+
+    assert core._TEMME_X_MAX == _K_ROWS["temme"].domain[1] == 2.0
+    for mu, x in ((0.5, 3.0), (0.3, 3.0), (0.0, math.nextafter(2.0, 3.0)), (0.3, 0.0), (0.3, math.nan)):
+        with pytest.raises(AccuracyError):
+            core._k_temme(mu, x)
+    k0, k1, rel0, rel1 = core._k_temme(0.3, 2.0)
+    assert 0.0 < rel0 < 1e-12 and 0.0 < rel1 < 1e-12
+
+
 def test_trapezoid_table_within_its_claimed_rounding():
     # _k_trapezoid's claim takes each tabled 2 sinh^2(t_j/2) within 2.5 eps and
     # e^+-t_j within eps of their values at the exact nodes t_j = j h

@@ -254,10 +254,8 @@ def test_application_checks_pass():
         assert unresolved.status == "info" and 0 < unresolved.max_violation < len(CONCAVITY_X), name
 
 
-def test_planted_phiK_defect_fails_both_pointwise_checks(monkeypatch):
-    # phiK scaled by 1 - 1e-6 (its claim kept) makes phiI + phiK positive
-    # beyond its bound at every order near x = 500 (about +2e-9 against
-    # 4e-14 at nu = 5), and both checks fail
+def _scaled_phiK(monkeypatch):
+    # plants phiK scaled by 1 - 1e-6 (its claim kept) in harness.quantity
     from besselbounds import harness
     from besselbounds.core import QuantityKind as QK, ValueWithError
 
@@ -268,16 +266,119 @@ def test_planted_phiK_defect_fails_both_pointwise_checks(monkeypatch):
         return ValueWithError(v.value * (1.0 - 1e-6), v.rel_error_bound) if kind is QK.PHI_K else v
 
     monkeypatch.setattr(harness, "quantity", scaled)
+
+
+def test_planted_phiK_defect_fails_both_pointwise_checks(monkeypatch):
+    # phiK scaled by 1 - 1e-6 makes phiI + phiK positive beyond its bound at
+    # every order near x = 500 (about +2e-9 against 4e-14 at nu = 5), and
+    # both checks fail
+    from besselbounds import harness
+    from besselbounds.core import EvalContext
+
+    _scaled_phiK(monkeypatch)
     recs = {c.check_id: c for c in application_checks()}
     for name in ("P_geometric_concavity", "omega_concavity"):
         rec = recs[f"applications:{name}_pointwise"]
         assert rec.status == "fail" and rec.max_violation == max(w.margin for w in rec.witnesses), name
     for nu in CONCAVITY_NU:
-        for term in (harness._p_concavity, harness._omega_concavity):
-            v, err = term(nu, CONCAVITY_X[-1])
-            assert v - err > 0.0, (nu, term.__name__)
-    g, err = harness._p_concavity(5.0, CONCAVITY_X[-1])
+        ctx = EvalContext(nu, CONCAVITY_X[-1])
+        g, eg = harness._p_concavity(ctx)
+        v, err = harness._omega_concavity(ctx, g, eg)
+        assert g - eg > 0.0 and v - err > 0.0, nu
+    g, err = harness._p_concavity(EvalContext(5.0, CONCAVITY_X[-1]))
     assert 1e-9 < g < 3e-9 and err < 1e-13
+
+
+def _concavity_records_by_plain_loops():
+    # the two pointwise checks as two independent loops over the grid, each
+    # evaluating its own term from harness.quantity at every point
+    from besselbounds import harness
+    from besselbounds.core import _EPS, EvalContext, QuantityKind as QK
+
+    def p_term(nu, x):
+        ctx = EvalContext(nu, x)
+        fi, fk = harness.quantity(QK.PHI_I, ctx), harness.quantity(QK.PHI_K, ctx)
+        g = fi.value + fk.value
+        return g, fi.abs_error_bound + fk.abs_error_bound + _EPS * abs(g)
+
+    def omega_term(nu, x):
+        g, eg = p_term(nu, x)
+        ctx = EvalContext(nu, x)
+        y, z = harness.quantity(QK.Y, ctx), harness.quantity(QK.Z, ctx)
+        s = y.value + z.value
+        es = y.abs_error_bound + z.abs_error_bound + _EPS * abs(s)
+        a, b = s * (1.0 + s), x * x * g
+        return a + b, (abs(1.0 + 2.0 * s) + es) * es + x * x * eg + 4.0 * _EPS * (abs(a) + abs(b))
+
+    checks = harness._Checks()
+    for name, term, label in (("P_geometric_concavity", p_term, "phiI+phiK<0"),
+                              ("omega_concavity", omega_term, "s(1+s)+x^2(phiI+phiK)<0")):
+        wits, unresolved = [], 0
+        for nu in CONCAVITY_NU:
+            for x in CONCAVITY_X:
+                v, err = term(nu, x)
+                if v - err > 0.0:
+                    wits.append(harness.Violation(label, nu, x, 0.0, v, v - err))
+                elif v + err >= 0.0:
+                    unresolved += 1
+        checks.add(f"applications:{name}_pointwise", 0.0, witnesses=wits)
+        checks.add(f"applications:{name}_pointwise_unresolved", 0.0, float(unresolved), info=True)
+    return {c.check_id: dataclasses.replace(c, runtime_ms=0.0) for c in checks.records}
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_concavity_pass_matches_two_plain_loops(monkeypatch, planted):
+    # the one pass that serves both checks builds, field for field, the
+    # records of two independent loops; with the phiK defect planted both
+    # checks have witnesses, and without it each has 526 unresolved points
+    if planted:
+        _scaled_phiK(monkeypatch)
+    want = _concavity_records_by_plain_loops()
+    got = {c.check_id: dataclasses.replace(c, runtime_ms=0.0) for c in application_checks()
+           if c.check_id in want}
+    assert got == want
+    for name in ("P_geometric_concavity", "omega_concavity"):
+        assert bool(want[f"applications:{name}_pointwise"].witnesses) == planted, name
+        if not planted:
+            assert want[f"applications:{name}_pointwise_unresolved"].max_violation == 526.0, name
+
+
+def test_verify_points_are_evaluated_once(monkeypatch):
+    # the concavity pass asks for each of phiI, phiK, y and z once per grid
+    # point (32 000 calls; two checks evaluating their own terms would make
+    # 48 000); the consistency checks ask for no point twice, and the
+    # Turanian identities read the Riccati loops' y' and z' instead of
+    # taking 360 derivatives again
+    from besselbounds import harness
+    from besselbounds.core import QuantityKind as QK
+
+    quantity, derivative = harness.quantity, harness.numeric_derivative
+    calls, derivs = Counter(), Counter()
+
+    def counted(kind, ctx):
+        calls[kind, ctx.nu, ctx.x] += 1
+        return quantity(kind, ctx)
+
+    def counted_derivative(kind, ctx, *args, **kwargs):
+        derivs[kind, ctx.nu, ctx.x, args, tuple(kwargs.items())] += 1
+        return derivative(kind, ctx, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "quantity", counted)
+    monkeypatch.setattr(harness, "numeric_derivative", counted_derivative)
+    application_checks()
+    n, terms = len(CONCAVITY_NU) * len(CONCAVITY_X), (QK.PHI_I, QK.PHI_K, QK.Y, QK.Z)
+    assert n == 8000 and set(calls.values()) == {1}
+    assert Counter(kind for kind, _, _ in calls if kind in terms) == dict.fromkeys(terms, n)
+
+    calls.clear()
+    records = consistency_checks()
+    assert set(calls.values()) == {1} and set(derivs.values()) == {1}
+    # the Riccati loops (y' and z' at 10 orders x 20 points) and the second
+    # derivative check (y' and y'' at 10 orders x 5 points): 500, where
+    # identity loops taking their own 160 y' and 200 z' would make 860
+    orders = len(harness.CONSISTENCY_NU)
+    assert sum(derivs.values()) == 2 * orders * 20 + 2 * orders * 5 == 860 - 360
+    assert [r.check_id for r in records if r.status == "fail"] == []
 
 
 def test_wobbly_P_fails_the_wronskian(monkeypatch):
@@ -322,8 +423,9 @@ def test_P_is_not_geometrically_concave_below_half(nu, x, value):
     # below nu = 1/2 phiI + phiK is positive beyond its claims, so P is not
     # geometrically concave there and the pointwise checks start at nu = 1/2
     from besselbounds import harness
+    from besselbounds.core import EvalContext
 
-    g, err = harness._p_concavity(nu, x)
+    g, err = harness._p_concavity(EvalContext(nu, x))
     assert g == pytest.approx(value, rel=0.05) and err < 1e-13
 
 
