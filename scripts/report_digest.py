@@ -4,8 +4,9 @@
 Runs ``besselbounds verify --suite all`` (with SOURCE_DATE_EPOCH=0),
 ``besselbounds figure fig1|fig2|fig3``, ``besselbounds bounds list --json`` and
 ``besselbounds bounds at`` at a few fixed points from the checkout's own
-``src/`` in a temporary directory, evaluates every tag at a fixed seeded set
-of points, and prints one digest per output:
+``src/`` in a temporary directory, evaluates every tag and queries the catalog
+for every quantity at a fixed seeded set of points, and prints one digest per
+output:
 
     verify_all.json   the report with every ``runtime_ms`` field dropped
     fig1.csv ...      the figure data as written
@@ -14,6 +15,10 @@ of points, and prints one digest per output:
     tags              value, claim or exception type of each of the 24 tags
                       (I, K, ratio_I, ratio_K and the 20 quantities) at each
                       of tag_points(): TAG_POINTS seeded points and the edges
+    queries           for each of the 20 quantities at each of tag_points():
+                      the ids and values (in hex) that catalog.best_bounds
+                      returns and the catalog.applicable list of all three
+                      statuses
 
 Two checkouts whose digests match give byte-identical reports (apart from
 timings), figures, catalog queries and point evaluations.  Usage, from the
@@ -26,11 +31,12 @@ so one copy of the script serves both sides of a comparison.  ``--against``
 builds a second checkout as the old side and, after both sets of digests,
 prints each ``check_id`` whose fields other than ``runtime_ms`` differ, with
 its old -> new ``status``, ``max_violation`` and witness margins, whether
-each other output is identical, and for ``tags`` how many points moved, per
-tag, how many changed outcome kind (value <-> refusal, or another refusal
-type), the range of x they span and the first points whose outcomes differ,
-tag by tag.  Standard library only; each checkout takes
-about as long as a cold ``verify --suite all`` plus 10 s for the tags.
+each other output is identical, and for ``tags`` and ``queries`` how many
+points moved, per tag or quantity, how many changed outcome kind (for a tag,
+value <-> refusal or another refusal type; for a quantity, which ids win or
+apply), the range of x they span and the first points whose outcomes differ.
+Standard library only; each checkout takes about as long as a cold ``verify
+--suite all`` plus a few seconds for the tags and queries.
 """
 
 import argparse
@@ -39,6 +45,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -127,20 +134,60 @@ def _tag_outcomes() -> None:
         out.write(" ".join(fields) + "\n")
 
 
+def _evaluations(evs) -> str:
+    # "id:value" with the value in hex for each evaluation, comma-separated; "-" for none
+    return ",".join(f"{e.id}:{e.value.hex()}" for e in evs if e is not None) or "-"
+
+
+def query_field(kind, nu: float, x: float) -> str:
+    """"lower/upper/applicable": the best_bounds winners, then the applicable
+    list of all three statuses, each as _evaluations writes it; a query that
+    raises is written as the exception's type ("ValueError/applicable")."""
+    from besselbounds import catalog
+
+    try:
+        lo, hi = catalog.best_bounds(kind, nu, x)
+        best = f"{_evaluations([lo])}/{_evaluations([hi])}"
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        best = type(exc).__name__
+    try:
+        every = _evaluations(catalog.applicable(kind, nu, x, statuses=("proved", "conjecture", "refuted")))
+    except Exception as exc:  # noqa: BLE001
+        every = type(exc).__name__
+    return f"{best}/{every}"
+
+
+def _query_outcomes() -> None:
+    # one line per point of tag_points(): nu, x and query_field of each
+    # quantity; run in a child process with PYTHONPATH at the checkout's src/
+    from besselbounds.core import QuantityKind
+
+    out = sys.stdout
+    out.write(" ".join(kind.value for kind in QuantityKind) + "\n")
+    for nu, x in tag_points():
+        out.write(" ".join([repr(nu), repr(x)] + [query_field(kind, nu, x) for kind in QuantityKind]) + "\n")
+
+
 def _outcome_kind(field: str) -> str:
     # "value" for "value/claim", else the exception's type
     return "value" if "/" in field else field
 
 
-def tags_diff(old: bytes, new: bytes) -> list[str]:
-    """What moved between two tags outputs: the count of points whose outcomes
-    differ, their count per tag, how many changed outcome kind (value <->
-    refusal, or another refusal type), their least and greatest x, and the
-    first TAG_DIFFS_SHOWN of them, tag by tag."""
+def _query_ids(field: str) -> str:
+    # the ids of a query field, its values dropped
+    return re.sub(r":[^,/]*", "", field)
+
+
+def tags_diff(old: bytes, new: bytes, name: str = "tags", kind=_outcome_kind) -> list[str]:
+    """What moved between two tags (or queries) outputs: the count of points
+    whose outcomes differ, their count per tag, how many changed outcome kind
+    (``kind`` of a field: for tags value <-> refusal or another refusal type,
+    for queries ``_query_ids``), their least and greatest x, and the first
+    TAG_DIFFS_SHOWN of them, tag by tag."""
     old_lines, new_lines = old.decode().splitlines(), new.decode().splitlines()
     names = new_lines[0].split()
     if old_lines[0] != new_lines[0] or len(old_lines) != len(new_lines):
-        return ["tags: the tag list or the point set differs"]
+        return [f"{name}: the tag list or the point set differs"]
     lines, xs, per_tag, kind_changes = [], [], dict.fromkeys(names, 0), 0
     for a, b in zip(old_lines[1:], new_lines[1:]):
         if a == b:
@@ -150,10 +197,10 @@ def tags_diff(old: bytes, new: bytes) -> list[str]:
         moved = [(tag, va, vb) for tag, va, vb in zip(names, fa[2:], fb[2:]) if va != vb]
         for tag, _, _ in moved:
             per_tag[tag] += 1
-        kind_changes += any(_outcome_kind(va) != _outcome_kind(vb) for _, va, vb in moved)
+        kind_changes += any(kind(va) != kind(vb) for _, va, vb in moved)
         if len(xs) <= TAG_DIFFS_SHOWN:
             lines.append(f"  nu={fa[0]} x={fa[1]}: " + ", ".join(f"{tag} {va} -> {vb}" for tag, va, vb in moved))
-    out = [f"tags: {len(xs)} of {len(new_lines) - 1} points differ"]
+    out = [f"{name}: {len(xs)} of {len(new_lines) - 1} points differ"]
     if xs:
         order = lambda v: (v == v, v)  # NaN below every number
         out += ["  per tag: " + ", ".join(f"{tag} {n}" for tag, n in per_tag.items() if n),
@@ -200,11 +247,12 @@ def outputs(root: Path) -> tuple[dict, dict[str, bytes]]:
             tables.append(run.stdout)
         files["bounds_at.txt"] = b"".join(tables)
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        run = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--tag-outcomes"],
-                             cwd=tmp, env=env, stdout=subprocess.PIPE)
-        if run.returncode != 0:
-            raise SystemExit(f"the tag evaluations did not run in {root}")
-        files["tags"] = run.stdout
+        for name, flag in (("tags", "--tag-outcomes"), ("queries", "--query-outcomes")):
+            run = subprocess.run([sys.executable, str(Path(__file__).resolve()), flag],
+                                 cwd=tmp, env=env, stdout=subprocess.PIPE)
+            if run.returncode != 0:
+                raise SystemExit(f"the {name} output did not run in {root}")
+            files[name] = run.stdout
         return _drop_runtimes(json.loads(report.read_text())), files
 
 
@@ -252,9 +300,13 @@ def main() -> int:
     ap.add_argument("--against", type=Path, default=None,
                     help="older checkout to compare with: prints what moved")
     ap.add_argument("--tag-outcomes", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--query-outcomes", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.tag_outcomes:
         _tag_outcomes()
+        return 0
+    if args.query_outcomes:
+        _query_outcomes()
         return 0
     new = outputs(args.root.resolve())
     for name, digest in digests(*new):
@@ -274,6 +326,8 @@ def main() -> int:
         print(f"{name}: {'identical' if same else 'differs'}")
         if name == "tags" and not same:
             print("\n".join(tags_diff(old[1][name], new[1][name])))
+        if name == "queries" and not same:
+            print("\n".join(tags_diff(old[1][name], new[1][name], name, _query_ids)))
     return 0
 
 

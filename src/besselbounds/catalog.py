@@ -29,15 +29,18 @@ by ``_radicand`` alone: a change to how it rounds near |nu| = 1/2, where it
 cancels at small x (an open ROADMAP item), is one edit there.
 
 ``CATALOG`` is the one source of entries.  Point queries scan a view of it
-built at import, each quantity's entries in declaration order (_BY_QUANTITY).
+built at import (_BY_QUANTITY): for each quantity, its entries in declaration
+order, and from them its proved lower and its proved upper entries, each side
+in declaration order.  ``ids`` and ``applicable`` walk the
+entries, ``best_bounds`` only the two proved sides.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import MappingProxyType
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import QuantityKind
 
@@ -82,7 +85,7 @@ class BoundSpec:
     guard_note: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BoundEvaluation:
     """Formula value of one entry at one point (NaN when inapplicable)."""
 
@@ -92,6 +95,20 @@ class BoundEvaluation:
     status: Status
     side: Side
     quantity: QuantityKind
+
+    def __init__(self, id: str, value: float, applicable: bool, status: Status, side: Side,
+                 quantity: QuantityKind):
+        _set_id(self, id)
+        _set_value(self, value)
+        _set_applicable(self, applicable)
+        _set_status(self, status)
+        _set_side(self, side)
+        _set_quantity(self, quantity)
+
+
+# BoundEvaluation, built per query, writes each frozen field once through its slot
+(_set_id, _set_value, _set_applicable, _set_status, _set_side,
+ _set_quantity) = (getattr(BoundEvaluation, f.name).__set__ for f in fields(BoundEvaluation))
 
 
 def _radicand(nu: float, x: float) -> float:
@@ -425,18 +442,34 @@ def _entries() -> list[BoundSpec]:
 
 
 CATALOG: MappingProxyType[str, BoundSpec] = MappingProxyType({b.id: b for b in _entries()})
-_BY_QUANTITY: dict[QuantityKind, tuple[BoundSpec, ...]] = {
-    q: tuple(b for b in CATALOG.values() if b.quantity is q) for q in QuantityKind}
 
 
-def _entries_of(quantity: QuantityKind) -> tuple[BoundSpec, ...]:
-    entries = _BY_QUANTITY.get(quantity)  # a member hits; a str value is converted
-    return _BY_QUANTITY[QuantityKind(quantity)] if entries is None else entries
+class _View(NamedTuple):
+    """One quantity's entries, and its proved ones per side, each in declaration order."""
+
+    entries: tuple[BoundSpec, ...]
+    lower: tuple[BoundSpec, ...]
+    upper: tuple[BoundSpec, ...]
+
+
+def _view(entries: tuple[BoundSpec, ...]) -> _View:
+    proved = [b for b in entries if b.status == "proved"]
+    return _View(entries, tuple(b for b in proved if b.side == "lower"),
+                 tuple(b for b in proved if b.side == "upper"))
+
+
+_BY_QUANTITY: dict[QuantityKind, _View] = {
+    q: _view(tuple(b for b in CATALOG.values() if b.quantity is q)) for q in QuantityKind}
+
+
+def _view_of(quantity: QuantityKind) -> _View:
+    view = _BY_QUANTITY.get(quantity)  # a member hits; a str value is converted
+    return _BY_QUANTITY[QuantityKind(quantity)] if view is None else view
 
 
 def ids(status: Status | None = None, quantity: QuantityKind | None = None) -> list[str]:
     """Catalog ids in declaration order, optionally filtered."""
-    entries = CATALOG.values() if quantity is None else _entries_of(quantity)
+    entries = CATALOG.values() if quantity is None else _view_of(quantity).entries
     return [b.id for b in entries if status is None or b.status == status]
 
 
@@ -463,7 +496,7 @@ def applicable(quantity: QuantityKind, nu: float, x: float,
                statuses: tuple[Status, ...] = ("proved",)) -> list[BoundEvaluation]:
     """All evaluated entries for a quantity whose domain holds at (nu, x)."""
     return [_evaluation(b, b.formula(nu, x))
-            for b in _entries_of(quantity) if b.status in statuses and b.domain(nu, x)]
+            for b in _view_of(quantity).entries if b.status in statuses and b.domain(nu, x)]
 
 
 def best_bounds(quantity: QuantityKind, nu: float, x: float
@@ -471,21 +504,25 @@ def best_bounds(quantity: QuantityKind, nu: float, x: float
     """Tightest applicable proved bounds: (max lower, min upper).
 
     Ties are broken by lexicographic id; an absent side returns None.  One
-    pass keeps the least sort key per side, (-value, id) for lower and
-    (value, id) for upper, and builds evaluations only for the two winners.
+    walk over each side's proved entries keeps the largest lower and the
+    smallest upper value, and on an equal value (-0.0 == 0.0 too) the smaller
+    id; a NaN never displaces a winner.  Evaluations are built only for the
+    two winners.
     """
-    lo = hi = None  # (key, entry, value) of each side's winner so far
-    for b in _entries_of(quantity):
-        if b.status != "proved" or not b.domain(nu, x):
-            continue
-        v = b.formula(nu, x)
-        if b.side == "lower":
-            if lo is None or (-v, b.id) < lo[0]:
-                lo = (-v, b.id), b, v
-        elif hi is None or (v, b.id) < hi[0]:
-            hi = (v, b.id), b, v
-    return (None if lo is None else _evaluation(*lo[1:]),
-            None if hi is None else _evaluation(*hi[1:]))
+    _, lowers, uppers = _view_of(quantity)
+    lo = hi = None
+    for b in lowers:
+        if b.domain(nu, x):
+            v = b.formula(nu, x)
+            if lo is None or v > lo_v or v == lo_v and b.id < lo.id:
+                lo, lo_v = b, v
+    for b in uppers:
+        if b.domain(nu, x):
+            v = b.formula(nu, x)
+            if hi is None or v < hi_v or v == hi_v and b.id < hi.id:
+                hi, hi_v = b, v
+    return (None if lo is None else _evaluation(lo, lo_v),
+            None if hi is None else _evaluation(hi, hi_v))
 
 
 def catalog_rows() -> list[dict]:

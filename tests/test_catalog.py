@@ -1,7 +1,9 @@
 """Catalog integrity: coverage, guards, selection, and the master sweep."""
 
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 import re
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from besselbounds import catalog as cat
 from besselbounds.catalog import (
     CATALOG,
     BoundEvaluation,
@@ -320,6 +323,69 @@ def test_best_bounds_and_applicable_match_brute_force():
                         for w in want if w is not None for e in evs if e.status == "proved")
     # the nu = 1/2 collapse ties several sides; at some points no entry applies
     assert ties > 0 and inapplicable > 0
+
+
+def test_best_bounds_calls_each_applicable_proved_formula_once(monkeypatch):
+    # counting wrappers planted in the per-quantity view: one query calls the
+    # formula of each proved entry whose domain holds exactly once, and no
+    # other formula, at the nu = 1/2 collapse, where nothing applies and with
+    # the quantity given as its str value; the winners are those of the catalog
+    calls = {}
+
+    def counting(b):
+        def formula(nu, x):
+            calls[b.id] += 1
+            return b.formula(nu, x)
+        return dataclasses.replace(b, formula=formula)
+
+    quants = sorted({b.quantity for b in CATALOG.values()})
+    points = ((0.5, 2.0), (-0.5, 7.0), (0.0, 1.0), (0.3, 0.3), (2.0, 3.0), (-3.0, 0.01))
+    want = {(q, nu, x): best_bounds(q, nu, x) for q in quants for nu, x in points}
+    for q in quants:
+        monkeypatch.setitem(cat._BY_QUANTITY, q, cat._view(tuple(map(counting, cat._BY_QUANTITY[q].entries))))
+    for q in quants:
+        for nu, x in points:
+            for kind in (q, q.value):
+                calls = dict.fromkeys(ids(quantity=q), 0)
+                assert best_bounds(kind, nu, x) == want[q, nu, x], (kind, nu, x)
+                assert calls == {b.id: int(b.status == "proved" and b.domain(nu, x))
+                                 for b in CATALOG.values() if b.quantity is q}, (kind, nu, x)
+    # at nu = 1/2, x = 2 two lower and four upper phiK entries tie at -1/2; no
+    # phiP entry applies at nu = 0
+    assert [e.id for e in want[QK.PHI_K, 0.5, 2.0]] == ["turan20_lower", "turan18_upper"]
+    assert want[QK.PHI_P, 0.0, 1.0] == (None, None)
+
+
+def test_bound_evaluation_contract():
+    # a frozen dataclass with slots: fields, construction, eq, hash, repr,
+    # replace, asdict, pickling and the errors are those of the generated methods
+    names = ["id", "value", "applicable", "status", "side", "quantity"]
+    args = ("turan16_upper", 0.5, True, "proved", "upper", QK.PHI_I)
+    ev = BoundEvaluation(*args)
+    assert [f.name for f in dataclasses.fields(ev)] == names
+    assert [getattr(ev, name) for name in names] == list(args)
+    assert ev == BoundEvaluation(**dict(zip(names, args)))
+    assert ev == BoundEvaluation(*args[:3], **dict(zip(names[3:], args[3:])))
+    assert repr(ev) == ("BoundEvaluation(id='turan16_upper', value=0.5, applicable=True, status='proved', "
+                        "side='upper', quantity=<QuantityKind.PHI_I: 'phiI'>)")
+    assert hash(ev) == hash(args)
+    assert ev != BoundEvaluation("turan16_upper", 0.25, *args[2:])
+    assert ev != BoundEvaluation(*args[:5], QK.PHI_K)
+    with pytest.raises(TypeError):
+        BoundEvaluation(*args[:5])
+    moved = dataclasses.replace(ev, value=math.nan, applicable=False)
+    assert math.isnan(moved.value) and not moved.applicable
+    assert (moved.id, moved.status, moved.side, moved.quantity) == (args[0], *args[3:])
+    assert dataclasses.asdict(ev) == dict(zip(names, args))
+    assert pickle.loads(pickle.dumps(ev)) == ev
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ev, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(ev, name)
+    assert not hasattr(ev, "__dict__")
+    assert evaluate_bound("turan16_upper", 1.0, 1.0) == BoundEvaluation(
+        "turan16_upper", 1.0 / math.sqrt(1.75), True, "proved", "upper", QK.PHI_I)
 
 
 def test_queries_reject_unknown_quantities():

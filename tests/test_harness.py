@@ -469,8 +469,8 @@ def test_enclosure_margin_is_the_validity_margin(monkeypatch):
     real = cat.get("turan16_lower")
     broken = dataclasses.replace(real, formula=lambda nu, x: real.formula(nu, x) * (1.0 + 1e-6))
     monkeypatch.setattr(cat, "get", lambda bound_id: broken if bound_id == real.id else cat.CATALOG[bound_id])
-    monkeypatch.setitem(cat._BY_QUANTITY, real.quantity,
-                        tuple(broken if b is real else b for b in cat._BY_QUANTITY[real.quantity]))
+    monkeypatch.setitem(cat._BY_QUANTITY, real.quantity, cat._view(
+        tuple(broken if b is real else b for b in cat._BY_QUANTITY[real.quantity].entries)))
     validity = {(v.nu, v.x): v.margin for v in sweep_validity([real.id], default_grid(40))}
     rec = next(c for c in enclosure_checks(VerifyConfig(x_points=200))
                if c.check_id == "enclosure:phiI")

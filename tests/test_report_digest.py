@@ -39,3 +39,51 @@ def test_tags_diff_of_identical_outputs_and_of_other_point_sets():
     assert report_digest.tags_diff(out, out) == ["tags: 0 of 1 points differ"]
     assert report_digest.tags_diff(out, out + out.splitlines(True)[1]) == [
         "tags: the tag list or the point set differs"]
+
+
+def test_query_field_writes_winners_then_every_applicable_entry():
+    import math
+
+    from besselbounds.catalog import evaluate_bound
+    from besselbounds.core import QuantityKind as QK
+
+    def hx(bound_id, nu, x):
+        return f"{bound_id}:{evaluate_bound(bound_id, nu, x).value.hex()}"
+
+    lo, hi = hx("turan26_lower", 1.0, 6.0), hx("turan26_upper", 1.0, 6.0)
+    for kind in (QK.PHI_P, "phiP"):
+        assert report_digest.query_field(kind, 1.0, 6.0) == f"{lo}/{hi}/{lo},{hi}"
+    # every status, in declaration order; an absent side and no entry at all read "-"
+    field = report_digest.query_field(QK.PHI_I, 1.0, 1.0)
+    assert field.startswith(f"{hx('turan16_lower', 1.0, 1.0)}/{hx('turan8_upper', 1.0, 1.0)}/")
+    assert report_digest._query_ids(field) == (
+        "turan16_lower/turan8_upper/turan1_lower,turan1_upper,turan8_lower,turan8_upper,turan9_lower,"
+        "turan9_upper,turan10_upper,turan11_upper,turan16_lower,turan16_upper,turanconj_lower,joshi_turan7")
+    kr = hx("turan5p_upper", 1.0, 1.0)
+    assert report_digest.query_field(QK.K_RATIO, 1.0, 1.0) == f"-/{kr}/{kr}"
+    assert report_digest.query_field(QK.W, 1.0, 1.0) == "-/-/-"
+    assert report_digest.query_field(QK.PHI_P, 0.0, 1.0) == "-/-/-"
+    # edges stay in: NaN values are written as such (the first proved entry of
+    # each side wins, as nothing displaces a NaN), a query that raises by its type
+    assert report_digest.query_field(QK.Z, 1.0, math.nan).startswith("turan22_lower:nan/turan4_upper:nan/")
+    assert report_digest.query_field(QK.Y, 1.0, math.inf) == "ValueError/ValueError"
+
+
+def test_queries_diff_counts_changed_ids_as_outcome_kind():
+    old = (b"phiI phiK\n"
+           b"1.0 1.0 a:0x1.0p-1/b:0x1.0p+0/a:0x1.0p-1,b:0x1.0p+0 -/-/-\n"
+           b"2.0 1.0 a:0x1.0p-1/b:0x1.0p+0/a:0x1.0p-1,b:0x1.0p+0 c:-0x1.0p+0/-/c:-0x1.0p+0\n")
+    new = (b"phiI phiK\n"
+           b"1.0 1.0 a:0x1.0p-1/b:0x1.0p+0/a:0x1.0p-1,b:0x1.0p+0 -/-/-\n"
+           b"2.0 1.0 a:0x1.0p-2/b:0x1.0p+0/a:0x1.0p-2,b:0x1.0p+0 d:-0x1.0p+0/-/d:-0x1.0p+0\n")
+    lines = report_digest.tags_diff(old, new, "queries", report_digest._query_ids)
+    assert lines[:4] == [
+        "queries: 1 of 2 points differ",
+        "  per tag: phiI 1, phiK 1",
+        "  points that changed outcome kind: 1",
+        "  x of the moved points: 1.0 .. 1.0",
+    ]
+    assert report_digest._query_ids("a:-0x1.0p+0/-/a:-0x1.0p+0,b:nan") == "a/-/a,b"
+    assert report_digest._query_ids("ValueError/ZeroDivisionError") == "ValueError/ZeroDivisionError"
+    assert report_digest.tags_diff(old, b"".join(new.splitlines(True)[:2]), "queries") == [
+        "queries: the tag list or the point set differs"]
