@@ -32,7 +32,9 @@ cancels at small x (an open ROADMAP item), is one edit there.
 built at import (_BY_QUANTITY): for each quantity, its entries in declaration
 order, and from them its proved lower and its proved upper entries, each side
 in declaration order.  ``ids`` and ``applicable`` walk the
-entries, ``best_bounds`` only the two proved sides.
+entries, ``best_bounds`` only the two proved sides.  The three point queries
+(``evaluate_bound``, ``applicable``, ``best_bounds``) test x once per call: at
+an x that is not positive and finite no entry applies, whatever its guard.
 """
 
 from __future__ import annotations
@@ -485,9 +487,13 @@ def _evaluation(b: BoundSpec, value: float, applies: bool = True) -> BoundEvalua
 
 
 def evaluate_bound(bound_id: str, nu: float, x: float) -> BoundEvaluation:
-    """Evaluate one entry's formula at (nu, x); inapplicable points never raise."""
+    """Evaluate one entry's formula at (nu, x); inapplicable points never raise.
+
+    No entry applies at an x that is not positive and finite (0, -1, inf, NaN):
+    each query tests x once, before any domain predicate.
+    """
     b = get(bound_id)
-    if not b.domain(nu, x):
+    if not (0.0 < x < math.inf and b.domain(nu, x)):
         return _evaluation(b, math.nan, False)
     return _evaluation(b, b.formula(nu, x))
 
@@ -495,8 +501,10 @@ def evaluate_bound(bound_id: str, nu: float, x: float) -> BoundEvaluation:
 def applicable(quantity: QuantityKind, nu: float, x: float,
                statuses: tuple[Status, ...] = ("proved",)) -> list[BoundEvaluation]:
     """All evaluated entries for a quantity whose domain holds at (nu, x)."""
-    return [_evaluation(b, b.formula(nu, x))
-            for b in _view_of(quantity).entries if b.status in statuses and b.domain(nu, x)]
+    entries = _view_of(quantity).entries
+    if not 0.0 < x < math.inf:
+        return []
+    return [_evaluation(b, b.formula(nu, x)) for b in entries if b.status in statuses and b.domain(nu, x)]
 
 
 def best_bounds(quantity: QuantityKind, nu: float, x: float
@@ -510,6 +518,8 @@ def best_bounds(quantity: QuantityKind, nu: float, x: float
     two winners.
     """
     _, lowers, uppers = _view_of(quantity)
+    if not 0.0 < x < math.inf:
+        return None, None
     lo = hi = None
     for b in lowers:
         if b.domain(nu, x):

@@ -33,11 +33,12 @@ Each base result has one route function; evaluation_path reads the same ones.
   elsewhere the continued fraction CF1, cut after its first element, with a
   series tail, at tiny x where the Lentz start is not negligible.
 * K_{nu-1}, K_nu, K_{nu+1} (ratio_K, z, phiK, kratio, deltaK and the rest of
-  the K side): one ladder, i.e. one climb for each distinct mu among the
-  three orders (one climb, except at a sign change near nu = 0, or where
-  nu -+ 1 rounds off nu's mu), so one evaluation of K_mu and K_{mu+1} for
-  every order whose mu has the same bits.  The ladder gives each order the
-  bits it gets alone.
+  the K side): one ladder at the exact orders, from nu's split alone (no
+  order nu -+ 1 is rounded to a double): levels n - 1, n and n + 1 of the
+  climb at mu, or at 0 < |nu| < 1/2, where K_{1-|nu|} = K_{-mu+1}, levels 0
+  and 1 of the climb at mu and level 1 of a second climb at -mu (negation is
+  exact).  K_nu has the bits _besselk gives it.  omega's Wronskian form reads
+  K_nu and K_{nu+1} from the same climbs.
 
 Every evaluation returns a ``ValueWithError`` carrying a claimed bound on
 the relative error (truncation tail + rounding).  The ratio_I claim is
@@ -106,7 +107,7 @@ _k_closed) have no loop: a few roundings, each counted in the claim.
 
 Around the kernels, the fixed cost of an evaluation: build nothing on a
 cache hit (a cache holds the finished result), and no container
-bookkeeping around a kernel call (_k_ladder picks its climbs in
+bookkeeping around a kernel call (_k_orders picks its climbs in
 straight-line code); the per-point objects are slotted.
 
 All functions are pure and cache only immutable results in lru_caches; they
@@ -637,7 +638,7 @@ def _k_split(v: float) -> tuple[float, int]:
     # K's order v as (mu, n), |v| = n + mu exactly with mu in (-1/2, 1/2]: n is
     # the integer nearest |v|, and a tie takes the lower one, mu = +1/2, which
     # climbs from the closed form.  |v| - 1/2 is exact for 1/4 <= |v| <= 21, past
-    # the ladder's reach nu + 1; below 1/4 it lies in [-1/2, -1/4] and n is 0
+    # the box's |nu| <= 20; below 1/4 it lies in [-1/2, -1/4] and n is 0
     a = abs(v)
     n = math.ceil(a - 0.5)
     return a - n, n
@@ -872,32 +873,35 @@ def ratio_I(ctx: EvalContext) -> ValueWithError:
 RATIO_K_CROSSCHECK_REL = 1e-9
 
 
+def _k_orders(nu: float, x: float) -> tuple[float, float, float, float, float, float]:
+    """(K_{nu-1}, em, K_nu, e0, K_{nu+1}, e1) at the exact orders, from (mu, n) = _k_split(nu).
+
+    K_nu is level n of the climb at mu, K_{|nu|+1} level n + 1, and K_{|nu|-1}
+    level n - 1 at n >= 1; nu's sign says which of the two is K_{nu-1}.  At
+    n = 0, K_{|nu|-1} = K_{1-mu} is K_1 (level 1) at mu = 0, K_{1/2} (level 0)
+    at mu = 1/2, and else level 1 of a second climb at -mu: negation is exact.
+    Each value carries _k_level's claim for its level.
+    """
+    mu, n = _k_split(nu)
+    c = _k_climb(mu, x, n + 1)
+    k0, e0 = _k_level(c, n + 1, n)
+    kh, eh = _k_level(c, n + 1, n + 1)
+    if n:
+        kl, el = _k_level(c, n + 1, n - 1)
+    elif 0.0 < mu < 0.5:
+        kl, el = _k_level(_k_climb(-mu, x, 1), 1, 1)
+    else:
+        kl, el = (k0, e0) if mu else (kh, eh)
+    return (kh, eh, k0, e0, kl, el) if nu < 0.0 else (kl, el, k0, e0, kh, eh)
+
+
 @lru_cache(maxsize=200_000)
 def _k_ladder(nu: float, x: float) -> tuple[float, float, float, float, float, float]:
-    """(K_{nu-1}, em, K_nu, e0, K_{nu+1}/K_nu, er), cross-checked.
-
-    Order v is level n of the climb from mu, (mu, n) = _k_split(v); one climb
-    per distinct mu, taken to the highest level read (the levels lie within 2
-    of each other), gives each order the bits _besselk gives it.  At a
-    half-integer nu all three orders share mu = 1/2: one climb.
-    """
-    (mm, lm), (m0, l0), (mp, lp) = _k_split(nu - 1.0), _k_split(nu), _k_split(nu + 1.0)
-    tm = tp = t0 = max(1, l0, lm if mm == m0 else 0, lp if mp == m0 else 0)
-    cm = cp = c0 = _k_climb(m0, x, t0)
-    if mm != m0:
-        tm = max(1, lm, lp if mp == mm else 0)
-        cm = _k_climb(mm, x, tm)
-    if mp == mm != m0:
-        cp, tp = cm, tm
-    elif mp != m0:
-        tp = lp or 1
-        cp = _k_climb(mp, x, tp)
-    km, em = _k_level(cm, tm, lm)
-    k0, e0 = _k_level(c0, t0, l0)
-    k1, e1 = _k_level(cp, tp, lp)
+    """(K_{nu-1}, em, K_nu, e0, K_{nu+1}/K_nu, er) from _k_orders, cross-checked."""
+    km, em, k0, e0, k1, e1 = _k_orders(nu, x)
     if not (km < _INF and k0 < _INF and k1 < _INF):  # K > 0, so < inf is isfinite
-        order = nu - 1.0 if not km < _INF else nu if not k0 < _INF else nu + 1.0
-        raise AccuracyError(f"K_{order}({x}) overflows double precision")
+        order = "nu-1" if not km < _INF else "nu" if not k0 < _INF else "nu+1"
+        raise AccuracyError(f"K_({order}) at nu={nu}, x={x} overflows double precision")
     # upward recurrence K_{nu+1} = K_{nu-1} + (2nu/x) K_nu; the residual is
     # compared against the dominant term since the recurrence may produce a
     # small K_{nu+1} from the difference of two huge terms (nu << 0, x small)
@@ -1064,8 +1068,7 @@ def _omega(ctx: EvalContext) -> ValueWithError:
     # I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x gives omega = 1/(r_I + r_K), a sum
     # of two positive ratios; their absolute errors add, plus two roundings
     ri, ei = _ratio_i(ctx.nu, ctx.x)
-    k0, e0 = _besselk(ctx.nu, ctx.x)
-    k1, e1 = _besselk(ctx.nu + 1.0, ctx.x)
+    _, _, k0, e0, k1, e1 = _k_orders(ctx.nu, ctx.x)
     rk = k1 / k0
     den = ri + rk
     return ValueWithError(1.0 / den, (ri * ei + rk * (e0 + e1 + 2.0 * _EPS)) / den + _EPS)

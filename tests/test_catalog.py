@@ -90,6 +90,21 @@ def test_inapplicable_points_never_raise():
     assert not ev.applicable
 
 
+@pytest.mark.parametrize("x", [0.0, -0.0, -1.0, math.inf, math.nan])
+def test_no_entry_applies_at_x_not_positive_and_finite(x):
+    # every query answers "no bound" and raises nothing, also for the entries
+    # whose guards test only nu (ylog_lower's log at x = inf, zlog_lower's
+    # log1p at x = -1, the divisions by x at 0)
+    statuses = ("proved", "conjecture", "refuted")
+    for nu in (-10.0, -2.0, -1.0, -0.5, 0.0, 5e-324, 0.5, 1.0, 2.5, 20.0):
+        for q in QK:
+            assert best_bounds(q, nu, x) == (None, None), (q, nu, x)
+            assert applicable(q, nu, x, statuses=statuses) == [], (q, nu, x)
+        for bound_id in CATALOG:
+            ev = evaluate_bound(bound_id, nu, x)
+            assert not ev.applicable and math.isnan(ev.value), (bound_id, nu, x)
+
+
 def test_applicable_examples():
     have = {e.id for e in applicable(QK.PHI_I, 1.0, 1.0)}
     assert {"turan1_upper", "turan8_lower", "turan8_upper", "turan9_lower",

@@ -132,18 +132,32 @@ def test_I_at_tiny_argument_matches_mpmath():
 
 
 def test_K_ladder_matches_single_orders():
-    # one ladder for K_{nu-1}, K_nu, K_{nu+1} gives each order the bits it
-    # gets alone, also where the orders' mu differ (sign change, rounding);
-    # at nu = +-1e-20, +-1e-12 the orders nu -+ 1 round, at 0.5 -+ ulp nu -+ 1
-    # fall either side of a tie; the half-integers share mu = 1/2
+    # one ladder reads K_{nu-1}, K_nu, K_{nu+1} at the exact orders from nu's
+    # split.  K_nu has the bits _besselk gives it, and so has K_{nu-+1} where
+    # nu -+ 1 is a double whose split has nu's mu; elsewhere each is within its
+    # claim of 40-digit mpmath at the exact order: at nu = +-1e-20, +-1e-12 the
+    # orders nu -+ 1 round, at 0 < |nu| < 1 off 1/2 they take the other sign of
+    # mu, at 0.5 -+ ulp nu -+ 1 fall either side of a tie; the half-integers
+    # share mu = 1/2
+    from fractions import Fraction
+
+    from mpmath import besselk, mp, mpf
+
+    from besselbounds.core import _k_orders, _k_split
+
+    mp.dps = 40
     for nu in (-2.5, 2.5, -1.5, 1.5, 3.5, -9.5, 19.5, -0.3, 0.3, 0.5, 1.0, 15.3, -9.7, 7.3, 19.0,
                1e-20, -1e-20, 1e-12, -1e-12, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)):
         for x in (1e-3, math.nextafter(2.0, 0.0), 2.0, 5.0, math.nextafter(10.0, 0.0), 10.0, 60.0, 400.0):
-            km, em, k0, e0, r, er = _k_ladder(nu, x)
-            kp = _besselk(nu + 1.0, x)
-            assert (km, em) == _besselk(nu - 1.0, x)[:2]
-            assert (k0, e0) == _besselk(nu, x)[:2]
-            assert (r, er) == (kp[0] / k0, e0 + kp[1] + 2.0 * _EPS)
+            km, em, k0, e0, k1, e1 = _k_orders(nu, x)
+            assert _k_ladder(nu, x) == (km, em, k0, e0, k1 / k0, e0 + e1 + 2.0 * _EPS)
+            assert (k0, e0) == _besselk(nu, x)
+            for d, k, e in ((-1.0, km, em), (1.0, k1, e1)):
+                if Fraction(nu + d) == Fraction(nu) + int(d) and _k_split(nu + d)[0] == _k_split(nu)[0]:
+                    assert (k, e) == _besselk(nu + d, x), (nu, d, x)
+                else:
+                    want = besselk(abs(mpf(nu) + d), mpf(x))
+                    assert abs(k - want) <= e * want, (nu, d, x)
 
 
 def test_no_overflow_leak_at_box_edges():
@@ -392,14 +406,36 @@ def _with_examples(points):
 
 
 def _k_over_max(nu, x):
+    # K at the order nu (a double or an mpf), or None where it overflows doubles
     from mpmath import besselk, mpf
 
-    v = besselk(abs(nu), mpf(x))
+    v = besselk(abs(mpf(nu)), mpf(x))
     return v if v < 1.7976931348623157e308 else None
 
 
-@settings(max_examples=200, deadline=None)
-@given(nu=_K_NU_STRATA, x=_K_X_STRATA)
+# where K's orders nu -+ 1 are not doubles: nu below 1e-3, or within 1e-6 or
+# 1e-12 of an integer, with x log-uniform down to 5e-324, where K's
+# sensitivity to its order, about log(2/x), is largest.  nu and x are drawn
+# as one point, and the strata above keep three draws in four
+_K_ORDER_ROUNDING = st.tuples(
+    st.one_of(st.floats(-1e-3, 1e-3),
+              st.builds(lambda n, d: n + d, st.integers(-9, 19), st.sampled_from((-1e-6, 1e-6, -1e-12, 1e-12)))),
+    _LOG_X)
+_K_POINTS = st.shared(st.one_of(*[st.tuples(_K_NU_STRATA, _K_X_STRATA)] * 3, _K_ORDER_ROUNDING), key="k_point")
+# tiny x where nu -+ 1 round in double: a K side that split the rounded orders
+# was off there by the factor of its claim given with each point
+_K_ROUNDED_ORDERS = (
+    (0.000969416191951392, 1.9597013739790897e-200),  # kratio 3.12x
+    (7.879482415927276e-10, 2.186396316311806e-99),  # phiK 1.87x
+    (1e-12, 3.5689855177001275e-302),  # ratio_K 9.26x
+    (-1e-12, 6.264270665655107e-294),  # kratio 9.02x
+    (1.000001, 1.4790298557368433e-115),  # phiK 4.04x
+)
+
+
+@settings(max_examples=270, deadline=None)
+@given(nu=_K_POINTS.map(lambda p: p[0]), x=_K_POINTS.map(lambda p: p[1]))
+@_with_examples(_K_ROUNDED_ORDERS)
 @_with_examples([(nu, x) for nu in (-0.5, 0.5, 1.5, 19.5)
                   for row in _K_KERNELS[1:] for x in (math.nextafter(row.start, 0.0), row.start)])
 @example(nu=17.435071950116672, x=279.4318877889326)
@@ -410,7 +446,7 @@ def _k_over_max(nu, x):
 def test_K_claims_cover_actual_error(nu, x):
     # |error| <= rel_error_bound against 40-digit mpmath, for eval_K and
     # ratio_K; refusal only where a needed K overflows double precision
-    from mpmath import mp
+    from mpmath import mp, mpf
 
     mp.dps = 40
     ctx = EvalContext(nu, x)
@@ -421,11 +457,11 @@ def test_K_claims_cover_actual_error(nu, x):
         assert k0 is None
     else:
         assert abs(v.value - k0) <= v.rel_error_bound * k0
-    k1 = _k_over_max(nu + 1.0, x)
+    k1 = _k_over_max(mpf(nu) + 1, x)
     try:
         r = ratio_K(ctx)
     except AccuracyError:
-        assert None in (k0, k1, _k_over_max(nu - 1.0, x))
+        assert None in (k0, k1, _k_over_max(mpf(nu) - 1, x))
     else:
         want = k1 / k0
         assert abs(r.value - want) <= r.rel_error_bound * want
@@ -440,14 +476,13 @@ _LADDER_EDGES = (-2.5, 2.5, -0.3, 0.3, 0.5, 1.0, 15.3)
 
 
 def _mp_bessel(nu, x):
-    # 40-digit (nu, x, I_{nu-1}, I_nu, I_{nu+1}, K_{nu-1}, K_nu, K_{nu+1}).
-    # The I side works at the exact orders nu -+ 1 (the continued fraction and
-    # the recurrence for I_{nu-1}/I_nu take nu itself), the K side at the
-    # orders as rounded to doubles, as in the K test; I_{-n} = I_n at integer
-    # orders and K_{-v} = K_v, where mpmath's own sums would cancel.  Below
-    # |nu| ~ 1e-25, 40 digits round nu - 1 (to -1 at the end), while near the
-    # pole of 1/Gamma(nu) I_{nu-1} at tiny x turns on nu's last bits: there
-    # I_{nu-1} = I_{nu+1} + (2 nu/x) I_nu, exact in nu
+    # 40-digit (nu, x, I_{nu-1}, I_nu, I_{nu+1}, K_{nu-1}, K_nu, K_{nu+1}), at
+    # the exact orders nu -+ 1 on both sides (the continued fraction and the
+    # recurrence for I_{nu-1}/I_nu take nu itself, and so does K's ladder);
+    # I_{-n} = I_n at integer orders and K_{-v} = K_v, where mpmath's own sums
+    # would cancel.  Below |nu| ~ 1e-25, 40 digits round nu -+ 1 (to -+1 at the
+    # end), while near the pole of 1/Gamma(nu) I_{nu-1} at tiny x turns on nu's
+    # last bits: there I_{nu-1} = I_{nu+1} + (2 nu/x) I_nu, exact in nu
     from mpmath import besseli, besselk, mp, mpf
 
     mp.dps = 40
@@ -458,7 +493,7 @@ def _mp_bessel(nu, x):
         im = besseli(abs(o) if o == int(o) else o, xm)
     else:
         im = i1 + 2 * m / xm * i0
-    km, k0, k1 = (besselk(abs(mpf(o)), xm) for o in (nu - 1.0, nu, nu + 1.0))
+    km, k0, k1 = (besselk(abs(o), xm) for o in (m - 1, m, m + 1))
     return m, xm, im, i0, i1, km, k0, k1
 
 
@@ -508,6 +543,7 @@ def _assert_claims_cover(cases, nu, x, domain_ok):
     *_RATIO_I_EDGES,
     (-1.0, 2.0), (math.nextafter(-1.0, 0.0), 1e-3),  # CF1's first step, b_1 = 0 and near it
     (-0.9999990984435865, 2.225073858507203e-309),  # x^nu overflows where I is a normal double
+    *_K_ROUNDED_ORDERS,
 ])
 # open as the FOUND lines on eval_I's leading-term claim in CHANGES.md
 # (ROADMAP item 3): math.gamma is off by up to about 57 eps near
@@ -550,7 +586,7 @@ def test_I_and_ratio_claims_cover_actual_error(nu, x):
     (4.69, 360.59),  # K^2 phiK subnormal: deltaK refuses
     (0.2, 0.1),  # x^2 + mu < 0: u out of its domain
     (0.500001, 1e-5), (-0.500001, 1e-5),  # x^2 + mu small: the rounding of mu dominates u and q
-    (-0.5, 5e-324),  # P = I K overflows: omega from the Wronskian
+    (-0.5, 5e-324), (-0.9, 1e-300), (-0.49, 1e-320),  # P = I K overflows: omega from the Wronskian
     (-1.0, 5.0057e-155), (-1.0, 1.1e-212),  # x^2 subnormal or 0 where nc = x/4 is normal
     *_RATIO_I_EDGES,
 ])
@@ -820,18 +856,16 @@ def test_K_split_is_exact_and_ties_at_plus_half():
 
 
 def test_K_ladder_climbs_once_per_mu(monkeypatch):
-    # a ladder miss takes one climb for each distinct mu of core._k_split
-    # among v = nu - 1, nu, nu + 1: one where all three share nu's mu, every
-    # half-integer included (mu = 1/2), more where a sign change or a rounded
-    # nu -+ 1 splits them
+    # a ladder miss takes one climb, at nu's mu, for the three orders: two
+    # only at 0 < |nu| < 1/2, where K_{1-|nu|} is level 1 of a climb at -mu;
+    # nu = 0 and every half-integer take one (mu = 0 or 1/2)
     from besselbounds import core
 
     calls = _counted(monkeypatch, core, ("_k_climb",))
-    halves = tuple((n + 0.5, 1) for n in range(-10, 20))
-    for nu, climbs in (*halves, (-9.7, 1), (19.0, 1), (0.3, 3), (7.3, 2), (1e-20, 2),
-                       (1e-12, 3), (math.nextafter(0.5, 1.0), 3)):
-        mus = {core._k_split(v)[0] for v in (nu - 1.0, nu, nu + 1.0)}
-        assert len(mus) == climbs, nu
+    halves = tuple(n + 0.5 for n in range(-10, 20))
+    for nu in (*halves, -9.7, 19.0, 0.0, -0.0, 0.3, -0.3, 0.7, -0.7, 7.3, 1e-20, -1e-12, 1e-12,
+               math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), math.nextafter(-0.5, 0.0)):
+        climbs = 2 if 0.0 < abs(nu) < 0.5 else 1
         for x in (0.7, 30.0):
             core._k_ladder.cache_clear()
             core._k_ladder(nu, x)
@@ -839,6 +873,39 @@ def test_K_ladder_climbs_once_per_mu(monkeypatch):
             core._k_ladder(nu, x)  # a hit climbs nothing
             assert len(calls) == climbs, (nu, x)
             calls.clear()
+
+
+def test_K_orders_split_only_nu(monkeypatch):
+    # the ladder and omega's Wronskian form split nu itself, never a rounded
+    # nu -+ 1.  At the Wronskian points K_{nu-1} overflows, so the ladder
+    # refuses while omega, which reads only K_nu and K_{nu+1}, returns a value
+    from besselbounds import core
+
+    seen = []
+    split = core._k_split
+
+    def recorded(v):
+        seen.append(v)
+        return split(v)
+
+    monkeypatch.setattr(core, "_k_split", recorded)
+    omega = QuantityKind.OMEGA
+    for nu, x in ((1e-20, 1e-3), (-1e-12, 1e-200), (0.3, 2.0), (-0.7, 5.0), (0.5, 1.0), (0.0, 30.0),
+                  (1.000001, 1e-115), (9.7, 400.0), (-1.0, 0.5), (19.0, 0.5)):
+        core._k_ladder.cache_clear()
+        seen.clear()
+        core._k_ladder(nu, x)
+        quantity(omega, EvalContext(nu, x))
+        assert seen and all(abs(v) == abs(nu) for v in seen), (nu, x, seen)
+    for nu, x in ((-0.9, 1e-300), (-0.49, 1e-320), (-0.5, 5e-324)):
+        assert core.quantity_reads(omega, nu, x) == ("ratio_I", "K")
+        core._k_ladder.cache_clear()
+        seen.clear()
+        with pytest.raises(AccuracyError):
+            core._k_ladder(nu, x)
+        quantity(omega, EvalContext(nu, x))
+        assert seen and all(abs(v) == abs(nu) for v in seen), (nu, x, seen)
+    core._k_ladder.cache_clear()
 
 
 def _bits(values):

@@ -41,9 +41,10 @@ def test_tags_diff_of_identical_outputs_and_of_other_point_sets():
         "tags: the tag list or the point set differs"]
 
 
-def test_query_field_writes_winners_then_every_applicable_entry():
+def test_query_field_writes_winners_then_every_applicable_entry(monkeypatch):
     import math
 
+    from besselbounds import catalog
     from besselbounds.catalog import evaluate_bound
     from besselbounds.core import QuantityKind as QK
 
@@ -64,9 +65,18 @@ def test_query_field_writes_winners_then_every_applicable_entry():
     assert report_digest.query_field(QK.W, 1.0, 1.0) == "-/-/-"
     assert report_digest.query_field(QK.PHI_P, 0.0, 1.0) == "-/-/-"
     # edges stay in: NaN values are written as such (the first proved entry of
-    # each side wins, as nothing displaces a NaN), a query that raises by its type
-    assert report_digest.query_field(QK.Z, 1.0, math.nan).startswith("turan22_lower:nan/turan4_upper:nan/")
-    assert report_digest.query_field(QK.Y, 1.0, math.inf) == "ValueError/ValueError"
+    # each side wins, as nothing displaces a NaN), an x that is not positive
+    # and finite has no entry, and a query that raises is written by its type
+    assert report_digest.query_field(QK.Z, math.nan, 1e-9).startswith("paltsev_lower:nan/turan4_upper:nan/")
+    assert report_digest.query_field(QK.Y, 1.0, math.inf) == "-/-/-"
+    assert report_digest.query_field(QK.Z, 1.0, math.nan) == "-/-/-"
+
+    def refuse(*args, **kwargs):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(catalog, "best_bounds", refuse)
+    monkeypatch.setattr(catalog, "applicable", refuse)
+    assert report_digest.query_field(QK.Y, 1.0, 1.0) == "ValueError/ValueError"
 
 
 def test_queries_diff_counts_changed_ids_as_outcome_kind():
