@@ -86,9 +86,10 @@ def tag_points() -> list[tuple[float, float]]:
 
     nu uniform in [-10, 20], or an integer or half-integer in that range
     moved by 0, +-1e-6 or +-1e-12; x log-uniform in [1e-3, 500] or in
-    [5e-324, 1e-3], or at a region switch (2, 30 + nu^2, 1e-9), a former
-    switch (50) or a box edge (500, 5e-324), give or take one ulp.  Then every
-    pair of the edges: NaN, inf, 0, -1, 500.5, 5e-324, 2 -+ ulp, 10 -+ ulp,
+    [5e-324, 1e-3], or at a region switch (2, 30 + nu^2, 1e-9) or a former
+    switch (50), give or take one ulp, or at a box edge (500, 5e-324) or one
+    ulp inside it: every drawn x lies in the box's (0, 500].  Then every pair
+    of the edges: NaN, inf, 0, -1, 500.5, 5e-324, 2 -+ ulp, 10 -+ ulp,
     30 + nu^2 -+ ulp and more.  The points are literals, not read from core, so
     that two checkouts are compared on one point set.
     """
@@ -106,7 +107,9 @@ def tag_points() -> list[tuple[float, float]]:
             x = math.exp(rng.uniform(math.log(5e-324), math.log(1e-3)))
         else:
             x = rng.choice(_near(rng.choice((2.0, 30.0 + nu * nu, 1e-9, 50.0, 500.0, 5e-324))))
-        points.append((nu, x))
+        # the box edges' outer neighbours (0 and 500 + ulp) and a log-uniform
+        # draw that rounds past 500 fold back onto the edges
+        points.append((nu, min(max(x, 5e-324), 500.0)))
     for nu in _EDGE_NU:
         switch = _near(30.0 + nu * nu) if math.isfinite(nu) else ()
         points += [(nu, x) for x in _EDGE_X + switch]

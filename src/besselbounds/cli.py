@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from . import __version__
 from .core import (
     DEFAULT_TARGET_REL_ERR,
+    QUANTITIES,
     AccuracyError,
     DomainError,
     EvalContext,
@@ -31,7 +32,6 @@ from .core import (
     eval_K,
     evaluation_path,
     quantity,
-    quantity_reads,
 )
 
 __all__ = ["main", "FigureSpec", "FIGURES"]
@@ -102,7 +102,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except (DomainError, AccuracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    reads = (fn,) if fn in ("I", "K") else quantity_reads(QuantityKind(fn), ctx.nu, ctx.x)
+    reads = (fn,) if fn in ("I", "K") else QUANTITIES[QuantityKind(fn)].reads
     paths = [f"{r}={evaluation_path(r, ctx.nu, ctx.x)}" for r in reads] or ["arithmetic"]
     print(f"{fn}(nu={args.nu:g}, x={args.x:g}) = {_fmt(v.value)}")
     print(f"rel_error_bound = {v.rel_error_bound:.3e}")

@@ -37,8 +37,10 @@ Each base result has one route function; evaluation_path reads the same ones.
   order nu -+ 1 is rounded to a double): levels n - 1, n and n + 1 of the
   climb at mu, or at 0 < |nu| < 1/2, where K_{1-|nu|} = K_{-mu+1}, levels 0
   and 1 of the climb at mu and level 1 of a second climb at -mu (negation is
-  exact).  K_nu has the bits _besselk gives it.  omega's Wronskian form reads
-  K_nu and K_{nu+1} from the same climbs.
+  exact).  K_nu has the bits _besselk gives it.
+* omega = x I_nu K_nu (_product): the three factors multiplied with their
+  exponents summed apart, so that omega is a value wherever it, I and K are
+  normal doubles, though P = I K over- or underflows (tiny x, -1 < nu < 0).
 
 Every evaluation returns a ``ValueWithError`` carrying a claimed bound on
 the relative error (truncation tail + rounding).  The ratio_I claim is
@@ -148,7 +150,6 @@ __all__ = [
     "quantity",
     "numeric_derivative",
     "evaluation_path",
-    "quantity_reads",
 ]
 
 SUPPORTED_NU = (-10.0, 20.0)
@@ -1027,6 +1028,20 @@ def _mu_shift(ctx: EvalContext) -> tuple[float, float]:
     return s, d / s if d < t else math.sqrt(d)
 
 
+def _product(*factors: float) -> float:
+    # the factors' product, left to right, with the exponents summed apart
+    # (frexp/ldexp): no partial product leaves the double range unless the
+    # whole product does.  +-inf where the exponents sum past the top of the
+    # range, which a product of n factors within 2^n of the top also does.
+    # Where every partial product is a normal double it has the plain
+    # product's bits
+    t, e = 1.0, 0
+    for f in factors:
+        fm, fe = math.frexp(f)
+        t, e = t * fm, e + fe
+    return math.ldexp(t, e) if e <= sys.float_info.max_exp else t * _INF
+
+
 def _phi_p(ctx: EvalContext) -> ValueWithError:
     fi = _phi_i(ctx)
     fk = _phi_k(ctx)
@@ -1042,36 +1057,22 @@ def _phi_p(ctx: EvalContext) -> ValueWithError:
     r, er = _ratio_i(nu, x)
     a = 2.0 * nu / x + r
     km, em, k0, e0, rk, erk = _k_ladder(nu, x)
-    t, e = 1.0, 0
-    for f in (a, r, km / k0, rk):
-        fm, fe = math.frexp(f)
-        t, e = t * fm, e + fe
-    if e > sys.float_info.max_exp:
+    t = _product(a, r, km / k0, rk)
+    if math.isinf(t):
         raise AccuracyError(f"quantity 'phiP' overflows at nu={nu}, x={x}")
-    t = math.ldexp(t, e)
     rel_t = (r * er + 2.0 * _EPS * (abs(2.0 * nu / x) + r)) / abs(a) + er + em + e0 + erk + 4.0 * _EPS
     val = 1.0 - t
     abs_err = abs(t) * rel_t + _EPS * (1.0 + abs(t))
     return _from_abs(val, abs_err)
 
 
-def _omega_by_wronskian(p: float) -> bool:
-    # whether omega leaves x P for the Wronskian form: P not a normal double
-    return not _MIN_NORMAL <= p < math.inf
-
-
 def _omega(ctx: EvalContext) -> ValueWithError:
-    p = _p_at(ctx.nu, ctx.x)
-    if not _omega_by_wronskian(p.value):
-        return ValueWithError(ctx.x * p.value, p.rel_error_bound + _EPS)
-    # P = I K over- or underflows (tiny x, -1 < nu < 0): the Wronskian
-    # I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x gives omega = 1/(r_I + r_K), a sum
-    # of two positive ratios; their absolute errors add, plus two roundings
-    ri, ei = _ratio_i(ctx.nu, ctx.x)
-    _, _, k0, e0, k1, e1 = _k_orders(ctx.nu, ctx.x)
-    rk = k1 / k0
-    den = ri + rk
-    return ValueWithError(1.0 / den, (ri * ei + rk * (e0 + e1 + 2.0 * _EPS)) / den + _EPS)
+    # x I K as one product: where P = I K over- or underflows (tiny x,
+    # -1 < nu < 0) omega may still be a normal double.  Two roundings, under
+    # x P's claim of three (P's plus eps): where P is normal omega has x P's bits
+    vi, ei = _besseli(ctx.nu, ctx.x)
+    vk, ek = _besselk(ctx.nu, ctx.x)
+    return ValueWithError(_product(vi, vk, ctx.x), ei + ek + 2.0 * _EPS + _EPS)
 
 
 def _delta_i(ctx: EvalContext) -> ValueWithError:
@@ -1143,9 +1144,10 @@ def _kratio(ctx: EvalContext) -> ValueWithError:
 @dataclass(frozen=True)
 class QuantitySpec:
     """One derived quantity: its expression, the least order it takes, the base
-    results it reads ("ratio_I", "I", "K": the paths ``eval`` reports) and its
-    evaluator.  The I-side quantities need I_nu > 0, hence nu >= -1 via the
-    integer-order symmetry; the K side takes every supported order."""
+    results it reads at every point ("ratio_I", "I", "K": the paths ``eval``
+    reports) and its evaluator.  The I-side quantities need I_nu > 0, hence
+    nu >= -1 via the integer-order symmetry; the K side takes every supported
+    order."""
 
     expression: str
     min_nu: float
@@ -1198,19 +1200,6 @@ def quantity(kind: QuantityKind, ctx: EvalContext) -> ValueWithError:
     if not (_MIN_NORMAL <= abs(val) < _INF or (val == 0.0 and rel == _INF)) or rel != rel:
         raise AccuracyError(f"quantity {QuantityKind(kind).value!r} not representable at nu={ctx.nu}, x={ctx.x}")
     return v
-
-
-def quantity_reads(kind: QuantityKind, nu: float, x: float) -> tuple[str, ...]:
-    """The base results ("ratio_I", "I", "K") that quantity(kind) read at (nu, x).
-
-    The row's reads, except for omega where P = I K is not a normal double and
-    the Wronskian form reads ratio_I and K: omega's answer evaluates P = I K
-    again, as quantity() did.
-    """
-    kind = QuantityKind(kind)
-    if kind is QuantityKind.OMEGA and _omega_by_wronskian(_p_at(nu, x).value):
-        return ("ratio_I", "K")
-    return QUANTITIES[kind].reads
 
 
 def numeric_derivative(kind: QuantityKind, ctx: EvalContext, order: int = 1) -> float:

@@ -50,11 +50,10 @@ def test_eval_reports_ratio_I_route(capsys):
     assert out.splitlines()[-1] == "paths: ratio_I=two_term"
 
 
-def test_eval_reports_omega_wronskian_paths(capsys, monkeypatch):
-    # where P = I K is not a normal double omega is 1/(r_I + r_K), so the
-    # paths are ratio_I's and K's; P is not cached, so the report evaluates
-    # it again to find omega's route: I_{-1/2} in closed form, once for the
-    # value and once for the report
+def test_eval_reports_omega_paths_where_P_overflows(capsys, monkeypatch):
+    # omega is x I K as one product with the exponents summed apart, also
+    # where P = I K overflows, so the paths are its row's, I's and K's, and
+    # I_{-1/2} is evaluated once, in closed form
     from besselbounds import core
 
     calls = []
@@ -62,8 +61,9 @@ def test_eval_reports_omega_wronskian_paths(capsys, monkeypatch):
     monkeypatch.setattr(core, "_i_closed", lambda nu, x: calls.append(nu) or closed(nu, x))
     rc, out, _ = run(capsys, "eval", "--fn", "omega", "--nu", "-0.5", "--x", "5e-324")
     assert rc == 0
-    assert out.splitlines()[-1] == "paths: ratio_I=two_term, K=closed"
-    assert calls == [-0.5, -0.5]
+    assert out.splitlines()[-1] == "paths: I=closed, K=closed"
+    assert calls == [-0.5]
+    assert run(capsys, "eval", "--fn", "P", "--nu", "-0.5", "--x", "5e-324")[0] == 1
 
 
 # `eval` output, "value claim paths", at (nu, x) = (1, 1), below every path

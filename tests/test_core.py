@@ -586,15 +586,16 @@ def test_I_and_ratio_claims_cover_actual_error(nu, x):
     (4.69, 360.59),  # K^2 phiK subnormal: deltaK refuses
     (0.2, 0.1),  # x^2 + mu < 0: u out of its domain
     (0.500001, 1e-5), (-0.500001, 1e-5),  # x^2 + mu small: the rounding of mu dominates u and q
-    (-0.5, 5e-324), (-0.9, 1e-300), (-0.49, 1e-320),  # P = I K overflows: omega from the Wronskian
+    (-0.5, 5e-324), (-0.9, 1e-300), (-0.49, 1e-320),  # P = I K overflows, omega = x I K does not
+    (-0.03, 5e-324), (-0.035, 2e-323),  # x K subnormal: x I K taken as I (x K) fails its claim
     (-1.0, 5.0057e-155), (-1.0, 1.1e-212),  # x^2 subnormal or 0 where nc = x/4 is normal
     *_RATIO_I_EDGES,
 ])
 def test_remaining_quantity_claims_cover_actual_error(nu, x):
     # |error| <= rel_error_bound against 40-digit mpmath for the QuantityKinds
     # the test above leaves out; refusals as there, DomainError only outside a
-    # quantity's domain, and deltaI / deltaK / omega also refused where I^2 /
-    # K^2 / P, the factor they scale phiI / phiK / x by, is not a normal double
+    # quantity's domain, and deltaI / deltaK also refused where I^2 / K^2, the
+    # factor they scale phiI / phiK by, is not a normal double
     from mpmath import sqrt
 
     from besselbounds.core import QUANTITIES, QuantityKind as QK, quantity
@@ -609,7 +610,7 @@ def test_remaining_quantity_claims_cover_actual_error(nu, x):
     i_side, k_side = (i0, i1), (km, k0, k1)
     refs = {  # kind: (40-digit value, the I or K it needs)
         QK.P: (lambda: i0 * k0, (i0, k0)),
-        QK.OMEGA: (lambda: xm * i0 * k0, (i0, k0, i0 * k0)),
+        QK.OMEGA: (lambda: xm * i0 * k0, (i0, k0)),
         QK.DELTA_I: (lambda: i0**2 - im * i1, (*i_side, i0**2)),
         QK.Z: (z, k_side),
         # 1 - (1 - phiI)(1 - phiK): phiI + phiK - phiI phiK loses the 40 digits
@@ -876,9 +877,9 @@ def test_K_ladder_climbs_once_per_mu(monkeypatch):
 
 
 def test_K_orders_split_only_nu(monkeypatch):
-    # the ladder and omega's Wronskian form split nu itself, never a rounded
-    # nu -+ 1.  At the Wronskian points K_{nu-1} overflows, so the ladder
-    # refuses while omega, which reads only K_nu and K_{nu+1}, returns a value
+    # the ladder and omega's K split nu itself, never a rounded nu -+ 1.  At
+    # the last three points K_{nu-1} overflows, so the ladder refuses while
+    # omega, which reads only K_nu, returns a value
     from besselbounds import core
 
     seen = []
@@ -898,7 +899,6 @@ def test_K_orders_split_only_nu(monkeypatch):
         quantity(omega, EvalContext(nu, x))
         assert seen and all(abs(v) == abs(nu) for v in seen), (nu, x, seen)
     for nu, x in ((-0.9, 1e-300), (-0.49, 1e-320), (-0.5, 5e-324)):
-        assert core.quantity_reads(omega, nu, x) == ("ratio_I", "K")
         core._k_ladder.cache_clear()
         seen.clear()
         with pytest.raises(AccuracyError):
@@ -906,6 +906,97 @@ def test_K_orders_split_only_nu(monkeypatch):
         quantity(omega, EvalContext(nu, x))
         assert seen and all(abs(v) == abs(nu) for v in seen), (nu, x, seen)
     core._k_ladder.cache_clear()
+
+
+def test_product_sums_exponents_apart():
+    # the plain left-to-right product wherever every partial product is a
+    # normal double, negative factors too; finite where only a partial product
+    # leaves the double range, and +-inf where the whole product does
+    import random
+    from functools import reduce
+    from operator import mul
+
+    from besselbounds.core import _product
+
+    rng = random.Random(30)
+    for _ in range(2000):
+        factors = [rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(-150.0, 150.0)) for _ in range(rng.randint(1, 4))]
+        assert _product(*factors) == reduce(mul, factors), factors
+    for factors, want in (((1e300, 1e300, 1e-300), 1e300), ((1e-300, -1e-300, 1e300), -1e-300),
+                          ((1e200, 1e200, 5e-324), 5e-324 * 1e200 * 1e200),
+                          ((1e308, -1e308, 5e-324), 5e-324 * 1e308 * -1e308)):
+        assert reduce(mul, factors) in (0.0, math.inf, -math.inf)
+        got = _product(*factors)
+        assert math.isfinite(got) and abs(got - want) <= 4.0 * _EPS * abs(want), (factors, got)
+    assert _product(1e300, 1e300, 1e10) == math.inf
+    assert _product(-1e300, 1e300, 1e10) == -math.inf
+
+
+def test_phiP_keeps_its_overflow_refusal():
+    # where 1 - phiK overflows, phiP = 1 - T with T = a_I r_I a_K r_K as one
+    # _product: phiP's own refusal where T overflows, else a value with the
+    # bits it had from its own frexp loop
+    from besselbounds.core import _phi_k
+
+    for nu, x in ((0.1, 1e-200), (0.1, 1e-175), (1e-3, 1e-160), (1e-10, 1e-158)):
+        assert _phi_k(EvalContext(nu, x)).value == -math.inf
+    for nu, x in ((0.1, 1e-200), (0.1, 1e-175), (1e-3, 1e-160)):
+        with pytest.raises(AccuracyError, match="quantity 'phiP' overflows"):
+            quantity(QuantityKind.PHI_P, EvalContext(nu, x))
+    v = quantity(QuantityKind.PHI_P, EvalContext(1e-10, 1e-158))
+    assert (v.value.hex(), v.rel_error_bound.hex()) == ("-0x1.68c9b6059ea1fp+999", "0x1.105474cce24f2p-46")
+
+
+def test_omega_is_x_P_where_P_is_normal():
+    # where P = I K is a normal double, omega = x I K has the bits and the
+    # claim of x P, P's claim and one rounding
+    import random
+
+    from besselbounds import core
+
+    rng = random.Random(31)
+    normal = 0
+    for _ in range(5000):
+        nu = rng.uniform(-1.0, 20.0)
+        x = math.exp(rng.uniform(math.log(5e-324), math.log(500.0))) if rng.random() < 0.5 else rng.uniform(1e-3, 500.0)
+        try:
+            p = core._p_at(nu, x)
+        except AccuracyError:  # K overflows: omega refuses too
+            continue
+        if not core._MIN_NORMAL <= p.value < math.inf:
+            continue
+        normal += 1
+        w = core._omega(EvalContext(nu, x))
+        assert (w.value, w.rel_error_bound) == (x * p.value, p.rel_error_bound + _EPS), (nu, x)
+    assert normal > 2500
+
+
+def test_reads_are_exact_at_every_point(monkeypatch):
+    # each quantity that returns a value read exactly the base results of its
+    # QUANTITIES row: ratio_I (_ratio_i), I (_besseli), K (_besselk or the ladder)
+    import random
+
+    from besselbounds import core
+
+    base = {"_ratio_i": "ratio_I", "_besseli": "I", "_besselk": "K", "_k_ladder": "K"}
+    calls = _counted(monkeypatch, core, tuple(base))
+    rng = random.Random(32)
+    points = [(rng.uniform(-10.0, 20.0), math.exp(rng.uniform(math.log(5e-324), math.log(500.0))))
+              for _ in range(400)]
+    points += [(nu, x) for nu in (-1.0, -0.5, -0.3, 0.0, 0.5, 1.0, 2.5, 20.0) for x in (5e-324, 1e-300, 1e-9)]
+    points += [(-0.5, 5e-324), (-0.9, 1e-300), (-0.49, 1e-320)]  # P = I K overflows, omega does not
+    values = Counter()
+    for nu, x in points:
+        ctx = EvalContext(nu, x)
+        for kind, spec in core.QUANTITIES.items():
+            calls.clear()
+            try:
+                quantity(kind, ctx)
+            except (DomainError, AccuracyError):
+                continue
+            values[kind] += 1
+            assert {base[c] for c in calls} == set(spec.reads), (kind.value, nu, x, calls)
+    assert set(values) == set(QuantityKind)
 
 
 def _bits(values):

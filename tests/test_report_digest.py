@@ -97,3 +97,14 @@ def test_queries_diff_counts_changed_ids_as_outcome_kind():
     assert report_digest._query_ids("ValueError/ZeroDivisionError") == "ValueError/ZeroDivisionError"
     assert report_digest.tags_diff(old, b"".join(new.splitlines(True)[:2]), "queries") == [
         "queries: the tag list or the point set differs"]
+
+
+def test_tag_points_draw_x_inside_the_box():
+    # the drawn points keep x in (0, 500]; x = 0 and the other points outside
+    # the box come from the edges alone, once per edge order
+    points = report_digest.tag_points()
+    drawn, edges = points[:report_digest.TAG_POINTS], points[report_digest.TAG_POINTS:]
+    assert all(0.0 < x <= 500.0 for _, x in drawn)
+    assert sum(x == 5e-324 for _, x in drawn) > 100 and sum(x == 500.0 for _, x in drawn) > 100
+    assert sum(x == 0.0 for _, x in edges) == len(report_digest._EDGE_NU)
+    assert {x for _, x in edges} >= {0.0, -1.0, 500.5}
