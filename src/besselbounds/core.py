@@ -1031,14 +1031,17 @@ def _mu_shift(ctx: EvalContext) -> tuple[float, float]:
 def _product(*factors: float) -> float:
     # the factors' product, left to right, with the exponents summed apart
     # (frexp/ldexp): no partial product leaves the double range unless the
-    # whole product does.  +-inf where the exponents sum past the top of the
-    # range, which a product of n factors within 2^n of the top also does.
-    # Where every partial product is a normal double it has the plain
-    # product's bits
+    # whole product does.  The mantissas' product is renormalised into
+    # [1/2, 1) before the overflow test, so +-inf only where the product
+    # itself overflows; the rescaling is exact, and ldexp gives the same
+    # double either way.  Where every partial product is a normal double it
+    # has the plain product's bits
     t, e = 1.0, 0
     for f in factors:
         fm, fe = math.frexp(f)
         t, e = t * fm, e + fe
+    t, te = math.frexp(t)
+    e += te
     return math.ldexp(t, e) if e <= sys.float_info.max_exp else t * _INF
 
 

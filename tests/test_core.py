@@ -589,6 +589,7 @@ def test_I_and_ratio_claims_cover_actual_error(nu, x):
     (-0.5, 5e-324), (-0.9, 1e-300), (-0.49, 1e-320),  # P = I K overflows, omega = x I K does not
     (-0.03, 5e-324), (-0.035, 2e-323),  # x K subnormal: x I K taken as I (x K) fails its claim
     (-1.0, 5.0057e-155), (-1.0, 1.1e-212),  # x^2 subnormal or 0 where nc = x/4 is normal
+    (0.2781810438991197, 6.692507068714758e-215),  # phiP = 1 - T, T's exponents summed past 1024, T finite
     *_RATIO_I_EDGES,
 ])
 def test_remaining_quantity_claims_cover_actual_error(nu, x):
@@ -930,6 +931,22 @@ def test_product_sums_exponents_apart():
         assert math.isfinite(got) and abs(got - want) <= 4.0 * _EPS * abs(want), (factors, got)
     assert _product(1e300, 1e300, 1e10) == math.inf
     assert _product(-1e300, 1e300, 1e10) == -math.inf
+
+
+def test_product_renormalises_before_its_overflow_test():
+    # the mantissas' product may fall below 1/2, so the exponents may sum past
+    # the top of the range where the product is finite: there it is a value,
+    # against 50-digit mpmath
+    from mpmath import mp, mpf
+
+    from besselbounds.core import _product
+
+    mp.dps = 50
+    for factors in ((2.0**1000, 2.0**23), (1e300, 1.5e8, 0.55), (1.7e308, 3.0, 0.3), (-1e200, 1e100, 1e8, 0.9)):
+        assert sum(math.frexp(f)[1] for f in factors) > 1024
+        want = mp.fprod(map(mpf, factors))
+        got = _product(*factors)
+        assert math.isfinite(got) and abs(got - want) <= 4.0 * _EPS * abs(want), (factors, got)
 
 
 def test_phiP_keeps_its_overflow_refusal():

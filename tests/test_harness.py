@@ -86,7 +86,7 @@ def test_validity_evaluates_each_point_once(monkeypatch):
     cfg = VerifyConfig(x_points=12)
     grid = harness.grid_from_config(cfg)
     monkeypatch.setattr(harness, "_tolerance", lambda true, err: -1e6 * (1.0 + abs(true)))
-    monkeypatch.setattr(harness, "refutation_probe", lambda cfg: [])
+    monkeypatch.setattr(harness, "refutation_probe", lambda: [])
     alone = {bid: sweep_validity([bid], grid) for bid in ids(status="proved")}
     calls, tolerances = Counter(), Counter()
     quantity, tolerance = harness.quantity, harness._tolerance
@@ -113,6 +113,27 @@ def test_validity_evaluates_each_point_once(monkeypatch):
                       key=lambda w: (w.bound_id, w.nu, w.x))
         assert ws and r.witnesses == kept, bid
         assert r.max_violation == max(w.margin for w in ws) and r.status == "fail"
+
+
+def test_validity_sweeps_only_the_configured_grid(monkeypatch):
+    # the config's grid is the one grid the validity suite evaluates on: apart
+    # from the refutation probe's fixed grid (the dominance claims evaluate no
+    # quantity), every quantity call is at an x of grid_from_config(cfg)
+    from besselbounds import harness
+
+    cfg = VerifyConfig(x_lo=1.0, x_hi=10.0, x_points=20)
+    monkeypatch.setattr(harness, "refutation_probe", lambda: [])
+    xs = Counter()
+    quantity = harness.quantity
+
+    def counted(kind, ctx):
+        xs[ctx.x] += 1
+        return quantity(kind, ctx)
+
+    monkeypatch.setattr(harness, "quantity", counted)
+    run_suite("validity", cfg)
+    assert 1.0 <= min(xs) and max(xs) <= 10.0
+    assert set(xs) == set(harness.grid_from_config(cfg).x_values)
 
 
 def test_sharpness_decay_examples():
@@ -166,10 +187,10 @@ def test_sharp_tag_orders_lie_in_their_domains():
 @pytest.mark.parametrize("bound_id,tags,check_id,group", [
     # turan21_lower's relative error at x = 1e-4 is about 2e5
     ("turan21_lower", ("x->0 nu=0", "x->inf rel nu=0"), "sharpness_x0:turan21_lower:nu=0",
-     lambda: sharpness_records(FAST)),
+     sharpness_records),
     # turan8_upper tends to 2/x against phiI ~ 1/x: sharp only in the absolute sense
     ("turan8_upper", ("x->0 nu=1", "x->inf rel nu=1"), "sharpness:turan8_upper:nu=1",
-     lambda: sharpness_records(FAST)),
+     sharpness_records),
     # turan16_upper is 1/x at nu = 1/2, not phiI
     ("turan16_upper", ("x->inf rel nu=1", "nu=1/2"), "equality:turan16_upper_at_half",
      equality_and_limit_checks),
@@ -227,7 +248,7 @@ def test_conjecture_probe_is_informational():
 
 
 def test_refutation_probe_witnesses():
-    recs = {c.check_id: c for c in refutation_probe(FAST)}
+    recs = {c.check_id: c for c in refutation_probe()}
     joshi = recs["refutation:joshi_turan7"]
     assert joshi.status == "info" and joshi.witnesses
     hamsici = recs["refutation:hamsici_b2hat"]
@@ -458,25 +479,8 @@ def test_application_spot_values():
 
 
 def test_enclosure_checks_pass():
-    recs = enclosure_checks(FAST)
-    assert [c.check_id for c in recs if c.status == "fail"] == []
-
-
-def test_enclosure_margin_is_the_validity_margin(monkeypatch):
-    # a witness's margin is its excess beyond the check's tolerance: with
-    # turan16_lower raised by 1e-6 relative, enclosure:phiI records the margin
-    # that validity:turan16_lower records at every point where both have one
-    real = cat.get("turan16_lower")
-    broken = dataclasses.replace(real, formula=lambda nu, x: real.formula(nu, x) * (1.0 + 1e-6))
-    monkeypatch.setattr(cat, "get", lambda bound_id: broken if bound_id == real.id else cat.CATALOG[bound_id])
-    monkeypatch.setitem(cat._BY_QUANTITY, real.quantity, cat._view(
-        tuple(broken if b is real else b for b in cat._BY_QUANTITY[real.quantity].entries)))
-    validity = {(v.nu, v.x): v.margin for v in sweep_validity([real.id], default_grid(40))}
-    rec = next(c for c in enclosure_checks(VerifyConfig(x_points=200))
-               if c.check_id == "enclosure:phiI")
-    common = [w for w in rec.witnesses if w.bound_id == real.id and (w.nu, w.x) in validity]
-    assert rec.status == "fail" and common
-    assert [w.margin for w in common] == [validity[w.nu, w.x] for w in common]
+    recs = enclosure_checks()
+    assert [(c.check_id, c.status) for c in recs] == [("enclosure:dominance_claims", "pass")]
 
 
 def test_run_all_deterministic(monkeypatch):
