@@ -19,12 +19,20 @@ The defects:
     K:<path>:value, K:<path>:claim   each row of _K_KERNELS and _K_CLOSED:
                                      K_mu and K_{mu+1} scaled by 1 + 1e-9, or
                                      both claims by 1/100
+    K:orders:rounded                 the K ladder reads K_{nu-1} and K_{nu+1}
+                                     at the rounded doubles nu -+ 1.0, each
+                                     from its own split, not at the exact
+                                     orders of nu's split
     I:<kernel>:value, I:<kernel>:claim   _i_series, _i_asym, _i_closed: the
                                      value scaled by 1 + 1e-9, or the claim by
                                      1/100; likewise ratio_I:cf for _ratio_i_cf
     quantity:<tag>+1e-10             the quantity's value shifted by 1e-10
                                      (phiI, phiK, phiP); quantity:phiP*(1+1e-9)
                                      scales it
+    half_concavity+1e-10             both terms of the concavity checks'
+                                     closed form at nu = 1/2 shifted by 1e-10,
+                                     as returned (so not where they are
+                                     scaled by e^(2x))
     tighten:<id>                     each proved entry's formula moved 1e-8
                                      relative toward the quantity (a lower
                                      bound raised, an upper one lowered)
@@ -104,6 +112,23 @@ def _k_kernel(index, what):
     return plant
 
 
+def _rounded_k_orders(p):
+    # K_{nu-1}, K_nu, K_{nu+1} each at its own split of nu - 1.0, nu, nu + 1.0
+    def planted(nu, x):
+        (km, em), (k0, e0), (k1, e1) = (core._besselk(v, x) for v in (nu - 1.0, nu, nu + 1.0))
+        return km, em, k0, e0, k1, e1
+    p.rebind(core, "_k_orders", planted)
+
+
+def _shifted_half_concavity(p):
+    half = harness._half_concavity
+
+    def planted(x):
+        (g, eg), (w, ew) = half(x)
+        return (g + 1e-10, eg), (w + 1e-10, ew)
+    p.rebind(harness, "_half_concavity", planted)
+
+
 def _pair_kernel(name, what):
     # a kernel returning (value, claim)
     def plant(p):
@@ -163,6 +188,7 @@ def defects():
     for index, row in [*enumerate(core._K_KERNELS), (None, core._K_CLOSED)]:
         for what in ("value", "claim"):
             out.append((f"K:{row.path}:{what}", _k_kernel(index, what)))
+    out.append(("K:orders:rounded", _rounded_k_orders))
     for label, name in (("I:series", "_i_series"), ("I:asymptotic", "_i_asym"),
                         ("I:closed", "_i_closed"), ("ratio_I:cf", "_ratio_i_cf")):
         for what in ("value", "claim"):
@@ -170,6 +196,7 @@ def defects():
     for tag in ("phiI", "phiK", "phiP"):
         out.append((f"quantity:{tag}+1e-10", _quantity(tag, lambda v: v + 1e-10)))
     out.append(("quantity:phiP*(1+1e-9)", _quantity("phiP", lambda v: v * SCALE)))
+    out.append(("half_concavity+1e-10", _shifted_half_concavity))
     for bound_id in catalog.ids(status="proved"):
         out.append((f"tighten:{bound_id}", _tighten(bound_id)))
     out.append(("best_bounds:second_best", _best_bounds(("proved",), 1)))

@@ -63,8 +63,8 @@ Caching
 Results are cached where points repeat, and nowhere else.  _ratio_i and
 _k_ladder serve the several tags computed at one point (y, phiI, u, ... all
 read ratio_I; z, phiK, kratio, ... all read the K ladder); they are
-lru_caches of 200 000 entries, and a verify --suite all fills them to 15 415
-and 11 729.
+lru_caches of 200 000 entries, and a verify --suite all fills them to 13 415
+and 9 729 (the concavity checks take nu = 1/2 in closed form, not from here).
 I, K and P = I K are not cached: nothing asks for one of them many times at
 a point, and where points do not repeat (the benchmark's eval-box) a cache
 only costs its bookkeeping and memory.

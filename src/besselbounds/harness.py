@@ -33,7 +33,7 @@ from .core import (
     numeric_derivative,
     quantity,
 )
-from .core import _EPS  # the rounding of the concavity checks' error bounds
+from .core import _EPS, _MIN_NORMAL  # the rounding and range of the concavity checks' error bounds
 from .core import _K_KERNELS, _i_asym, _i_series, _i_switch, _k_row, _ratio_i_cf  # dual-path measurement
 
 __all__ = [
@@ -618,7 +618,9 @@ def _p_concavity(ctx: EvalContext) -> tuple[float, float]:
     x s' = x^2 (phiI + phiK), so P = I K is strictly geometrically concave
     exactly where this is negative.  For nu >= 1/2 the catalogue proves it:
     turan16_upper (phiI < 1/sqrt(x^2 + mu)) and turan24_upper
-    (phiK <= -1/sqrt(x^2 + mu)), mu = nu^2 - 1/4, sum to 0.
+    (phiK <= -1/sqrt(x^2 + mu)), mu = nu^2 - 1/4, sum to 0.  The concavity
+    pass takes this route at every order but nu = 1/2, where it certifies the
+    term by DLMF 10.39 algebra (_half_concavity), not by the evaluator.
     """
     fi, fk = quantity(QuantityKind.PHI_I, ctx), quantity(QuantityKind.PHI_K, ctx)
     g = fi.value + fk.value
@@ -628,13 +630,50 @@ def _p_concavity(ctx: EvalContext) -> tuple[float, float]:
 def _omega_concavity(ctx: EvalContext, g: float, eg: float) -> tuple[float, float]:
     """s (1 + s) + x^2 (phiI + phiK), s = y + z, at ctx's point, from P's term
     (g, eg) = _p_concavity(ctx), with an absolute error bound from the four
-    claims: omega = x P has omega'' of its sign."""
+    claims: omega = x P has omega'' of its sign.  As for P's term, the
+    concavity pass takes _half_concavity's closed form at nu = 1/2 instead."""
     x = ctx.x
     y, z = quantity(QuantityKind.Y, ctx), quantity(QuantityKind.Z, ctx)
     s = y.value + z.value
     es = y.abs_error_bound + z.abs_error_bound + _EPS * abs(s)
     a, b = s * (1.0 + s), x * x * g
     return a + b, (abs(1.0 + 2.0 * s) + es) * es + x * x * eg + 4.0 * _EPS * (abs(a) + abs(b))
+
+
+def _half_concavity(x: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """P's and omega's concavity terms at nu = 1/2 in closed form, each (value, absolute error bound).
+
+    With e = e^(-2x), DLMF 10.39 gives phiI = (sinh x cosh x - x)/(x sinh^2 x),
+    phiK = -1/x and s = y + z = x coth x - x - 1 = 2xe/(1 - e) - 1, so
+
+        phiI + phiK = 2e (1 - e - 2x) / (x (1 - e)^2),
+        s (1 + s) + x^2 (phiI + phiK) = -4 x^2 e / (1 - e),
+
+    both negative at every x > 0 (1 - e < 2x).  1 - e is taken as
+    d = -expm1(-2x).  Where e is below the normal range (x above about 354)
+    both terms are returned times e^(2x), that is with e = 1: the factor is
+    positive, so the sign the checks test is kept.
+
+    The claims, in eps = 2u, for x >= 1e-6: 2x and the negation are exact;
+    libm's exp and expm1 are taken within 1 ulp, eps each, as _k_closed takes
+    exp (e is a normal double wherever it is not replaced by 1).  c = d - 2x
+    rounds once and cancels: d's error eps d reaches it relative eps d/|c|,
+    about eps/x at small x.  P's term then rounds four times more (2e is
+    exact), with e's eps and d^2's 2 eps: eps (d/|c| + 5.5); omega's rounds
+    three times (4x is exact), with e's and d's eps: 3.5 eps.
+    The claims, (d/|c| + 6) eps (1 006 eps at x = 1e-3) and 4 eps, keep
+    0.5 eps for the second-order terms, below 1e-8 eps while d/|c|, about 1/x,
+    is below 1e6.  At e = 1 the claims only overcount.
+    """
+    t = 2.0 * x
+    d = -math.expm1(-t)
+    e = math.exp(-t)
+    if e < _MIN_NORMAL:
+        e = 1.0
+    c = d - t
+    g = 2.0 * e * c / (x * d * d)
+    w = -4.0 * x * x * e / d
+    return (g, (d / -c + 6.0) * _EPS * -g), (w, 4.0 * _EPS * -w)
 
 
 def application_checks() -> list[CheckRecord]:
@@ -680,17 +719,23 @@ def application_checks() -> list[CheckRecord]:
 
     # concavity of P in log x and of omega = x P, at each point of a fixed
     # grid: a point fails when its value is positive beyond its error bound;
-    # a point whose bound straddles 0 (both approach 0 like e^(-2x) at
-    # nu = 1/2) is counted as unresolved, an info record, never as a pass.
-    # One pass evaluates each point once for both checks, so the first
-    # record's runtime_ms carries the whole pass and the other three about 0
+    # a point whose bound straddles 0 is counted as unresolved, an info
+    # record, never as a pass.  At nu = 1/2 both terms fall like e^(-2x) and
+    # are certified by DLMF 10.39 algebra (_half_concavity), not by the
+    # evaluator, so no point there is unresolved; the other orders' points
+    # evaluate phiI, phiK, y and z once for both checks.  The first record's
+    # runtime_ms carries the whole pass and the other three about 0
     labels = ("phiI+phiK<0", "s(1+s)+x^2(phiI+phiK)<0")
     wits, unresolved = ([], []), [0, 0]
     for nu in CONCAVITY_NU:
         for x in CONCAVITY_X:
-            ctx = EvalContext(nu, x)
-            g, eg = _p_concavity(ctx)
-            for j, (v, err) in enumerate(((g, eg), _omega_concavity(ctx, g, eg))):
+            if nu == 0.5:
+                terms = _half_concavity(x)
+            else:
+                ctx = EvalContext(nu, x)
+                g, eg = _p_concavity(ctx)
+                terms = (g, eg), _omega_concavity(ctx, g, eg)
+            for j, (v, err) in enumerate(terms):
                 if v - err > 0.0:
                     wits[j].append(Violation(labels[j], nu, x, 0.0, v, v - err))
                 elif v + err >= 0.0:

@@ -268,11 +268,11 @@ def test_consistency_checks_pass():
 def test_application_checks_pass():
     recs = application_checks()
     assert [c.check_id for c in recs if c.status == "fail"] == []
-    # only part of nu = 1/2's grid is unresolved, where phiI + phiK and
-    # omega's term fall like e^(-2x) below their claims
+    # no point is unresolved: at nu = 1/2, where phiI + phiK and omega's term
+    # fall like e^(-2x), the closed forms' claims fall with them
     for name in ("P_geometric_concavity", "omega_concavity"):
         unresolved = next(c for c in recs if c.check_id == f"applications:{name}_pointwise_unresolved")
-        assert unresolved.status == "info" and 0 < unresolved.max_violation < len(CONCAVITY_X), name
+        assert unresolved.status == "info" and unresolved.max_violation == 0.0, name
 
 
 def _scaled_phiK(monkeypatch):
@@ -310,19 +310,54 @@ def test_planted_phiK_defect_fails_both_pointwise_checks(monkeypatch):
     assert 1e-9 < g < 3e-9 and err < 1e-13
 
 
+def _shifted_half_terms(monkeypatch):
+    # plants both closed-form terms at nu = 1/2 shifted up by 1e-10 (their
+    # claims kept) in harness._half_concavity
+    from besselbounds import harness
+
+    half = harness._half_concavity
+
+    def shifted(x):
+        (g, eg), (w, ew) = half(x)
+        return (g + 1e-10, eg), (w + 1e-10, ew)
+
+    monkeypatch.setattr(harness, "_half_concavity", shifted)
+
+
+def test_planted_half_defect_fails_both_pointwise_checks(monkeypatch):
+    # the closed-form route at nu = 1/2 reaches the checks: its two terms
+    # shifted by 1e-10 turn positive beyond their claims where they fall
+    # below 1e-10 (and are not scaled by e^(2x)), and both checks fail there
+    from besselbounds import harness
+
+    _shifted_half_terms(monkeypatch)
+    recs = {c.check_id: c for c in application_checks()}
+    for name in ("P_geometric_concavity", "omega_concavity"):
+        rec = recs[f"applications:{name}_pointwise"]
+        assert rec.status == "fail" and rec.witnesses, name
+        assert {w.nu for w in rec.witnesses} == {0.5}, name
+    for term in harness._half_concavity(40.0):
+        assert term[0] - term[1] > 0.0
+
+
 def _concavity_records_by_plain_loops():
     # the two pointwise checks as two independent loops over the grid, each
-    # evaluating its own term from harness.quantity at every point
+    # evaluating its own term at every point: from harness.quantity, and at
+    # nu = 1/2 from harness._half_concavity
     from besselbounds import harness
     from besselbounds.core import _EPS, EvalContext, QuantityKind as QK
 
     def p_term(nu, x):
+        if nu == 0.5:
+            return harness._half_concavity(x)[0]
         ctx = EvalContext(nu, x)
         fi, fk = harness.quantity(QK.PHI_I, ctx), harness.quantity(QK.PHI_K, ctx)
         g = fi.value + fk.value
         return g, fi.abs_error_bound + fk.abs_error_bound + _EPS * abs(g)
 
     def omega_term(nu, x):
+        if nu == 0.5:
+            return harness._half_concavity(x)[1]
         g, eg = p_term(nu, x)
         ctx = EvalContext(nu, x)
         y, z = harness.quantity(QK.Y, ctx), harness.quantity(QK.Z, ctx)
@@ -350,10 +385,12 @@ def _concavity_records_by_plain_loops():
 @pytest.mark.parametrize("planted", [False, True])
 def test_concavity_pass_matches_two_plain_loops(monkeypatch, planted):
     # the one pass that serves both checks builds, field for field, the
-    # records of two independent loops; with the phiK defect planted both
-    # checks have witnesses, and without it each has 526 unresolved points
+    # records of two independent loops; with the phiK defect and the
+    # closed-form one planted both checks have witnesses, and without them
+    # neither has an unresolved point
     if planted:
         _scaled_phiK(monkeypatch)
+        _shifted_half_terms(monkeypatch)
     want = _concavity_records_by_plain_loops()
     got = {c.check_id: dataclasses.replace(c, runtime_ms=0.0) for c in application_checks()
            if c.check_id in want}
@@ -361,13 +398,83 @@ def test_concavity_pass_matches_two_plain_loops(monkeypatch, planted):
     for name in ("P_geometric_concavity", "omega_concavity"):
         assert bool(want[f"applications:{name}_pointwise"].witnesses) == planted, name
         if not planted:
-            assert want[f"applications:{name}_pointwise_unresolved"].max_violation == 526.0, name
+            assert want[f"applications:{name}_pointwise_unresolved"].max_violation == 0.0, name
+
+
+def _half_reference(x, scaled):
+    # both concavity terms at nu = 1/2 in the closed forms' own e^(-2x) form
+    # at 60 digits, times e^(2x) where scaled: phiI and phiK cancel down to
+    # about e^(-2x)/x, which a 60-digit besseli/besselk reference loses past
+    # x ~ 70
+    import mpmath as mp
+
+    with mp.workdps(60):
+        x = mp.mpf(x)
+        e = mp.exp(-2 * x)
+        f = 1 / e if scaled else 1
+        return 2 * e * (1 - e - 2 * x) / (x * (1 - e) ** 2) * f, -4 * x * x * e / (1 - e) * f
+
+
+def test_half_reference_is_the_bessel_definition():
+    # the reference's form is DLMF 10.39's algebra: it agrees with phiI + phiK
+    # and s (1 + s) + x^2 (phiI + phiK) from besseli and besselk, at a
+    # precision that outlasts their cancellation (2x/ln 10 + 30 digits)
+    import mpmath as mp
+
+    for x in (0.7, 3.0, 16.0, 40.0):
+        with mp.workdps(int(2 * x / math.log(10)) + 30):
+            X, nu = mp.mpf(x), mp.mpf(0.5)
+            i, k = (lambda v: mp.besseli(v, X)), (lambda v: mp.besselk(v, X))
+            phi = 2 - i(nu - 1) * i(nu + 1) / i(nu) ** 2 - k(nu - 1) * k(nu + 1) / k(nu) ** 2
+            s = X * i(nu - 1) / i(nu) - X * k(nu - 1) / k(nu) - 2 * nu
+            omega = s * (1 + s) + X * X * phi
+            g, w = _half_reference(x, False)
+            assert abs(phi / g - 1) < 1e-25 and abs(omega / w - 1) < 1e-25, x
+
+
+def test_half_closed_forms_within_their_claims():
+    # each term, plain and e^(2x)-scaled, is within its claim of the 60-digit
+    # reference and negative, across the grid's range and at the scaling switch
+    import sys
+
+    from besselbounds import harness
+    from besselbounds.core import _EPS
+
+    tiny = sys.float_info.min
+    switch = -0.5 * math.log(tiny)  # moved to the last x whose e^(-2x) is normal
+    while math.exp(-2.0 * switch) < tiny:
+        switch = math.nextafter(switch, 0.0)
+    while math.exp(-2.0 * math.nextafter(switch, math.inf)) >= tiny:
+        switch = math.nextafter(switch, math.inf)
+    points = (1e-3, 0.5, 0.7, 3.0, 15.96, 16.0, 40.0,
+              math.nextafter(switch, 0.0), switch, math.nextafter(switch, math.inf), 500.0)
+    for x in points:
+        scaled = x > switch
+        for (v, err), ref in zip(harness._half_concavity(x), _half_reference(x, scaled)):
+            assert v < 0.0 and abs(v - ref) <= err, (x, v, err, float(ref))
+    # c = 1 - e - 2x cancels at small x, and the claim of P's term says so
+    (g, eg), (w, ew) = harness._half_concavity(1e-3)
+    assert 1000.0 * _EPS < eg / -g < 1010.0 * _EPS and ew == 4.0 * _EPS * -w
+
+
+def test_cold_verify_fills_the_caches_without_nu_half():
+    # the concavity pass's 2 000 points at nu = 1/2 leave no cache entry:
+    # a cold verify --suite all leaves _ratio_i at 13 415 and _k_ladder at
+    # 9 729 entries
+    from besselbounds import core
+
+    core._ratio_i.cache_clear()
+    core._k_ladder.cache_clear()
+    run_all()
+    assert core._ratio_i.cache_info().currsize == 13415
+    assert core._k_ladder.cache_info().currsize == 9729
 
 
 def test_verify_points_are_evaluated_once(monkeypatch):
     # the concavity pass asks for each of phiI, phiK, y and z once per grid
-    # point (32 000 calls; two checks evaluating their own terms would make
-    # 48 000); the consistency checks ask for no point twice, and the
+    # point off nu = 1/2 (24 000 calls; two checks evaluating their own terms
+    # would make 36 000) and for none at nu = 1/2, which takes the closed
+    # form; the consistency checks ask for no point twice, and the
     # Turanian identities read the Riccati loops' y' and z' instead of
     # taking 360 derivatives again
     from besselbounds import harness
@@ -387,9 +494,10 @@ def test_verify_points_are_evaluated_once(monkeypatch):
     monkeypatch.setattr(harness, "quantity", counted)
     monkeypatch.setattr(harness, "numeric_derivative", counted_derivative)
     application_checks()
-    n, terms = len(CONCAVITY_NU) * len(CONCAVITY_X), (QK.PHI_I, QK.PHI_K, QK.Y, QK.Z)
-    assert n == 8000 and set(calls.values()) == {1}
+    n, terms = (len(CONCAVITY_NU) - 1) * len(CONCAVITY_X), (QK.PHI_I, QK.PHI_K, QK.Y, QK.Z)
+    assert n == 6000 and set(calls.values()) == {1}
     assert Counter(kind for kind, _, _ in calls if kind in terms) == dict.fromkeys(terms, n)
+    assert not [nu for kind, nu, _ in calls if kind in terms and nu == 0.5]
 
     calls.clear()
     records = consistency_checks()
