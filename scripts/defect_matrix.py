@@ -27,8 +27,9 @@ The defects:
                                      value scaled by 1 + 1e-9, or the claim by
                                      1/100; likewise ratio_I:cf for _ratio_i_cf
     quantity:<tag>+1e-10             the quantity's value shifted by 1e-10
-                                     (phiI, phiK, phiP); quantity:phiP*(1+1e-9)
-                                     scales it
+                                     (phiI, phiK, phiP)
+    quantity:<tag>*(1+1e-9)          the quantity's value scaled by 1 + 1e-9
+                                     (phiP, y, z)
     half_concavity+1e-10             both terms of the concavity checks'
                                      closed form at nu = 1/2 shifted by 1e-10,
                                      as returned (so not where they are
@@ -195,7 +196,8 @@ def defects():
             out.append((f"{label}:{what}", _pair_kernel(name, what)))
     for tag in ("phiI", "phiK", "phiP"):
         out.append((f"quantity:{tag}+1e-10", _quantity(tag, lambda v: v + 1e-10)))
-    out.append(("quantity:phiP*(1+1e-9)", _quantity("phiP", lambda v: v * SCALE)))
+    for tag in ("phiP", "y", "z"):
+        out.append((f"quantity:{tag}*(1+1e-9)", _quantity(tag, lambda v: v * SCALE)))
     out.append(("half_concavity+1e-10", _shifted_half_concavity))
     for bound_id in catalog.ids(status="proved"):
         out.append((f"tighten:{bound_id}", _tighten(bound_id)))

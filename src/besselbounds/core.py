@@ -62,9 +62,15 @@ Caching
 -------
 Results are cached where points repeat, and nowhere else.  _ratio_i and
 _k_ladder serve the several tags computed at one point (y, phiI, u, ... all
-read ratio_I; z, phiK, kratio, ... all read the K ladder); they are
-lru_caches of 200 000 entries, and a verify --suite all fills them to 13 415
-and 9 729 (the concavity checks take nu = 1/2 in closed form, not from here).
+read ratio_I; z, phiK, kratio, ... all read the K ladder).  Each is a plain
+dict (_point_cache: functools.cache, with no LRU list) of at most
+_POINT_CACHE_MAX = 200 000 entries, emptied whole when a miss would go past
+that.  No workload comes near it: a verify --suite all fills them to 13 415
+and 9 729 (the concavity checks take nu = 1/2 in closed form, not from here),
+the benchmark's eval-box to about 4 200 and 3 400 per process and its
+bounds-table to 1 500 and 1 580.  Hits come from other tags at the same
+point and from repeated runs, never from recency, so an LRU order would
+only cost a list node per entry.
 I, K and P = I K are not cached: nothing asks for one of them many times at
 a point, and where points do not repeat (the benchmark's eval-box) a cache
 only costs its bookkeeping and memory.
@@ -112,10 +118,12 @@ cache hit (a cache holds the finished result), and no container
 bookkeeping around a kernel call (_k_orders picks its climbs in
 straight-line code); the per-point objects are slotted.
 
-All functions are pure and cache only immutable results in lru_caches; they
-are safe to call concurrently from any number of threads.  A race can make
-two threads evaluate the same point, which cannot change a bit, since every
-evaluation of a point gives the same bits.
+All functions are pure and cache only immutable results in the point
+caches; they are safe to call concurrently from any number of threads.  A
+race can make two threads evaluate the same point, and two racing misses
+can count one miss too few or empty a cache twice, so that it is emptied a
+little early or late; none of this can change a bit, since every evaluation
+of a point gives the same bits.
 """
 
 from __future__ import annotations
@@ -125,7 +133,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cache, update_wrapper
 from typing import Callable, NamedTuple
 
 __all__ = [
@@ -832,8 +840,38 @@ def _ratio_i_asym(nu: float, x: float) -> bool:
 
 RATIO_I_PATHS = ("cf1", "asymptotic", "two_term")  # CF1, expansion quotient, CF1 cut at tiny x
 
+_POINT_CACHE_MAX = 200_000  # entries in each point cache; see Caching
 
-@lru_cache(maxsize=200_000)
+
+def _point_cache(f: Callable) -> Callable:
+    """f(nu, x) behind functools.cache, emptied when a miss would take it past _POINT_CACHE_MAX.
+
+    A plain dict with no LRU list: the count of misses since the last clear
+    bounds its size, and cache_clear() from outside also restarts that count.
+    cache_info() and __wrapped__ (f) work as on any functools cache.
+    """
+    misses = 0
+
+    def miss(nu: float, x: float):
+        nonlocal misses
+        if misses >= _POINT_CACHE_MAX:
+            cache_clear()
+        misses += 1
+        return f(nu, x)
+
+    cached = update_wrapper(cache(miss), f)
+    clear_dict = cached.cache_clear
+
+    def cache_clear() -> None:
+        nonlocal misses
+        misses = 0
+        clear_dict()
+
+    cached.cache_clear = cache_clear
+    return cached
+
+
+@_point_cache
 def _ratio_i(nu: float, x: float) -> tuple[float, float]:
     """(I_{nu+1}/I_nu, rel error bound) by one route per region.
 
@@ -896,7 +934,7 @@ def _k_orders(nu: float, x: float) -> tuple[float, float, float, float, float, f
     return (kh, eh, k0, e0, kl, el) if nu < 0.0 else (kl, el, k0, e0, kh, eh)
 
 
-@lru_cache(maxsize=200_000)
+@_point_cache
 def _k_ladder(nu: float, x: float) -> tuple[float, float, float, float, float, float]:
     """(K_{nu-1}, em, K_nu, e0, K_{nu+1}/K_nu, er) from _k_orders, cross-checked."""
     km, em, k0, e0, k1, e1 = _k_orders(nu, x)

@@ -781,11 +781,39 @@ def test_P_I_and_K_are_not_cached(monkeypatch):
     assert sorted(calls) == ["_i_series"] * 2 + ["_k_climb"] * 2
 
 
-def test_threads_get_the_serial_bits():
+def test_point_caches_are_bounded_dicts(monkeypatch):
+    # _ratio_i and _k_ladder keep no LRU list, and a miss that would take one
+    # past _POINT_CACHE_MAX entries empties it first; a point evaluated again
+    # after that has its first bits, and an outside cache_clear() restarts
+    # the count of misses
+    from besselbounds import core
+
+    monkeypatch.setattr(core, "_POINT_CACHE_MAX", 5)
+    points = [(0.3 + k, 1.5 + k) for k in range(12)]
+    for cached in (core._ratio_i, core._k_ladder):
+        assert cached.cache_info().maxsize is None
+        cached.cache_clear()
+        first = []
+        for p in points:
+            first.append(cached(*p))
+            assert cached.cache_info().currsize <= 5
+        assert cached.cache_info().currsize == 2  # emptied at the 6th and 11th misses
+        assert [cached(*p) for p in points] == first
+        cached.cache_clear()
+        for p in points[:3]:
+            cached(*p)
+        cached.cache_clear()
+        for p in points[3:8]:
+            cached(*p)
+        assert cached.cache_info().currsize == 5
+
+
+def test_threads_get_the_serial_bits(monkeypatch):
     # 4 threads evaluate P, omega, z and phiK at the same 500 seeded points,
-    # each in its own order, through the lru_caches _ratio_i and _k_ladder:
+    # each in its own order, through the point caches _ratio_i and _k_ladder:
     # every result and refusal (x reaches 1e-20, where some points refuse)
-    # matches the serial run bit for bit
+    # matches the serial run bit for bit, also with a bound of 64 entries,
+    # where the caches are emptied while other threads miss and hit
     import random
     import sys
     import threading
@@ -808,11 +836,6 @@ def test_threads_get_the_serial_bits():
         core._ratio_i.cache_clear()
         core._k_ladder.cache_clear()
 
-    cold()
-    serial = {w: outcome(*w) for w in work}
-    cold()
-    results, errors = [{} for _ in range(4)], []
-
     def run(k):
         try:
             order = list(work)
@@ -822,18 +845,24 @@ def test_threads_get_the_serial_bits():
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and errors == []
-    assert all(r == serial for r in results)
+    cold()
+    serial = {w: outcome(*w) for w in work}
+    for bound in (core._POINT_CACHE_MAX, 64):
+        monkeypatch.setattr(core, "_POINT_CACHE_MAX", bound)
+        cold()
+        results, errors = [{} for _ in range(4)], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert all(r == serial for r in results), bound
 
 
 def test_K_split_is_exact_and_ties_at_plus_half():

@@ -460,14 +460,26 @@ def test_half_closed_forms_within_their_claims():
 def test_cold_verify_fills_the_caches_without_nu_half():
     # the concavity pass's 2 000 points at nu = 1/2 leave no cache entry:
     # a cold verify --suite all leaves _ratio_i at 13 415 and _k_ladder at
-    # 9 729 entries
+    # 9 729 entries.  A warm run right after it gives the same records bit
+    # for bit (runtime_ms aside) from hits alone: no entry is evicted or
+    # added again
     from besselbounds import core
 
-    core._ratio_i.cache_clear()
-    core._k_ladder.cache_clear()
-    run_all()
-    assert core._ratio_i.cache_info().currsize == 13415
-    assert core._k_ladder.cache_info().currsize == 9729
+    caches = (core._ratio_i, core._k_ladder)
+    for cached in caches:
+        cached.cache_clear()
+    cold = run_all().checks
+    assert [c.cache_info().currsize for c in caches] == [13415, 9729]
+    before = [c.cache_info() for c in caches]
+    warm = run_all().checks
+
+    def records(checks):
+        return [repr(dataclasses.replace(c, runtime_ms=0.0)) for c in checks]
+
+    assert records(warm) == records(cold)
+    for c, b in zip(caches, before):
+        info = c.cache_info()
+        assert info.currsize == b.currsize and info.misses == b.misses and info.hits > b.hits
 
 
 def test_verify_points_are_evaluated_once(monkeypatch):
