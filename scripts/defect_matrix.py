@@ -30,6 +30,10 @@ The defects:
                                      (phiI, phiK, phiP)
     quantity:<tag>*(1+1e-9)          the quantity's value scaled by 1 + 1e-9
                                      (phiP, y, z)
+    derivative:<tag>'*(1+1e-5)       numeric_derivative's first derivative of
+                                     the quantity scaled by 1 + 1e-5 (y, z)
+    derivative:y'*(1+1e-5):nu<0      y' scaled by 1 + 1e-5 only at nu < 0
+    derivative:y'*(1+3e-6):x>10      y' scaled by 1 + 3e-6 only at x > 10
     half_concavity+1e-10             both terms of the concavity checks'
                                      closed form at nu = 1/2 shifted by 1e-10,
                                      as returned (so not where they are
@@ -121,6 +125,19 @@ def _rounded_k_orders(p):
     p.rebind(core, "_k_orders", planted)
 
 
+def _derivative(tag, scale, where=lambda ctx: True):
+    # the first derivative of one quantity scaled where ``where(ctx)`` holds
+    def plant(p):
+        kind = core.QuantityKind(tag)
+        derivative = core.numeric_derivative
+
+        def planted(k, ctx, order=1):
+            d = derivative(k, ctx, order)
+            return d * scale if k is kind and order == 1 and where(ctx) else d
+        p.rebind(core, "numeric_derivative", planted)
+    return plant
+
+
 def _shifted_half_concavity(p):
     half = harness._half_concavity
 
@@ -198,6 +215,10 @@ def defects():
         out.append((f"quantity:{tag}+1e-10", _quantity(tag, lambda v: v + 1e-10)))
     for tag in ("phiP", "y", "z"):
         out.append((f"quantity:{tag}*(1+1e-9)", _quantity(tag, lambda v: v * SCALE)))
+    for tag in ("y", "z"):
+        out.append((f"derivative:{tag}'*(1+1e-5)", _derivative(tag, 1.0 + 1e-5)))
+    out.append(("derivative:y'*(1+1e-5):nu<0", _derivative("y", 1.0 + 1e-5, lambda ctx: ctx.nu < 0.0)))
+    out.append(("derivative:y'*(1+3e-6):x>10", _derivative("y", 1.0 + 3e-6, lambda ctx: ctx.x > 10.0)))
     out.append(("half_concavity+1e-10", _shifted_half_concavity))
     for bound_id in catalog.ids(status="proved"):
         out.append((f"tighten:{bound_id}", _tighten(bound_id)))

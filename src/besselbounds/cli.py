@@ -146,7 +146,7 @@ def cmd_bounds_list(args: argparse.Namespace) -> int:
     if args.quantity:
         rows = [r for r in rows if r["quantity"] == args.quantity]
     if args.bound_ids:
-        missing = set(args.bound_ids) - {r["id"] for r in cat.catalog_rows()}
+        missing = set(args.bound_ids) - cat.CATALOG.keys()
         if missing:
             print(f"error: unknown bound id(s): {', '.join(sorted(missing))}", file=sys.stderr)
             return 1
@@ -165,7 +165,7 @@ def cmd_bounds_list(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .harness import VerifyConfig, run_suite, source_date
 
-    vcfg = VerifyConfig(**(args.x_grid or {}))
+    vcfg = args.x_grid or VerifyConfig()
     try:
         source_date()  # refused here, a usage error, not after the suite has run
     except ValueError as exc:
@@ -218,9 +218,8 @@ def _parse_suite(text: str) -> str:
     return text
 
 
-def _parse_x_grid(text: str) -> dict:
-    """START:END:COUNT[:log|lin] as VerifyConfig fields, checked by VerifyConfig:
-    its refusal is a usage error of the flag."""
+def _parse_x_grid(text: str) -> VerifyConfig:
+    """START:END:COUNT[:log|lin] as a VerifyConfig: its refusal is a usage error of the flag."""
     from .harness import VerifyConfig
 
     parts = text.split(":")
@@ -231,12 +230,10 @@ def _parse_x_grid(text: str) -> dict:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     scale = parts[3] if len(parts) == 4 else "log"
-    fields = {"x_lo": lo, "x_hi": hi, "x_points": n, "scale": "linear" if scale == "lin" else scale}
     try:
-        VerifyConfig(**fields)
+        return VerifyConfig(x_lo=lo, x_hi=hi, x_points=n, scale="linear" if scale == "lin" else scale)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return fields
 
 
 def _build_parser() -> argparse.ArgumentParser:

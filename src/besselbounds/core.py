@@ -653,28 +653,26 @@ def _k_split(v: float) -> tuple[float, int]:
     return a - n, n
 
 
-def _k_climb(mu: float, x: float, top: int) -> tuple[float, float, float, float, float]:
-    """(K_{mu+top-2}, K_{mu+top-1}, K_{mu+top}, rel0, rel) for top >= 1.
+def _k_climb(mu: float, x: float, n: int) -> tuple[float, float, float, float, float, float]:
+    """(K_{mu+n-1}, e, K_{mu+n}, e, K_{mu+n+1}, e): levels n - 1, n and n + 1 of the climb from mu, n >= 0.
 
     K_mu and K_{mu+1}, with claims rel0 and rel1, then forward recurrence in
     the order: K is its dominant solution and every term is positive past
-    mu + 1, so a step adds at most its five roundings, 2.5 eps (the claims
-    of the levels are read by _k_level).  The loop follows the module's
-    kernel rules.
+    mu + 1, so a step adds at most its five roundings, 2.5 eps.  Level 0
+    claims rel0 and level m >= 1 max(rel0, rel1) + 2.5 (m - 1) eps, one
+    step's roundings per level.  Level -1 (n = 0) is not climbed and reads
+    (NaN, NaN).  The loop follows the module's kernel rules.
     """
     k0, k1, rel0, rel1 = _k_route(mu, x).kernel(mu, x)
+    rel = max(rel0, rel1)
     xi2 = 2.0 / x
-    kp = i = 0.0
-    for _ in range(top - 1):
+    kp, i = math.nan, 0.0
+    for _ in range(n):
         i += 1.0
         kp, k0, k1 = k0, k1, (mu + i) * xi2 * k1 + k0
-    return kp, k0, k1, rel0, max(rel0, rel1)
-
-
-def _k_level(climb: tuple[float, float, float, float, float], top: int, n: int) -> tuple[float, float]:
-    # K at level n (top - 2 .. top) of a climb to top, with its claim: rel0 at
-    # level 0; rel + 2.5 (n - 1) eps at n >= 1, one step's roundings per level
-    return climb[n - top + 2], (climb[4] + 2.5 * (n - 1) * _EPS if n else climb[3])
+    return (kp, rel + 2.5 * (n - 2) * _EPS if n > 1 else rel0 if n else math.nan,
+            k0, rel + 2.5 * (n - 1) * _EPS if n else rel0,
+            k1, rel + 2.5 * n * _EPS)
 
 
 def _besselk(nu: float, x: float) -> tuple[float, float]:
@@ -683,8 +681,7 @@ def _besselk(nu: float, x: float) -> tuple[float, float]:
     The split reads |nu|, which realises K_{-nu} = K_nu exactly.
     """
     mu, n = _k_split(nu)
-    top = n or 1
-    val, rel = _k_level(_k_climb(mu, x, top), top, n)
+    _, _, val, rel, _, _ = _k_climb(mu, x, n)
     if not math.isfinite(val):
         raise AccuracyError(f"K_{nu}({x}) overflows double precision")
     return val, rel
@@ -915,22 +912,19 @@ RATIO_K_CROSSCHECK_REL = 1e-9
 def _k_orders(nu: float, x: float) -> tuple[float, float, float, float, float, float]:
     """(K_{nu-1}, em, K_nu, e0, K_{nu+1}, e1) at the exact orders, from (mu, n) = _k_split(nu).
 
-    K_nu is level n of the climb at mu, K_{|nu|+1} level n + 1, and K_{|nu|-1}
-    level n - 1 at n >= 1; nu's sign says which of the two is K_{nu-1}.  At
-    n = 0, K_{|nu|-1} = K_{1-mu} is K_1 (level 1) at mu = 0, K_{1/2} (level 0)
-    at mu = 1/2, and else level 1 of a second climb at -mu: negation is exact.
-    Each value carries _k_level's claim for its level.
+    Levels n - 1, n and n + 1 of the climb at mu are K_{|nu|-1}, K_nu and
+    K_{|nu|+1}, each with _k_climb's claim for its level; nu's sign says
+    which of K_{|nu|-+1} is K_{nu-1}.  At n = 0 the climb has no level -1, and
+    K_{|nu|-1} = K_{1-mu} is K_1 (level 1) at mu = 0, K_{1/2} (level 0) at
+    mu = 1/2, and else level 1 of a second climb at -mu: negation is exact.
     """
     mu, n = _k_split(nu)
-    c = _k_climb(mu, x, n + 1)
-    k0, e0 = _k_level(c, n + 1, n)
-    kh, eh = _k_level(c, n + 1, n + 1)
-    if n:
-        kl, el = _k_level(c, n + 1, n - 1)
-    elif 0.0 < mu < 0.5:
-        kl, el = _k_level(_k_climb(-mu, x, 1), 1, 1)
-    else:
-        kl, el = (k0, e0) if mu else (kh, eh)
+    kl, el, k0, e0, kh, eh = _k_climb(mu, x, n)
+    if not n:
+        if 0.0 < mu < 0.5:
+            _, _, _, _, kl, el = _k_climb(-mu, x, 0)
+        else:
+            kl, el = (k0, e0) if mu else (kh, eh)
     return (kh, eh, k0, e0, kl, el) if nu < 0.0 else (kl, el, k0, e0, kh, eh)
 
 

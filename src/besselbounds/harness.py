@@ -344,6 +344,38 @@ def sharpness_records() -> list[CheckRecord]:
 # equality cases, limits, Gronwall and conjecture probes
 # ---------------------------------------------------------------------------
 
+# the limits that quantities approach as x -> 0 or x -> inf, each checked at
+# one x: (name, quantity, x, orders, the limit at order nu, tolerance,
+# relative).  A check's deviation is the largest |v - limit| over its orders,
+# divided by |limit| where relative; a row whose tolerance is inf is info
+_LIMITS = (
+    ("phiI_x0_is_1/(nu+1)", QuantityKind.PHI_I, 1e-4, (0.0, 0.5, 1.0, 2.0, 5.0),
+     lambda nu: 1.0 / (nu + 1.0), 1e-6, False),
+    ("y_x0_is_nu", QuantityKind.Y, 1e-5, (-0.75, -0.5, 0.0, 0.5, 1.0, 2.0, 5.0, 8.0),
+     lambda nu: nu, 1e-9, False),
+    # z -> -|nu| at rate O(x^min(2|nu|,2)): testable at 1e-9 only for |nu| >~ 1.2
+    ("z_x0_is_-abs(nu)", QuantityKind.Z, 1e-5, (-2.0, 1.5, 2.0, 3.0, 5.0, 8.0),
+     lambda nu: -abs(nu), 1e-9, False),
+    ("z_x0_small_nu_slow_rate", QuantityKind.Z, 1e-5, (0.1, 0.25, 0.5, 1.0),
+     lambda nu: -abs(nu), math.inf, False),
+    ("phiK_x0_is_1/(1-nu)", QuantityKind.PHI_K, 1e-4, (2.0, 3.0), lambda nu: 1.0 / (1.0 - nu), 1e-4, True),
+    ("phiK_x0_nu1.5_rate_x", QuantityKind.PHI_K, 1e-4, (1.5,), lambda nu: -2.0, math.inf, True),
+    ("lambda_x0_is_-1", QuantityKind.LAMBDA, 1e-4, (1.0,), lambda nu: -1.0, 1e-6, False),
+    ("lambda_xinf_is_-1/2", QuantityKind.LAMBDA, 200.0, (1.0,), lambda nu: -0.5, 1e-2, False),
+    ("w_xinf_is_1/2", QuantityKind.W, 450.0, (0.75, 1.0, 2.0), lambda nu: 0.5, 1e-2, False),
+    ("q_xinf_is_-1/2", QuantityKind.Q, 200.0, (1.0, 2.0), lambda nu: -0.5, 1e-2, False),
+)
+
+# the open ranges that quantities map (0, inf) into: (name, quantity, orders,
+# x grid, lower end, upper end).  The ends are approached as limits, so
+# excursions below evaluation noise, max(1e-12, claim), count as inside
+_RANGES = (
+    ("lambda_in_(-1,-1/2)", QuantityKind.LAMBDA, (-0.5, 0.0, 1.0, 2.0, 5.0), _log_grid(1e-3, 100.0, 40),
+     -1.0, -0.5),
+    ("t_in_(-1/2,0)", QuantityKind.T, (0.0, 0.5, 1.0, 2.0, 5.0), _log_grid(0.05, 100.0, 30), -0.5, 0.0),
+)
+
+
 def equality_and_limit_checks() -> list[CheckRecord]:
     """Closed-form equality cases at nu = 1/2 and the x->0 / x->inf limits."""
     _, xs, tol = SHARP_RULES["nu=1/2"]
@@ -361,61 +393,23 @@ def equality_and_limit_checks() -> list[CheckRecord]:
     for check_id, bound_id, nu, _ in sharp_checks("nu=1/2"):
         checks.add(check_id, tol, max(sharpness_decay(bound_id, xs, nu).errors))
 
-    devs = [abs(quantity(QuantityKind.PHI_I, EvalContext(nu, 1e-4)).value - 1.0 / (nu + 1.0))
-            for nu in (0.0, 0.5, 1.0, 2.0, 5.0)]
-    checks.add("limit:phiI_x0_is_1/(nu+1)", 1e-6, max(devs))
-
-    devs = [abs(quantity(QuantityKind.Y, EvalContext(nu, 1e-5)).value - nu)
-            for nu in (-0.75, -0.5, 0.0, 0.5, 1.0, 2.0, 5.0, 8.0)]
-    checks.add("limit:y_x0_is_nu", 1e-9, max(devs))
-
-    # z -> -|nu| at rate O(x^min(2|nu|,2)): testable at 1e-9 only for |nu| >~ 1.2
-    devs = [abs(quantity(QuantityKind.Z, EvalContext(nu, 1e-5)).value + abs(nu))
-            for nu in (-2.0, 1.5, 2.0, 3.0, 5.0, 8.0)]
-    checks.add("limit:z_x0_is_-abs(nu)", 1e-9, max(devs))
-    devs = [abs(quantity(QuantityKind.Z, EvalContext(nu, 1e-5)).value + abs(nu))
-            for nu in (0.1, 0.25, 0.5, 1.0)]
-    checks.add("limit:z_x0_small_nu_slow_rate", math.inf, max(devs), info=True)
-
-    devs = [abs(quantity(QuantityKind.PHI_K, EvalContext(nu, 1e-4)).value - 1.0 / (1.0 - nu))
-            / abs(1.0 / (1.0 - nu)) for nu in (2.0, 3.0)]
-    checks.add("limit:phiK_x0_is_1/(1-nu)", 1e-4, max(devs))
-    dev = abs(quantity(QuantityKind.PHI_K, EvalContext(1.5, 1e-4)).value + 2.0) / 2.0
-    checks.add("limit:phiK_x0_nu1.5_rate_x", math.inf, dev, info=True)
+    for name, kind, x, nus, limit, tol, relative in _LIMITS:
+        devs = [abs(quantity(kind, EvalContext(nu, x)).value - limit(nu)) / (abs(limit(nu)) if relative else 1.0)
+                for nu in nus]
+        checks.add(f"limit:{name}", tol, max(devs), info=tol == math.inf)
 
     worst = max(quantity(QuantityKind.PHI_K, EvalContext(nu, 1e-3)).value
                 for nu in (0.25, 0.5, 0.75, 1.0))
     checks.add("limit:phiK_x0_divergence_nu_in_(0,1]", -10.0, worst, ok=worst < -10.0)
 
-    # lambda maps (0, inf) into (-1, -1/2); the endpoints are approached as
-    # limits, so excursions below evaluation noise count as inside
-    devs = []
-    for nu in (-0.5, 0.0, 1.0, 2.0, 5.0):
-        for x in _log_grid(1e-3, 100.0, 40):
-            lam = quantity(QuantityKind.LAMBDA, EvalContext(nu, x))
-            tol = max(1e-12, lam.abs_error_bound)
-            devs.append(max(-1.0 - lam.value - tol, lam.value + 0.5 - tol))
-    checks.add("range:lambda_in_(-1,-1/2)", 0.0, max(devs))
-    dev = abs(quantity(QuantityKind.LAMBDA, EvalContext(1.0, 1e-4)).value + 1.0)
-    checks.add("limit:lambda_x0_is_-1", 1e-6, dev)
-    dev = abs(quantity(QuantityKind.LAMBDA, EvalContext(1.0, 200.0)).value + 0.5)
-    checks.add("limit:lambda_xinf_is_-1/2", 1e-2, dev)
-
-    devs = [abs(quantity(QuantityKind.W, EvalContext(nu, 450.0)).value - 0.5)
-            for nu in (0.75, 1.0, 2.0)]
-    checks.add("limit:w_xinf_is_1/2", 1e-2, max(devs))
-
-    devs = [abs(quantity(QuantityKind.Q, EvalContext(nu, 200.0)).value + 0.5)
-            for nu in (1.0, 2.0)]
-    checks.add("limit:q_xinf_is_-1/2", 1e-2, max(devs))
-
-    devs = []
-    for nu in (0.0, 0.5, 1.0, 2.0, 5.0):
-        for x in _log_grid(0.05, 100.0, 30):
-            tv = quantity(QuantityKind.T, EvalContext(nu, x))
-            tol = max(1e-12, tv.abs_error_bound)
-            devs.append(max(-0.5 - tv.value - tol, tv.value - tol))
-    checks.add("range:t_in_(-1/2,0)", 0.0, max(devs))
+    for name, kind, nus, xs, lo, hi in _RANGES:
+        devs = []
+        for nu in nus:
+            for x in xs:
+                v = quantity(kind, EvalContext(nu, x))
+                tol = max(1e-12, v.abs_error_bound)
+                devs.append(max(lo - v.value - tol, v.value - hi - tol))
+        checks.add(f"range:{name}", 0.0, max(devs))
     return checks.records
 
 
@@ -676,45 +670,56 @@ def _half_concavity(x: float) -> tuple[tuple[float, float], tuple[float, float]]
     return (g, (d / -c + 6.0) * _EPS * -g), (w, 4.0 * _EPS * -w)
 
 
+def _catalog_witnesses(kind: QuantityKind, bound_ids: tuple[str, ...], nus: Sequence[float],
+                       xs: Sequence[float], limit: bool = False) -> list[Violation]:
+    """Witnesses against the catalogue entries ``bound_ids`` of ``kind`` on
+    the grid nus x xs: the quantity is evaluated once per point, and each
+    entry is tested, by its own formula b, where its own domain holds.
+
+    A point fails where the quantity v, with its claim err, does not clear
+    the bound: where its margin over the claim, err - (v - b) below v or
+    v - (b - err) above it, is >= 0.  With ``limit``, for bounds reached only
+    in the limit, a point fails only where v passes b by more than
+    max(1e-12, err): where (b - v or v - b) - max(1e-12, err) is > 0.
+    """
+    entries = [cat.get(bound_id) for bound_id in bound_ids]
+    wits = []
+    for nu in nus:
+        for x in xs:
+            q = quantity(kind, EvalContext(nu, x))
+            v, err = q.value, q.abs_error_bound
+            for b in entries:
+                if not b.domain(nu, x):
+                    continue
+                bv, lower = b.formula(nu, x), b.side == "lower"
+                if limit:
+                    margin = (bv - v if lower else v - bv) - max(1e-12, err)
+                    failed = margin > 0.0
+                else:
+                    margin = err - (v - bv) if lower else v - (bv - err)
+                    failed = margin >= 0.0
+                if failed:
+                    wits.append(Violation(b.id, nu, x, bv, v, margin))
+    return wits
+
+
 def application_checks() -> list[CheckRecord]:
     checks = _Checks()
 
-    # stochastic mean molecule count exceeds the classical one
-    wits = []
-    nus = [(-1.0 + 0.5 * k) for k in range(13)]  # -1 .. 5 step 0.5
-    for nu in nus:
-        for x in [20.0 * (k + 1) / 40 for k in range(40)]:
-            ns = quantity(QuantityKind.N_S, EvalContext(nu, x))
-            nc = cat.evaluate_bound("ncns", nu, x).value
-            if (margin := ns.abs_error_bound - (ns.value - nc)) >= 0.0:
-                wits.append(Violation("ncns", nu, x, nc, ns.value, margin))
-    checks.add("applications:ns_gt_nc", 0.0, witnesses=wits)
-
+    # the catalogue's application bounds, each on a grid of its own: the
+    # stochastic mean molecule count exceeds the classical one (ncns); the
     # effective variance of the generalised inverse Gaussian distribution
-    wits = []
-    for mu_gig in (2.0, 5.0, 10.0):
-        for inv_w in _log_grid(0.1, 50.0, 40):
-            v = quantity(QuantityKind.V_EFF, EvalContext(mu_gig, inv_w))
-            hi = 1.0 / (mu_gig - 1.0)
-            err = v.abs_error_bound
-            if not err < v.value:
-                wits.append(Violation("veff_bounds", mu_gig, inv_w, 0.0, v.value, err - v.value))
-            elif not v.value < hi - err:
-                wits.append(Violation("veff_bounds", mu_gig, inv_w, hi, v.value, v.value - (hi - err)))
+    # lies in (0, 1/(mu - 1)) (nu plays mu, x plays 1/w); and the
+    # hyperplane-bias bounds on b2hat, both asymptotically attained (b2hat ->
+    # -1 at nu = 1/2), so that margins below evaluation noise count as holds
+    wits = _catalog_witnesses(QuantityKind.N_S, ("ncns",), [-1.0 + 0.5 * k for k in range(13)],
+                              [20.0 * (k + 1) / 40 for k in range(40)])
+    checks.add("applications:ns_gt_nc", 0.0, witnesses=wits)
+    wits = _catalog_witnesses(QuantityKind.V_EFF, ("veff_lower", "veff_upper"), (2.0, 5.0, 10.0),
+                              _log_grid(0.1, 50.0, 40))
     checks.add("applications:veff_in_(0,1/(mu-1))", 0.0, witnesses=wits)
-
-    # hyperplane-bias bounds (margins below evaluation noise count as holds:
-    # both bounds are asymptotically attained, e.g. b2hat -> -1 at nu = 1/2)
-    wits = []
-    for nu in (0.25, 0.5, 1.0, 2.0):
-        for x in _log_grid(0.05, 100.0, 40):
-            b2 = quantity(QuantityKind.B2HAT, EvalContext(nu, x))
-            tol = max(1e-12, b2.abs_error_bound)
-            cap = -(x + nu) / (2.0 * x)
-            if (margin := b2.value - cap - tol) > 0.0:
-                wits.append(Violation("b2hat_upper", nu, x, cap, b2.value, margin))
-            if nu >= 0.5 and (margin := b2.value + 1.0 - tol) > 0.0:
-                wits.append(Violation("b2hat_upper_strong", nu, x, -1.0, b2.value, margin))
+    wits = _catalog_witnesses(QuantityKind.B2HAT, ("b2hat_upper", "b2hat_upper_strong"),
+                              (0.25, 0.5, 1.0, 2.0), _log_grid(0.05, 100.0, 40), limit=True)
     checks.add("applications:b2hat_bounds", 0.0, witnesses=wits)
 
     # concavity of P in log x and of omega = x P, at each point of a fixed
@@ -764,13 +769,14 @@ def application_checks() -> list[CheckRecord]:
 
 def enclosure_checks() -> list[CheckRecord]:
     """Dominance claims between named bounds, each on a fixed grid of its own:
-    turan16_upper < 1/x, turan24_upper <= turan18_upper and
+    turan16_upper < turan11_upper, turan24_upper <= turan18_upper and
     turan22_lower >= paltsev_lower."""
     checks = _Checks()
     ok = True
     for nu in (0.75, 1.0, 2.0, 5.0):
         for x in _log_grid(1e-2, 100.0, 40):
-            ok = ok and cat.evaluate_bound("turan16_upper", nu, x).value < 1.0 / x
+            t16 = cat.evaluate_bound("turan16_upper", nu, x).value
+            ok = ok and t16 < cat.evaluate_bound("turan11_upper", nu, x).value
     for nu in (1.5, 2.0, 3.0, 5.0):
         for x in _log_grid(1e-2, 100.0, 40):
             t24 = cat.evaluate_bound("turan24_upper", nu, x).value

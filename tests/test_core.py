@@ -1180,9 +1180,9 @@ def test_K_ladder_cross_check_fires_on_a_corrupted_climb(monkeypatch):
 
     climb = core._k_climb
 
-    def corrupted(mu, x, top):
-        kp, k0, k1, rel0, rel = climb(mu, x, top)
-        return kp, k0, k1 * (1.0 + 1e-6), rel0, rel
+    def corrupted(mu, x, n):
+        km, em, k0, e0, k1, e1 = climb(mu, x, n)
+        return km, em, k0, e0, k1 * (1.0 + 1e-6), e1
 
     monkeypatch.setattr(core, "_k_climb", corrupted)
     core._k_ladder.cache_clear()

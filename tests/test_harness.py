@@ -275,6 +275,25 @@ def test_application_checks_pass():
         assert unresolved.status == "info" and unresolved.max_violation == 0.0, name
 
 
+@pytest.mark.parametrize("bound_id,formula,check_id", [
+    # b2hat -> -1 at nu = 1/2: the bound -1 tightened by 1e-8 relative
+    ("b2hat_upper_strong", lambda nu, x: -1.0 - 1e-8, "applications:b2hat_bounds"),
+    # half of 1/(mu - 1), which veff approaches as x -> 0
+    ("veff_upper", lambda nu, x: 0.5 / (nu - 1.0), "applications:veff_in_(0,1/(mu-1))"),
+], ids=("b2hat_upper_strong", "veff_upper"))
+def test_a_planted_catalogue_defect_fails_its_application_check(monkeypatch, bound_id, formula, check_id):
+    # the application checks read their bounds from the catalogue, so an
+    # entry moved past the quantity fails its check, with the entry's id as
+    # every witness's bound_id
+    planted = dataclasses.replace(cat.get(bound_id), formula=formula)
+    monkeypatch.setattr(cat, "get", lambda bid: planted if bid == bound_id else cat.CATALOG[bid])
+    recs = application_checks()
+    assert [c.check_id for c in recs if c.status == "fail"] == [check_id]
+    rec = next(c for c in recs if c.check_id == check_id)
+    assert rec.witnesses and {w.bound_id for w in rec.witnesses} == {bound_id}
+    assert rec.max_violation == max(w.margin for w in rec.witnesses) > 0.0
+
+
 def _scaled_phiK(monkeypatch):
     # plants phiK scaled by 1 - 1e-6 (its claim kept) in harness.quantity
     from besselbounds import harness
