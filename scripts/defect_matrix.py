@@ -40,7 +40,8 @@ The defects:
                                      scaled by e^(2x))
     tighten:<id>                     each proved entry's formula moved 1e-8
                                      relative toward the quantity (a lower
-                                     bound raised, an upper one lowered)
+                                     bound raised, an upper one lowered),
+                                     and by 1e-8 absolute where it is 0
     best_bounds:second_best          best_bounds returns, on each side with two
                                      or more applicable proved entries, the
                                      second tightest
@@ -178,7 +179,7 @@ def _tighten(bound_id):
 
         def formula(nu, x):
             v = b.formula(nu, x)
-            return v + step * abs(v)
+            return v + step * (abs(v) or 1.0)  # an absolute step where the bound is 0
         new = dataclasses.replace(b, formula=formula)
         p.rebind(catalog, "CATALOG", MappingProxyType({**catalog.CATALOG, bound_id: new}))
         view = catalog._BY_QUANTITY[b.quantity]

@@ -65,8 +65,8 @@ _k_ladder serve the several tags computed at one point (y, phiI, u, ... all
 read ratio_I; z, phiK, kratio, ... all read the K ladder).  Each is a plain
 dict (_point_cache: functools.cache, with no LRU list) of at most
 _POINT_CACHE_MAX = 200 000 entries, emptied whole when a miss would go past
-that.  No workload comes near it: a verify --suite all fills them to 13 415
-and 9 729 (the concavity checks take nu = 1/2 in closed form, not from here),
+that.  No workload comes near it: a verify --suite all fills them to 13 419
+and 9 733 (the concavity checks take nu = 1/2 in closed form, not from here),
 the benchmark's eval-box to about 4 200 and 3 400 per process and its
 bounds-table to 1 500 and 1 580.  Hits come from other tags at the same
 point and from repeated runs, never from recency, so an LRU order would

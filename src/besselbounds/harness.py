@@ -203,31 +203,29 @@ def _tolerance(true: float, abs_eval_err: float) -> float:
     return max(1e-9, 1e-9 * abs(true)) + abs_eval_err
 
 
-def sweep_validity(ids: list[str], grid: GridSpec, cache: dict | None = None) -> list[Violation]:
+def sweep_validity(ids: list[str], grid: GridSpec) -> list[Violation]:
     """Check each bound against the reference evaluator on its in-domain grid.
 
-    Returns all violations (points beyond tolerance), sorted by
-    (bound_id, nu, x).  Evaluation failures are re-raised, not swallowed.
-    ``cache`` maps (quantity, nu, x) to the reference (value, tolerance); share one to evaluate each once.
+    Each quantity is evaluated, with its tolerance, once per point where one of
+    its bounds applies, for all of them.  Returns all violations (points beyond
+    tolerance), sorted by (bound_id, nu, x).  Evaluation failures are re-raised.
     """
     out: list[Violation] = []
-    cache = {} if cache is None else cache
-    for bound_id in ids:
-        spec = cat.get(bound_id)
-        q, domain, formula, lower = spec.quantity, spec.domain, spec.formula, spec.side == "lower"
+    for q in dict.fromkeys(cat.get(bound_id).quantity for bound_id in ids):
+        entries = [(b.id, b.domain, b.formula, b.side == "lower") for b in map(cat.get, ids) if b.quantity == q]
         for nu in grid.nu_values:
             for x in grid.x_values:
-                if not domain(nu, x):
-                    continue
-                ref = cache.get((q, nu, x))
-                if ref is None:
-                    tv = quantity(q, EvalContext(nu, x))
-                    ref = cache[q, nu, x] = (tv.value, _tolerance(tv.value, tv.abs_error_bound))
-                true, tol = ref
-                bv = formula(nu, x)
-                margin = (bv - true - tol) if lower else (true - bv - tol)
-                if margin > 0.0:
-                    out.append(Violation(bound_id, nu, x, bv, true, margin))
+                tol = None
+                for bound_id, domain, formula, lower in entries:
+                    if not domain(nu, x):
+                        continue
+                    if tol is None:
+                        tv = quantity(q, EvalContext(nu, x))
+                        true, tol = tv.value, _tolerance(tv.value, tv.abs_error_bound)
+                    bv = formula(nu, x)
+                    margin = (bv - true - tol) if lower else (true - bv - tol)
+                    if margin > 0.0:
+                        out.append(Violation(bound_id, nu, x, bv, true, margin))
     out.sort(key=lambda v: (v.bound_id, v.nu, v.x))
     return out
 
@@ -278,9 +276,10 @@ def validity_records(cfg: VerifyConfig) -> list[CheckRecord]:
     grid = grid_from_config(cfg)
     checks = _Checks()
     for _, same_quantity in groupby(cat.ids(status="proved"), key=lambda bid: cat.get(bid).quantity):
-        cache: dict = {}  # this quantity's reference values, shared by its bounds
-        for bound_id in same_quantity:
-            checks.add(f"validity:{bound_id}", 1e-9, witnesses=sweep_validity([bound_id], grid, cache))
+        bound_ids = list(same_quantity)
+        wits = sweep_validity(bound_ids, grid)
+        for bound_id in bound_ids:  # the first record carries the quantity's whole pass
+            checks.add(f"validity:{bound_id}", 1e-9, witnesses=[w for w in wits if w.bound_id == bound_id])
     return checks.records + refutation_probe()
 
 
@@ -467,7 +466,8 @@ def conjecture_probe(cfg: VerifyConfig) -> list[CheckRecord]:
 
 
 def refutation_probe() -> list[CheckRecord]:
-    """Collect witnesses against the refuted claims; informational status."""
+    """Collect witnesses against the refuted claims, and against P's concavity
+    below its hypothesis nu >= 1/2; informational status."""
     checks = _Checks()
     grid = GridSpec((0.5, 1.0, 2.0, 3.0, 5.0, 8.0), _log_grid(0.05, 50.0, 120))
     checks.add("refutation:joshi_turan7", 1e-9, witnesses=sweep_validity(["joshi_turan7"], grid),
@@ -481,6 +481,17 @@ def refutation_probe() -> list[CheckRecord]:
             if b2 > -1.0:
                 wits.append(Violation("b2hat<-1 (claimed nu>0)", nu, x, -1.0, b2, b2 + 1.0))
     checks.add("refutation:hamsici_b2hat", 0.0, witnesses=wits, info=True)
+
+    # phiI + phiK < 0 (P strictly geometrically concave) is proved for nu >= 1/2,
+    # and the hypothesis is sharp: below it the term is positive beyond its claim.
+    # nu = 0.51 is evaluated as a control that is no witness.  The id is not a
+    # refutation:, since no claimed statement fails: only the hypothesis is dropped
+    wits = []
+    for nu, x in ((0.3, 5.0), (0.3, 10.0), (0.49, 10.0), (0.51, 10.0)):
+        g, eg = _p_concavity(EvalContext(nu, x))
+        if g - eg > 0.0:
+            wits.append(Violation("phiI+phiK<0 (proved nu>=1/2)", nu, x, 0.0, g, g - eg))
+    checks.add("hypothesis:P_concavity_nu_below_half", 0.0, witnesses=wits, info=True)
     return checks.records
 
 

@@ -115,6 +115,46 @@ def test_validity_evaluates_each_point_once(monkeypatch):
         assert r.max_violation == max(w.margin for w in ws) and r.status == "fail"
 
 
+def test_sweep_evaluates_each_point_once_for_all_its_bounds(monkeypatch):
+    # one sweep of bounds of three quantities and all three statuses, in mixed
+    # order: each (quantity, nu, x) in some bound's domain is evaluated, and
+    # its tolerance taken, exactly once, and the result is the bounds' own
+    # sweeps merged.  With the negative tolerance every such point is a witness
+    from besselbounds import harness
+
+    bound_ids = ["turanconj2_upper", "turan11_upper", "joshi_turan7", "turan18_upper",
+                 "turanconj_lower", "turan24_upper", "turan21_lower"]
+    assert {cat.get(b).status for b in bound_ids} == {"proved", "conjecture", "refuted"}
+    assert len({cat.get(b).quantity for b in bound_ids}) == 3
+    grid = harness.grid_from_config(VerifyConfig(x_points=12))
+    in_domain = {(cat.get(b).quantity, nu, x) for b in bound_ids for nu in grid.nu_values
+                 for x in grid.x_values if cat.get(b).domain(nu, x)}
+    quantity = harness.quantity
+    for tolerance in (harness._tolerance, lambda true, err: -1e6 * (1.0 + abs(true))):
+        monkeypatch.setattr(harness, "_tolerance", tolerance)
+        merged = sorted((v for b in bound_ids for v in sweep_validity([b], grid)),
+                        key=lambda v: (v.bound_id, v.nu, v.x))
+        calls, tolerances = Counter(), Counter()
+        point = None
+
+        def counted(kind, ctx):
+            nonlocal point
+            point = kind, ctx.nu, ctx.x
+            calls[point] += 1
+            return quantity(kind, ctx)
+
+        def counted_tolerance(true, err, tolerance=tolerance):  # charged to the point evaluated last
+            tolerances[point] += 1
+            return tolerance(true, err)
+
+        monkeypatch.setattr(harness, "quantity", counted)
+        monkeypatch.setattr(harness, "_tolerance", counted_tolerance)
+        assert sweep_validity(bound_ids, grid) == merged
+        monkeypatch.setattr(harness, "quantity", quantity)
+        assert set(calls) == in_domain and set(calls.values()) == {1} and tolerances == calls
+    assert {v.bound_id for v in merged} == set(bound_ids)
+
+
 def test_validity_sweeps_only_the_configured_grid(monkeypatch):
     # the config's grid is the one grid the validity suite evaluates on: apart
     # from the refutation probe's fixed grid (the dominance claims evaluate no
@@ -248,12 +288,22 @@ def test_conjecture_probe_is_informational():
 
 
 def test_refutation_probe_witnesses():
+    from besselbounds import harness
+    from besselbounds.core import EvalContext
+
     recs = {c.check_id: c for c in refutation_probe()}
     joshi = recs["refutation:joshi_turan7"]
     assert joshi.status == "info" and joshi.witnesses
     hamsici = recs["refutation:hamsici_b2hat"]
     assert hamsici.status == "info" and hamsici.witnesses
     assert all(0.0 < w.nu < 0.5 for w in hamsici.witnesses)
+    # the concavity of P, proved for nu >= 1/2, fails just below: phiI + phiK
+    # is positive beyond its claim there, and negative at the control 0.51
+    below = recs["hypothesis:P_concavity_nu_below_half"]
+    assert below.status == "info"
+    assert [(w.nu, w.x) for w in below.witnesses] == [(0.3, 5.0), (0.3, 10.0), (0.49, 10.0)]
+    assert all(w.true_value > 1e6 * (w.true_value - w.margin) > 0.0 for w in below.witnesses)
+    assert harness._p_concavity(EvalContext(0.51, 10.0))[0] < -1e-6
 
 
 def test_consistency_checks_pass():
@@ -478,8 +528,8 @@ def test_half_closed_forms_within_their_claims():
 
 def test_cold_verify_fills_the_caches_without_nu_half():
     # the concavity pass's 2 000 points at nu = 1/2 leave no cache entry:
-    # a cold verify --suite all leaves _ratio_i at 13 415 and _k_ladder at
-    # 9 729 entries.  A warm run right after it gives the same records bit
+    # a cold verify --suite all leaves _ratio_i at 13 419 and _k_ladder at
+    # 9 733 entries.  A warm run right after it gives the same records bit
     # for bit (runtime_ms aside) from hits alone: no entry is evicted or
     # added again
     from besselbounds import core
@@ -488,7 +538,7 @@ def test_cold_verify_fills_the_caches_without_nu_half():
     for cached in caches:
         cached.cache_clear()
     cold = run_all().checks
-    assert [c.cache_info().currsize for c in caches] == [13415, 9729]
+    assert [c.cache_info().currsize for c in caches] == [13419, 9733]
     before = [c.cache_info() for c in caches]
     warm = run_all().checks
 
