@@ -47,12 +47,20 @@ The defects:
                                      second tightest
     best_bounds:every_status         best_bounds also admits conjecture and
                                      refuted entries
+    dominance:<lesser><op><greater>  each dominance claim of enclosure_checks:
+                                     evaluate_bound reads the lesser bound as
+                                     the least value that breaks the claim,
+                                     the greater bound's own where the claim
+                                     is strict (<), one ulp above it where
+                                     it is not (<=)
 
 Each run takes about as long as a cold ``verify --suite all``.
 """
 
 import dataclasses
 import json
+import math
+import operator
 import sys
 from pathlib import Path
 from types import MappingProxyType
@@ -201,6 +209,20 @@ def _best_bounds(statuses, rank):
     return plant
 
 
+def _dominance(lesser, holds, greater):
+    def plant(p):
+        evaluate = catalog.evaluate_bound
+
+        def planted(bound_id, nu, x):
+            ev = evaluate(bound_id, nu, x)
+            if bound_id != lesser:
+                return ev
+            v = evaluate(greater, nu, x).value
+            return dataclasses.replace(ev, value=math.nextafter(v, math.inf) if holds(v, v) else v)
+        p.rebind(catalog, "evaluate_bound", planted)
+    return plant
+
+
 def defects():
     """(name, plant) of each defect, in report order."""
     out = []
@@ -225,6 +247,9 @@ def defects():
         out.append((f"tighten:{bound_id}", _tighten(bound_id)))
     out.append(("best_bounds:second_best", _best_bounds(("proved",), 1)))
     out.append(("best_bounds:every_status", _best_bounds(("proved", "conjecture", "refuted"), 0)))
+    for lesser, holds, greater, _ in harness._DOMINANCE:
+        op = {operator.lt: "<", operator.le: "<="}[holds]
+        out.append((f"dominance:{lesser}{op}{greater}", _dominance(lesser, holds, greater)))
     return out
 
 

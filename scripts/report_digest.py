@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """SHA-256 digests of the reproducible outputs of a checkout, and what moved.
 
-Runs ``besselbounds verify --suite all`` (with SOURCE_DATE_EPOCH=0),
-``besselbounds figure fig1|fig2|fig3``, ``besselbounds bounds list --json`` and
-``besselbounds bounds at`` at a few fixed points from the checkout's own
-``src/`` in a temporary directory, evaluates every tag and queries the catalog
-for every quantity at a fixed seeded set of points, and prints one digest per
-output:
+Runs the checkout's ``scripts/run_full_verification.py`` (the verify report,
+the figure data and the catalog metadata) and ``besselbounds bounds at`` at a
+few fixed points with SOURCE_DATE_EPOCH=0, from the checkout's own ``src/`` in
+a temporary directory, evaluates every tag and queries the catalog for every
+quantity at a fixed seeded set of points, and prints one digest per output:
 
     verify_all.json   the report with every ``runtime_ms`` field dropped
-    fig1.csv ...      the figure data as written
-    catalog.json      the catalog metadata as written
+    catalog.json, fig1.csv ...   each other file of the full verification
+                      run as written, in name order
     bounds_at.txt     the printed tables of ``bounds at`` (BOUNDS_AT points)
     tags              value, claim or exception type of each of the 24 tags
                       (I, K, ratio_I, ratio_K and the 20 quantities) at each
@@ -51,7 +50,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-FIGURES = ("fig1", "fig2", "fig3")
 # (quantity, nu, x, extra arguments) of each `bounds at` query: each quantity
 # with entries, every status, ties in the nu = 1/2 collapse, points where no
 # entry applies, and one (the last) where the quantity is not evaluable
@@ -220,31 +218,25 @@ def _drop_runtimes(obj):
     return obj
 
 
-def _cli(root: Path, workdir: str, *args: str) -> subprocess.CompletedProcess:
+def _run(root: Path, workdir: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(root / "src"), SOURCE_DATE_EPOCH="0")
-    return subprocess.run([sys.executable, "-m", "besselbounds.cli", *args], cwd=workdir,
-                          env=env, stdout=subprocess.PIPE)
+    return subprocess.run([sys.executable, *args], cwd=workdir, env=env, stdout=subprocess.PIPE)
 
 
 def outputs(root: Path) -> tuple[dict, dict[str, bytes]]:
     """The report of a checkout (every runtime_ms dropped) and its other outputs."""
     with tempfile.TemporaryDirectory() as tmp:
-        report = Path(tmp, "verify_all.json")
-        if _cli(root, tmp, "verify", "--suite", "all", "--out", str(report)).returncode not in (0, 1):
-            raise SystemExit(f"verify --suite all did not run in {root}")
-        files = {}
-        for fig in FIGURES:
-            path = Path(tmp, f"{fig}.csv")
-            if _cli(root, tmp, "figure", fig, "--out", str(path)).returncode != 0:
-                raise SystemExit(f"figure {fig} did not run in {root}")
-            files[path.name] = path.read_bytes()
-        path = Path(tmp, "catalog.json")
-        if _cli(root, tmp, "bounds", "list", "--json", str(path)).returncode != 0:
-            raise SystemExit(f"bounds list did not run in {root}")
-        files[path.name] = path.read_bytes()
+        # exit 1 is a failing check (or output), which is digested all the same
+        out = Path(tmp, "out")
+        report = out / "verify_all.json"
+        run = _run(root, tmp, str(root / "scripts" / "run_full_verification.py"), "--outdir", str(out))
+        if run.returncode not in (0, 1) or not report.exists():
+            raise SystemExit(f"scripts/run_full_verification.py did not run in {root}")
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir()) if path != report}
         tables = []
         for quantity, nu, x, extra in BOUNDS_AT:
-            run = _cli(root, tmp, "bounds", "at", "--quantity", quantity, "--nu", nu, "--x", x, *extra)
+            run = _run(root, tmp, "-m", "besselbounds.cli", "bounds", "at", "--quantity", quantity,
+                       "--nu", nu, "--x", x, *extra)
             if run.returncode != 0:
                 raise SystemExit(f"bounds at {quantity} {nu} {x} did not run in {root}")
             tables.append(run.stdout)
@@ -324,8 +316,8 @@ def main() -> int:
     print(f"verify_all.json: {sum(not line.startswith(' ') for line in lines)} check(s) moved")
     for line in lines:
         print(line)
-    for name in new[1]:
-        same = old[1].get(name) == new[1][name]
+    for name in dict.fromkeys([*new[1], *old[1]]):
+        same = old[1].get(name) == new[1].get(name)
         print(f"{name}: {'identical' if same else 'differs'}")
         if name == "tags" and not same:
             print("\n".join(tags_diff(old[1][name], new[1][name])))

@@ -16,11 +16,11 @@ fields (``generated_at`` honours SOURCE_DATE_EPOCH,
 from __future__ import annotations
 
 import math
+import operator
 import os
 import time
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
-from itertools import groupby
 
 from . import catalog as cat
 from .core import (
@@ -203,31 +203,56 @@ def _tolerance(true: float, abs_eval_err: float) -> float:
     return max(1e-9, 1e-9 * abs(true)) + abs_eval_err
 
 
-def sweep_validity(ids: list[str], grid: GridSpec) -> list[Violation]:
-    """Check each bound against the reference evaluator on its in-domain grid.
+# the rules a catalogue sweep holds a point to.  An entry's lead over the
+# quantity v is b - v for a lower bound b and v - b for an upper one; a rule
+# maps v and its claim err to a slack s, and the point is a witness, with
+# margin lead - s, where that margin is > 0 (>= 0 where the rule's flag is True):
+#   validity  lead - _tolerance(v, err) > 0: the bound fails beyond the sweep's tolerance;
+#   claim     lead + err >= 0: v does not clear the bound by more than its claim;
+#   limit     lead - max(1e-12, err) > 0: v passes a bound reached only in the
+#             limit by more than evaluation noise
+_SWEEP_RULES = {
+    "validity": (lambda v, err: _tolerance(v, err), False),  # _tolerance looked up per call
+    "claim": (lambda v, err: -err, True),
+    "limit": (lambda v, err: max(1e-12, err), False),
+}
 
-    Each quantity is evaluated, with its tolerance, once per point where one of
-    its bounds applies, for all of them.  Returns all violations (points beyond
-    tolerance), sorted by (bound_id, nu, x).  Evaluation failures are re-raised.
+
+def _sweep(ids: Sequence[str], grid: GridSpec, rule: str) -> list[Violation]:
+    """Witnesses against the catalogue entries ``ids`` on ``grid`` under one of _SWEEP_RULES.
+
+    Each entry's quantity is evaluated, with its slack, once per point where
+    one of its entries applies, for all of them; each entry is tested by its
+    own formula where its own domain holds.  Witnesses come per quantity in
+    (nu, x, entry) order.  Evaluation failures are re-raised.
     """
+    slack, at_zero = _SWEEP_RULES[rule]
     out: list[Violation] = []
     for q in dict.fromkeys(cat.get(bound_id).quantity for bound_id in ids):
         entries = [(b.id, b.domain, b.formula, b.side == "lower") for b in map(cat.get, ids) if b.quantity == q]
         for nu in grid.nu_values:
             for x in grid.x_values:
-                tol = None
+                s = None
                 for bound_id, domain, formula, lower in entries:
                     if not domain(nu, x):
                         continue
-                    if tol is None:
+                    if s is None:
                         tv = quantity(q, EvalContext(nu, x))
-                        true, tol = tv.value, _tolerance(tv.value, tv.abs_error_bound)
+                        v, s = tv.value, slack(tv.value, tv.abs_error_bound)
                     bv = formula(nu, x)
-                    margin = (bv - true - tol) if lower else (true - bv - tol)
-                    if margin > 0.0:
-                        out.append(Violation(bound_id, nu, x, bv, true, margin))
-    out.sort(key=lambda v: (v.bound_id, v.nu, v.x))
+                    margin = (bv - v if lower else v - bv) - s
+                    if margin > 0.0 or at_zero and margin == 0.0:
+                        out.append(Violation(bound_id, nu, x, bv, v, margin))
     return out
+
+
+def sweep_validity(ids: list[str], grid: GridSpec) -> list[Violation]:
+    """Check each bound against the reference evaluator on its in-domain grid.
+
+    The validity rule of _SWEEP_RULES: returns all violations (points beyond
+    tolerance), sorted by (bound_id, nu, x).
+    """
+    return sorted(_sweep(ids, grid, "validity"), key=lambda v: (v.bound_id, v.nu, v.x))
 
 
 WITNESS_CAP = 10  # witnesses a check keeps: those of largest margin
@@ -275,8 +300,8 @@ class _Checks:
 def validity_records(cfg: VerifyConfig) -> list[CheckRecord]:
     grid = grid_from_config(cfg)
     checks = _Checks()
-    for _, same_quantity in groupby(cat.ids(status="proved"), key=lambda bid: cat.get(bid).quantity):
-        bound_ids = list(same_quantity)
+    for q in dict.fromkeys(cat.get(bound_id).quantity for bound_id in cat.ids(status="proved")):
+        bound_ids = cat.ids(status="proved", quantity=q)
         wits = sweep_validity(bound_ids, grid)
         for bound_id in bound_ids:  # the first record carries the quantity's whole pass
             checks.add(f"validity:{bound_id}", 1e-9, witnesses=[w for w in wits if w.bound_id == bound_id])
@@ -681,57 +706,26 @@ def _half_concavity(x: float) -> tuple[tuple[float, float], tuple[float, float]]
     return (g, (d / -c + 6.0) * _EPS * -g), (w, 4.0 * _EPS * -w)
 
 
-def _catalog_witnesses(kind: QuantityKind, bound_ids: tuple[str, ...], nus: Sequence[float],
-                       xs: Sequence[float], limit: bool = False) -> list[Violation]:
-    """Witnesses against the catalogue entries ``bound_ids`` of ``kind`` on
-    the grid nus x xs: the quantity is evaluated once per point, and each
-    entry is tested, by its own formula b, where its own domain holds.
-
-    A point fails where the quantity v, with its claim err, does not clear
-    the bound: where its margin over the claim, err - (v - b) below v or
-    v - (b - err) above it, is >= 0.  With ``limit``, for bounds reached only
-    in the limit, a point fails only where v passes b by more than
-    max(1e-12, err): where (b - v or v - b) - max(1e-12, err) is > 0.
-    """
-    entries = [cat.get(bound_id) for bound_id in bound_ids]
-    wits = []
-    for nu in nus:
-        for x in xs:
-            q = quantity(kind, EvalContext(nu, x))
-            v, err = q.value, q.abs_error_bound
-            for b in entries:
-                if not b.domain(nu, x):
-                    continue
-                bv, lower = b.formula(nu, x), b.side == "lower"
-                if limit:
-                    margin = (bv - v if lower else v - bv) - max(1e-12, err)
-                    failed = margin > 0.0
-                else:
-                    margin = err - (v - bv) if lower else v - (bv - err)
-                    failed = margin >= 0.0
-                if failed:
-                    wits.append(Violation(b.id, nu, x, bv, v, margin))
-    return wits
+# the catalogue's application entries, each group swept on a grid of its own
+# by one of _SWEEP_RULES: (check name, entries, grid, rule).  The stochastic
+# mean molecule count exceeds the classical one (ncns); the effective variance
+# of the generalised inverse Gaussian distribution lies in (0, 1/(mu - 1))
+# (nu plays mu, x plays 1/w); and the hyperplane-bias bounds on b2hat are both
+# reached only in the limit (b2hat -> -1 at nu = 1/2)
+_APPLICATION_SWEEPS = (
+    ("ns_gt_nc", ("ncns",), GridSpec(tuple(-1.0 + 0.5 * k for k in range(13)),
+                                     tuple(20.0 * (k + 1) / 40 for k in range(40))), "claim"),
+    ("veff_in_(0,1/(mu-1))", ("veff_lower", "veff_upper"), GridSpec((2.0, 5.0, 10.0), _log_grid(0.1, 50.0, 40)),
+     "claim"),
+    ("b2hat_bounds", ("b2hat_upper", "b2hat_upper_strong"),
+     GridSpec((0.25, 0.5, 1.0, 2.0), _log_grid(0.05, 100.0, 40)), "limit"),
+)
 
 
 def application_checks() -> list[CheckRecord]:
     checks = _Checks()
-
-    # the catalogue's application bounds, each on a grid of its own: the
-    # stochastic mean molecule count exceeds the classical one (ncns); the
-    # effective variance of the generalised inverse Gaussian distribution
-    # lies in (0, 1/(mu - 1)) (nu plays mu, x plays 1/w); and the
-    # hyperplane-bias bounds on b2hat, both asymptotically attained (b2hat ->
-    # -1 at nu = 1/2), so that margins below evaluation noise count as holds
-    wits = _catalog_witnesses(QuantityKind.N_S, ("ncns",), [-1.0 + 0.5 * k for k in range(13)],
-                              [20.0 * (k + 1) / 40 for k in range(40)])
-    checks.add("applications:ns_gt_nc", 0.0, witnesses=wits)
-    wits = _catalog_witnesses(QuantityKind.V_EFF, ("veff_lower", "veff_upper"), (2.0, 5.0, 10.0),
-                              _log_grid(0.1, 50.0, 40))
-    checks.add("applications:veff_in_(0,1/(mu-1))", 0.0, witnesses=wits)
-    wits = _catalog_witnesses(QuantityKind.B2HAT, ("b2hat_upper", "b2hat_upper_strong"),
-                              (0.25, 0.5, 1.0, 2.0), _log_grid(0.05, 100.0, 40), limit=True)
-    checks.add("applications:b2hat_bounds", 0.0, witnesses=wits)
+    for name, bound_ids, grid, rule in _APPLICATION_SWEEPS:
+        checks.add(f"applications:{name}", 0.0, witnesses=_sweep(bound_ids, grid, rule))
 
     # concavity of P in log x and of omega = x P, at each point of a fixed
     # grid: a point fails when its value is positive beyond its error bound;
@@ -778,26 +772,22 @@ def application_checks() -> list[CheckRecord]:
 # dominance claims
 # ---------------------------------------------------------------------------
 
+# the dominance claims between named bounds: (lesser, comparison, greater,
+# orders), each on 40 log-spaced x in (1e-2, 100]
+_DOMINANCE = (
+    ("turan16_upper", operator.lt, "turan11_upper", (0.75, 1.0, 2.0, 5.0)),
+    ("turan24_upper", operator.le, "turan18_upper", (1.5, 2.0, 3.0, 5.0)),
+    ("paltsev_lower", operator.le, "turan22_lower", (0.5, 1.0, 2.0, 5.0, -3.0)),
+)
+
+
 def enclosure_checks() -> list[CheckRecord]:
-    """Dominance claims between named bounds, each on a fixed grid of its own:
+    """The dominance claims of _DOMINANCE, one check for all of them:
     turan16_upper < turan11_upper, turan24_upper <= turan18_upper and
-    turan22_lower >= paltsev_lower."""
+    paltsev_lower <= turan22_lower."""
     checks = _Checks()
-    ok = True
-    for nu in (0.75, 1.0, 2.0, 5.0):
-        for x in _log_grid(1e-2, 100.0, 40):
-            t16 = cat.evaluate_bound("turan16_upper", nu, x).value
-            ok = ok and t16 < cat.evaluate_bound("turan11_upper", nu, x).value
-    for nu in (1.5, 2.0, 3.0, 5.0):
-        for x in _log_grid(1e-2, 100.0, 40):
-            t24 = cat.evaluate_bound("turan24_upper", nu, x).value
-            t18 = cat.evaluate_bound("turan18_upper", nu, x).value
-            ok = ok and t24 <= t18
-    for nu in (0.5, 1.0, 2.0, 5.0, -3.0):
-        for x in _log_grid(1e-2, 100.0, 40):
-            t22 = cat.evaluate_bound("turan22_lower", nu, x).value
-            pal = cat.evaluate_bound("paltsev_lower", nu, x).value
-            ok = ok and t22 >= pal
+    ok = all(holds(cat.evaluate_bound(lesser, nu, x).value, cat.evaluate_bound(greater, nu, x).value)
+             for lesser, holds, greater, nus in _DOMINANCE for nu in nus for x in _log_grid(1e-2, 100.0, 40))
     checks.add("enclosure:dominance_claims", 0.0, 0.0 if ok else 1.0)
     return checks.records
 

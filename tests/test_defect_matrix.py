@@ -4,7 +4,7 @@ import importlib.util
 from pathlib import Path
 
 from besselbounds import catalog
-from besselbounds.harness import default_grid
+from besselbounds.harness import default_grid, enclosure_checks
 
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "defect_matrix.py"
 _SPEC = importlib.util.spec_from_file_location("defect_matrix", _PATH)
@@ -38,3 +38,22 @@ def test_tighten_moves_every_proved_formula():
             unmoved.append((bound_id, nu, x, v, planted))
     assert unmoved == []
     assert zero == ["turan1_lower", "turan16_lower", "turan2_upper", "veff_lower"]
+
+
+def test_each_dominance_row_breaks_its_claim():
+    # one dominance: row per claim of enclosure:dominance_claims, and each
+    # fails the check: the strict claim's lesser bound read as the greater
+    # one, the others' as one ulp above it
+    rows = [(name, plant) for name, plant in defect_matrix.defects() if name.startswith("dominance:")]
+    assert [name for name, _ in rows] == ["dominance:turan16_upper<turan11_upper",
+                                          "dominance:turan24_upper<=turan18_upper",
+                                          "dominance:paltsev_lower<=turan22_lower"]
+    evaluate = catalog.evaluate_bound
+    for name, plant in rows:
+        p = defect_matrix.Plant()
+        plant(p)
+        try:
+            assert [c.status for c in enclosure_checks()] == ["fail"], name
+        finally:
+            p.undo()
+        assert catalog.evaluate_bound is evaluate

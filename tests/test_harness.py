@@ -344,6 +344,53 @@ def test_a_planted_catalogue_defect_fails_its_application_check(monkeypatch, bou
     assert rec.max_violation == max(w.margin for w in rec.witnesses) > 0.0
 
 
+def _planted_sweep_point(monkeypatch, formulas):
+    # every quantity planted as 2.0 with a claim of 0.5 (relative 0.25), and
+    # each entry of ``formulas`` as (side, constant bound)
+    from besselbounds import harness
+    from besselbounds.core import ValueWithError
+
+    monkeypatch.setattr(harness, "quantity", lambda kind, ctx: ValueWithError(2.0, 0.25))
+    planted = {bid: dataclasses.replace(cat.get(bid), side=side, formula=lambda nu, x, b=b: b)
+               for bid, (side, b) in formulas.items()}
+    monkeypatch.setattr(cat, "get", lambda bid: planted.get(bid) or cat.CATALOG[bid])
+
+
+@pytest.mark.parametrize("moved", [None, "lower", "upper"])
+def test_each_sweep_rule_at_its_boundary(monkeypatch, moved):
+    # each planted bound's lead over v = 2.0 is its rule's slack: -0.5 under
+    # the claim rule, a witness of margin 0.0, and 0.5 under the limit rule
+    # and under a sweep tolerance of 0.5, no witness.  The bounds of the
+    # ``moved`` side are then moved one ulp across their boundary (a claim
+    # bound's lead lowered, the others' raised), and each rule's outcome flips
+    # on that side alone
+    from besselbounds import harness
+
+    def bound(side, b, up):
+        return side, math.nextafter(b, math.inf if up else -math.inf) if side == moved else b
+
+    # claim rule: lower 1.5 and upper 2.5 fall short of v by its claim
+    claimed = {"ncns": bound("lower", 1.5, False), "veff_lower": bound("lower", 1.5, False),
+               "veff_upper": bound("upper", 2.5, True)}
+    # limit rule: lower 2.5 and upper 1.5 pass v by its claim
+    limits = {"b2hat_upper_strong": bound("lower", 2.5, True), "b2hat_upper": bound("upper", 1.5, False)}
+    _planted_sweep_point(monkeypatch, {**claimed, **limits})
+    recs = {c.check_id: c for c in application_checks()}
+    for check_id, bound_ids in (("applications:ns_gt_nc", ("ncns",)),
+                                ("applications:veff_in_(0,1/(mu-1))", ("veff_lower", "veff_upper"))):
+        rec, want = recs[check_id], {bid for bid in bound_ids if claimed[bid][0] != moved}
+        assert {w.bound_id for w in rec.witnesses} == want and rec.status == ("fail" if want else "pass"), check_id
+        assert {(w.true_value, w.margin) for w in rec.witnesses} <= {(2.0, 0.0)} and rec.max_violation == 0.0
+    rec, want = recs["applications:b2hat_bounds"], {bid for bid, (side, _) in limits.items() if side == moved}
+    assert {w.bound_id for w in rec.witnesses} == want and rec.status == ("fail" if want else "pass")
+    assert all(w.margin > 0.0 for w in rec.witnesses)
+
+    # validity rule, with the sweep tolerance planted as 0.5, on the limit rule's bounds
+    monkeypatch.setattr(harness, "_tolerance", lambda true, err: 0.5)
+    wits = sweep_validity(list(limits), GridSpec((1.0,), (1.0, 2.0)))
+    assert [w.bound_id for w in wits] == sorted(want) * 2 and all(w.margin > 0.0 for w in wits)
+
+
 def _scaled_phiK(monkeypatch):
     # plants phiK scaled by 1 - 1e-6 (its claim kept) in harness.quantity
     from besselbounds import harness
@@ -670,6 +717,36 @@ def test_application_spot_values():
 def test_enclosure_checks_pass():
     recs = enclosure_checks()
     assert [(c.check_id, c.status) for c in recs] == [("enclosure:dominance_claims", "pass")]
+
+
+# the dominance claims of enclosure:dominance_claims: (lesser, greater, strict)
+_DOMINANCE = [("turan16_upper", "turan11_upper", True), ("turan24_upper", "turan18_upper", False),
+              ("paltsev_lower", "turan22_lower", False)]
+
+
+@pytest.mark.parametrize("above", [False, True], ids=("equal", "one_ulp_above"))
+@pytest.mark.parametrize("lesser,greater,strict", _DOMINANCE, ids=[c[0] for c in _DOMINANCE])
+def test_a_planted_dominance_defect_fails_its_claim(monkeypatch, lesser, greater, strict, above):
+    # the lesser bound planted, at the claim's first order and x, equal to the
+    # greater one fails only the strict claim; one ulp above it fails every claim
+    from besselbounds import harness
+
+    nu = {"turan16_upper": 0.75, "turan24_upper": 1.5, "paltsev_lower": 0.5}[lesser]
+    x = harness._log_grid(1e-2, 100.0, 40)[0]
+    evaluate = cat.evaluate_bound
+
+    def planted(bound_id, at_nu, at_x):
+        ev = evaluate(bound_id, at_nu, at_x)
+        if (bound_id, at_nu, at_x) != (lesser, nu, x):
+            return ev
+        v = evaluate(greater, nu, x).value
+        assert ev.value < v  # the claim holds there, strictly, before the plant
+        return dataclasses.replace(ev, value=math.nextafter(v, math.inf) if above else v)
+
+    monkeypatch.setattr(cat, "evaluate_bound", planted)
+    recs = enclosure_checks()
+    assert [(c.check_id, c.status) for c in recs] == [
+        ("enclosure:dominance_claims", "fail" if strict or above else "pass")]
 
 
 def test_run_all_deterministic(monkeypatch):
