@@ -3,9 +3,12 @@
 
 Each value is computed twice: by the simple reference oracles in
 tests/oracles.py (direct series summation / trapezoidal quadrature) and by
-mpmath's built-in Bessel implementations.  The script refuses to print a
-constant on which the two disagree, so the frozen numbers are backed by
-two independent computations.  Paste the output into tests/frozen.py.
+tests/mp_reference.py, the claim tests' mpmath reference.  The script
+refuses to print a constant on which the two disagree, so the frozen numbers
+are backed by two independent computations.  Its output is tests/frozen.py,
+byte for byte:
+
+    python3 scripts/freeze_oracle_values.py > tests/frozen.py
 """
 
 import sys
@@ -13,9 +16,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from mpmath import mp, besseli, besselk, mpf, nstr  # noqa: E402
+from mpmath import mp, mpf, nstr  # noqa: E402
 
 import oracles  # noqa: E402
+from mp_reference import Point  # noqa: E402
 
 mp.dps = 30
 
@@ -34,17 +38,18 @@ def check(label, a, b, tol=mpf("1e-25")):
 
 
 def main():
+    print('"""Frozen oracle values; regenerate with scripts/freeze_oracle_values.py."""')
+    print()
     print("# generated by scripts/freeze_oracle_values.py; values certified by")
     print("# series/quadrature oracles cross-checked against mpmath built-ins")
     print("FROZEN_I = {")
     for nu, x in I_POINTS:
-        v = check(f"I({nu},{x})", oracles.series_I(nu, x), besseli(mpf(nu), mpf(x)))
+        v = check(f"I({nu},{x})", oracles.series_I(nu, x), Point(nu, x)["I"])
         print(f"    ({nu!r}, {x!r}): {nstr(v, 17)},")
     print("}")
     print("FROZEN_K = {")
     for nu, x in K_POINTS:
-        v = check(f"K({nu},{x})", oracles.quad_K(nu, x), besselk(mpf(nu), mpf(x)),
-                  tol=mpf("1e-22"))
+        v = check(f"K({nu},{x})", oracles.quad_K(nu, x), Point(nu, x)["K"], tol=mpf("1e-22"))
         print(f"    ({nu!r}, {x!r}): {nstr(v, 17)},")
     print("}")
     print("FROZEN_PHI = {")

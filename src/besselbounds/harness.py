@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import catalog as cat
 from .core import (
+    SUPPORTED_NU,
     SUPPORTED_X,
     DomainError,
     EvalContext,
@@ -70,7 +71,7 @@ GRONWALL_ROOT = 3.577847594  # stationary point of w at nu = 1/2, +-1e-6
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Evaluation grid; x values strictly increasing and positive."""
+    """Evaluation grid inside the box; x values strictly increasing."""
 
     nu_values: tuple[float, ...]
     x_values: tuple[float, ...]
@@ -78,8 +79,11 @@ class GridSpec:
     def __post_init__(self):
         if not self.nu_values or not self.x_values:
             raise ValueError("GridSpec needs nonempty nu and x grids")
-        if any(x <= 0.0 for x in self.x_values):
-            raise ValueError("GridSpec x values must be positive")
+        # written so that NaN fails each test
+        if not all(SUPPORTED_X[0] < x <= SUPPORTED_X[1] for x in self.x_values):
+            raise ValueError(f"GridSpec x values must lie in ({SUPPORTED_X[0]}, {SUPPORTED_X[1]}]")
+        if not all(SUPPORTED_NU[0] <= nu <= SUPPORTED_NU[1] for nu in self.nu_values):
+            raise ValueError(f"GridSpec nu values must lie in [{SUPPORTED_NU[0]}, {SUPPORTED_NU[1]}]")
         if any(b <= a for a, b in zip(self.x_values, self.x_values[1:])):
             raise ValueError("GridSpec x values must be strictly increasing")
 

@@ -4,9 +4,9 @@ These deliberately avoid the package's float evaluation paths: the first-
 kind function is summed directly from its power series in 30-digit
 arithmetic with an explicit geometric tail bound, and the second-kind
 function is a trapezoidal quadrature of the cosh integral with a
-doubly-exponential cutoff, halving the step until two sums agree.  Both
-are cross-checked against mpmath's built-in implementations at import
-time of the freeze script and inside the acceptance tests.
+doubly-exponential cutoff, halving the step until two sums agree.  The
+freeze script cross-checks both against tests/mp_reference.py, and the
+acceptance tests against the package.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from besselbounds.core import (
 from besselbounds.harness import dual_path_checks
 
 from frozen import FROZEN_I, FROZEN_K, FROZEN_MISC
+from mp_reference import K_ROUNDED_ORDERS, LADDER_EDGES, RATIO_I_EDGES, Point
 
 
 @pytest.mark.parametrize("nu,x", sorted(FROZEN_I))
@@ -49,6 +50,18 @@ def test_eval_K_frozen(nu, x):
     want = FROZEN_K[(nu, x)]
     assert got.value == pytest.approx(want, rel=5e-13)
     assert abs(got.value - want) <= max(got.rel_error_bound, 1e-15) * abs(want)
+
+
+def test_frozen_values_are_the_freeze_scripts_output():
+    # the constants stay reproducible: the script prints tests/frozen.py byte for byte
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, str(root / "scripts" / "freeze_oracle_values.py")],
+                         capture_output=True, check=True, timeout=120).stdout
+    assert out == (root / "tests" / "frozen.py").read_bytes()
 
 
 def test_closed_forms_half_order():
@@ -96,36 +109,16 @@ def test_unreachable_accuracy_raises():
         eval_I(EvalContext(19.5, 400.0), target_rel_err=1.01e-14)
 
 
-def test_K_at_tiny_argument_matches_mpmath():
-    # Temme's series has no truncation window, so absurdly small x works at
-    # integer and non-integer orders alike
-    from mpmath import besselk, mp, mpf
-
-    mp.dps = 40
-    v = eval_K(EvalContext(1.0, 1e-35))
-    want = float(besselk(1, mpf(1e-35)))
-    assert abs(v.value - want) <= v.rel_error_bound * want
-    v = eval_K(EvalContext(0.5, 1e-30))
-    want = math.sqrt(0.5 * math.pi / 1e-30) * math.exp(-1e-30)
-    assert v.value == pytest.approx(want, rel=1e-13)
+def test_K_half_at_tiny_argument_keeps_its_claim():
     # K_{1/2}(5e-324) ~ 5.6e161 is a normal double, and the closed form keeps
-    # its few-eps claim down there
-    v = eval_K(EvalContext(0.5, 5e-324))
-    want = besselk(0.5, mpf(5e-324))
-    assert v.rel_error_bound <= 10.0 * _EPS and abs(v.value - want) <= v.rel_error_bound * want
+    # its few-eps claim down there; the value is an example of the K claims
+    assert eval_K(EvalContext(0.5, 5e-324)).rel_error_bound <= 10.0 * _EPS
 
 
-def test_I_at_tiny_argument_matches_mpmath():
-    # x^2/4 underflows to 0 below x ~ 3e-162 and x/2 rounds below 2^-1021;
-    # I is evaluated wherever it is a normal double and refused below that
-    from mpmath import besseli, mp, mpf
-
-    mp.dps = 40
-    for nu, x in ((0.0, 5e-324), (0.5, 1.5e-323), (-0.5, 1e-310), (0.3, 1e-200),
-                  (19.0, 1.1e-15)):  # I_19 ~ 1e-307: 1e-18 I underflows
-        v = eval_I(EvalContext(nu, x))
-        want = besseli(mpf(nu), mpf(x))
-        assert abs(v.value - want) <= v.rel_error_bound * want, (nu, x)
+def test_I_at_tiny_argument_refuses_below_normal():
+    # x^2/4 underflows to 0 below x ~ 3e-162 and x/2 rounds below 2^-1021; I
+    # is refused where it is not a normal double (the values where it is are
+    # examples of the I claims)
     for nu, x in ((1.0, 1e-320), (2.0, 1e-155), (20.0, 1e-15)):
         with pytest.raises(AccuracyError):
             eval_I(EvalContext(nu, x))
@@ -135,28 +128,26 @@ def test_K_ladder_matches_single_orders():
     # one ladder reads K_{nu-1}, K_nu, K_{nu+1} at the exact orders from nu's
     # split.  K_nu has the bits _besselk gives it, and so has K_{nu-+1} where
     # nu -+ 1 is a double whose split has nu's mu; elsewhere each is within its
-    # claim of 40-digit mpmath at the exact order: at nu = +-1e-20, +-1e-12 the
+    # claim of the reference at the exact order: at nu = +-1e-20, +-1e-12 the
     # orders nu -+ 1 round, at 0 < |nu| < 1 off 1/2 they take the other sign of
     # mu, at 0.5 -+ ulp nu -+ 1 fall either side of a tie; the half-integers
     # share mu = 1/2
     from fractions import Fraction
 
-    from mpmath import besselk, mp, mpf
-
     from besselbounds.core import _k_orders, _k_split
 
-    mp.dps = 40
     for nu in (-2.5, 2.5, -1.5, 1.5, 3.5, -9.5, 19.5, -0.3, 0.3, 0.5, 1.0, 15.3, -9.7, 7.3, 19.0,
                1e-20, -1e-20, 1e-12, -1e-12, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)):
         for x in (1e-3, math.nextafter(2.0, 0.0), 2.0, 5.0, math.nextafter(10.0, 0.0), 10.0, 60.0, 400.0):
             km, em, k0, e0, k1, e1 = _k_orders(nu, x)
             assert _k_ladder(nu, x) == (km, em, k0, e0, k1 / k0, e0 + e1 + 2.0 * _EPS)
             assert (k0, e0) == _besselk(nu, x)
-            for d, k, e in ((-1.0, km, em), (1.0, k1, e1)):
+            b = Point(nu, x).bessel()
+            for d, k, e, order in ((-1.0, km, em, "km"), (1.0, k1, e1, "k1")):
                 if Fraction(nu + d) == Fraction(nu) + int(d) and _k_split(nu + d)[0] == _k_split(nu)[0]:
                     assert (k, e) == _besselk(nu + d, x), (nu, d, x)
                 else:
-                    want = besselk(abs(mpf(nu) + d), mpf(x))
+                    want = getattr(b, order)
                     assert abs(k - want) <= e * want, (nu, d, x)
 
 
@@ -303,24 +294,6 @@ def test_ratio_paths_cross_check_never_trips(nu, x):
     ratio_K(EvalContext(nu, x))
 
 
-@settings(max_examples=25, deadline=None)
-@given(nu=st.floats(-9.5, 19.5), x=st.floats(1e-2, 450.0))
-def test_eval_matches_mpmath(nu, x):
-    from mpmath import besseli, besselk, mp, mpf
-
-    mp.dps = 30
-    ctx = EvalContext(nu, x)
-    vk = eval_K(ctx)
-    ref = besselk(mpf(nu), mpf(x))
-    assert abs(vk.value - float(ref)) <= max(vk.rel_error_bound, 1e-14) * float(ref)
-    try:
-        vi = eval_I(ctx)
-    except AccuracyError:
-        return  # extreme corner (e.g. leading term underflow); allowed to refuse
-    refi = float(besseli(mpf(nu), mpf(x)))
-    assert abs(vi.value - refi) <= max(vi.rel_error_bound, 1e-14) * abs(refi)
-
-
 def test_rgamma_taylor_coefficients():
     # the committed table is 1/Gamma(1+z) = sum g_j z^j, pairs (g_2i, g_2i+1)
     # highest first, each the double nearest its exact value; g_j = c_{j+1}
@@ -405,14 +378,6 @@ def _with_examples(points):
     return deco
 
 
-def _k_over_max(nu, x):
-    # K at the order nu (a double or an mpf), or None where it overflows doubles
-    from mpmath import besselk, mpf
-
-    v = besselk(abs(mpf(nu)), mpf(x))
-    return v if v < 1.7976931348623157e308 else None
-
-
 # where K's orders nu -+ 1 are not doubles: nu below 1e-3, or within 1e-6 or
 # 1e-12 of an integer, with x log-uniform down to 5e-324, where K's
 # sensitivity to its order, about log(2/x), is largest.  nu and x are drawn
@@ -422,20 +387,12 @@ _K_ORDER_ROUNDING = st.tuples(
               st.builds(lambda n, d: n + d, st.integers(-9, 19), st.sampled_from((-1e-6, 1e-6, -1e-12, 1e-12)))),
     _LOG_X)
 _K_POINTS = st.shared(st.one_of(*[st.tuples(_K_NU_STRATA, _K_X_STRATA)] * 3, _K_ORDER_ROUNDING), key="k_point")
-# tiny x where nu -+ 1 round in double: a K side that split the rounded orders
-# was off there by the factor of its claim given with each point
-_K_ROUNDED_ORDERS = (
-    (0.000969416191951392, 1.9597013739790897e-200),  # kratio 3.12x
-    (7.879482415927276e-10, 2.186396316311806e-99),  # phiK 1.87x
-    (1e-12, 3.5689855177001275e-302),  # ratio_K 9.26x
-    (-1e-12, 6.264270665655107e-294),  # kratio 9.02x
-    (1.000001, 1.4790298557368433e-115),  # phiK 4.04x
-)
+_DBL_MAX = 1.7976931348623157e308
 
 
 @settings(max_examples=270, deadline=None)
 @given(nu=_K_POINTS.map(lambda p: p[0]), x=_K_POINTS.map(lambda p: p[1]))
-@_with_examples(_K_ROUNDED_ORDERS)
+@_with_examples(K_ROUNDED_ORDERS)
 @_with_examples([(nu, x) for nu in (-0.5, 0.5, 1.5, 19.5)
                   for row in _K_KERNELS[1:] for x in (math.nextafter(row.start, 0.0), row.start)])
 @example(nu=17.435071950116672, x=279.4318877889326)
@@ -443,92 +400,83 @@ _K_ROUNDED_ORDERS = (
 @example(nu=18.8, x=340.1)
 @example(nu=19.97, x=0.002)
 @example(nu=1.3068721410391255, x=1.0173456470485944)
+# Temme's series has no truncation window, so absurdly small x works at
+# integer and non-integer orders alike; K_{1/2} keeps its closed form there
+@_with_examples([(1.0, 1e-35), (0.5, 1e-30), (0.5, 5e-324)])
 def test_K_claims_cover_actual_error(nu, x):
-    # |error| <= rel_error_bound against 40-digit mpmath, for eval_K and
+    # |error| <= rel_error_bound against the reference, for eval_K and
     # ratio_K; refusal only where a needed K overflows double precision
-    from mpmath import mp, mpf
-
-    mp.dps = 40
-    ctx = EvalContext(nu, x)
-    k0 = _k_over_max(nu, x)
+    ctx, ref = EvalContext(nu, x), Point(nu, x)
+    b = ref.bessel()
     try:
         v = eval_K(ctx)
     except AccuracyError:
-        assert k0 is None
+        assert b.k0 >= _DBL_MAX
     else:
-        assert abs(v.value - k0) <= v.rel_error_bound * k0
-    k1 = _k_over_max(mpf(nu) + 1, x)
+        assert abs(v.value - ref["K"]) <= v.rel_error_bound * ref["K"]
     try:
         r = ratio_K(ctx)
     except AccuracyError:
-        assert None in (k0, k1, _k_over_max(mpf(nu) - 1, x))
+        assert max(b.km, b.k0, b.k1) >= _DBL_MAX
     else:
-        want = k1 / k0
-        assert abs(r.value - want) <= r.rel_error_bound * want
+        assert abs(r.value - ref["ratio_K"]) <= r.rel_error_bound * ref["ratio_K"]
 
 
 def _normal(v):
     # whether double precision holds v as a normal number
-    return 2.2250738585072014e-308 <= abs(v) <= 1.7976931348623157e308
+    return 2.2250738585072014e-308 <= abs(v) <= _DBL_MAX
 
 
-_LADDER_EDGES = (-2.5, 2.5, -0.3, 0.3, 0.5, 1.0, 15.3)
+def test_reference_converges_where_forty_digits_cancel():
+    # w, u, lambda, q and t agree to 30 digits with one evaluation at 2 |log10 x|
+    # + 60 digits, past their cancellation of about 2 |log10 x| digits; at a
+    # fixed 40 digits w is 0 at (2, 1e-21) and t has the wrong sign.  K at
+    # integer orders below x = 100, by DLMF 10.31.1 there, is mpmath's besselk
+    import random
 
+    from mpmath import besselk, mp
 
-def _mp_bessel(nu, x):
-    # 40-digit (nu, x, I_{nu-1}, I_nu, I_{nu+1}, K_{nu-1}, K_nu, K_{nu+1}), at
-    # the exact orders nu -+ 1 on both sides (the continued fraction and the
-    # recurrence for I_{nu-1}/I_nu take nu itself, and so does K's ladder);
-    # I_{-n} = I_n at integer orders and K_{-v} = K_v, where mpmath's own sums
-    # would cancel.  Below |nu| ~ 1e-25, 40 digits round nu -+ 1 (to -+1 at the
-    # end), while near the pole of 1/Gamma(nu) I_{nu-1} at tiny x turns on nu's
-    # last bits: there I_{nu-1} = I_{nu+1} + (2 nu/x) I_nu, exact in nu
-    from mpmath import besseli, besselk, mp, mpf
+    from mp_reference import TAGS, Bessel
 
-    mp.dps = 40
-    m, xm = mpf(nu), mpf(x)
-    i0, i1 = (besseli(abs(o) if o == int(o) else o, xm) for o in (m, m + 1))
-    o = m - 1
-    if o + 1 == m:
-        im = besseli(abs(o) if o == int(o) else o, xm)
-    else:
-        im = i1 + 2 * m / xm * i0
-    km, k0, k1 = (besselk(abs(o), xm) for o in (m - 1, m, m + 1))
-    return m, xm, im, i0, i1, km, k0, k1
-
-
-# where ratio_I changes route: tiny x, where the continued fraction's start
-# 1e-30 stops being negligible, and one ulp either side of the switch to the
-# expansions' quotient, 30 + max(nu^2, (nu+1)^2)
-_RATIO_I_EDGES = (
-    *[(nu, x) for nu in (0.0, 15.3) for x in (1e-25, 2.8e-67, 5e-324)],
-    *[(nu, math.nextafter(30.0 + max(nu * nu, (nu + 1.0) ** 2), to))
-      for nu in (-0.7, 2.5, 15.3) for to in (0.0, math.inf)],
-)
+    rng = random.Random(40)
+    xs = [1e-19, 1e-21, 1e-30] + [max(math.exp(rng.uniform(math.log(5e-324), 0.0)), 5e-324) for _ in range(20)]
+    for x in xs:
+        ref, b = Point(2.0, x), Bessel(2.0, x, int(2 * abs(math.log10(x))) + 60)
+        for tag in ("w", "u", "lambda", "q", "t"):
+            with mp.workdps(b.dps):
+                want = mp.fsum(TAGS[tag](b))
+            assert abs(ref[tag] - want) <= 1e-30 * abs(want), (tag, x)
+    with mp.workdps(40):
+        for n, x in ((0, 1e-3), (1, 0.7), (2, 2.0), (3, 1e-300), (0, 99.9), (20, 30.0)):
+            assert abs(Bessel(n, x, 40).k0 / besselk(n, x) - 1) < 1e-38, (n, x)
 
 
 def _assert_claims_cover(cases, nu, x, domain_ok):
-    # cases: tag -> (evaluation, 40-digit value, the I or K it needs).
+    # cases: tag -> (evaluation, the reference's Bessel values it needs).
     # DomainError only where domain_ok(tag) says so.  AccuracyError only where
     # the value or a needed I or K is not a normal double, and for I at
     # nu < -1, where the power series cancels below the target accuracy
-    for tag, (evaluate, reference, needs) in cases.items():
+    ref = Point(nu, x)
+    for tag, (evaluate, needs) in cases.items():
         try:
             v = evaluate()
         except DomainError:
             assert domain_ok(tag), tag
             continue
         except AccuracyError:
-            assert not all(map(_normal, (*needs, reference()))) or (tag == "I" and nu < -1.0), tag
+            assert (tag == "I" and nu < -1.0) or not (all(map(_normal, needs(ref.bessel()))) and _normal(ref[tag])), tag
             continue
         if v.value == 0.0 and v.rel_error_bound == math.inf:
             continue  # an exact 0 from cancellation claims nothing (0 * inf is nan)
         # relative to the true value, or to the returned one as abs_error_bound
         # reads it: the two differ at second order unless the claim nears 1
         # (phiI at nu = -1 and tiny x cancels to a claim above 1)
-        want = reference()
+        want = ref[tag]
         scale = max(abs(want), abs(v.value))
         assert abs(v.value - want) <= v.rel_error_bound * scale, (tag, v, float(want))
+
+
+_I_SIDE, _K_SIDE = (lambda b: (b.i0, b.i1)), (lambda b: (b.km, b.k0, b.k1))  # the I or K a tag needs
 
 
 @settings(max_examples=210, deadline=None)  # nu = +-1/2 takes a quarter: about 160 for the rest
@@ -539,11 +487,13 @@ def _assert_claims_cover(cases, nu, x, domain_ok):
     (2.5, 36.25), (2.5, math.nextafter(36.25, 0.0)),  # I's switch, 30 + nu^2
     (15.3, 30.0 + 15.3 * 15.3), (15.3, math.nextafter(30.0 + 15.3 * 15.3, 0.0)),
     (20.0, math.nextafter(430.0, 0.0)),  # I's longest series in the box, about 302 terms
-    *[(nu, x) for nu in _LADDER_EDGES for x in (2.0, math.nextafter(2.0, 0.0), 10.0, math.nextafter(10.0, 0.0))],
-    *_RATIO_I_EDGES,
+    *[(nu, x) for nu in LADDER_EDGES for x in (2.0, math.nextafter(2.0, 0.0), 10.0, math.nextafter(10.0, 0.0))],
+    *RATIO_I_EDGES,
     (-1.0, 2.0), (math.nextafter(-1.0, 0.0), 1e-3),  # CF1's first step, b_1 = 0 and near it
     (-0.9999990984435865, 2.225073858507203e-309),  # x^nu overflows where I is a normal double
-    *_K_ROUNDED_ORDERS,
+    *K_ROUNDED_ORDERS,
+    # tiny x, where I is a normal double; I_19(1.1e-15) ~ 1e-307: 1e-18 I underflows
+    (0.0, 5e-324), (0.5, 1.5e-323), (-0.5, 1e-310), (0.3, 1e-200), (19.0, 1.1e-15),
 ])
 # open as the FOUND lines on eval_I's leading-term claim in CHANGES.md
 # (ROADMAP item 3): math.gamma is off by up to about 57 eps near
@@ -556,26 +506,27 @@ def _assert_claims_cover(cases, nu, x, domain_ok):
 @example(nu=15.0000001, x=0.002145625914081833).xfail(
     raises=AssertionError, reason="FOUND: eval_I's leading series term exceeds its claim")
 def test_I_and_ratio_claims_cover_actual_error(nu, x):
-    # |error| <= rel_error_bound against 40-digit mpmath for eval_I, ratio_I
+    # |error| <= rel_error_bound against the reference for eval_I, ratio_I
     # and the quantities built on the ratios; DomainError only below the I
     # side's order floor nu = -1
     from besselbounds.core import QuantityKind as QK, quantity
 
     ctx = EvalContext(nu, x)
-    m, xm, im, i0, i1, km, k0, k1 = _mp_bessel(nu, x)
     cases = {
-        "I": (lambda: eval_I(ctx), lambda: i0, (i0,)),
-        "ratio_I": (lambda: ratio_I(ctx), lambda: i1 / i0, (i0, i1)),
-        "y": (lambda: quantity(QK.Y, ctx), lambda: m + xm * i1 / i0, (i0, i1)),
-        "phiI": (lambda: quantity(QK.PHI_I, ctx), lambda: 1 - im * i1 / i0**2, (i0, i1)),
-        "phiK": (lambda: quantity(QK.PHI_K, ctx), lambda: 1 - km * k1 / k0**2, (km, k0, k1)),
-        "kratio": (lambda: quantity(QK.K_RATIO, ctx), lambda: k0 / km, (km, k0, k1)),
+        "I": (lambda: eval_I(ctx), lambda b: (b.i0,)),
+        "ratio_I": (lambda: ratio_I(ctx), _I_SIDE),
+        "y": (lambda: quantity(QK.Y, ctx), _I_SIDE),
+        "phiI": (lambda: quantity(QK.PHI_I, ctx), _I_SIDE),
+        "phiK": (lambda: quantity(QK.PHI_K, ctx), _K_SIDE),
+        "kratio": (lambda: quantity(QK.K_RATIO, ctx), _K_SIDE),
     }
     _assert_claims_cover(cases, nu, x, lambda tag: tag in ("ratio_I", "y", "phiI") and nu < -1.0)
 
 
-@settings(max_examples=80, deadline=None)
-@given(nu=st.floats(-10.0, 20.0), x=st.floats(0.0, 500.0, exclude_min=True))
+# x uniform on the box, and log-uniform down to 5e-324 in one draw in five,
+# where w and t keep about 2 |log10 x| digits fewer than their terms
+@settings(max_examples=100, deadline=None)
+@given(nu=st.floats(-10.0, 20.0), x=st.one_of(*[st.floats(0.0, 500.0, exclude_min=True)] * 4, _LOG_X))
 @_with_examples([
     (20.0, 400.0),
     (20.0, math.nextafter(430.0, 0.0)),  # I's longest series in the box, about 302 terms
@@ -590,50 +541,31 @@ def test_I_and_ratio_claims_cover_actual_error(nu, x):
     (-0.03, 5e-324), (-0.035, 2e-323),  # x K subnormal: x I K taken as I (x K) fails its claim
     (-1.0, 5.0057e-155), (-1.0, 1.1e-212),  # x^2 subnormal or 0 where nc = x/4 is normal
     (0.2781810438991197, 6.692507068714758e-215),  # phiP = 1 - T, T's exponents summed past 1024, T finite
-    *_RATIO_I_EDGES,
+    *RATIO_I_EDGES,
+    (2.0, 1e-19), (2.0, 1e-21), (2.0, 1e-30),  # a 40-digit w is 1% off, 0, and 0
 ])
 def test_remaining_quantity_claims_cover_actual_error(nu, x):
-    # |error| <= rel_error_bound against 40-digit mpmath for the QuantityKinds
+    # |error| <= rel_error_bound against the reference for the QuantityKinds
     # the test above leaves out; refusals as there, DomainError only outside a
     # quantity's domain, and deltaI / deltaK also refused where I^2 / K^2, the
     # factor they scale phiI / phiK by, is not a normal double
-    from mpmath import sqrt
+    from fractions import Fraction
 
     from besselbounds.core import QUANTITIES, QuantityKind as QK, quantity
 
     ctx = EvalContext(nu, x)
-    m, xm, im, i0, i1, km, k0, k1 = _mp_bessel(nu, x)
-    mu, b = m * m - 0.25, m + 1
-    y = lambda: m + xm * i1 / i0
-    z = lambda: m - xm * k1 / k0
-    phi_i = lambda: 1 - im * i1 / i0**2
-    phi_k = lambda: 1 - km * k1 / k0**2
-    i_side, k_side = (i0, i1), (km, k0, k1)
-    refs = {  # kind: (40-digit value, the I or K it needs)
-        QK.P: (lambda: i0 * k0, (i0, k0)),
-        QK.OMEGA: (lambda: xm * i0 * k0, (i0, k0)),
-        QK.DELTA_I: (lambda: i0**2 - im * i1, (*i_side, i0**2)),
-        QK.Z: (z, k_side),
-        # 1 - (1 - phiI)(1 - phiK): phiI + phiK - phiI phiK loses the 40 digits
-        # where phiK overflows doubles and 1 - phiI is as small as nu
-        QK.PHI_P: (lambda: 1 - im * i1 / i0**2 * (km * k1 / k0**2), i_side + k_side),
-        QK.DELTA_K: (lambda: k0**2 - km * k1, (*k_side, k0**2)),
-        QK.W: (lambda: sqrt(xm**2 + m**2) - y(), i_side),
-        QK.U: (lambda: sqrt(xm**2 + mu) - y(), i_side),
-        QK.LAMBDA: (lambda: y() - sqrt(xm**2 + b**2), i_side),
-        QK.Q: (lambda: z() + sqrt(xm**2 + mu), k_side),
-        QK.T: (lambda: z() + sqrt(xm**2 + m**2), k_side),
-        QK.B2HAT: (lambda: -1 / (xm * phi_i()), i_side),
-        QK.V_EFF: (lambda: -phi_k(), k_side),
-        QK.N_C: (lambda: xm**2 / 4 / (b + sqrt(xm**2 + b**2)), ()),
-        QK.N_S: (lambda: xm / 4 * i1 / i0, i_side),
-        QK.I_RATIO: (lambda: i0 / im, i_side),
+    needs = {  # kind: the I or K it needs
+        QK.P: lambda b: (b.i0, b.k0), QK.OMEGA: lambda b: (b.i0, b.k0),
+        QK.DELTA_I: lambda b: (*_I_SIDE(b), b.i0**2), QK.Z: _K_SIDE,
+        QK.PHI_P: lambda b: _I_SIDE(b) + _K_SIDE(b), QK.DELTA_K: lambda b: (*_K_SIDE(b), b.k0**2),
+        QK.W: _I_SIDE, QK.U: _I_SIDE, QK.LAMBDA: _I_SIDE, QK.Q: _K_SIDE, QK.T: _K_SIDE,
+        QK.B2HAT: _I_SIDE, QK.V_EFF: _K_SIDE, QK.N_C: lambda b: (), QK.N_S: _I_SIDE, QK.I_RATIO: _I_SIDE,
     }
-    cases = {k.value: ((lambda k=k: quantity(k, ctx)), ref, needs) for k, (ref, needs) in refs.items()}
+    cases = {k.value: ((lambda k=k: quantity(k, ctx)), need) for k, need in needs.items()}
 
     def domain_ok(tag):
-        return (nu < QUANTITIES[QK(tag)].min_nu or (tag == "u" and xm**2 + mu < 0)
-                or (tag == "q" and mu < 0))
+        return (nu < QUANTITIES[QK(tag)].min_nu or (tag == "q" and abs(nu) < 0.5)
+                or (tag == "u" and Fraction(x) ** 2 + Fraction(nu) ** 2 < Fraction(1, 4)))
 
     _assert_claims_cover(cases, nu, x, domain_ok)
 

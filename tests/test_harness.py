@@ -42,6 +42,12 @@ def test_gridspec_validation():
         GridSpec((1.0,), (1.0, 0.5))
     with pytest.raises(ValueError):
         GridSpec((1.0,), (-1.0, 0.5))
+    # a point outside the box, NaN and the infinities included, never reaches a sweep
+    for nus, xs in (((1.0,), (math.nan,)), ((99.0,), (math.inf,)), ((1.0,), (500.5,)), ((1.0,), (0.0, 1.0)),
+                    ((math.nan,), (1.0,)), ((-10.5,), (1.0,)), ((20.5,), (1.0,)), ((-math.inf,), (1.0,))):
+        with pytest.raises(ValueError):
+            GridSpec(nus, xs)
+    assert GridSpec((-10.0, 20.0), (5e-324, 500.0)).x_values == (5e-324, 500.0)
     g = default_grid(50)
     assert len(g.x_values) == 50 and g.x_values[-1] == pytest.approx(100.0)
     assert g.x_values[0] > 1e-3
@@ -533,19 +539,22 @@ def _half_reference(x, scaled):
 
 def test_half_reference_is_the_bessel_definition():
     # the reference's form is DLMF 10.39's algebra: it agrees with phiI + phiK
-    # and s (1 + s) + x^2 (phiI + phiK) from besseli and besselk, at a
-    # precision that outlasts their cancellation (2x/ln 10 + 30 digits)
-    import mpmath as mp
+    # and s (1 + s) + x^2 (phiI + phiK), with s = x I_{nu-1}/I_nu - x
+    # K_{nu-1}/K_nu - 2 nu, in the Bessel definition, taken by the claim tests'
+    # reference at a precision that outlasts their cancellation
+    from mp_reference import TAGS, Point
+
+    def phi(b):  # phiI + phiK
+        return TAGS["phiI"](b) + TAGS["phiK"](b)
+
+    def omega(b):  # s + s^2 + x^2 phi
+        a, c = b.x * b.im / b.i0, -b.x * b.km / b.k0
+        return (a, c, -2 * b.nu, (a + c - 2 * b.nu) ** 2, *(b.x**2 * v for v in phi(b)))
 
     for x in (0.7, 3.0, 16.0, 40.0):
-        with mp.workdps(int(2 * x / math.log(10)) + 30):
-            X, nu = mp.mpf(x), mp.mpf(0.5)
-            i, k = (lambda v: mp.besseli(v, X)), (lambda v: mp.besselk(v, X))
-            phi = 2 - i(nu - 1) * i(nu + 1) / i(nu) ** 2 - k(nu - 1) * k(nu + 1) / k(nu) ** 2
-            s = X * i(nu - 1) / i(nu) - X * k(nu - 1) / k(nu) - 2 * nu
-            omega = s * (1 + s) + X * X * phi
-            g, w = _half_reference(x, False)
-            assert abs(phi / g - 1) < 1e-25 and abs(omega / w - 1) < 1e-25, x
+        ref = Point(0.5, x)
+        for got, want in zip((ref.value(phi), ref.value(omega)), _half_reference(x, False)):
+            assert abs(got - want) < 1e-25 * abs(want), x
 
 
 def test_half_closed_forms_within_their_claims():
